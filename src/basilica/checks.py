@@ -8,11 +8,12 @@ Randomized sweeps draw from a seeded generator recorded in the report.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
 from . import ENGINE
-from .core import Element, InputError, equals
+from .core import BudgetExceededError, Element, InputError, equals
 from .norms import ball, norm
 from .structure import (
     LIFT_SUBSTITUTION,
@@ -337,7 +338,7 @@ def check_descent(out: _Collector, radius: int = 7) -> None:
     for g in ab_inputs:
         try:
             cert = find_ab(g)
-        except Exception:
+        except BudgetExceededError:
             fail_ab += 1
             continue
         if not cert.replay():
@@ -372,7 +373,7 @@ def check_descent(out: _Collector, radius: int = 7) -> None:
     for g in ba_inputs:
         try:
             cert = find_b_inv_a(g)
-        except Exception:
+        except BudgetExceededError:
             fail_ba += 1
             continue
         if not cert.replay():
@@ -448,8 +449,7 @@ def check_lifts(out: _Collector, rng: random.Random, samples: int = 20, depth: i
     for w in chosen:
         for v in vertices:
             r = lift_section(w, v)
-            level = len(v)
-            for u in ["".join(p) for p in _level_vertices(level)]:
+            for u in map("".join, itertools.product("01", repeat=len(v))):
                 if r.act(u) != u:
                     ok, bad = False, f"{w}@{v} moves {u}"
                     break
@@ -469,19 +469,6 @@ def check_lifts(out: _Collector, rng: random.Random, samples: int = 20, depth: i
         ok,
         bad,
     )
-
-
-def _level_vertices(n: int):
-    if n == 0:
-        return [""]
-    return ["".join(bits) for bits in _product01(n)]
-
-
-def _product01(n: int):
-    out = [[]]
-    for _ in range(n):
-        out = [p + [x] for p in out for x in "01"]
-    return out
 
 
 SUITES = {

@@ -53,10 +53,6 @@ def _system(args) -> GeneratorSystem:
     return basilica()
 
 
-def _element(system: GeneratorSystem, text: str) -> Element:
-    return system.element(text)
-
-
 def _subgroup(system: GeneratorSystem, gens: str) -> SubgroupHandle:
     words = [w.strip() for w in gens.split(",") if w.strip()]
     if not words:
@@ -73,7 +69,7 @@ def _print_sections(g: Element) -> None:
 
 def cmd_eval(args) -> int:
     system = _system(args)
-    g = _element(system, args.word)
+    g = system.element(args.word)
     _print_sections(g)
     if args.depth:
         portrait = g.portrait(args.depth)
@@ -84,7 +80,7 @@ def cmd_eval(args) -> int:
 
 def cmd_portrait(args) -> int:
     system = _system(args)
-    g = _element(system, args.word)
+    g = system.element(args.word)
     portrait = g.portrait(args.depth)
     if args.dot:
         sys.stdout.write(portrait.to_dot())
@@ -96,7 +92,7 @@ def cmd_portrait(args) -> int:
 
 def cmd_norm(args) -> int:
     system = _system(args)
-    g = _element(system, args.word)
+    g = system.element(args.word)
     n = norm(g)
     print(f"norm: {n}")
     print(f"geodesic: {system.word_str(geodesic_rep(g))}")
@@ -135,37 +131,37 @@ def cmd_order(args) -> int:
 
 
 def cmd_find_ab(args) -> int:
-    cert = find_ab(_element(basilica(), args.word), max_states=args.budget)
+    cert = find_ab(basilica().element(args.word), max_states=args.budget)
     print(f"vertex={cert.vertex or 'e'} k={cert.exponent_log}")
     return EXIT_OK
 
 
 def cmd_find_binva(args) -> int:
-    cert = find_b_inv_a(_element(basilica(), args.word), max_states=args.budget)
+    cert = find_b_inv_a(basilica().element(args.word), max_states=args.budget)
     print(f"vertex={cert.vertex or 'e'} k={cert.exponent_log}")
     return EXIT_OK
 
 
 def cmd_lift(args) -> int:
-    g = _element(basilica(), args.word)
+    g = basilica().element(args.word)
     print(lift_section(g, args.vertex))
     return EXIT_OK
 
 
 def cmd_abelianize(args) -> int:
-    s, t = ab_image(_element(basilica(), args.word))
+    s, t = ab_image(basilica().element(args.word))
     print(f"({s},{t})")
     return EXIT_OK
 
 
 def cmd_heis(args) -> int:
-    h = heis_image(_element(basilica(), args.word))
+    h = heis_image(basilica().element(args.word))
     print(f"({h.p},{h.q},{h.r})")
     return EXIT_OK
 
 
 def cmd_bprime(args) -> int:
-    l, m, n = bprime_coords(_element(basilica(), args.word))
+    l, m, n = bprime_coords(basilica().element(args.word))
     print(f"({l},{m},{n})")
     return EXIT_OK
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -230,6 +230,11 @@ class GeneratorSystem:
         self._section_cache: dict[Word, tuple[Word, ...]] = {}
         self._trivial_cache: dict[Word, bool] = {(): True}
         self._level_cache: dict[tuple[Word, int], tuple[int, ...]] = {}
+        # per-system state of other layers: the ball registry of `norms`
+        # (built on first use) and the full group's level-quotient orders
+        # of `permgrp`
+        self._ball_registry = None
+        self._full_level_orders: dict[int, int] = {}
 
     # -- surface syntax ----------------------------------------------------
 
@@ -676,16 +681,14 @@ class Portrait:
 class ElementIndex:
     """Exact-equality registry keyed by level-action fingerprints.
 
-    Fingerprint inequality soundly separates elements; claimed equality is
-    always confirmed with the exact decision procedure.  Buckets use the
-    level-``depth`` action and deepen to ``deep_depth`` on collision before
-    the equals() confirmation.
+    Fingerprint inequality soundly separates elements, so a word is compared
+    only with the words in its level-``depth`` bucket; each candidate is
+    confirmed exactly by deciding the triviality of ``word . cand^-1``.
     """
 
-    def __init__(self, system: GeneratorSystem, depth: int = 6, deep_depth: int = 10):
+    def __init__(self, system: GeneratorSystem, depth: int = 6):
         self.system = system
         self.depth = depth
-        self.deep_depth = deep_depth
         self._buckets: dict[tuple[int, ...], list[int]] = {}
         self._words: list[Word] = []
         self.values: list[object] = []
@@ -702,16 +705,9 @@ class ElementIndex:
         bucket = self._buckets.get(sys.word_level_perm(word, self.depth))
         if not bucket:
             return None
-        deep = None
         for idx in bucket:
             cand = self._words[idx]
-            if cand == word:
-                return idx
-            if deep is None:
-                deep = sys.word_level_perm(word, self.deep_depth)
-            if sys.word_level_perm(cand, self.deep_depth) != deep:
-                continue
-            if sys.word_is_trivial(free_reduce(word + invert_word(cand))):
+            if cand == word or sys.word_is_trivial(free_reduce(word + invert_word(cand))):
                 return idx
         return None
 
@@ -729,26 +725,3 @@ class ElementIndex:
         if idx is not None:
             return idx, False
         return self.insert_word(word, value), True
-
-
-def reduced_words(system: GeneratorSystem, length: int) -> Iterator[Word]:
-    """All freely reduced words of exactly ``length`` in lexicographic order."""
-    letters = sorted(
-        [i + 1 for i in range(len(system.names))]
-        + [-(i + 1) for i in range(len(system.names))],
-        key=_letter_sort_key,
-    )
-    if length == 0:
-        yield ()
-        return
-
-    def extend(prefix: Word) -> Iterator[Word]:
-        for l in letters:
-            if prefix and prefix[-1] == -l:
-                continue
-            yield prefix + (l,)
-
-    frontier: Iterator[Word] = iter([()])
-    for _ in range(length):
-        frontier = (w for p in frontier for w in extend(p))
-    yield from frontier

@@ -3,13 +3,14 @@
 The searches walk the move h -> section(h^2, child).  Every element whose
 exponent-sum image is (1,1), (1,-1) or (-1,1) has odd b-exponent, hence a
 nontrivial root permutation, so its square stabilizes the first level and
-both sections are defined; squaring keeps section norms bounded by the
-parent's norm and maps the image classes (1,1) -> (1,1) and
-(1,-1) <-> (-1,1).  Breadth-first search with a visited set of canonical
-geodesics therefore terminates, and it must reach the target (ab, resp.
-b^-1 a) for inputs in the right class.  A successful run of k moves yields
-the replayable witness: g^(2^k) stabilizes the traversed vertex and its
-section there is the target.
+both sections are defined; squaring keeps section words no longer than
+the parent word (the recursion is contracting) and maps the image classes
+(1,1) -> (1,1) and (1,-1) <-> (-1,1).  Breadth-first search over section
+words, with the visited elements kept by exact identity in an
+ElementIndex, therefore terminates without enumerating any ball, and it
+must reach the target (ab, resp. b^-1 a) for inputs in the right class.
+A successful run of k moves yields the replayable witness: g^(2^k)
+stabilizes the traversed vertex and its section there is the target.
 
 The projection search chains these searches along the constructive pipeline
 (coset solve for (1,1), descend to ab, Schreier generators of the vertex
@@ -29,6 +30,7 @@ from .core import (
     BudgetExceededError,
     ConsistencyError,
     Element,
+    ElementIndex,
     InputError,
     PreconditionError,
     Word,
@@ -96,16 +98,17 @@ def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> De
         raise PreconditionError(
             f"descent requires exponent image in {allowed}, got {image}"
         )
-    start_word = geodesic_rep(g)
-    queue: list[tuple[Word, tuple[int, ...]]] = [(start_word, ())]
-    visited = {start_word}
-    target_word = geodesic_rep(target)
     system = g.system
+    visited = ElementIndex(system)
+    visited.insert_word(g.word)
+    goal = ElementIndex(system)
+    goal.insert_word(geodesic_rep(target))
+    queue: list[tuple[Word, tuple[int, ...]]] = [(g.word, ())]
     i = 0
     while i < len(queue):
         word, path = queue[i]
         i += 1
-        if word == target_word:
+        if goal.find_word(word) is not None:
             return DescentCertificate(g, path, len(path), target)
         if system.word_root(word) == tuple(range(system.alphabet_size)):
             raise ConsistencyError(
@@ -113,10 +116,9 @@ def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> De
             )
         square = free_reduce(word + word)
         for x, sec in enumerate(system.word_sections(square)):
-            child = geodesic_rep(Element(system, sec))
-            if child not in visited:
-                visited.add(child)
-                queue.append((child, path + (x,)))
+            _, new = visited.find_or_insert(sec)
+            if new:
+                queue.append((sec, path + (x,)))
         if len(visited) > max_states:
             raise BudgetExceededError(
                 f"descent exceeded {max_states} states", partial=visited

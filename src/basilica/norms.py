@@ -5,8 +5,8 @@ length-then-lexicographic order (a < a^-1 < b < b^-1).  Each new word is
 assigned to its group-element class through a level-action fingerprint
 bucket confirmed by the exact decision procedure, so the first word reaching
 a class is automatically its lexicographically least geodesic.  The registry
-grows radius by radius and is shared per system, which keeps norm queries
-from the descent searches cheap.
+grows radius by radius and is shared per system, so repeated norm queries
+reuse the ball built so far.
 """
 
 from __future__ import annotations
@@ -88,11 +88,9 @@ class _BallRegistry:
 
 
 def _registry(system: GeneratorSystem) -> _BallRegistry:
-    reg = getattr(system, "_ball_registry", None)
-    if reg is None:
-        reg = _BallRegistry(system)
-        system._ball_registry = reg
-    return reg
+    if system._ball_registry is None:
+        system._ball_registry = _BallRegistry(system)
+    return system._ball_registry
 
 
 def ball(system: GeneratorSystem, radius: int) -> Ball:

@@ -279,10 +279,7 @@ def level_perms(system: GeneratorSystem, elements: Sequence[Element], n: int) ->
 def level_quotient_equals_full(H: SubgroupHandle, n: int) -> bool:
     """Whether H surjects onto the full group's level-n quotient."""
     system = H.system
-    cache = getattr(system, "_full_level_orders", None)
-    if cache is None:
-        cache = {}
-        system._full_level_orders = cache
+    cache = system._full_level_orders
     if n not in cache:
         cache[n] = group_order(level_perms(system, system.generators(), n))
     sub = group_order(level_perms(system, H.generators, n))

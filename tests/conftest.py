@@ -24,3 +24,13 @@ def random_element(system, rng, max_len=8):
             continue
         w.append(l)
     return system.element(w)
+
+
+def reduced_words(system, length):
+    """All freely reduced words of exactly ``length`` in lexicographic order
+    (a < a^-1 < b < b^-1 < ...)."""
+    letters = [l for i in range(len(system.names)) for l in (i + 1, -(i + 1))]
+    words = [()]
+    for _ in range(length):
+        words = [w + (l,) for w in words for l in letters if not w or w[-1] != -l]
+    return words

@@ -1,7 +1,8 @@
 import pytest
 
-from basilica import InputError
+from basilica import InputError, checks
 from basilica.checks import run_checks
+from basilica.core import ConsistencyError
 
 
 def test_fast_suites_pass():
@@ -34,3 +35,14 @@ def test_unknown_suite_rejected():
 def test_seed_recorded():
     report = run_checks(only=["psi1"], seed=7)
     assert report.seed == 7
+
+
+def test_descent_suite_surfaces_engine_errors(monkeypatch):
+    # only an exhausted budget counts as a search failure; an engine fault
+    # must not be reported as one
+    def broken(g, max_states=100_000):
+        raise ConsistencyError("broken descent")
+
+    monkeypatch.setattr(checks, "find_ab", broken)
+    with pytest.raises(ConsistencyError):
+        run_checks(only=["descent"])

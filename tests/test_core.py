@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from basilica import (
     InputError,
@@ -9,10 +10,10 @@ from basilica import (
     free_reduce,
     parse_system,
 )
-from basilica.core import invert_word, reduced_words
+from basilica.core import ElementIndex, invert_word
 from basilica.norms import ball
 
-from conftest import random_element
+from conftest import random_element, reduced_words
 
 
 def test_free_reduce_cancellation(B):
@@ -164,6 +165,26 @@ def test_decision_agrees_with_deep_level_action():
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):
             assert equals(classes[i], classes[j]) == (perms[i] == perms[j])
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.text(alphabet="aAbB", max_size=8), max_size=12))
+# "BAbA" and "ABAb" are distinct words of one element; a^8 shares the
+# identity's level-6 fingerprint without being trivial
+@example(["BAbA", "aaaaaaaa", "", "ABAb", "ab"])
+def test_element_index_agrees_with_equals(texts):
+    B = basilica()
+    index = ElementIndex(B)
+    registered = []
+    for text in texts:
+        g = B.element(text)
+        idx, new = index.find_or_insert(g.word)
+        matches = [i for i, h in enumerate(registered) if equals(g, h)]
+        if new:
+            assert matches == [] and idx == len(registered)
+            registered.append(g)
+        else:
+            assert matches == [idx]
 
 
 def test_level_perm_examples(B):

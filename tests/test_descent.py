@@ -1,6 +1,6 @@
 import pytest
 
-from basilica import equals
+from basilica import equals, parse_system
 from basilica.core import InputError, PreconditionError
 from basilica.descent import (
     FailureReport,
@@ -166,6 +166,28 @@ def test_search_failures(B):
     assert isinstance(res, FailureReport)
     assert res.stage == 1
     assert res.lattice == ((1, 0),)
+
+
+def test_find_ab_never_builds_the_ball(B):
+    # descent states are section words keyed by exact identity; only the
+    # norm-2 target is canonicalised through the ball registry
+    fresh = parse_system(B.dump())
+    cert = find_ab(fresh.element("bAbbbaBBaB"))
+    assert cert.replay()
+    assert fresh._ball_registry.radius_done <= 2
+
+
+@pytest.mark.parametrize("words", [["aBB", "AAB", "a"], ["AAB", "Ab", "aa"]])
+def test_search_certifies_subgroups_with_long_descent_states(B, words):
+    # their descents pass through states of norm 10 or more, which a search
+    # that canonicalises states through the ball reaches only by
+    # enumerating ball(10) or larger
+    fresh = parse_system(B.dump())
+    H = SubgroupHandle.from_words(fresh, words)
+    cert = prodense_projection_search(H)
+    assert isinstance(cert, ProdenseCertificate)
+    assert verify_certificate(H, cert)
+    assert fresh._ball_registry.radius_done <= 2
 
 
 def test_search_battery_certificates_sound(B):

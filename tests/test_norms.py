@@ -1,9 +1,10 @@
 import itertools
 
 from basilica import equals
-from basilica.core import reduced_words
 from basilica.norms import ball, canonical, geodesic_rep, norm
 from basilica.structure import alpha, tau
+
+from conftest import reduced_words
 
 
 def brute_force_classes(system, max_len):
