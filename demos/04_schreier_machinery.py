@@ -4,8 +4,9 @@ Orbits, stabilizers and level quotients
 
 Finitely generated subgroups act on each tree level; Schreier transversals
 express orbit points as words in the subgroup generators, Schreier's lemma
-produces stabilizer generators, and a stabilizer chain computes exact orders
-of the finite level quotients.
+produces stabilizer generators, and sifting through a polycyclic sequence
+along the level stabilizers computes exact orders of the finite level
+quotients (2-groups, since the tree is binary).
 """
 
 from basilica import basilica
@@ -40,7 +41,7 @@ proj = projected_subgroup(H, "0")
 print("projection at 0 generated by:", ", ".join(str(g) for g in proj.generators))
 print("projection covers the full level-3 quotient:", level_quotient_equals_full(proj, 3))
 
-# exact level-quotient orders via the stabilizer chain
+# exact level-quotient orders by polycyclic sifting
 for n in range(1, 7):
     order = group_order(level_perms(B, H.generators, n))
     print(f"level {n}: quotient order 2^{order.bit_length() - 1}")

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success; 1 a check or verification suite reported failures;
-2 parse error; 3 precondition violation; 4 budget exhausted or projection
-search failed; 5 certificate verification failed.
+2 parse error, or a file that cannot be read or written (missing, a
+directory, no permission); 3 precondition violation; 4 budget exhausted or
+projection search failed; 5 certificate verification failed.
 """
 
 from __future__ import annotations
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(e.g. abA); `e` is the empty word; vertices are digit strings."
         ),
         epilog=(
-            "exit codes: 0 ok, 1 failed checks, 2 parse error, "
+            "exit codes: 0 ok, 1 failed checks, 2 parse or file error, "
             "3 precondition, 4 budget/search failure, 5 verification failure"
         ),
     )
@@ -319,7 +320,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

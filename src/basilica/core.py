@@ -81,16 +81,6 @@ def invert_word(word: Sequence[int]) -> Word:
     return tuple(-l for l in reversed(word))
 
 
-def _letter_sort_key(letter: int) -> tuple[int, int]:
-    # generator order first, positive before negative: a < a^-1 < b < b^-1
-    return (abs(letter), 0 if letter > 0 else 1)
-
-
-def word_sort_key(word: Sequence[int]) -> tuple:
-    """Sort key realizing the length-then-lexicographic word order."""
-    return (len(word), tuple(_letter_sort_key(l) for l in word))
-
-
 class Perm:
     """An immutable permutation of {0..n-1} composing as a left action."""
 

@@ -6,14 +6,27 @@ assigned to its group-element class through a level-action fingerprint
 bucket confirmed by the exact decision procedure, so the first word reaching
 a class is automatically its lexicographically least geodesic.  The registry
 grows radius by radius and is shared per system, so repeated norm queries
-reuse the ball built so far.
+reuse the ball built so far.  It holds at most ``MAX_CLASSES`` classes:
+``ball``, ``norm`` and ``geodesic_rep`` raise ``BudgetExceededError`` past
+that, with the last complete radius as its ``partial``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Element, ElementIndex, GeneratorSystem, InputError, Word
+from .core import (
+    BudgetExceededError,
+    Element,
+    ElementIndex,
+    GeneratorSystem,
+    InputError,
+    Word,
+)
+
+MAX_CLASSES = 120_000
+# classes one system's ball registry may hold; the Basilica ball(11) has
+# 114713, and each radius multiplies the count by about 2.45
 
 
 @dataclass(frozen=True)
@@ -64,6 +77,13 @@ class _BallRegistry:
                 idx, new = self.index.find_or_insert(w)
                 if new:
                     self.norms.append(r)
+                    if len(self.norms) > MAX_CLASSES:
+                        # the classes found so far are exact; a later call
+                        # at or below radius_done still reads them
+                        raise BudgetExceededError(
+                            f"ball radius {r} needs more than {MAX_CLASSES} classes",
+                            partial=self.radius_done,
+                        )
             self._frontier = words
             self.radius_done = r
 

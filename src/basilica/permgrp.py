@@ -1,6 +1,15 @@
 """Finite permutation machinery for level actions of finitely generated
 subgroups: orbits with Schreier transversals, stabilizer generators, exact
-group orders via a stabilizer chain, and full-level-quotient tests.
+group orders, and full-level-quotient tests.
+
+``group_order`` picks its method from the input alone.  Permutations of 2^n
+points that keep the dyadic blocks together are automorphisms of the binary
+tree of depth n; they generate a 2-group, counted by sifting through an
+induced polycyclic sequence along the level stabilizers.  That covers every
+level action of a binary system, so ``level_quotient_equals_full`` and the
+``order`` command take this path.  Any other input (other degrees, d >= 3
+systems, permutations that break the blocks) goes through a deterministic
+Schreier-Sims stabilizer chain.
 
 Subgroup elements are tracked together with their expressions over the
 subgroup's own generators (an "hword": signed 1-based indices into the
@@ -11,6 +20,7 @@ intermediate rewriting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter, xor
 from typing import Sequence
 
 from .core import (
@@ -171,14 +181,15 @@ def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def group_order(perms: Sequence) -> int:
-    """Order of the group generated by permutations (stabilizer chain).
+    """Order of the group generated by permutations; exact.
 
-    Accepts Perm instances or plain image tuples; exact arbitrary-precision
-    arithmetic throughout.  Base points are chosen as the smallest moved
-    point, so the chain is deterministic.  Generator lists per level are
-    cumulative: level i holds every strong generator fixing the first i base
-    points, and a level is verified by stripping all its Schreier generators
-    through the deeper chain.
+    Accepts Perm instances or plain image tuples of one degree.  The input
+    alone selects the method.  When the degree is 2^n and every generator
+    keeps the dyadic blocks together (leaf i sits under vertex ``i >> s`` at
+    every height s), the group lies in Aut(T_n) of the binary tree, a
+    2-group, and is counted by polycyclic sifting (``_tree_order``).  Every
+    ``level_perms`` output of a binary system is such input.  Everything
+    else goes through the stabilizer chain (``_schreier_sims_order``).
     """
     gens = []
     degree = None
@@ -192,6 +203,95 @@ def group_order(perms: Sequence) -> int:
             gens.append(images)
     if not gens:
         return 1
+    if degree & (degree - 1) == 0 and all(map(_keeps_dyadic_blocks, gens)):
+        return _tree_order(gens)
+    return _schreier_sims_order(gens)
+
+
+def _keeps_dyadic_blocks(g: tuple[int, ...]) -> bool:
+    """Whether a permutation of 2^n leaves is an automorphism of the binary
+    tree above them: siblings go to siblings at every height."""
+    while len(g) > 1:
+        if set(map(xor, g[::2], g[1::2])) != {1}:
+            return False
+        g = [x >> 1 for x in g[::2]]
+    return True
+
+
+def _tree_order(gens: list[tuple[int, ...]]) -> int:
+    """Order of a group of binary-tree automorphisms of the 2^n leaves.
+
+    Builds an induced polycyclic sequence with C2 factors along the series of
+    level stabilizers St(0) > St(1) > ... > St(n) = 1 (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, ch. 8).  An element of
+    St(k-1) swaps or keeps the two children of each level-(k-1) vertex; that
+    flip vector, one byte per vertex in a Python int, is its image in the
+    elementary abelian St(k-1)/St(k).  Sifting reduces it against the
+    level-k echelon basis, keyed by leading digit, multiplying the element
+    by the basis element used (no inverses: the factor has exponent 2), then
+    goes on one level down.  A nonzero residue joins the sequence, and its
+    square and its commutators with every earlier element are sifted in
+    turn.  Once all of these sift to the identity, the elements that sift to
+    the identity form the group, so its order is 2^(sequence length).
+    """
+    degree = len(gens[0])
+    n = degree.bit_length() - 1
+    identity = tuple(range(degree))
+    # flips[s][x]: which child of its height-(s+1) ancestor leaf x lies under
+    flips = [bytes((x >> s) & 1 for x in range(degree)) for s in range(n)]
+    # echelons[k]: leading digit -> (flip vector, right multiplication by the
+    # sequence element); composition is itemgetter(*q)(p) == p o q
+    echelons: list[dict] = [{} for _ in range(n + 1)]
+    sequence: list[tuple[int, tuple, tuple, itemgetter]] = []
+
+    def sift(g, start):
+        # g lies in St(start-1); returns (level, flip vector, residue) or None
+        for k in range(start, n + 1):
+            if g == identity:
+                return None
+            s = n - k
+            v = int.from_bytes(bytes(map(flips[s].__getitem__, g[:: 2 << s])), "big")
+            echelon = echelons[k]
+            while v:
+                entry = echelon.get(v.bit_length())
+                if entry is None:
+                    return k, v, g
+                w, times = entry
+                v ^= w
+                g = times(g)
+        return None
+
+    queue = [(g, 1) for g in gens]
+    while queue:
+        found = sift(*queue.pop())
+        if found is None:
+            continue
+        k, v, r = found
+        r_times = itemgetter(*r)
+        r_inv = _invert(r)
+        echelons[k][v.bit_length()] = (v, r_times)
+        if k < n:
+            queue.append((r_times(r), k + 1))
+        # [r, b] lies in St(max(k, l) - 1), so its sift starts there
+        for l, b, b_inv, b_times in sequence:
+            rb = b_times(r)
+            if rb != r_times(b):
+                queue.append((itemgetter(*itemgetter(*rb)(b_inv))(r_inv), max(k, l)))
+        sequence.append((k, r, r_inv, r_times))
+    return 2 ** len(sequence)
+
+
+def _schreier_sims_order(gens: list[tuple[int, ...]]) -> int:
+    """Order of the group generated by a nonempty list of image tuples of one
+    degree, by a stabilizer chain.
+
+    Base points are chosen as the smallest moved point, so the chain is
+    deterministic.  Generator lists per level are cumulative: level i holds
+    every strong generator fixing the first i base points, and a level is
+    verified by stripping all its Schreier generators through the deeper
+    chain.
+    """
+    degree = len(gens[0])
     identity = tuple(range(degree))
 
     class _Level:

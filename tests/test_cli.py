@@ -1,3 +1,4 @@
+from basilica import basilica, norms
 from basilica.cli import main
 
 
@@ -135,6 +136,29 @@ def test_verify_tampered(tmp_path, capsys):
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "--cert", "/nonexistent/cert.txt")
     assert code == 2
+
+
+def test_verify_directory(tmp_path, capsys):
+    code, _, err = run(capsys, "verify", "--cert", str(tmp_path))
+    assert code == 2
+    assert "Is a directory" in err
+
+
+def test_prodense_out_directory(tmp_path, capsys):
+    code, _, err = run(capsys, "prodense", "--gens", "ba,bb", "--out", str(tmp_path))
+    assert code == 2
+    assert "Is a directory" in err
+
+
+def test_norm_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # a system file gives a fresh ball registry, left out of other tests
+    path = tmp_path / "basilica.txt"
+    path.write_text(basilica().dump())
+    monkeypatch.setattr(norms, "MAX_CLASSES", 100)
+    code, out, err = run(capsys, "norm", "ABabABab", "--system", str(path))
+    assert code == 4
+    assert out == ""
+    assert "budget exhausted" in err
 
 
 def test_check_paper_subset(capsys):

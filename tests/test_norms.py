@@ -1,6 +1,8 @@
 import itertools
 
-from basilica import equals
+import pytest
+
+from basilica import BudgetExceededError, equals, norms, parse_system
 from basilica.norms import ball, canonical, geodesic_rep, norm
 from basilica.structure import alpha, tau
 
@@ -123,8 +125,6 @@ def test_ball_table_format(B):
 
 
 def test_norms_on_custom_system():
-    from basilica import parse_system
-
     odo = parse_system("alphabet 2; gen c perm=1,0 sections=e,c")
     c = odo.generator("c")
     assert norm(c ** 3) == 3
@@ -145,3 +145,18 @@ def test_square_section_bound_small(B):
             sq = g * g
             assert norm(sq.section(0)) <= cls.norm
             assert norm(sq.section(1)) <= cls.norm
+
+
+def test_ball_budget(B, monkeypatch):
+    fresh = parse_system(B.dump())
+    monkeypatch.setattr(norms, "MAX_CLASSES", 100)
+    # ball(3) has 53 classes, ball(4) has 153
+    with pytest.raises(BudgetExceededError) as exc:
+        ball(fresh, 5)
+    assert exc.value.partial == 3
+    with pytest.raises(BudgetExceededError):
+        norm(fresh.element("ABabABab"))
+    assert [len(ball(fresh, r)) for r in range(4)] == [1, 5, 17, 53]
+    monkeypatch.setattr(norms, "MAX_CLASSES", 1000)
+    assert [len(ball(fresh, r)) for r in range(6)] == [1, 5, 17, 53, 153, 421]
+    assert ball(fresh, 5).table() == ball(B, 5).table()

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from basilica import InputError, Perm, basilica, equals
 from basilica.permgrp import (
     SubgroupHandle,
+    _keeps_dyadic_blocks,
+    _schreier_sims_order,
     group_order,
     hword_parse,
     hword_str,
@@ -152,6 +155,53 @@ def test_group_order_agrees_with_closure(handles):
         fast = group_order(perms)
         if fast <= 5000:
             assert fast == mulclose(perms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.lists(st.text(alphabet="aAbB", min_size=1, max_size=4), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=6),
+)
+def test_tree_order_agrees_with_schreier_sims(words, n):
+    B = basilica()
+    perms = level_perms(B, [B.element(w) for w in words], n)
+    images = [p.images for p in perms]
+    assert all(_keeps_dyadic_blocks(g) for g in images)
+    assert group_order(perms) == _schreier_sims_order(images)
+
+
+def test_full_group_level_orders():
+    B = basilica()
+    log2_orders = [
+        group_order(level_perms(B, B.generators(), n)).bit_length() - 1
+        for n in range(1, 9)
+    ]
+    assert log2_orders == [1, 3, 6, 12, 23, 45, 88, 174]
+
+
+def test_group_order_off_the_tree():
+    # S8 from a transposition and an 8-cycle: degree 2^3, but the 8-cycle
+    # splits the pair {1, 2}
+    swap = (1, 0, 2, 3, 4, 5, 6, 7)
+    cycle = (1, 2, 3, 4, 5, 6, 7, 0)
+    assert _keeps_dyadic_blocks(swap) and not _keeps_dyadic_blocks(cycle)
+    assert group_order([swap, cycle]) == 40320
+    # S3 on {0, 1, 2} inside degree 4: not a 2-group, so sifting on the
+    # tree would be wrong
+    s3 = [(1, 2, 0, 3), (1, 0, 2, 3)]
+    assert not _keeps_dyadic_blocks(s3[0])
+    assert group_order(s3) == _schreier_sims_order(s3) == 6
+    assert group_order([(0, 2, 1, 3)]) == 2
+    assert group_order([(1, 0, 3, 2), (0, 2, 1, 3)]) == 8
+
+
+def test_group_order_perms_and_tuples_agree(handles):
+    B, Ha, Hb, Hab = handles
+    for n in (1, 3, 5):
+        perms = level_perms(B, Hab.generators, n)
+        assert group_order(perms) == group_order([p.images for p in perms])
+    s5 = [Perm((1, 2, 3, 4, 0)), Perm((1, 0, 2, 3, 4))]
+    assert group_order(s5) == group_order([p.images for p in s5]) == 120
 
 
 def test_group_order_mixed_degrees_rejected():
