@@ -28,7 +28,7 @@ from .structure import (
     lift_section,
     tau,
 )
-from .descent import find_ab, find_b_inv_a, persist_ab
+from .descent import congruence_transition, find_ab, find_b_inv_a, persist_ab
 
 
 @dataclass(frozen=True)
@@ -384,7 +384,7 @@ def check_descent(out: _Collector, radius: int = 7) -> None:
             if ab_image(state) != expected:
                 alternation_ok = False
             state = (state * state).section(x)
-            expected = {(1, -1): (-1, 1), (-1, 1): (1, -1)}[expected]
+            expected = congruence_transition(expected)
     out.add(
         "descent-binva-total",
         f"find_b_inv_a terminates with a replayable witness on all {len(ba_inputs)} "

@@ -65,6 +65,12 @@ Word = tuple[int, ...]
 # -(i+1) for its inverse.  A word is a tuple of letters, kept freely reduced.
 
 
+MAX_CLOSURE_LETTERS = 2_000_000
+# letters one triviality decision may hold in its section closure; the largest
+# closure seen in real use has about 3000, while a length-expanding system
+# doubles its words at every step
+
+
 def free_reduce(letters: Iterable[int]) -> Word:
     """Freely reduce a letter sequence; idempotent."""
     out: list[int] = []
@@ -79,6 +85,15 @@ def free_reduce(letters: Iterable[int]) -> Word:
 def invert_word(word: Sequence[int]) -> Word:
     """Inverse word: reversed letters with flipped signs."""
     return tuple(-l for l in reversed(word))
+
+
+def substitute_word(word: Sequence[int], images: Sequence[Sequence[int]]) -> list[int]:
+    """Letters of ``word`` with +(i+1) replaced by ``images[i]`` and -(i+1) by
+    its inverse; not reduced, so the caller reduces once."""
+    out: list[int] = []
+    for l in word:
+        out.extend(images[l - 1] if l > 0 else invert_word(images[-l - 1]))
+    return out
 
 
 class Perm:
@@ -165,12 +180,10 @@ class GeneratorSystem:
         self,
         alphabet_size: int,
         generators: Sequence[tuple[str, Sequence[int], Sequence[str]]],
-        closure_limit: int = 2_000_000,
     ):
         if alphabet_size < 2:
             raise InputError("alphabet size must be at least 2")
         self.alphabet_size = alphabet_size
-        self.closure_limit = closure_limit
 
         names = [g[0] for g in generators]
         if not names:
@@ -361,6 +374,7 @@ class GeneratorSystem:
         queue: list[Word] = [word]
         parent: dict[Word, Word] = {}
         seen = {word}
+        letters = len(word)
         culprit = None
         i = 0
         while i < len(queue):
@@ -377,11 +391,12 @@ class GeneratorSystem:
                     seen.add(s)
                     parent[s] = u
                     queue.append(s)
-            if len(seen) > self.closure_limit:
+                    letters += len(s)
+            if letters > MAX_CLOSURE_LETTERS:
                 raise BudgetExceededError(
-                    "section closure exceeded the configured limit; "
+                    f"section closure exceeded {MAX_CLOSURE_LETTERS} letters; "
                     "the recursion may not be length-contracting",
-                    partial=len(seen),
+                    partial=letters,
                 )
         if culprit is None:
             # sections of closure members stay inside the closure, so every
@@ -431,7 +446,7 @@ class GeneratorSystem:
         return "\n".join(lines) + "\n"
 
 
-def parse_system(text: str, closure_limit: int = 2_000_000) -> GeneratorSystem:
+def parse_system(text: str) -> GeneratorSystem:
     """Parse the group-definition format (lines or ``;``-separated).
 
     Example::
@@ -474,7 +489,7 @@ def parse_system(text: str, closure_limit: int = 2_000_000) -> GeneratorSystem:
             raise InputError(f"bad permutation {fields['perm']!r}") from None
         sections = fields["sections"].split(",")
         gens.append((name, images, sections))
-    return GeneratorSystem(d, gens, closure_limit=closure_limit)
+    return GeneratorSystem(d, gens)
 
 
 def load_system(path) -> GeneratorSystem:
@@ -596,11 +611,7 @@ class Element:
                 images.append(value.word)
             else:
                 images.append(self.system.parse_word(value))
-        letters: list[int] = []
-        for l in self.word:
-            img = images[abs(l) - 1]
-            letters.extend(img if l > 0 else invert_word(img))
-        return Element(self.system, letters)
+        return Element(self.system, substitute_word(self.word, images))
 
     def portrait(self, depth: int) -> "Portrait":
         """Root permutations of all sections above the given depth."""
@@ -668,20 +679,21 @@ class Portrait:
         return "\n".join(lines) + "\n"
 
 
+_INDEX_LEVEL = 6  # level of the action fingerprints ElementIndex buckets on
+
+
 class ElementIndex:
     """Exact-equality registry keyed by level-action fingerprints.
 
     Fingerprint inequality soundly separates elements, so a word is compared
-    only with the words in its level-``depth`` bucket; each candidate is
-    confirmed exactly by deciding the triviality of ``word . cand^-1``.
+    only with the words in its level-6 bucket; each candidate is confirmed
+    exactly by deciding the triviality of ``word . cand^-1``.
     """
 
-    def __init__(self, system: GeneratorSystem, depth: int = 6):
+    def __init__(self, system: GeneratorSystem):
         self.system = system
-        self.depth = depth
         self._buckets: dict[tuple[int, ...], list[int]] = {}
         self._words: list[Word] = []
-        self.values: list[object] = []
 
     def __len__(self) -> int:
         return len(self._words)
@@ -692,7 +704,7 @@ class ElementIndex:
     def find_word(self, word: Word) -> int | None:
         """Index of the registered element equal to ``word``, if any."""
         sys = self.system
-        bucket = self._buckets.get(sys.word_level_perm(word, self.depth))
+        bucket = self._buckets.get(sys.word_level_perm(word, _INDEX_LEVEL))
         if not bucket:
             return None
         for idx in bucket:
@@ -701,17 +713,16 @@ class ElementIndex:
                 return idx
         return None
 
-    def insert_word(self, word: Word, value=None) -> int:
+    def insert_word(self, word: Word) -> int:
         """Register a word known to be a new class; returns its index."""
         idx = len(self._words)
         self._words.append(word)
-        self.values.append(value)
-        key = self.system.word_level_perm(word, self.depth)
+        key = self.system.word_level_perm(word, _INDEX_LEVEL)
         self._buckets.setdefault(key, []).append(idx)
         return idx
 
-    def find_or_insert(self, word: Word, value=None) -> tuple[int, bool]:
+    def find_or_insert(self, word: Word) -> tuple[int, bool]:
         idx = self.find_word(word)
         if idx is not None:
             return idx, False
-        return self.insert_word(word, value), True
+        return self.insert_word(word), True

@@ -13,12 +13,13 @@ A successful run of k moves yields the replayable witness: g^(2^k)
 stabilizes the traversed vertex and its section there is the target.
 
 The projection search chains these searches along the constructive pipeline
-(coset solve for (1,1), descend to ab, Schreier generators of the vertex
-stabilizer, coset solve for (1,-1), descend to b^-1 a, persistence of ab,
-endgame through a^2 = (1, b^2) and b^2 = (a, a)) and rewrites every witness
-back into a word over the subgroup's original generators.  Success exhibits
-a vertex where the subgroup projection is the full group; it never claims
-prodensity of the input.
+(coset solve for (1,1), descend to ab, the projection ``projection_pairs``
+gives at that vertex, coset solve for (1,-1), descend to b^-1 a, persistence
+of ab, endgame through a^2 = (1, b^2) and b^2 = (a, a)) and rewrites every
+witness back into a word over the subgroup's original generators with
+``substitute_word``, the substitution ``SubgroupHandle.evaluate`` replays.
+Success exhibits a vertex where the subgroup projection is the full group;
+it never claims prodensity of the input.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .core import (
     Word,
     free_reduce,
     invert_word,
+    substitute_word,
 )
 from .norms import geodesic_rep
 from .permgrp import (
@@ -43,7 +45,7 @@ from .permgrp import (
     SubgroupHandle,
     hword_parse,
     hword_str,
-    stabilizer_generator_pairs,
+    projection_pairs,
 )
 from .structure import ab_image, require_basilica
 
@@ -428,29 +430,16 @@ def prodense_projection_search(
     stages.append(f"descend-ab vertex {v or 'e'} k {k}")
 
     # stage 3: generators of the projection H_v, paired with expressions
-    pairs = stabilizer_generator_pairs(H, v, cap=schreier_cap)
-    proj_gens: list[Element] = []
-    proj_exprs: list[HWord] = []
-    for elem, hw in pairs:
-        sec = elem.section_at_vertex(v)
-        if not sec.is_trivial():
-            proj_gens.append(sec)
-            proj_exprs.append(hw)
-    stages.append(f"stabilizer vertex {v or 'e'} generators {len(proj_gens)}")
-    projection = SubgroupHandle(system, proj_gens)
+    pairs = projection_pairs(H, v, cap=schreier_cap)
+    stages.append(f"stabilizer vertex {v or 'e'} generators {len(pairs)}")
+    projection = SubgroupHandle(system, [sec for sec, _ in pairs])
 
     # stage 4: an element of H_v congruent to a b^-1
     solved = solve_coset(projection, CLASS_AB_INV)
     if isinstance(solved, NotInLattice):
         return fail(4, "target (1,-1) not in the exponent lattice", solved.basis)
     hprime = projection.evaluate(solved)
-    expr_hprime = free_reduce(
-        tuple(
-            l
-            for letter in solved
-            for l in (proj_exprs[letter - 1] if letter > 0 else invert_word(proj_exprs[-letter - 1]))
-        )
-    )
+    expr_hprime = free_reduce(substitute_word(solved, [hw for _, hw in pairs]))
     stages.append(f"coset target (1,-1) expr {hword_str(solved)} over stabilizer generators")
 
     # stage 5: descend to b^-1 a at v'

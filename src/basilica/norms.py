@@ -142,8 +142,3 @@ def geodesic_rep(g: Element) -> Word:
     norm(g)
     idx = reg.index.find_word(g.word)
     return reg.index.word_at(idx)
-
-
-def canonical(g: Element) -> Element:
-    """The element rewritten on its canonical geodesic word."""
-    return Element(g.system, geodesic_rep(g))

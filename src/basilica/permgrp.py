@@ -1,6 +1,6 @@
 """Finite permutation machinery for level actions of finitely generated
-subgroups: orbits with Schreier transversals, stabilizer generators, exact
-group orders, and full-level-quotient tests.
+subgroups: orbits with Schreier transversals, stabilizer generators and the
+projections they give, exact group orders, and full-level-quotient tests.
 
 ``group_order`` picks its method from the input alone.  Permutations of 2^n
 points that keep the dyadic blocks together are automorphisms of the binary
@@ -14,7 +14,8 @@ Schreier-Sims stabilizer chain.
 Subgroup elements are tracked together with their expressions over the
 subgroup's own generators (an "hword": signed 1-based indices into the
 generator list), so downstream certificate construction never has to trust
-intermediate rewriting.
+intermediate rewriting; ``projection_pairs`` gives the projection H_v that
+way, for ``projected_subgroup`` and the projection search alike.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .core import (
     Perm,
     free_reduce,
     invert_word,
+    substitute_word,
 )
 
 HWord = tuple[int, ...]
@@ -76,13 +78,10 @@ class SubgroupHandle:
 
     def evaluate(self, hword: Sequence[int]) -> Element:
         """The element denoted by a word over this subgroup's generators."""
-        out = self.system.identity()
         for l in hword:
             if l == 0 or abs(l) > len(self.generators):
                 raise InputError(f"hword letter {l} outside the generator range")
-            g = self.generators[abs(l) - 1]
-            out = out * (g if l > 0 else g.inverse())
-        return out
+        return Element(self.system, substitute_word(hword, [g.word for g in self.generators]))
 
     def words(self) -> tuple[str, ...]:
         return tuple(self.system.word_str(g.word) for g in self.generators)
@@ -154,19 +153,25 @@ def stabilizer_generator_pairs(
     return survivors
 
 
-def stabilizer_generators(H: SubgroupHandle, vertex: str, cap: int = 64) -> list[Element]:
-    """Generators of the stabilizer of ``vertex`` in H."""
-    return [elem for elem, _ in stabilizer_generator_pairs(H, vertex, cap)]
+def projection_pairs(
+    H: SubgroupHandle, vertex: str, cap: int = 64
+) -> list[tuple[Element, HWord]]:
+    """Generators of the projection H_v with their hwords over H.
+
+    Each is the section at ``vertex`` of a stabilizer generator, paired with
+    that stabilizer generator's hword; trivial sections are dropped.
+    """
+    pairs = []
+    for elem, hw in stabilizer_generator_pairs(H, vertex, cap):
+        sec = elem.section_at_vertex(vertex)
+        if not sec.is_trivial():
+            pairs.append((sec, hw))
+    return pairs
 
 
 def projected_subgroup(H: SubgroupHandle, vertex: str, cap: int = 64) -> SubgroupHandle:
     """The projection H_v: sections at v of the vertex-stabilizer generators."""
-    sections = []
-    for s in stabilizer_generators(H, vertex, cap):
-        sec = s.section_at_vertex(vertex)
-        if not sec.is_trivial():
-            sections.append(sec)
-    return SubgroupHandle(H.system, sections)
+    return SubgroupHandle(H.system, [sec for sec, _ in projection_pairs(H, vertex, cap)])
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

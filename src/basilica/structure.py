@@ -69,11 +69,6 @@ def ab_image(g: Element) -> tuple[int, int]:
     return (s, t)
 
 
-def congruent_mod_derived(g: Element, h: Element) -> bool:
-    """Whether g and h agree modulo the derived subgroup B'."""
-    return ab_image(g) == ab_image(h)
-
-
 def in_derived_subgroup(g: Element) -> bool:
     return ab_image(g) == (0, 0)
 

@@ -1,4 +1,4 @@
-from basilica import basilica, norms
+from basilica import basilica, core, norms
 from basilica.cli import main
 
 
@@ -113,6 +113,28 @@ def test_prodense_failure_exit_code(capsys):
     assert "lattice=(1,1)" in out
 
 
+def test_prodense_certificate_golden(capsys):
+    code, out, _ = run(capsys, "prodense", "--gens", "ba,bb")
+    assert code == 0
+    assert out == (
+        "basilica-certificate: 1\n"
+        "engine: basilica 0.1.0\n"
+        "subgroup: ba, bb\n"
+        "vertex: 1001\n"
+        "expr-a: g0 g0 g0 g0 g0 g0 g0 g0 g0 g0 G1 G1 g0 g0 G1 G1 g0 g0 G1 G1 g0 g0 G1 G1\n"
+        "expr-b: g1 g1 G0 G0 g1 g1 G0 G0 g1 g1 G0 G0 g1 g1 g0 g0 g0 g0 g0 g0\n"
+        "budget-states: 100000\n"
+        "budget-schreier: 64\n"
+        "budget-depth: 16\n"
+        "stage1: coset target (1,1) expr g0\n"
+        "stage2: descend-ab vertex 1 k 1\n"
+        "stage3: stabilizer vertex 1 generators 3\n"
+        "stage4: coset target (1,-1) expr g0 g0 G2 over stabilizer generators\n"
+        "stage5: descend-binva vertex 00 k 2\n"
+        "stage6: persist vertex 00 final ba\n"
+    )
+
+
 def test_prodense_verify_round_trip(tmp_path, capsys):
     cert_file = tmp_path / "cert.txt"
     code, out, _ = run(capsys, "prodense", "--gens", "a,b", "--out", str(cert_file))
@@ -159,6 +181,18 @@ def test_norm_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert "budget exhausted" in err
+
+
+def test_norm_closure_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # a = (a^2, 1) is trivial, but the closure a, a^2, a^4, ... never ends
+    path = tmp_path / "expanding.txt"
+    path.write_text("alphabet 2\ngen a perm=0,1 sections=aa,e\ngen b perm=1,0 sections=e,e\n")
+    monkeypatch.setattr(core, "MAX_CLOSURE_LETTERS", 1000)
+    code, out, err = run(capsys, "norm", "a", "--system", str(path))
+    assert code == 4
+    assert out == ""
+    assert "budget exhausted: section closure exceeded 1000 letters" in err
+    assert "Traceback" not in err
 
 
 def test_check_paper_subset(capsys):

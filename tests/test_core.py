@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from basilica import (
+    BudgetExceededError,
     InputError,
     Perm,
     WordParseError,
@@ -10,8 +11,10 @@ from basilica import (
     free_reduce,
     parse_system,
 )
+from basilica import core
 from basilica.core import ElementIndex, invert_word
 from basilica.norms import ball
+from basilica.structure import LIFT_SUBSTITUTION, tau
 
 from conftest import random_element, reduced_words
 
@@ -234,6 +237,19 @@ def test_substitute_accepts_elements(B):
     rule = {"a": B.element("bb"), "b": B.generator("a")}
     assert str(B.element("ab").substitute(rule)) == "bba"
     assert str(B.element("A").substitute(rule)) == "BB"
+
+
+def test_closure_budget_counts_letters(monkeypatch):
+    # a = (a^2, 1) is trivial, but its closure a, a^2, a^4, ... never ends:
+    # it passes 1000 letters while it holds only 10 words
+    system = parse_system("alphabet 2; gen a perm=0,1 sections=aa,e; gen b perm=1,0 sections=e,e")
+    monkeypatch.setattr(core, "MAX_CLOSURE_LETTERS", 1000)
+    with pytest.raises(BudgetExceededError) as info:
+        system.word_is_trivial(system.parse_word("a"))
+    assert 1000 < info.value.partial < 4000
+    # on a contracting system a 256-letter relator closes in 516 letters
+    relator = tau(31).substitute(LIFT_SUBSTITUTION).substitute(LIFT_SUBSTITUTION)
+    assert relator.is_trivial()
 
 
 def test_multiply_inverse(B):

@@ -14,7 +14,6 @@ from basilica.permgrp import (
     orbit,
     projected_subgroup,
     stabilizer_generator_pairs,
-    stabilizer_generators,
 )
 
 
@@ -68,9 +67,34 @@ def test_orbit_rejects_bad_vertex(handles):
         orbit(Hab, "0x")
 
 
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.text(alphabet="aAbB", max_size=6), min_size=1, max_size=4), st.data())
+def test_evaluate_is_letterwise_product(words, data):
+    B = basilica()
+    gens = [B.element(w) for w in words]
+    letters = [l for i in range(1, len(gens) + 1) for l in (i, -i)]
+    hword = data.draw(st.lists(st.sampled_from(letters), max_size=12))
+    product = B.identity()
+    for l in hword:
+        g = gens[abs(l) - 1]
+        product = product * (g if l > 0 else g.inverse())
+    assert SubgroupHandle(B, gens).evaluate(hword).word == product.word
+
+
+def test_evaluate_rejects_letters_outside_generators(handles):
+    B, Ha, Hb, Hab = handles
+    for bad in (0, 3, -3):
+        with pytest.raises(InputError):
+            Hab.evaluate((1, bad))
+
+
+def stabilizer_elements(H, vertex):
+    return [elem for elem, _ in stabilizer_generator_pairs(H, vertex)]
+
+
 def test_stabilizer_of_root_is_generators(handles):
     B, Ha, Hb, Hab = handles
-    gens = stabilizer_generators(Hab, "")
+    gens = stabilizer_elements(Hab, "")
     assert len(gens) == 2
     assert equals(gens[0], B.generator("a"))
     assert equals(gens[1], B.generator("b"))
@@ -78,14 +102,14 @@ def test_stabilizer_of_root_is_generators(handles):
 
 def test_stabilizer_cyclic_b(handles):
     B, Ha, Hb, Hab = handles
-    gens = stabilizer_generators(Hb, "0")
+    gens = stabilizer_elements(Hb, "0")
     assert len(gens) == 1
     assert equals(gens[0], B.element("bb"))
 
 
 def test_stabilizer_full_group(handles):
     B, Ha, Hb, Hab = handles
-    gens = stabilizer_generators(Hab, "0")
+    gens = stabilizer_elements(Hab, "0")
     a, b = B.generators()
     expected = [a, b * b, b.inverse() * a * b]
     assert len(gens) == 3
@@ -103,7 +127,7 @@ def test_stabilizer_full_group(handles):
 def test_stabilizer_generators_fix_vertex(handles):
     B, Ha, Hb, Hab = handles
     for vertex in ("0", "10", "110"):
-        for g in stabilizer_generators(Hab, vertex):
+        for g in stabilizer_elements(Hab, vertex):
             assert g.act(vertex) == vertex
 
 
@@ -223,7 +247,7 @@ def test_orbit_stabilizer_identity(handles):
         for vertex in ("0", "1", "01", "110"):
             n = len(vertex) + 2
             tab = orbit(H, vertex)
-            stab = stabilizer_generators(H, vertex)
+            stab = stabilizer_elements(H, vertex)
             stab_order = group_order(level_perms(B, stab, n))
             full_order = group_order(level_perms(B, H.generators, n))
             assert stab_order * len(tab.orbit) == full_order

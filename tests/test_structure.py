@@ -8,7 +8,6 @@ from basilica.structure import (
     alpha,
     bprime_coords,
     commutator,
-    congruent_mod_derived,
     heis_image,
     in_derived_subgroup,
     lift_section,
@@ -55,13 +54,6 @@ def test_ab_image_requires_basilica():
     other = parse_system("alphabet 2; gen a perm=1,0 sections=e,a")
     with pytest.raises(PreconditionError):
         ab_image(other.generator("a"))
-
-
-def test_congruent_mod_derived(B):
-    a, b = B.generators()
-    assert congruent_mod_derived(b * a, a * b)
-    assert congruent_mod_derived(a * b * alpha(2, 3), a * b)
-    assert not congruent_mod_derived(a * b, a * b.inverse())
 
 
 def test_heisenberg_normal_form():
