@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 a check or verification suite reported failures;
 2 parse error, or a file that cannot be read or written (missing, a
 directory, no permission); 3 precondition violation; 4 budget exhausted or
-projection search failed; 5 certificate verification failed.
+projection search failed; 5 certificate verification failed; 6 internal
+consistency error (an engine invariant broke: a bug, reported in one line).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import sys
 
 from .core import (
     BudgetExceededError,
+    ConsistencyError,
     Element,
     GeneratorSystem,
     InputError,
@@ -46,6 +48,7 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
+EXIT_INTERNAL = 6
 
 
 def _system(args) -> GeneratorSystem:
@@ -220,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "exit codes: 0 ok, 1 failed checks, 2 parse or file error, "
-            "3 precondition, 4 budget/search failure, 5 verification failure"
+            "3 precondition, 4 budget/search failure, 5 verification failure, "
+            "6 internal consistency error"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -323,6 +327,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except ConsistencyError as exc:
+        print(f"internal consistency error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -23,10 +23,20 @@ sum to at most one (the built-in Basilica system is of this kind) the
 closure only ever contains words no longer than the input, so the procedure
 terminates; a closure-size guard protects against pathological custom
 systems.
+
+Root and sections of a word come from one walk over its letters per
+alphabet point, which yields the root image of that point and the section
+below it together.  Each system memoises that pair, and the triviality
+verdict, per word, but only for words of at most ``MEMO_LETTERS`` letters:
+in a contracting group such as Basilica sections shrink (two levels down
+they are about half as long as the word), so a long input word seldom comes
+back as the section of another, while short words recur across calls.
+Level permutations are memoised for every word.
 """
 
 from __future__ import annotations
 
+import operator
 import string
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -70,16 +80,42 @@ MAX_CLOSURE_LETTERS = 2_000_000
 # closure seen in real use has about 3000, while a length-expanding system
 # doubles its words at every step
 
+MEMO_LETTERS = 64
+# longest word whose root and sections, and whose triviality, a system
+# memoises.  On a battery of 3200 decisions on 50..2000-letter words an
+# unbounded memo answers 3186 triviality lookups and grows the process by
+# 16 MB; with this bound it answers 3150 and grows it by 1.5 MB
+
+MAX_LEVEL_POINTS = 1 << 16
+# vertices a level permutation may have (level 16 of the binary tree); the
+# level-quotient orders are already minutes of work at level 10
+
+MAX_PORTRAIT_VERTICES = 1 << 16
+# vertices one level of a portrait may label
+
 
 def free_reduce(letters: Iterable[int]) -> Word:
     """Freely reduce a letter sequence; idempotent."""
+    word = tuple(letters)
+    # adjacent letters cancel exactly when they sum to zero
+    if 0 not in map(operator.add, word, word[1:]):
+        return word
     out: list[int] = []
-    for l in letters:
+    for l in word:
         if out and out[-1] == -l:
             out.pop()
         else:
             out.append(l)
     return tuple(out)
+
+
+def _product(u: Word, v: Word) -> Word:
+    """Reduced product of two reduced words; only the junction can cancel."""
+    k = 0
+    n = min(len(u), len(v))
+    while k < n and u[-1 - k] == -v[k]:
+        k += 1
+    return u[: len(u) - k] + v[k:]
 
 
 def invert_word(word: Sequence[int]) -> Word:
@@ -90,9 +126,10 @@ def invert_word(word: Sequence[int]) -> Word:
 def substitute_word(word: Sequence[int], images: Sequence[Sequence[int]]) -> list[int]:
     """Letters of ``word`` with +(i+1) replaced by ``images[i]`` and -(i+1) by
     its inverse; not reduced, so the caller reduces once."""
+    inverses = [invert_word(image) for image in images]
     out: list[int] = []
     for l in word:
-        out.extend(images[l - 1] if l > 0 else invert_word(images[-l - 1]))
+        out.extend(images[l - 1] if l > 0 else inverses[-l - 1])
     return out
 
 
@@ -198,6 +235,10 @@ class GeneratorSystem:
                 )
         self.names = tuple(names)
         self._index = {n: i for i, n in enumerate(names)}
+        # surface character -> letter, and back
+        self._letters = {n: i + 1 for i, n in enumerate(names)}
+        self._letters.update((n.upper(), -(i + 1)) for i, n in enumerate(names))
+        self._chars = {l: ch for ch, l in self._letters.items()}
 
         roots = []
         raw_sections = []
@@ -227,10 +268,17 @@ class GeneratorSystem:
                 invert_word(secs[inv_root[x]]) for x in range(alphabet_size)
             )
         self._identity_root = ident
+        # per signed letter and input point y: (the letter's section word at
+        # y, reversed; the image of y), the one step of the walk in
+        # _root_and_sections
+        self._steps: dict[int, tuple[tuple[Word, int], ...]] = {
+            l: tuple((secs[y][::-1], self._letter_root[l][y]) for y in ident)
+            for l, secs in self._letter_sections.items()
+        }
 
-        # transparent memo caches; results never depend on their state
-        self._root_cache: dict[Word, tuple[int, ...]] = {}
-        self._section_cache: dict[Word, tuple[Word, ...]] = {}
+        # transparent memo caches, results never depend on their state; the
+        # first two hold only words of at most MEMO_LETTERS letters
+        self._section_cache: dict[Word, tuple[tuple[int, ...], tuple[Word, ...]]] = {}
         self._trivial_cache: dict[Word, bool] = {(): True}
         self._level_cache: dict[tuple[Word, int], tuple[int, ...]] = {}
         # per-system state of other layers: the ball registry of `norms`
@@ -245,23 +293,18 @@ class GeneratorSystem:
         """Parse surface syntax (``"abA"``, ``"e"`` for empty) to a reduced word."""
         if text == "e" or text == "":
             return ()
-        letters = []
-        for col, ch in enumerate(text, start=1):
-            if ch in self._index:
-                letters.append(self._index[ch] + 1)
-            elif ch.lower() in self._index and ch.isupper():
-                letters.append(-(self._index[ch.lower()] + 1))
-            else:
-                raise WordParseError(f"unknown letter {ch!r}", col)
-        return free_reduce(letters)
+        letters = self._letters
+        try:
+            return free_reduce([letters[ch] for ch in text])
+        except KeyError:
+            col = next(i for i, ch in enumerate(text, start=1) if ch not in letters)
+            raise WordParseError(f"unknown letter {text[col - 1]!r}", col) from None
 
     def word_str(self, word: Sequence[int]) -> str:
         """Inverse of parse_word; the empty word prints as ``e``."""
         if not word:
             return "e"
-        return "".join(
-            self.names[l - 1] if l > 0 else self.names[-l - 1].upper() for l in word
-        )
+        return "".join(map(self._chars.__getitem__, word))
 
     def parse_vertex(self, vertex: str) -> tuple[int, ...]:
         if self.alphabet_size > 10:
@@ -278,8 +321,8 @@ class GeneratorSystem:
     def element(self, word) -> "Element":
         """Element from surface syntax or a raw letter sequence."""
         if isinstance(word, str):
-            return Element(self, self.parse_word(word))
-        return Element(self, free_reduce(word))
+            return Element._reduced(self, self.parse_word(word))
+        return Element(self, word)
 
     def identity(self) -> "Element":
         return Element(self, ())
@@ -294,51 +337,54 @@ class GeneratorSystem:
 
     # -- word-level recursion ----------------------------------------------
 
+    def _root_and_sections(self, word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
+        """Root permutation images and freely reduced first-level sections."""
+        memo = len(word) <= MEMO_LETTERS
+        if memo:
+            cached = self._section_cache.get(word)
+            if cached is not None:
+                return cached
+        steps = self._steps
+        roots = []
+        sections = []
+        for x in range(self.alphabet_size):
+            # (l1 .. ln)_x = (l1)_{y_(n-1)} ... (ln)_{y_0} with y_0 = x and
+            # y_(k+1) = sigma of the k-th letter from the right applied to
+            # y_k, so y_n is the root image of x.  The walk meets the parts
+            # right to left and reduces their reversed letters, which gives
+            # the reduced section reversed.
+            y = x
+            stack: list[int] = []
+            for l in reversed(word):
+                part, y = steps[l][y]
+                for s in part:
+                    if stack and stack[-1] == -s:
+                        stack.pop()
+                    else:
+                        stack.append(s)
+            roots.append(y)
+            stack.reverse()
+            sections.append(tuple(stack))
+        result = (tuple(roots), tuple(sections))
+        if memo:
+            self._section_cache[word] = result
+        return result
+
     def word_root(self, word: Word) -> tuple[int, ...]:
         """Root permutation images of a word."""
-        cached = self._root_cache.get(word)
-        if cached is not None:
-            return cached
-        acc = self._identity_root
-        for l in word:
-            lr = self._letter_root[l]
-            acc = tuple(acc[y] for y in lr)
-        self._root_cache[word] = acc
-        return acc
+        return self._root_and_sections(word)[0]
 
     def word_sections(self, word: Word) -> tuple[Word, ...]:
         """All first-level section words of a word, freely reduced."""
-        cached = self._section_cache.get(word)
-        if cached is not None:
-            return cached
-        d = self.alphabet_size
-        out = []
-        for x in range(d):
-            # (l1 .. ln)_x = (l1)_{y_(n-1)} ... (ln)_{y_0} with y_0 = x and
-            # y_(k+1) = sigma of the k-th letter from the right applied to y_k
-            y = x
-            rev_parts = []
-            for l in reversed(word):
-                rev_parts.append(self._letter_sections[l][y])
-                y = self._letter_root[l][y]
-            stack: list[int] = []
-            for part in reversed(rev_parts):
-                for l in part:
-                    if stack and stack[-1] == -l:
-                        stack.pop()
-                    else:
-                        stack.append(l)
-            out.append(tuple(stack))
-        result = tuple(out)
-        self._section_cache[word] = result
-        return result
+        return self._root_and_sections(word)[1]
 
     def word_act(self, word: Word, vertex: tuple[int, ...]) -> tuple[int, ...]:
         out = []
         w = word
         for x in vertex:
-            out.append(self.word_root(w)[x])
-            w = self.word_sections(w)[x]
+            root, sections = self._root_and_sections(w)
+            out.append(root[x])
+            w = sections[x]
         return tuple(out)
 
     def word_level_perm(self, word: Word, n: int) -> tuple[int, ...]:
@@ -352,8 +398,13 @@ class GeneratorSystem:
         if cached is not None:
             return cached
         d = self.alphabet_size
-        root = self.word_root(word)
-        secs = self.word_sections(word)
+        # d >= 2, so d^n passes the budget for every n past its bit length
+        if n >= MAX_LEVEL_POINTS.bit_length() or d**n > MAX_LEVEL_POINTS:
+            raise BudgetExceededError(
+                f"level {n} of a {d}-letter alphabet has more than "
+                f"{MAX_LEVEL_POINTS} vertices"
+            )
+        root, secs = self._root_and_sections(word)
         size = d ** (n - 1)
         out = [0] * (d * size)
         for x in range(d):
@@ -368,7 +419,8 @@ class GeneratorSystem:
 
     def word_is_trivial(self, word: Word) -> bool:
         """Decide triviality by section closure; exact."""
-        cached = self._trivial_cache.get(word)
+        cache = self._trivial_cache
+        cached = cache.get(word)
         if cached is not None:
             return cached
         queue: list[Word] = [word]
@@ -380,13 +432,17 @@ class GeneratorSystem:
         while i < len(queue):
             u = queue[i]
             i += 1
-            known = self._trivial_cache.get(u)
+            known = cache.get(u)
             if known is True:
                 continue
-            if known is False or self.word_root(u) != self._identity_root:
+            if known is False:
                 culprit = u
                 break
-            for s in self.word_sections(u):
+            root, sections = self._root_and_sections(u)
+            if root != self._identity_root:
+                culprit = u
+                break
+            for s in sections:
                 if s and s not in seen:
                     seen.add(s)
                     parent[s] = u
@@ -402,15 +458,17 @@ class GeneratorSystem:
             # sections of closure members stay inside the closure, so every
             # member is trivial along with the input
             for u in queue:
-                self._trivial_cache[u] = True
+                if len(u) <= MEMO_LETTERS:
+                    cache[u] = True
             return True
-        self._trivial_cache[culprit] = False
+        # the culprit and its chain of closure parents back to the input
         u = culprit
-        while u in parent:
+        while True:
+            if len(u) <= MEMO_LETTERS:
+                cache[u] = False
+            if u not in parent:
+                return False
             u = parent[u]
-            self._trivial_cache[u] = False
-        self._trivial_cache[word] = False
-        return False
 
     # -- structural equality & serialization --------------------------------
 
@@ -533,6 +591,15 @@ class Element:
         object.__setattr__(self, "system", system)
         object.__setattr__(self, "word", word)
 
+    @classmethod
+    def _reduced(cls, system: GeneratorSystem, word: Word) -> "Element":
+        """Element of a word the engine built reduced and in range (a parsed
+        word, a section, a product), so it is not reduced and checked again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "system", system)
+        object.__setattr__(g, "word", word)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
 
@@ -540,10 +607,10 @@ class Element:
 
     def __mul__(self, other: "Element") -> "Element":
         _same_system(self, other)
-        return Element(self.system, self.word + other.word)
+        return Element._reduced(self.system, _product(self.word, other.word))
 
     def inverse(self) -> "Element":
-        return Element(self.system, invert_word(self.word))
+        return Element._reduced(self.system, invert_word(self.word))
 
     __invert__ = inverse
 
@@ -569,11 +636,11 @@ class Element:
         """The automorphism induced on the subtree below letter x."""
         if not 0 <= x < self.system.alphabet_size:
             raise InputError(f"letter {x} outside the alphabet")
-        return Element(self.system, self.system.word_sections(self.word)[x])
+        return Element._reduced(self.system, self.system.word_sections(self.word)[x])
 
     def sections(self) -> tuple["Element", ...]:
         return tuple(
-            Element(self.system, w) for w in self.system.word_sections(self.word)
+            Element._reduced(self.system, w) for w in self.system.word_sections(self.word)
         )
 
     def section_at_vertex(self, vertex: str) -> "Element":
@@ -581,7 +648,7 @@ class Element:
         w = self.word
         for x in self.system.parse_vertex(vertex):
             w = self.system.word_sections(w)[x]
-        return Element(self.system, w)
+        return Element._reduced(self.system, w)
 
     def act(self, vertex: str) -> str:
         """Image of a vertex under the left action."""
@@ -611,19 +678,30 @@ class Element:
                 images.append(value.word)
             else:
                 images.append(self.system.parse_word(value))
-        return Element(self.system, substitute_word(self.word, images))
+        return Element._reduced(self.system, free_reduce(substitute_word(self.word, images)))
 
     def portrait(self, depth: int) -> "Portrait":
-        """Root permutations of all sections above the given depth."""
+        """Root permutations of all sections above the given depth.
+
+        Raises ``BudgetExceededError`` (``partial``: the number of complete
+        levels) before labelling a level of more than
+        ``MAX_PORTRAIT_VERTICES`` vertices.
+        """
         if depth < 0:
             raise InputError("portrait depth must be non-negative")
         labels: dict[str, Perm] = {}
         frontier = [("", self.word)]
-        for _ in range(depth):
+        for level in range(depth):
+            if len(frontier) > MAX_PORTRAIT_VERTICES:
+                raise BudgetExceededError(
+                    f"portrait level {level} has more than "
+                    f"{MAX_PORTRAIT_VERTICES} vertices",
+                    partial=level,
+                )
             next_frontier = []
             for vertex, w in frontier:
-                labels[vertex] = Perm(self.system.word_root(w))
-                secs = self.system.word_sections(w)
+                root, secs = self.system._root_and_sections(w)
+                labels[vertex] = Perm(root)
                 for x, s in enumerate(secs):
                     next_frontier.append((vertex + str(x), s))
             frontier = next_frontier
@@ -650,7 +728,7 @@ def equals(g: Element, h: Element) -> bool:
     system = _same_system(g, h)
     if g.word == h.word:
         return True
-    return system.word_is_trivial(free_reduce(g.word + invert_word(h.word)))
+    return system.word_is_trivial(_product(g.word, invert_word(h.word)))
 
 
 @dataclass(frozen=True)
@@ -709,7 +787,7 @@ class ElementIndex:
             return None
         for idx in bucket:
             cand = self._words[idx]
-            if cand == word or sys.word_is_trivial(free_reduce(word + invert_word(cand))):
+            if cand == word or sys.word_is_trivial(_product(word, invert_word(cand))):
                 return idx
         return None
 

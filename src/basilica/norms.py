@@ -104,7 +104,7 @@ class _BallRegistry:
         return None if idx is None else self.norms[idx]
 
     def class_at(self, idx: int) -> BallClass:
-        return BallClass(Element(self.system, self.index.word_at(idx)), self.norms[idx])
+        return BallClass(Element._reduced(self.system, self.index.word_at(idx)), self.norms[idx])
 
 
 def _registry(system: GeneratorSystem) -> _BallRegistry:

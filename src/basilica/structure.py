@@ -134,8 +134,9 @@ def bprime_coords(g: Element) -> tuple[int, int, int]:
     """
     if not in_derived_subgroup(g):
         raise PreconditionError("element is not in the derived subgroup")
-    h0 = heis_image(g.section(0))
-    h1 = heis_image(g.section(1))
+    s0, s1 = g.sections()
+    h0 = heis_image(s0)
+    h1 = heis_image(s1)
     if h0.p != 0 or h1.p != 0 or h1.q != -h0.q:
         raise ConsistencyError(
             f"section images {h0} / {h1} violate the derived-subgroup shape"

@@ -1,5 +1,9 @@
-from basilica import basilica, core, norms
+from pathlib import Path
+
+from basilica import ConsistencyError, basilica, cli, core, norms
 from basilica.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
 
 
 def run(capsys, *argv):
@@ -195,6 +199,33 @@ def test_norm_closure_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_portrait_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(core, "MAX_PORTRAIT_VERTICES", 4)
+    assert run(capsys, "portrait", "ab", "--depth", "3")[0] == 0
+    code, out, err = run(capsys, "portrait", "ab", "--depth", "4")
+    assert code == 4
+    assert out == ""
+    assert err == "budget exhausted: portrait level 3 has more than 4 vertices\n"
+
+
+def test_level_budget_exit_code(capsys):
+    code, out, err = run(capsys, "order", "--gens", "a,b", "--level", "22")
+    assert code == 4
+    assert out == ""
+    assert err == "budget exhausted: level 22 of a 2-letter alphabet has more than 65536 vertices\n"
+
+
+def test_consistency_error_exit_code(capsys, monkeypatch):
+    def broken(g):
+        raise ConsistencyError("section images violate the derived-subgroup shape")
+
+    monkeypatch.setattr(cli, "bprime_coords", broken)
+    code, out, err = run(capsys, "bprime", "ABab")
+    assert code == 6
+    assert out == ""
+    assert err == "internal consistency error: section images violate the derived-subgroup shape\n"
+
+
 def test_check_paper_subset(capsys):
     code, out, _ = run(capsys, "check-paper", "--only", "relators")
     assert code == 0
@@ -207,6 +238,8 @@ def test_check_paper_full_run_passes(capsys):
     assert code == 0
     assert "0 failed" in out
     assert "[FAIL]" not in out
+    # the default seed is 0, whose report is fixed byte for byte
+    assert out == (GOLDEN / "check_paper_seed0.txt").read_text()
 
 
 def test_check_paper_unknown_suite(capsys):

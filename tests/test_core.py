@@ -14,7 +14,7 @@ from basilica import (
 from basilica import core
 from basilica.core import ElementIndex, invert_word
 from basilica.norms import ball
-from basilica.structure import LIFT_SUBSTITUTION, tau
+from basilica.structure import LIFT_SUBSTITUTION, lift_section, tau
 
 from conftest import random_element, reduced_words
 
@@ -35,6 +35,19 @@ def test_parse_word_unknown_letter(B):
     with pytest.raises(WordParseError) as exc:
         B.parse_word("axb")
     assert exc.value.column == 2
+    # the first bad character is reported, however long the word
+    with pytest.raises(WordParseError) as exc:
+        B.parse_word("ab" * 300 + "Ez" + "ab")
+    assert exc.value.column == 601
+    assert "'E'" in str(exc.value)
+
+
+def test_letter_range_names_first_bad_letter(B):
+    for word in ((1, 3, 0), (1, 2) * 200 + (-3,) + (0,), (0,)):
+        bad = next(l for l in word if l == 0 or abs(l) > 2)
+        with pytest.raises(InputError, match=f"letter {bad} outside"):
+            B.element(word)
+    assert B.element((1, 2) * 200 + (-2, -1)).word == (1, 2) * 199
 
 
 def test_word_str_round_trip(B):
@@ -215,6 +228,85 @@ def test_inverse_law(B, rng):
         inv_root = ~root
         for x in (0, 1):
             assert equals(gi.section(x), g.section(inv_root(x)).inverse())
+
+
+_D3_SYSTEM = "alphabet 3; gen a perm=1,2,0 sections=e,b,a; gen b perm=0,2,1 sections=aB,e,b"
+
+
+def _reference_root_and_sections(system, word):
+    """Root and sections built letter by letter from the generator data:
+    sigma_{gl} = sigma_g o sigma_l and (gl)_x = g_{sigma_l(x)} l_x."""
+    d, gens = system.spec()
+    data = {}
+    for i, (_, root, secs) in enumerate(gens):
+        inv = tuple(root.index(x) for x in range(d))
+        data[i + 1] = (root, secs)
+        data[-(i + 1)] = (inv, tuple(invert_word(secs[inv[x]]) for x in range(d)))
+    root = tuple(range(d))
+    secs = ((),) * d
+    for l in word:
+        lroot, lsecs = data[l]
+        root, secs = (
+            tuple(root[lroot[x]] for x in range(d)),
+            tuple(free_reduce(secs[lroot[x]] + lsecs[x]) for x in range(d)),
+        )
+    return root, secs
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["basilica", "d3"]),
+    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3 * core.MEMO_LETTERS),
+)
+@example("basilica", [1, 2] * (core.MEMO_LETTERS // 2))
+@example("basilica", [1, 2] * (core.MEMO_LETTERS // 2) + [1])
+@example("d3", [1, -2] * core.MEMO_LETTERS)
+def test_fused_walk_matches_section_law(kind, letters):
+    system = parse_system(basilica().dump() if kind == "basilica" else _D3_SYSTEM)
+    word = free_reduce(letters)
+    expected = _reference_root_and_sections(system, word)
+    # a cold call, then one the memo may answer
+    for _ in range(2):
+        assert system.word_root(word) == expected[0]
+        assert system.word_sections(word) == expected[1]
+    assert (word in system._section_cache) == (len(word) <= core.MEMO_LETTERS)
+
+
+def test_memo_keeps_only_short_words():
+    # lifts of two words to a depth-7 vertex: equal elements give a long
+    # trivial word, different ones a long nontrivial word, and both closures
+    # pass through short words
+    system = parse_system(basilica().dump())
+    g = basilica().element("ABab")
+    trivial = (lift_section(g, "0110101") * lift_section(g * tau(3), "0110101").inverse()).word
+    other = lift_section(basilica().element("AbaB"), "0110101")
+    nontrivial = (lift_section(g, "0110101") * other.inverse()).word
+    assert min(len(trivial), len(nontrivial)) > core.MEMO_LETTERS
+    for _ in range(2):  # cold, then from the memo where it holds the words
+        assert system.word_is_trivial(trivial)
+        assert not system.word_is_trivial(nontrivial)
+    for cache in (system._section_cache, system._trivial_cache):
+        assert cache and max(map(len, cache)) <= core.MEMO_LETTERS
+
+
+def test_level_perm_budget(monkeypatch):
+    monkeypatch.setattr(core, "MAX_LEVEL_POINTS", 16)
+    system = parse_system(basilica().dump())
+    assert len(system.element("ab").level_perm(4).images) == 16
+    with pytest.raises(BudgetExceededError):
+        system.element("ab").level_perm(5)
+    d3 = parse_system(_D3_SYSTEM)
+    assert len(d3.element("ab").level_perm(2).images) == 9
+    with pytest.raises(BudgetExceededError):
+        d3.element("ab").level_perm(3)
+
+
+def test_portrait_budget(B, monkeypatch):
+    monkeypatch.setattr(core, "MAX_PORTRAIT_VERTICES", 4)
+    assert len(B.element("ab").portrait(3).labels) == 7
+    with pytest.raises(BudgetExceededError) as info:
+        B.element("ab").portrait(4)
+    assert info.value.partial == 3
 
 
 def test_section_length_bound(B, rng):
