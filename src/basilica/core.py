@@ -31,7 +31,12 @@ verdict, per word, but only for words of at most ``MEMO_LETTERS`` letters:
 in a contracting group such as Basilica sections shrink (two levels down
 they are about half as long as the word), so a long input word seldom comes
 back as the section of another, while short words recur across calls.
-Level permutations are memoised for every word.
+
+The action of a word on level n is a fold over its letters of per-letter
+level-n tables, each built once from the level below; nothing is kept per
+word.  Element identity (``ElementIndex``) buckets words by such a fold on
+the deepest level of at most 256 vertices, taken with ``bytes.translate``,
+and confirms every bucket hit with the word problem.
 """
 
 from __future__ import annotations
@@ -92,6 +97,8 @@ MAX_LEVEL_POINTS = 1 << 16
 
 MAX_PORTRAIT_VERTICES = 1 << 16
 # vertices one level of a portrait may label
+
+_BYTE_IDENTITY = bytes(range(256))
 
 
 def free_reduce(letters: Iterable[int]) -> Word:
@@ -280,7 +287,21 @@ class GeneratorSystem:
         # first two hold only words of at most MEMO_LETTERS letters
         self._section_cache: dict[Word, tuple[tuple[int, ...], tuple[Word, ...]]] = {}
         self._trivial_cache: dict[Word, bool] = {(): True}
-        self._level_cache: dict[tuple[Word, int], tuple[int, ...]] = {}
+        # per level n >= 1, at index n - 1: per signed letter, the itemgetter
+        # that takes a level-n action p to p o (the letter's action); built
+        # on first use from the level below
+        self._levels: list[dict[int, operator.itemgetter]] = []
+        # index keys fold one 256-byte translation table per letter: the
+        # letter's action on the deepest level of at most 256 vertices
+        # (none when d > 256), with the points past that level fixed
+        key_level = 0
+        while alphabet_size ** (key_level + 1) <= 256:
+            key_level += 1
+        self._key_size = alphabet_size**key_level
+        fixed = bytes(range(self._key_size, 256))
+        self._key_tables = {
+            l: bytes(self._fold((l,), key_level)) + fixed for l in self._letter_root
+        }
         # per-system state of other layers: the ball registry of `norms`
         # (built on first use) and the full group's level-quotient orders
         # of `permgrp`
@@ -387,16 +408,40 @@ class GeneratorSystem:
             w = sections[x]
         return tuple(out)
 
+    def _fold(self, word: Word, n: int) -> tuple[int, ...]:
+        """Images of the d^n level-n vertices under ``word``; no budget."""
+        if n == 0:
+            return (0,)
+        levels = self._levels
+        d = self.alphabet_size
+        while len(levels) < n:
+            # a letter l with root sigma and sections s_x sends the vertex
+            # x v to sigma(x) (s_x . v): its level-k table is its root
+            # blown up over blocks of size d^(k-1), shifted by the level
+            # k-1 action of each section word
+            k = len(levels) + 1
+            size = d ** (k - 1)
+            tables = {}
+            for l, secs in self._letter_sections.items():
+                root = self._letter_root[l]
+                images: list[int] = []
+                for x in range(d):
+                    shift = (root[x] * size).__add__
+                    images.extend(map(shift, self._fold(secs[x], k - 1)))
+                tables[l] = operator.itemgetter(*images)
+            levels.append(tables)
+        getters = levels[n - 1]
+        # the word acts as l1 o l2 o ... o lm, so the fold composes each
+        # letter on the right: p o l is p's images read at l's images
+        p = tuple(range(d**n))
+        for l in word:
+            p = getters[l](p)
+        return p
+
     def word_level_perm(self, word: Word, n: int) -> tuple[int, ...]:
         """Images of the d^n level-n vertices in lexicographic order."""
         if n < 0:
             raise InputError("level must be non-negative")
-        if n == 0:
-            return (0,)
-        key = (word, n)
-        cached = self._level_cache.get(key)
-        if cached is not None:
-            return cached
         d = self.alphabet_size
         # d >= 2, so d^n passes the budget for every n past its bit length
         if n >= MAX_LEVEL_POINTS.bit_length() or d**n > MAX_LEVEL_POINTS:
@@ -404,18 +449,16 @@ class GeneratorSystem:
                 f"level {n} of a {d}-letter alphabet has more than "
                 f"{MAX_LEVEL_POINTS} vertices"
             )
-        root, secs = self._root_and_sections(word)
-        size = d ** (n - 1)
-        out = [0] * (d * size)
-        for x in range(d):
-            sub = self.word_level_perm(secs[x], n - 1)
-            base = x * size
-            tbase = root[x] * size
-            for i, v in enumerate(sub):
-                out[base + i] = tbase + v
-        result = tuple(out)
-        self._level_cache[key] = result
-        return result
+        return self._fold(word, n)
+
+    def _index_key(self, word: Word) -> bytes:
+        """The word's action on the key level as bytes; the same fold as
+        ``word_level_perm``, one ``bytes.translate`` per letter."""
+        p = _BYTE_IDENTITY
+        tables = self._key_tables
+        for l in word:
+            p = tables[l].translate(p)
+        return p[: self._key_size]
 
     def word_is_trivial(self, word: Word) -> bool:
         """Decide triviality by section closure; exact."""
@@ -757,20 +800,18 @@ class Portrait:
         return "\n".join(lines) + "\n"
 
 
-_INDEX_LEVEL = 6  # level of the action fingerprints ElementIndex buckets on
-
-
 class ElementIndex:
     """Exact-equality registry keyed by level-action fingerprints.
 
     Fingerprint inequality soundly separates elements, so a word is compared
-    only with the words in its level-6 bucket; each candidate is confirmed
+    only with the words that act like it on the deepest level of at most 256
+    vertices (level 8 of the binary tree); each candidate is confirmed
     exactly by deciding the triviality of ``word . cand^-1``.
     """
 
     def __init__(self, system: GeneratorSystem):
         self.system = system
-        self._buckets: dict[tuple[int, ...], list[int]] = {}
+        self._buckets: dict[bytes, list[int]] = {}
         self._words: list[Word] = []
 
     def __len__(self) -> int:
@@ -781,26 +822,32 @@ class ElementIndex:
 
     def find_word(self, word: Word) -> int | None:
         """Index of the registered element equal to ``word``, if any."""
-        sys = self.system
-        bucket = self._buckets.get(sys.word_level_perm(word, _INDEX_LEVEL))
+        return self._find(word, self.system._index_key(word))
+
+    def insert_word(self, word: Word) -> int:
+        """Register a word known to be a new class; returns its index."""
+        return self._insert(word, self.system._index_key(word))
+
+    def find_or_insert(self, word: Word) -> tuple[int, bool]:
+        key = self.system._index_key(word)
+        idx = self._find(word, key)
+        if idx is not None:
+            return idx, False
+        return self._insert(word, key), True
+
+    def _find(self, word: Word, key: bytes) -> int | None:
+        bucket = self._buckets.get(key)
         if not bucket:
             return None
+        sys = self.system
         for idx in bucket:
             cand = self._words[idx]
             if cand == word or sys.word_is_trivial(_product(word, invert_word(cand))):
                 return idx
         return None
 
-    def insert_word(self, word: Word) -> int:
-        """Register a word known to be a new class; returns its index."""
+    def _insert(self, word: Word, key: bytes) -> int:
         idx = len(self._words)
         self._words.append(word)
-        key = self.system.word_level_perm(word, _INDEX_LEVEL)
         self._buckets.setdefault(key, []).append(idx)
         return idx
-
-    def find_or_insert(self, word: Word) -> tuple[int, bool]:
-        idx = self.find_word(word)
-        if idx is not None:
-            return idx, False
-        return self.insert_word(word), True

@@ -1,18 +1,22 @@
 """Word norms, geodesic representatives and ball enumeration.
 
-Balls are built by breadth-first search over freely reduced words in
-length-then-lexicographic order (a < a^-1 < b < b^-1).  Each new word is
-assigned to its group-element class through a level-action fingerprint
-bucket confirmed by the exact decision procedure, so the first word reaching
-a class is automatically its lexicographically least geodesic.  The registry
-grows radius by radius and is shared per system, so repeated norm queries
-reuse the ball built so far.  It holds at most ``MAX_CLASSES`` classes:
-``ball``, ``norm`` and ``geodesic_rep`` raise ``BudgetExceededError`` past
-that, with the last complete radius as its ``partial``.
+Balls are built radius by radius in length-then-lexicographic order
+(a < a^-1 < b < b^-1).  Each word tried is assigned to its group-element
+class by an ``ElementIndex`` (level-action fingerprint buckets confirmed by
+the exact decision procedure), so the first word reaching a class is its
+shortlex-least geodesic, the class representative.  A prefix of such a
+geodesic is one itself, so radius r + 1 tries only the one-letter extensions
+of the norm-r representatives.  The registry is shared per system, so
+repeated norm queries reuse the ball built so far; ``norm`` and
+``geodesic_rep`` read one class lookup.  It holds at most ``MAX_CLASSES``
+classes: ``ball``, ``norm`` and ``geodesic_rep`` raise
+``BudgetExceededError`` past that, with the last complete radius as its
+``partial``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .core import (
@@ -67,13 +71,14 @@ class _BallRegistry:
         self.index = ElementIndex(system)
         self.norms: list[int] = []
         self.radius_done = -1
-        self._frontier: list[Word] = []
+        n = len(system.names)
+        # a < a^-1 < b < b^-1 < ...
+        self._letters = [l for i in range(n) for l in (i + 1, -(i + 1))]
 
     def extend(self, radius: int) -> None:
         while self.radius_done < radius:
             r = self.radius_done + 1
-            words = [()] if r == 0 else list(self._expand(self._frontier))
-            for w in words:
+            for w in [()] if r == 0 else self._expand(r - 1):
                 idx, new = self.index.find_or_insert(w)
                 if new:
                     self.norms.append(r)
@@ -84,24 +89,24 @@ class _BallRegistry:
                             f"ball radius {r} needs more than {MAX_CLASSES} classes",
                             partial=self.radius_done,
                         )
-            self._frontier = words
             self.radius_done = r
 
-    def _expand(self, frontier):
-        letters = sorted(
-            [i + 1 for i in range(len(self.system.names))]
-            + [-(i + 1) for i in range(len(self.system.names))],
-            key=lambda l: (abs(l), 0 if l > 0 else 1),
-        )
-        for w in frontier:
+    def _expand(self, r: int):
+        """One-letter extensions of the norm-r classes, in shortlex order.
+
+        A prefix of a shortlex-least geodesic is one itself, so every class
+        of norm r + 1 first appears among these words, in the same order as
+        among all reduced words of length r + 1.  The norm-r classes are
+        read back from the registry, which may already hold some classes of
+        norm r + 1 from a pass a budget stopped.
+        """
+        norms = self.norms
+        for idx in range(bisect_left(norms, r), bisect_left(norms, r + 1)):
+            w = self.index.word_at(idx)
             last = w[-1] if w else 0
-            for l in letters:
+            for l in self._letters:
                 if l != -last:
                     yield w + (l,)
-
-    def find_norm(self, word: Word) -> int | None:
-        idx = self.index.find_word(word)
-        return None if idx is None else self.norms[idx]
 
     def class_at(self, idx: int) -> BallClass:
         return BallClass(Element._reduced(self.system, self.index.word_at(idx)), self.norms[idx])
@@ -119,26 +124,30 @@ def ball(system: GeneratorSystem, radius: int) -> Ball:
         raise InputError("radius must be non-negative")
     reg = _registry(system)
     reg.extend(radius)
-    classes = tuple(
-        reg.class_at(i) for i in range(len(reg.norms)) if reg.norms[i] <= radius
-    )
+    classes = tuple(reg.class_at(i) for i in range(bisect_right(reg.norms, radius)))
     return Ball(radius, classes)
+
+
+def _find(g: Element) -> tuple[_BallRegistry, int]:
+    """The registry of g's system and the index of g's class in it, growing
+    the ball one radius at a time until it holds g."""
+    reg = _registry(g.system)
+    while True:
+        idx = reg.index.find_word(g.word)
+        if idx is not None:
+            return reg, idx
+        if reg.radius_done >= len(g.word):
+            raise AssertionError("ball enumeration missed a word of its own radius")
+        reg.extend(reg.radius_done + 1)
 
 
 def norm(g: Element) -> int:
     """Minimal word length representing g; zero exactly for the identity."""
-    reg = _registry(g.system)
-    for r in range(len(g.word) + 1):
-        reg.extend(r)
-        found = reg.find_norm(g.word)
-        if found is not None:
-            return found
-    raise AssertionError("ball enumeration missed a word of its own radius")
+    reg, idx = _find(g)
+    return reg.norms[idx]
 
 
 def geodesic_rep(g: Element) -> Word:
     """Lexicographically least word of length norm(g) equal to g."""
-    reg = _registry(g.system)
-    norm(g)
-    idx = reg.index.find_word(g.word)
+    reg, idx = _find(g)
     return reg.index.word_at(idx)

@@ -143,13 +143,13 @@ def stabilizer_generator_pairs(
     index = ElementIndex(H.system)
     survivors: list[tuple[Element, HWord]] = []
     for elem, hw in candidates:
+        if len(survivors) >= cap:
+            break
         if elem.is_trivial():
             continue
         _, new = index.find_or_insert(elem.word)
         if new:
             survivors.append((elem, hw))
-            if len(survivors) >= cap:
-                break
     return survivors
 
 

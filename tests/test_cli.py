@@ -73,6 +73,12 @@ def test_stab_golden(capsys):
     assert out == "a\tg0\nbb\tg1 g1\nBab\tG1 g0 g1\n"
 
 
+def test_stab_cap(capsys):
+    for cap, want in (("-1", ""), ("0", ""), ("1", "BAba\tG0 g1\n")):
+        code, out, _ = run(capsys, "stab", "--gens", "ab,ba", "--vertex", "0", "--cap", cap)
+        assert (code, out) == (0, want)
+
+
 def test_order_golden(capsys):
     code, out, _ = run(capsys, "order", "--gens", "a,b", "--level", "2")
     assert code == 0

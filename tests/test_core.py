@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -183,17 +185,35 @@ def test_decision_agrees_with_deep_level_action():
             assert equals(classes[i], classes[j]) == (perms[i] == perms[j])
 
 
+_D3_SYSTEM = "alphabet 3; gen a perm=1,2,0 sections=e,b,a; gen b perm=0,2,1 sections=aB,e,b"
+# a Basilica-like system on 300 letters: past 256 the index keys on level 0,
+# so every word shares one bucket
+_WIDE_SYSTEM = (
+    "alphabet 300; gen a perm=" + ",".join(map(str, range(300)))
+    + " sections=e,b" + ",e" * 298
+    + "; gen b perm=" + ",".join(map(str, [*range(1, 300), 0]))
+    + " sections=a" + ",e" * 299
+)
+_SYSTEMS = {"basilica": basilica().dump(), "d3": _D3_SYSTEM, "wide": _WIDE_SYSTEM}
+# the deepest level of at most 256 vertices
+_KEY_LEVEL = {"basilica": 8, "d3": 5, "wide": 0}
+
+
 @settings(derandomize=True, deadline=None)
-@given(st.lists(st.text(alphabet="aAbB", max_size=8), max_size=12))
-# "BAbA" and "ABAb" are distinct words of one element; a^8 shares the
-# identity's level-6 fingerprint without being trivial
-@example(["BAbA", "aaaaaaaa", "", "ABAb", "ab"])
-def test_element_index_agrees_with_equals(texts):
-    B = basilica()
-    index = ElementIndex(B)
+@given(
+    st.sampled_from(sorted(_SYSTEMS)),
+    st.lists(st.text(alphabet="aAbB", max_size=8), max_size=12),
+)
+# "BAbA" and "ABAb" are distinct words of one element; a^16 shares the
+# identity's level-8 key without being trivial
+@example("basilica", ["BAbA", "a" * 16, "", "ABAb", "ab"])
+@example("wide", ["BAbA", "a" * 16, "", "ABAb", "ab", "ba"])
+def test_element_index_agrees_with_equals(kind, texts):
+    system = parse_system(_SYSTEMS[kind])
+    index = ElementIndex(system)
     registered = []
     for text in texts:
-        g = B.element(text)
+        g = system.element(text)
         idx, new = index.find_or_insert(g.word)
         matches = [i for i, h in enumerate(registered) if equals(g, h)]
         if new:
@@ -201,6 +221,60 @@ def test_element_index_agrees_with_equals(texts):
             registered.append(g)
         else:
             assert matches == [idx]
+        assert index.find_word(g.word) == idx
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(["basilica", "d3"]), st.lists(st.sampled_from([1, -1, 2, -2]), max_size=40))
+def test_index_key_is_level_action(kind, letters):
+    system = parse_system(_SYSTEMS[kind])
+    word = free_reduce(letters)
+    level = _KEY_LEVEL[kind]
+    assert system.alphabet_size**level <= 256 < system.alphabet_size ** (level + 1)
+    assert system._index_key(word) == bytes(system.word_level_perm(word, level))
+
+
+def _letter_data(system):
+    """Per signed letter: root images and section words, from the spec."""
+    d, gens = system.spec()
+    data = {}
+    for i, (_, root, secs) in enumerate(gens):
+        inv = tuple(root.index(x) for x in range(d))
+        data[i + 1] = (root, secs)
+        data[-(i + 1)] = (inv, tuple(invert_word(secs[inv[x]]) for x in range(d)))
+    return data
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_letter_perm(kind, letter, n):
+    """A letter's level-n Perm: x v goes to sigma(x) (s_x . v)."""
+    system = parse_system(_SYSTEMS[kind])
+    root, secs = _letter_data(system)[letter]
+    size = system.alphabet_size ** (n - 1)
+    images = []
+    for x, sec in enumerate(secs):
+        images.extend(root[x] * size + v for v in _reference_level_perm(kind, sec, n - 1).images)
+    return Perm(images)
+
+
+def _reference_level_perm(kind, word, n):
+    """Product of the letters' level-n Perms; level 0 has one vertex."""
+    p = Perm.identity(parse_system(_SYSTEMS[kind]).alphabet_size ** n)
+    for l in word if n else ():
+        p = p * _reference_letter_perm(kind, l, n)
+    return p
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.sampled_from(["basilica", "d3"]),
+    st.integers(0, 9),
+    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12),
+)
+def test_level_perm_is_product_of_letter_perms(kind, n, letters):
+    system = parse_system(_SYSTEMS[kind])
+    word = free_reduce(letters)
+    assert system.element(word).level_perm(n) == _reference_level_perm(kind, word, n)
 
 
 def test_level_perm_examples(B):
@@ -230,18 +304,11 @@ def test_inverse_law(B, rng):
             assert equals(gi.section(x), g.section(inv_root(x)).inverse())
 
 
-_D3_SYSTEM = "alphabet 3; gen a perm=1,2,0 sections=e,b,a; gen b perm=0,2,1 sections=aB,e,b"
-
-
 def _reference_root_and_sections(system, word):
     """Root and sections built letter by letter from the generator data:
     sigma_{gl} = sigma_g o sigma_l and (gl)_x = g_{sigma_l(x)} l_x."""
-    d, gens = system.spec()
-    data = {}
-    for i, (_, root, secs) in enumerate(gens):
-        inv = tuple(root.index(x) for x in range(d))
-        data[i + 1] = (root, secs)
-        data[-(i + 1)] = (inv, tuple(invert_word(secs[inv[x]]) for x in range(d)))
+    d = system.alphabet_size
+    data = _letter_data(system)
     root = tuple(range(d))
     secs = ((),) * d
     for l in word:
@@ -262,7 +329,7 @@ def _reference_root_and_sections(system, word):
 @example("basilica", [1, 2] * (core.MEMO_LETTERS // 2) + [1])
 @example("d3", [1, -2] * core.MEMO_LETTERS)
 def test_fused_walk_matches_section_law(kind, letters):
-    system = parse_system(basilica().dump() if kind == "basilica" else _D3_SYSTEM)
+    system = parse_system(_SYSTEMS[kind])
     word = free_reduce(letters)
     expected = _reference_root_and_sections(system, word)
     # a cold call, then one the memo may answer

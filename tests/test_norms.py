@@ -160,3 +160,11 @@ def test_ball_budget(B, monkeypatch):
     monkeypatch.setattr(norms, "MAX_CLASSES", 1000)
     assert [len(ball(fresh, r)) for r in range(6)] == [1, 5, 17, 53, 153, 421]
     assert ball(fresh, 5).table() == ball(B, 5).table()
+
+
+def test_ball_order_is_first_occurrence_in_shortlex(B):
+    # the registry extends only the class representatives of the last
+    # radius; the classes and their order must be those of all reduced words
+    fresh = parse_system(B.dump())
+    oracle = brute_force_classes(fresh, 5)
+    assert [c.word for c in ball(fresh, 5).classes] == [g.word for g in oracle]

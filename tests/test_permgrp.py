@@ -131,6 +131,15 @@ def test_stabilizer_generators_fix_vertex(handles):
             assert g.act(vertex) == vertex
 
 
+def test_stabilizer_cap_bounds_survivors(handles):
+    B, Ha, Hb, Hab = handles
+    H = SubgroupHandle.from_words(B, ["ab", "ba"])
+    full = stabilizer_generator_pairs(H, "0")
+    assert len(full) == 3
+    for cap in (-1, 0, 1, 2, 3, 4):
+        assert stabilizer_generator_pairs(H, "0", cap=cap) == full[: max(cap, 0)]
+
+
 def test_stabilizer_pairs_expressions_match(handles):
     B, Ha, Hb, Hab = handles
     for elem, hw in stabilizer_generator_pairs(Hab, "10"):
