@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 
 from . import ENGINE
-from .core import BudgetExceededError, Element, InputError, equals
+from .core import BudgetExceededError, ConsistencyError, Element, InputError, equals
 from .norms import ball, norm
 from .structure import (
     LIFT_SUBSTITUTION,
@@ -28,7 +29,26 @@ from .structure import (
     lift_section,
     tau,
 )
-from .descent import congruence_transition, find_ab, find_b_inv_a, persist_ab
+from .descent import (
+    CLASS_AB,
+    CLASS_AB_INV,
+    congruence_transition,
+    find_ab,
+    find_b_inv_a,
+    persist_ab,
+)
+
+LENGTHS_RADIUS = 8
+DESCENT_RADIUS = 7
+PERSIST_DEPTH = 4
+LIFT_SAMPLES = 20
+LIFT_DEPTH = 3
+
+# geodesic patterns, over the surface syntax, that force |g_0| + |g_1| < |g|
+_FORBIDDEN = (
+    ("bb", re.compile("b.*B"), "has b before b^-1"),
+    ("b2", re.compile("BB[aA]+bb"), "contains b^-2 a^k b^2"),
+)
 
 
 @dataclass(frozen=True)
@@ -249,52 +269,36 @@ def check_quotients(out: _Collector, rng: random.Random) -> None:
     )
 
 
-def check_lengths(out: _Collector, radius: int = 8) -> None:
+def check_lengths(out: _Collector) -> None:
     """Length lemmas over the ball: subadditivity of sections, the square
     bound, and the strict drops forced by forbidden geodesic patterns."""
     sys = basilica()
-    sphere = ball(sys, radius)
-    viol_sub = viol_sq = viol_bb = viol_b2 = 0
-    matched_bb = matched_b2 = checked_sq = 0
+    sphere = ball(sys, LENGTHS_RADIUS)
+    viol_sub = viol_sq = checked_sq = 0
+    matched = {key: 0 for key, _, _ in _FORBIDDEN}
+    violated = dict(matched)
     identity_root = tuple(range(2))
     for cls in sphere.classes:
         g = cls.element
-        w = cls.word
         n0 = norm(g.section(0))
         n1 = norm(g.section(1))
         if n0 + n1 > cls.norm:
             viol_sub += 1
-        if sys.word_root(w) != identity_root:
+        if sys.word_root(cls.word) != identity_root:
             checked_sq += 1
             sq = g * g
             if norm(sq.section(0)) > cls.norm or norm(sq.section(1)) > cls.norm:
                 viol_sq += 1
-        seen_b = False
-        has_bb = False
-        for l in w:
-            if l == 2:
-                seen_b = True
-            elif l == -2 and seen_b:
-                has_bb = True
-                break
-        if has_bb:
-            matched_bb += 1
-            if n0 + n1 >= cls.norm:
-                viol_bb += 1
-        for i in range(len(w) - 4):
-            if w[i] == -2 and w[i + 1] == -2:
-                j = i + 2
-                while j < len(w) and abs(w[j]) == 1:
-                    j += 1
-                if j > i + 2 and j + 1 < len(w) and w[j] == 2 and w[j + 1] == 2:
-                    matched_b2 += 1
-                    if n0 + n1 >= cls.norm:
-                        viol_b2 += 1
-                    break
+        text = sys.word_str(cls.word)
+        for key, pattern, _ in _FORBIDDEN:
+            if pattern.search(text):
+                matched[key] += 1
+                if n0 + n1 >= cls.norm:
+                    violated[key] += 1
     n = len(sphere.classes)
     out.add(
         "lengths-subadditive",
-        f"|g_0| + |g_1| <= |g| for all {n} elements of ball({radius})",
+        f"|g_0| + |g_1| <= |g| for all {n} elements of ball({LENGTHS_RADIUS})",
         viol_sub == 0,
         f"{viol_sub} violations",
     )
@@ -304,103 +308,88 @@ def check_lengths(out: _Collector, radius: int = 8) -> None:
         viol_sq == 0,
         f"{viol_sq} violations",
     )
-    out.add(
-        "lengths-forbidden-bb",
-        f"strict drop when the geodesic has b before b^-1 ({matched_bb} matches)",
-        matched_bb > 0 and viol_bb == 0,
-        f"{viol_bb} violations",
-    )
-    out.add(
-        "lengths-forbidden-b2",
-        f"strict drop when the geodesic contains b^-2 a^k b^2 ({matched_b2} matches)",
-        matched_b2 > 0 and viol_b2 == 0,
-        f"{viol_b2} violations",
-    )
-    counts = []
-    for r in range(radius + 1):
-        counts.append(len(ball(sys, r)))
+    for key, _, claim in _FORBIDDEN:
+        out.add(
+            f"lengths-forbidden-{key}",
+            f"strict drop when the geodesic {claim} ({matched[key]} matches)",
+            matched[key] > 0 and violated[key] == 0,
+            f"{violated[key]} violations",
+        )
+    counts = [len(ball(sys, r)) for r in range(LENGTHS_RADIUS + 1)]
     out.add(
         "lengths-growth",
-        f"ball sizes strictly increase up to radius {radius}",
+        f"ball sizes strictly increase up to radius {LENGTHS_RADIUS}",
         all(x < y for x, y in zip(counts, counts[1:])),
         " ".join(map(str, counts)),
     )
 
 
-def check_descent(out: _Collector, radius: int = 7) -> None:
-    """Descent totality with replay over the ball, plus trajectory invariants."""
-    sys = basilica()
-    sphere = ball(sys, radius)
-    ab_inputs = [c.element for c in sphere.classes if ab_image(c.element) == (1, 1)]
-    ba_inputs = [c.element for c in sphere.classes if ab_image(c.element) == (1, -1)]
-    fail_ab = fail_replay = 0
-    monotone_ok = classes_ok = roots_ok = True
-    for g in ab_inputs:
+def _descent_sweep(out: _Collector, tag: str, find, cls: tuple[int, int]) -> list:
+    """Run ``find`` on every element of class ``cls`` in the ball, report
+    that each search ends with a replayable witness, and return the states
+    g, (g^2)_x1, ... that each witness passes through."""
+    sphere = ball(basilica(), DESCENT_RADIUS)
+    inputs = [c.element for c in sphere.classes if ab_image(c.element) == cls]
+    failures = bad_replays = 0
+    paths = []
+    for g in inputs:
         try:
-            cert = find_ab(g)
+            cert = find(g)
         except BudgetExceededError:
-            fail_ab += 1
+            failures += 1
             continue
         if not cert.replay():
-            fail_replay += 1
-        state = g
-        prev = norm(state)
+            bad_replays += 1
+        path = [g]
         for x in cert.steps:
-            if ab_image(state) != (1, 1):
-                classes_ok = False
-            if state.root_perm().is_identity():
-                roots_ok = False
-            state = (state * state).section(x)
-            n = norm(state)
-            if n > prev:
-                monotone_ok = False
-            prev = n
+            path.append((path[-1] * path[-1]).section(x))
+        paths.append(path)
     out.add(
-        "descent-ab-total",
-        f"find_ab terminates with a replayable witness on all {len(ab_inputs)} "
-        f"(1,1)-elements of ball({radius})",
-        fail_ab == 0 and fail_replay == 0,
-        f"{fail_ab} failures, {fail_replay} bad replays",
+        f"descent-{tag}-total",
+        f"{find.__name__} terminates with a replayable witness on all {len(inputs)} "
+        f"({cls[0]},{cls[1]})-elements of ball({DESCENT_RADIUS})",
+        failures == 0 and bad_replays == 0,
+        f"{failures} failures, {bad_replays} bad replays",
     )
-    out.add("descent-ab-monotone", "norms never increase along descent paths", monotone_ok)
+    return paths
+
+
+def _follows_transitions(path: list[Element]) -> bool:
+    """Whether every state before the last has the class the transition
+    table predicts from the first."""
+    expected = ab_image(path[0])
+    for state in path[:-1]:
+        if ab_image(state) != expected:
+            return False
+        expected = congruence_transition(expected)
+    return True
+
+
+def check_descent(out: _Collector) -> None:
+    """Descent totality with replay over the ball, plus trajectory invariants."""
+    paths = _descent_sweep(out, "ab", find_ab, CLASS_AB)
+    norms = [[norm(state) for state in path] for path in paths]
+    out.add(
+        "descent-ab-monotone",
+        "norms never increase along descent paths",
+        all(x >= y for ns in norms for x, y in zip(ns, ns[1:])),
+    )
     out.add(
         "descent-ab-class",
         "every intermediate stays in class (1,1) with nontrivial root",
-        classes_ok and roots_ok,
+        all(_follows_transitions(path) for path in paths)
+        and not any(state.root_perm().is_identity() for path in paths for state in path[:-1]),
     )
-    fail_ba = fail_replay = 0
-    alternation_ok = True
-    for g in ba_inputs:
-        try:
-            cert = find_b_inv_a(g)
-        except BudgetExceededError:
-            fail_ba += 1
-            continue
-        if not cert.replay():
-            fail_replay += 1
-        state = g
-        expected = ab_image(g)
-        for x in cert.steps:
-            if ab_image(state) != expected:
-                alternation_ok = False
-            state = (state * state).section(x)
-            expected = congruence_transition(expected)
-    out.add(
-        "descent-binva-total",
-        f"find_b_inv_a terminates with a replayable witness on all {len(ba_inputs)} "
-        f"(1,-1)-elements of ball({radius})",
-        fail_ba == 0 and fail_replay == 0,
-        f"{fail_ba} failures, {fail_replay} bad replays",
-    )
+    paths = _descent_sweep(out, "binva", find_b_inv_a, CLASS_AB_INV)
     out.add(
         "descent-binva-alternation",
         "intermediate classes alternate (1,-1) <-> (-1,1) as the transition "
         "table predicts",
-        alternation_ok,
+        all(_follows_transitions(path) for path in paths),
     )
 
 
-def check_persist(out: _Collector, depth: int = 4) -> None:
+def check_persist(out: _Collector) -> None:
     """Persistence transition table plus replay of every walk up to depth."""
     sys = basilica()
     ab = sys.element("ab")
@@ -412,7 +401,7 @@ def check_persist(out: _Collector, depth: int = 4) -> None:
     out.add("persist-table", "(ab)^2 = (ba, ba) and (ba)^2 = (ba, ab)", table_ok)
     ok = True
     vertices = [""]
-    for _ in range(depth):
+    for _ in range(PERSIST_DEPTH):
         vertices = [v + x for v in vertices for x in "01"]
         for v in vertices:
             k, final = persist_ab(ab, v)
@@ -423,13 +412,13 @@ def check_persist(out: _Collector, depth: int = 4) -> None:
                 ok = False
     out.add(
         "persist-replay",
-        f"ab^(2^k) stabilizes every vertex up to depth {depth} with the "
+        f"ab^(2^k) stabilizes every vertex up to depth {PERSIST_DEPTH} with the "
         "predicted section",
         ok,
     )
 
 
-def check_lifts(out: _Collector, rng: random.Random, samples: int = 20, depth: int = 3) -> None:
+def check_lifts(out: _Collector, rng: random.Random) -> None:
     """Support contract of rigid-stabilizer lifts for sampled B' elements."""
     sys = basilica()
     sphere = ball(sys, 6)
@@ -438,10 +427,10 @@ def check_lifts(out: _Collector, rng: random.Random, samples: int = 20, depth: i
         for c in sphere.classes
         if in_derived_subgroup(c.element) and not c.element.is_trivial()
     ]
-    chosen = rng.sample(pool, min(samples, len(pool)))
+    chosen = rng.sample(pool, min(LIFT_SAMPLES, len(pool)))
     vertices = [""]
     frontier = [""]
-    for _ in range(depth):
+    for _ in range(LIFT_DEPTH):
         frontier = [v + x for v in frontier for x in "01"]
         vertices.extend(frontier)
     ok = True
@@ -465,7 +454,7 @@ def check_lifts(out: _Collector, rng: random.Random, samples: int = 20, depth: i
     out.add(
         "lifts-support",
         f"{len(chosen)} sampled derived-subgroup elements lift to every vertex "
-        f"of depth <= {depth} with exact support",
+        f"of depth <= {LIFT_DEPTH} with exact support",
         ok,
         bad,
     )
@@ -479,7 +468,7 @@ SUITES = {
     "lengths": lambda out, rng: check_lengths(out),
     "descent": lambda out, rng: check_descent(out),
     "persist": lambda out, rng: check_persist(out),
-    "lifts": lambda out, rng: check_lifts(out, rng),
+    "lifts": check_lifts,
 }
 
 
@@ -494,5 +483,5 @@ def run_checks(only=None, seed: int = 0) -> CheckReport:
         SUITES[name](collector, random.Random(seed))
     ids = [r.check_id for r in collector.results]
     if len(set(ids)) != len(ids):
-        raise AssertionError("duplicate check ids in report")
+        raise ConsistencyError("duplicate check ids in report")
     return CheckReport(tuple(collector.results), seed)

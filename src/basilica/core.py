@@ -275,6 +275,14 @@ class GeneratorSystem:
                 invert_word(secs[inv_root[x]]) for x in range(alphabet_size)
             )
         self._identity_root = ident
+        # the defining data, fixed once built: spec(), == and hash read it
+        self._spec = (
+            alphabet_size,
+            tuple(
+                (name, self._letter_root[i + 1], self._letter_sections[i + 1])
+                for i, name in enumerate(self.names)
+            ),
+        )
         # per signed letter and input point y: (the letter's section word at
         # y, reversed; the image of y), the one step of the walk in
         # _root_and_sections
@@ -516,23 +524,13 @@ class GeneratorSystem:
     # -- structural equality & serialization --------------------------------
 
     def spec(self) -> tuple:
-        return (
-            self.alphabet_size,
-            tuple(
-                (
-                    self.names[i],
-                    self._letter_root[i + 1],
-                    self._letter_sections[i + 1],
-                )
-                for i in range(len(self.names))
-            ),
-        )
+        return self._spec
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GeneratorSystem) and self.spec() == other.spec()
+        return isinstance(other, GeneratorSystem) and self._spec == other._spec
 
     def __hash__(self) -> int:
-        return hash(self.spec())
+        return hash(self._spec)
 
     def __repr__(self) -> str:
         return f"GeneratorSystem(d={self.alphabet_size}, names={''.join(self.names)})"

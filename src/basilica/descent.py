@@ -78,8 +78,11 @@ class DescentCertificate:
 
     start: Element
     steps: tuple[int, ...]
-    exponent_log: int
     target: Element
+
+    @property
+    def exponent_log(self) -> int:
+        return len(self.steps)
 
     @property
     def vertex(self) -> str:
@@ -111,7 +114,7 @@ def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> De
         word, path = queue[i]
         i += 1
         if goal.find_word(word) is not None:
-            return DescentCertificate(g, path, len(path), target)
+            return DescentCertificate(g, path, target)
         if system.word_root(word) == tuple(range(system.alphabet_size)):
             raise ConsistencyError(
                 "descent state has trivial root permutation; class invariant broken"
@@ -182,40 +185,31 @@ class NotInLattice:
 def _lattice_reduce(columns: list[list[int]]):
     """Column-reduce a 2 x k integer matrix, tracking the transformation.
 
-    Returns (pivot vectors [(g1, y)] and [(0, g2)] as available, coefficient
-    rows of the transformation for both pivots).
+    Each column carries its row of the transformation after its two
+    entries, so one list operation updates both.  Returns (the columns, the
+    pivot column of row 0, that of row 1), a pivot being None when its row
+    is zero; the pivots start (g1, y) and (0, g2) with g1, g2 > 0.
     """
     k = len(columns)
-    work = [list(c) for c in columns]
-    trans = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-    def combine(j, j0, q):
-        work[j][0] -= q * work[j0][0]
-        work[j][1] -= q * work[j0][1]
-        for t in range(k):
-            trans[j][t] -= q * trans[j0][t]
+    work = [list(c) + [int(i == j) for i in range(k)] for j, c in enumerate(columns)]
 
     def reduce_row(row, exclude):
         while True:
-            nz = [j for j in range(k) if j not in exclude and work[j][row] != 0]
-            if not nz:
-                return None
-            if len(nz) == 1:
-                return nz[0]
+            nz = [j for j in range(k) if j != exclude and work[j][row] != 0]
+            if len(nz) <= 1:
+                return nz[0] if nz else None
             j0 = min(nz, key=lambda j: abs(work[j][row]))
             for j in nz:
                 if j != j0:
-                    combine(j, j0, work[j][row] // work[j0][row])
+                    q = work[j][row] // work[j0][row]
+                    work[j] = [x - q * y for x, y in zip(work[j], work[j0])]
 
-    piv0 = reduce_row(0, set())
-    piv1 = reduce_row(1, {piv0} if piv0 is not None else set())
-    for piv in (piv0, piv1):
-        if piv is not None and work[piv][0 if piv == piv0 else 1] < 0:
-            work[piv][0] = -work[piv][0]
-            work[piv][1] = -work[piv][1]
-            for t in range(k):
-                trans[piv][t] = -trans[piv][t]
-    return work, trans, piv0, piv1
+    piv0 = reduce_row(0, None)
+    piv1 = reduce_row(1, piv0)
+    for row, piv in enumerate((piv0, piv1)):
+        if piv is not None and work[piv][row] < 0:
+            work[piv] = [-x for x in work[piv]]
+    return work, piv0, piv1
 
 
 def solve_coset(H: SubgroupHandle, target: tuple[int, int]):
@@ -226,47 +220,23 @@ def solve_coset(H: SubgroupHandle, target: tuple[int, int]):
     """
     require_basilica(H.system)
     columns = [list(ab_image(g)) for g in H.generators]
-    if not columns:
-        if target == (0, 0):
-            return ()
-        return NotInLattice(())
-    work, trans, piv0, piv1 = _lattice_reduce(columns)
-    basis = []
-    if piv0 is not None:
-        basis.append(tuple(work[piv0]))
-    if piv1 is not None:
-        basis.append(tuple(work[piv1]))
-
-    def fail():
-        return NotInLattice(tuple(basis))
-
-    t0, t1 = target
-    coeffs = [0] * len(columns)
-    if piv0 is None:
-        if t0 != 0:
-            return fail()
-        alpha = 0
-    else:
-        g1, y = work[piv0]
-        if t0 % g1 != 0:
-            return fail()
-        alpha = t0 // g1
-        t1 -= alpha * y
-        for t in range(len(columns)):
-            coeffs[t] += alpha * trans[piv0][t]
-    if piv1 is None:
-        if t1 != 0:
-            return fail()
-    else:
-        g2 = work[piv1][1]
-        if t1 % g2 != 0:
-            return fail()
-        beta = t1 // g2
-        for t in range(len(columns)):
-            coeffs[t] += beta * trans[piv1][t]
+    work, piv0, piv1 = _lattice_reduce(columns)
+    failure = NotInLattice(tuple(tuple(work[p][:2]) for p in (piv0, piv1) if p is not None))
+    # subtract pivot columns from (target | 0) until the target part is
+    # zero; the transformation part then holds minus the coefficients
+    rest = list(target) + [0] * len(columns)
+    for row, piv in enumerate((piv0, piv1)):
+        if piv is None:
+            if rest[row]:
+                return failure
+            continue
+        q, r = divmod(rest[row], work[piv][row])
+        if r:
+            return failure
+        rest = [x - q * y for x, y in zip(rest, work[piv])]
     letters: list[int] = []
-    for i, c in enumerate(coeffs):
-        letters.extend([i + 1 if c > 0 else -(i + 1)] * abs(c))
+    for i, c in enumerate(rest[2:]):
+        letters.extend([-(i + 1) if c > 0 else i + 1] * abs(c))
     hword = free_reduce(letters)
     realized = ab_image(H.evaluate(hword))
     if realized != target:
@@ -276,6 +246,19 @@ def solve_coset(H: SubgroupHandle, target: tuple[int, int]):
 
 def _hword_pow(hword: HWord, n: int) -> HWord:
     return free_reduce(hword * n)
+
+
+_BUDGET_KEYS = ("states", "schreier", "depth")
+# the certificate lines before the stage lines, in order
+_FIELDS = (
+    "basilica-certificate",
+    "engine",
+    "subgroup",
+    "vertex",
+    "expr-a",
+    "expr-b",
+    *(f"budget-{key}" for key in _BUDGET_KEYS),
+)
 
 
 @dataclass(frozen=True)
@@ -293,17 +276,16 @@ class ProdenseCertificate:
     engine: str = ENGINE
 
     def serialize(self) -> str:
-        lines = [
-            "basilica-certificate: 1",
-            f"engine: {self.engine}",
-            f"subgroup: {', '.join(self.subgroup)}",
-            f"vertex: {self.vertex or 'e'}",
-            f"expr-a: {hword_str(self.expr_a)}",
-            f"expr-b: {hword_str(self.expr_b)}",
-            f"budget-states: {self.budgets['states']}",
-            f"budget-schreier: {self.budgets['schreier']}",
-            f"budget-depth: {self.budgets['depth']}",
-        ]
+        values = (
+            1,
+            self.engine,
+            ", ".join(self.subgroup),
+            self.vertex or "e",
+            hword_str(self.expr_a),
+            hword_str(self.expr_b),
+            *(self.budgets[key] for key in _BUDGET_KEYS),
+        )
+        lines = [f"{field}: {value}" for field, value in zip(_FIELDS, values)]
         lines.extend(f"stage{i + 1}: {s}" for i, s in enumerate(self.stages))
         return "\n".join(lines) + "\n"
 
@@ -327,18 +309,7 @@ def parse_certificate(text: str) -> ProdenseCertificate:
                 raise InputError(f"bad stage label {key!r}") from None
         else:
             fields[key] = value
-    required = {
-        "basilica-certificate",
-        "engine",
-        "subgroup",
-        "vertex",
-        "expr-a",
-        "expr-b",
-        "budget-states",
-        "budget-schreier",
-        "budget-depth",
-    }
-    missing = required - set(fields)
+    missing = set(_FIELDS) - set(fields)
     if missing:
         raise InputError(f"certificate misses fields: {sorted(missing)}")
     if fields["basilica-certificate"] != "1":
@@ -349,11 +320,7 @@ def parse_certificate(text: str) -> ProdenseCertificate:
     if vertex == "e":
         vertex = ""
     try:
-        budgets = {
-            "states": int(fields["budget-states"]),
-            "schreier": int(fields["budget-schreier"]),
-            "depth": int(fields["budget-depth"]),
-        }
+        budgets = {key: int(fields[f"budget-{key}"]) for key in _BUDGET_KEYS}
     except ValueError:
         raise InputError("bad budget value") from None
     stages.sort()
@@ -403,7 +370,7 @@ def prodense_projection_search(
     """
     require_basilica(H.system)
     system = H.system
-    budgets = {"states": max_states, "schreier": schreier_cap, "depth": max_depth}
+    budgets = dict(zip(_BUDGET_KEYS, (max_states, schreier_cap, max_depth)))
     stages: list[str] = []
 
     def fail(stage, reason, lattice=None):
@@ -492,21 +459,14 @@ def verify_certificate(H: SubgroupHandle, cert: ProdenseCertificate) -> bool:
     pointwise along the path, and section to a and b.  Malformed
     certificates raise InputError; honest mismatches return False.
     """
-    system = H.system
-    require_basilica(system)
+    system = require_basilica(H.system)
+    elements = [H.evaluate(expr) for expr in (cert.expr_a, cert.expr_b)]
+    system.parse_vertex(cert.vertex)
     if tuple(cert.subgroup) != H.words():
         return False
-    for expr in (cert.expr_a, cert.expr_b):
-        for l in expr:
-            if l == 0 or abs(l) > len(H.generators):
-                raise InputError("certificate expression uses a foreign generator")
-    system.parse_vertex(cert.vertex)
-    a = system.generator("a")
-    b = system.generator("b")
-    for expr, target in ((cert.expr_a, a), (cert.expr_b, b)):
-        elem = H.evaluate(expr)
+    for elem, name in zip(elements, "ab"):
         if elem.act(cert.vertex) != cert.vertex:
             return False
-        if elem.section_at_vertex(cert.vertex) != target:
+        if elem.section_at_vertex(cert.vertex) != system.generator(name):
             return False
     return True

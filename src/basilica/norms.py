@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .core import (
     BudgetExceededError,
+    ConsistencyError,
     Element,
     ElementIndex,
     GeneratorSystem,
@@ -137,7 +138,7 @@ def _find(g: Element) -> tuple[_BallRegistry, int]:
         if idx is not None:
             return reg, idx
         if reg.radius_done >= len(g.word):
-            raise AssertionError("ball enumeration missed a word of its own radius")
+            raise ConsistencyError("ball enumeration missed a word of its own radius")
         reg.extend(reg.radius_done + 1)
 
 

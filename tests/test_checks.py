@@ -46,3 +46,9 @@ def test_descent_suite_surfaces_engine_errors(monkeypatch):
     monkeypatch.setattr(checks, "find_ab", broken)
     with pytest.raises(ConsistencyError):
         run_checks(only=["descent"])
+
+
+def test_duplicate_check_ids_are_an_engine_fault(monkeypatch):
+    monkeypatch.setitem(checks.SUITES, "psi1-again", checks.SUITES["psi1"])
+    with pytest.raises(ConsistencyError, match="duplicate check ids"):
+        run_checks(only=["psi1", "psi1-again"])

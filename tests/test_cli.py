@@ -1,6 +1,6 @@
 from pathlib import Path
 
-from basilica import ConsistencyError, basilica, cli, core, norms
+from basilica import ConsistencyError, basilica, cli, core, norms, permgrp
 from basilica.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -203,6 +203,36 @@ def test_norm_closure_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert "budget exhausted: section closure exceeded 1000 letters" in err
     assert "Traceback" not in err
+
+
+def test_norm_missed_word_exit_code(tmp_path, capsys, monkeypatch):
+    # a registry that marks radii done without enumerating them breaks an
+    # engine invariant: one line and exit 6, not a traceback
+    path = tmp_path / "basilica.txt"
+    path.write_text(basilica().dump())
+
+    def skip(self, radius):
+        self.radius_done = max(self.radius_done, radius)
+
+    monkeypatch.setattr(norms._BallRegistry, "extend", skip)
+    code, out, err = run(capsys, "norm", "a", "--system", str(path))
+    assert code == 6
+    assert out == ""
+    assert err == "internal consistency error: ball enumeration missed a word of its own radius\n"
+
+
+def test_order_sift_budget_exit_code(tmp_path, capsys, monkeypatch):
+    # a d = 3 system takes the Schreier-Sims path; its level-2 chain makes 38 sifts
+    path = tmp_path / "d3.txt"
+    path.write_text("alphabet 3\ngen a perm=1,2,0 sections=e,b,a\ngen b perm=0,2,1 sections=aB,e,b\n")
+    argv = ("order", "--system", str(path), "--gens", "a,b", "--level", "2")
+    monkeypatch.setattr(permgrp, "MAX_SCHREIER_SIFTS", 38)
+    assert run(capsys, *argv)[:2] == (0, "1296\n")
+    monkeypatch.setattr(permgrp, "MAX_SCHREIER_SIFTS", 10)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err == "budget exhausted: stabilizer chain exceeded 10 sifts with 5 base points\n"
 
 
 def test_portrait_budget_exit_code(capsys, monkeypatch):

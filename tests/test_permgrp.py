@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from basilica import InputError, Perm, basilica, equals
+from basilica import BudgetExceededError, InputError, Perm, basilica, equals, parse_system, permgrp
 from basilica.permgrp import (
     SubgroupHandle,
     _keeps_dyadic_blocks,
@@ -226,6 +226,30 @@ def test_group_order_off_the_tree():
     assert group_order(s3) == _schreier_sims_order(s3) == 6
     assert group_order([(0, 2, 1, 3)]) == 2
     assert group_order([(1, 0, 3, 2), (0, 2, 1, 3)]) == 8
+
+
+_D3_SYSTEM = "alphabet 3; gen a perm=1,2,0 sections=e,b,a; gen b perm=0,2,1 sections=aB,e,b"
+
+
+def test_schreier_sims_sift_budget(monkeypatch):
+    # the S8 chain from a transposition and an 8-cycle makes exactly 35 sifts
+    gens = [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)]
+    monkeypatch.setattr(permgrp, "MAX_SCHREIER_SIFTS", 35)
+    assert _schreier_sims_order(gens) == 40320
+    for budget, base_points in ((34, 7), (10, 6), (0, 0)):
+        monkeypatch.setattr(permgrp, "MAX_SCHREIER_SIFTS", budget)
+        with pytest.raises(BudgetExceededError) as exc:
+            group_order(gens)
+        assert exc.value.partial == base_points
+        assert str(exc.value) == (
+            f"stabilizer chain exceeded {budget} sifts with {base_points} base points"
+        )
+
+
+def test_schreier_sims_default_budget_covers_d3_level_4():
+    d3 = parse_system(_D3_SYSTEM)
+    order = group_order(level_perms(d3, d3.generators(), 4))
+    assert order == 3263548471397396012655968256
 
 
 def test_group_order_perms_and_tuples_agree(handles):
