@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ENGINE
 from .core import BudgetExceededError, ConsistencyError, Element, InputError, equals
@@ -51,8 +51,7 @@ _FORBIDDEN = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     claim: str
     status: str  # "pass" or "fail"
@@ -63,8 +62,7 @@ class CheckResult:
         return self.status == "pass"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     results: tuple[CheckResult, ...]
     seed: int
     engine: str = ENGINE

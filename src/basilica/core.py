@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import operator
 import string
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
 class InputError(ValueError):
@@ -340,7 +339,7 @@ class GeneratorSystem:
             raise InputError("string vertices only supported for alphabets up to 10")
         out = []
         for col, ch in enumerate(vertex, start=1):
-            if not ch.isdigit() or int(ch) >= self.alphabet_size:
+            if ch not in string.digits[: self.alphabet_size]:
                 raise InputError(f"bad vertex letter {ch!r} at position {col}")
             out.append(int(ch))
         return tuple(out)
@@ -772,8 +771,7 @@ def equals(g: Element, h: Element) -> bool:
     return system.word_is_trivial(_product(g.word, invert_word(h.word)))
 
 
-@dataclass(frozen=True)
-class Portrait:
+class Portrait(NamedTuple):
     """Finite portrait: root permutations at every vertex above ``depth``."""
 
     depth: int

@@ -24,7 +24,7 @@ it never claims prodensity of the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import ENGINE
 from .core import (
@@ -67,8 +67,7 @@ def congruence_transition(cls: tuple[int, int]) -> tuple[int, int]:
     return _TRANSITION[cls]
 
 
-@dataclass(frozen=True)
-class DescentCertificate:
+class DescentCertificate(NamedTuple):
     """Replayable witness that a 2-power of ``start`` projects to ``target``.
 
     ``start``^(2^``exponent_log``) stabilizes ``vertex`` and its section
@@ -175,8 +174,7 @@ def persist_ab(start: Element, vertex: str) -> tuple[int, Element]:
     return len(path), system.element(state)
 
 
-@dataclass(frozen=True)
-class NotInLattice:
+class NotInLattice(NamedTuple):
     """Failure value of a coset solve: the target misses this lattice."""
 
     basis: tuple[tuple[int, int], ...]
@@ -261,8 +259,7 @@ _FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class ProdenseCertificate:
+class ProdenseCertificate(NamedTuple):
     """Checkable witness that the subgroup's projection at ``vertex`` is the
     whole group: two expressions over the original subgroup generators whose
     sections at the vertex are a and b."""
@@ -335,8 +332,7 @@ def parse_certificate(text: str) -> ProdenseCertificate:
     )
 
 
-@dataclass(frozen=True)
-class FailureReport:
+class FailureReport(NamedTuple):
     """Negative or aborted outcome of the projection search."""
 
     stage: int

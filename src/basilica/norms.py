@@ -17,7 +17,7 @@ classes: ``ball``, ``norm`` and ``geodesic_rep`` raise
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     BudgetExceededError,
@@ -34,8 +34,7 @@ MAX_CLASSES = 120_000
 # 114713, and each radius multiplies the count by about 2.45
 
 
-@dataclass(frozen=True)
-class BallClass:
+class BallClass(NamedTuple):
     """One group element of the ball: canonical geodesic plus its norm."""
 
     element: Element
@@ -46,8 +45,7 @@ class BallClass:
         return self.element.word
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(NamedTuple):
     """All group elements of norm at most ``radius``, in discovery order."""
 
     radius: int

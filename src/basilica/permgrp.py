@@ -21,11 +21,11 @@ way, for ``projected_subgroup`` and the projection search alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter, xor
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
+    MAX_LEVEL_POINTS,
     BudgetExceededError,
     Element,
     ElementIndex,
@@ -61,9 +61,13 @@ def hword_parse(text: str, num_generators: int) -> HWord:
         return ()
     letters = []
     for tok in text.split():
-        if len(tok) < 2 or tok[0] not in "gG" or not tok[1:].isdigit():
+        digits = tok[1:]
+        if tok[0] not in "gG" or not (digits.isascii() and digits.isdigit()):
             raise InputError(f"bad generator token {tok!r}")
-        idx = int(tok[1:])
+        try:
+            idx = int(digits)
+        except ValueError:  # more digits than int() converts
+            raise InputError(f"generator token of {len(digits)} digits") from None
         if idx >= num_generators:
             raise InputError(f"token {tok!r} names a generator outside the subgroup")
         letters.append(idx + 1 if tok[0] == "g" else -(idx + 1))
@@ -98,8 +102,7 @@ class SubgroupHandle:
         return f"SubgroupHandle(<{', '.join(self.words())}>)"
 
 
-@dataclass(frozen=True)
-class SchreierTable:
+class SchreierTable(NamedTuple):
     """Orbit of a vertex with one transversal hword per orbit point."""
 
     base: str
@@ -112,7 +115,12 @@ class SchreierTable:
 
 
 def orbit(H: SubgroupHandle, vertex: str) -> SchreierTable:
-    """BFS orbit of a vertex under the subgroup's generator actions."""
+    """BFS orbit of a vertex under the subgroup's generator actions.
+
+    Raises ``BudgetExceededError`` (its ``partial``: the points found so far)
+    once the orbit holds more than ``MAX_LEVEL_POINTS`` vertices, which no
+    vertex of binary depth at most 16 reaches.
+    """
     H.system.parse_vertex(vertex)
     transversal: dict[str, HWord] = {vertex: ()}
     queue = [vertex]
@@ -120,13 +128,20 @@ def orbit(H: SubgroupHandle, vertex: str) -> SchreierTable:
     for i, g in enumerate(H.generators):
         moves.append((i + 1, g))
         moves.append((-(i + 1), g.inverse()))
-    while queue:
-        u = queue.pop(0)
+    i = 0
+    while i < len(queue):
+        u = queue[i]
+        i += 1
         for letter, g in moves:
             w = g.act(u)
             if w not in transversal:
                 transversal[w] = free_reduce((letter,) + transversal[u])
                 queue.append(w)
+        if len(transversal) > MAX_LEVEL_POINTS:
+            raise BudgetExceededError(
+                f"orbit of {vertex!r} exceeded {MAX_LEVEL_POINTS} vertices",
+                partial=tuple(transversal),
+            )
     return SchreierTable(vertex, tuple(sorted(transversal)), transversal)
 
 

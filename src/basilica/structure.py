@@ -11,7 +11,7 @@ substitution step per tree level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     ConsistencyError,
@@ -73,8 +73,7 @@ def in_derived_subgroup(g: Element) -> bool:
     return ab_image(g) == (0, 0)
 
 
-@dataclass(frozen=True)
-class HeisenbergElement:
+class HeisenbergElement(NamedTuple):
     """Normal form a^p b^q c^r in the discrete Heisenberg group, c = [a, b].
 
     Multiplication moves b^q past a^p' at the cost of c^(-q p'), which makes

@@ -67,6 +67,22 @@ def test_orbit_golden(capsys):
     assert out == "0\te\n1\tg0\n"
 
 
+def test_orbit_non_ascii_vertex_is_parse_error(capsys):
+    for vertex in ("0\u00b2", "\u06601"):
+        code, out, err = run(capsys, "orbit", "--gens", "ab", "--vertex", vertex)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: bad vertex letter")
+
+
+def test_orbit_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(permgrp, "MAX_LEVEL_POINTS", 100)
+    code, out, err = run(capsys, "orbit", "--gens", "a,b", "--vertex", "0" * 7)
+    assert code == 4
+    assert out == ""
+    assert err == "budget exhausted: orbit of '0000000' exceeded 100 vertices\n"
+
+
 def test_stab_golden(capsys):
     code, out, _ = run(capsys, "stab", "--gens", "a,b", "--vertex", "0")
     assert code == 0
@@ -163,6 +179,19 @@ def test_verify_tampered(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--cert", str(cert_file))
     assert code == 5
     assert "INVALID" in out
+
+
+def test_verify_non_ascii_generator_index_is_parse_error(tmp_path, capsys):
+    cert_file = tmp_path / "cert.txt"
+    run(capsys, "prodense", "--gens", "a,b", "--out", str(cert_file))
+    text = cert_file.read_text()
+    expr_a = next(line for line in text.splitlines() if line.startswith("expr-a:"))
+    for token in ("g\u00b2", "g\u0661"):
+        cert_file.write_text(text.replace(expr_a, f"expr-a: {token}"))
+        code, out, err = run(capsys, "verify", "--cert", str(cert_file))
+        assert code == 2
+        assert out == ""
+        assert err == f"parse error: bad generator token {token!r}\n"
 
 
 def test_verify_missing_file(capsys):

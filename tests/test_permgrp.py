@@ -63,8 +63,22 @@ def test_orbit_transversal_moves_base(handles):
 
 def test_orbit_rejects_bad_vertex(handles):
     B, Ha, Hb, Hab = handles
-    with pytest.raises(InputError):
-        orbit(Hab, "0x")
+    # "²" and "٠" pass str.isdigit(); int() refuses the first and reads the
+    # second as 0, but neither is a vertex letter
+    for vertex in ("0x", "0\u00b2", "\u06601"):
+        with pytest.raises(InputError):
+            orbit(Hab, vertex)
+
+
+def test_orbit_budget(handles, monkeypatch):
+    B, Ha, Hb, Hab = handles
+    monkeypatch.setattr(permgrp, "MAX_LEVEL_POINTS", 8)
+    assert len(orbit(Hab, "000").orbit) == 8
+    with pytest.raises(BudgetExceededError) as info:
+        orbit(Hab, "0000")
+    found = info.value.partial
+    assert 8 < len(found) <= 16 and found[0] == "0000"
+    assert len(set(found)) == len(found) and all(len(v) == 4 for v in found)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -293,3 +307,7 @@ def test_hword_round_trip():
         hword_parse("g5", 2)
     with pytest.raises(InputError):
         hword_parse("x0", 2)
+    # superscript two, Arabic-Indic three, a digit count int() refuses
+    for text in ("g\u00b2", "g\u0663", "G\u0660 g0", "g+1", "g" + "1" * 5000):
+        with pytest.raises(InputError):
+            hword_parse(text, 4)
