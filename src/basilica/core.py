@@ -100,6 +100,17 @@ MAX_PORTRAIT_VERTICES = 1 << 16
 _BYTE_IDENTITY = bytes(range(256))
 
 
+def ascii_int(text: str) -> int | None:
+    """The value of a decimal of ASCII digits only, else None; ``int()``
+    alone also takes other scripts' digits, signs, ``_`` and spaces."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def free_reduce(letters: Iterable[int]) -> Word:
     """Freely reduce a letter sequence; idempotent."""
     word = tuple(letters)
@@ -563,10 +574,9 @@ def parse_system(text: str) -> GeneratorSystem:
     head = statements[0].split()
     if len(head) != 2 or head[0] != "alphabet":
         raise InputError("group definition must start with 'alphabet <d>'")
-    try:
-        d = int(head[1])
-    except ValueError:
-        raise InputError(f"bad alphabet size {head[1]!r}") from None
+    d = ascii_int(head[1])
+    if d is None:
+        raise InputError(f"bad alphabet size {head[1]!r}")
     gens = []
     for line in statements[1:]:
         parts = line.split()
@@ -581,10 +591,9 @@ def parse_system(text: str) -> GeneratorSystem:
             fields[key] = value
         if set(fields) != {"perm", "sections"}:
             raise InputError(f"generator line needs perm= and sections=: {line!r}")
-        try:
-            images = [int(t) for t in fields["perm"].split(",")]
-        except ValueError:
-            raise InputError(f"bad permutation {fields['perm']!r}") from None
+        images = [ascii_int(t) for t in fields["perm"].split(",")]
+        if None in images:
+            raise InputError(f"bad permutation {fields['perm']!r}")
         sections = fields["sections"].split(",")
         gens.append((name, images, sections))
     return GeneratorSystem(d, gens)

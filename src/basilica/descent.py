@@ -35,6 +35,7 @@ from .core import (
     InputError,
     PreconditionError,
     Word,
+    ascii_int,
     free_reduce,
     invert_word,
     substitute_word,
@@ -300,10 +301,10 @@ def parse_certificate(text: str) -> ProdenseCertificate:
         key = key.strip()
         value = value.strip()
         if key.startswith("stage"):
-            try:
-                stages.append((int(key[5:]), value))
-            except ValueError:
-                raise InputError(f"bad stage label {key!r}") from None
+            label = ascii_int(key[5:])
+            if label is None:
+                raise InputError(f"bad stage label {key!r}")
+            stages.append((label, value))
         else:
             fields[key] = value
     missing = set(_FIELDS) - set(fields)
@@ -316,10 +317,9 @@ def parse_certificate(text: str) -> ProdenseCertificate:
     vertex = fields["vertex"]
     if vertex == "e":
         vertex = ""
-    try:
-        budgets = {key: int(fields[f"budget-{key}"]) for key in _BUDGET_KEYS}
-    except ValueError:
-        raise InputError("bad budget value") from None
+    budgets = {key: ascii_int(fields[f"budget-{key}"]) for key in _BUDGET_KEYS}
+    if None in budgets.values():
+        raise InputError("bad budget value")
     stages.sort()
     return ProdenseCertificate(
         subgroup=subgroup,

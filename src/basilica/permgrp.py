@@ -5,12 +5,14 @@ projections they give, exact group orders, and full-level-quotient tests.
 ``group_order`` picks its method from the input alone.  Permutations of 2^n
 points that keep the dyadic blocks together are automorphisms of the binary
 tree of depth n; they generate a 2-group, counted by sifting through an
-induced polycyclic sequence along the level stabilizers.  That covers every
-level action of a binary system, so ``level_quotient_equals_full`` and the
-``order`` command take this path.  Any other input (other degrees, d >= 3
-systems, permutations that break the blocks) goes through a deterministic
-Schreier-Sims stabilizer chain, which raises ``BudgetExceededError`` (its
-``partial``: the base length so far) past ``MAX_SCHREIER_SIFTS`` sifts.
+induced polycyclic sequence along the level stabilizers, with elements as
+``bytes`` multiplied by ``bytes.translate`` up to 256 points (level 8) and as
+tuples above.  That covers every level action of a binary system, so
+``level_quotient_equals_full`` and the ``order`` command take this path.
+Any other input (other degrees, d >= 3 systems, permutations that break the
+blocks) goes through a deterministic Schreier-Sims stabilizer chain, which
+raises ``BudgetExceededError`` (its ``partial``: the base length so far)
+past ``MAX_SCHREIER_SIFTS`` sifts.
 
 Subgroup elements are tracked together with their expressions over the
 subgroup's own generators (an "hword": signed 1-based indices into the
@@ -32,6 +34,7 @@ from .core import (
     GeneratorSystem,
     InputError,
     Perm,
+    ascii_int,
     free_reduce,
     invert_word,
     substitute_word,
@@ -56,18 +59,13 @@ def hword_str(hword: Sequence[int]) -> str:
 
 
 def hword_parse(text: str, num_generators: int) -> HWord:
-    text = text.strip()
-    if text == "e" or not text:
+    if text.strip() == "e":
         return ()
     letters = []
     for tok in text.split():
-        digits = tok[1:]
-        if tok[0] not in "gG" or not (digits.isascii() and digits.isdigit()):
+        idx = ascii_int(tok[1:])
+        if tok[0] not in "gG" or idx is None:
             raise InputError(f"bad generator token {tok!r}")
-        try:
-            idx = int(digits)
-        except ValueError:  # more digits than int() converts
-            raise InputError(f"generator token of {len(digits)} digits") from None
         if idx >= num_generators:
             raise InputError(f"token {tok!r} names a generator outside the subgroup")
         letters.append(idx + 1 if tok[0] == "g" else -(idx + 1))
@@ -220,18 +218,18 @@ def group_order(perms: Sequence) -> int:
     else goes through the stabilizer chain (``_schreier_sims_order``).
     """
     gens = []
-    degree = None
+    identity = None
     for p in perms:
         images = p.images if isinstance(p, Perm) else tuple(p)
-        if degree is None:
-            degree = len(images)
-        elif len(images) != degree:
+        if identity is None:
+            identity = tuple(range(len(images)))
+        elif len(images) != len(identity):
             raise InputError("permutations act on different point sets")
-        if any(images[x] != x for x in range(len(images))):
+        if images != identity:
             gens.append(images)
     if not gens:
         return 1
-    if degree & (degree - 1) == 0 and all(map(_keeps_dyadic_blocks, gens)):
+    if len(identity).bit_count() == 1 and all(map(_keeps_dyadic_blocks, gens)):
         return _tree_order(gens)
     return _schreier_sims_order(gens)
 
@@ -254,23 +252,33 @@ def _tree_order(gens: list[tuple[int, ...]]) -> int:
     O'Brien, Handbook of Computational Group Theory, ch. 8).  An element of
     St(k-1) swaps or keeps the two children of each level-(k-1) vertex; that
     flip vector, one byte per vertex in a Python int, is its image in the
-    elementary abelian St(k-1)/St(k).  Sifting reduces it against the
-    level-k echelon basis, keyed by leading digit, multiplying the element
-    by the basis element used (no inverses: the factor has exponent 2), then
-    goes on one level down.  A nonzero residue joins the sequence, and its
-    square and its commutators with every earlier element are sifted in
-    turn.  Once all of these sift to the identity, the elements that sift to
-    the identity form the group, so its order is 2^(sequence length).
+    elementary abelian St(k-1)/St(k).  Sifting reduces it against the level-k
+    echelon basis, keyed by leading digit, multiplying the element on the left
+    by the basis element used, then goes on one level down.  The factor is
+    abelian of exponent 2: flip(w o g) = flip(w) XOR flip(g) = flip(g o w), so
+    left products take the decisions right ones would, no inverses are needed,
+    and at closure the same elements sift to the identity.  A nonzero residue
+    joins the sequence, and its square and its commutators with every earlier
+    element are sifted in turn.  Once all of these sift to the identity, the
+    elements that sift to the identity form the group, so its order is
+    2^(sequence length).  Up to 256 leaves an element is ``bytes`` and each
+    product or flip vector one ``bytes.translate``; above, a tuple.
     """
     degree = len(gens[0])
     n = degree.bit_length() - 1
-    identity = tuple(range(degree))
     # flips[s][x]: which child of its height-(s+1) ancestor leaf x lies under
-    flips = [bytes((x >> s) & 1 for x in range(degree)) for s in range(n)]
-    # echelons[k]: leading digit -> (flip vector, right multiplication by the
-    # sequence element); composition is itemgetter(*q)(p) == p o q
+    flips = [(bytes(1 << s) + b"\1" * (1 << s)) * (max(degree, 256) >> s + 1) for s in range(n)]
+    if degree <= 256:  # apply(g, table(w)) is w o g; inverse(w) is table(w^-1)
+        gens, identity, pad = map(bytes, gens), bytes(range(degree)), bytes(range(degree, 256))
+        table, inverse = lambda w: w + pad, lambda w: bytes.maketrans(w, identity)
+        apply = gather = bytes.translate
+    else:
+        identity, table, inverse = tuple(range(degree)), tuple, _invert
+        apply = lambda g, t: itemgetter(*g)(t)
+        gather = lambda h, t: bytes(map(t.__getitem__, h))
+    # echelons[k]: leading digit -> (flip vector, table of the sequence element)
     echelons: list[dict] = [{} for _ in range(n + 1)]
-    sequence: list[tuple[int, tuple, tuple, itemgetter]] = []
+    sequence: list[tuple] = []
 
     def sift(g, start):
         # g lies in St(start-1); returns (level, flip vector, residue) or None
@@ -278,15 +286,15 @@ def _tree_order(gens: list[tuple[int, ...]]) -> int:
             if g == identity:
                 return None
             s = n - k
-            v = int.from_bytes(bytes(map(flips[s].__getitem__, g[:: 2 << s])), "big")
+            v = int.from_bytes(gather(g[:: 2 << s], flips[s]), "big")
             echelon = echelons[k]
             while v:
                 entry = echelon.get(v.bit_length())
                 if entry is None:
                     return k, v, g
-                w, times = entry
+                w, w_table = entry
                 v ^= w
-                g = times(g)
+                g = apply(g, w_table)
         return None
 
     queue = [(g, 1) for g in gens]
@@ -295,17 +303,16 @@ def _tree_order(gens: list[tuple[int, ...]]) -> int:
         if found is None:
             continue
         k, v, r = found
-        r_times = itemgetter(*r)
-        r_inv = _invert(r)
-        echelons[k][v.bit_length()] = (v, r_times)
+        r_table, r_inv = table(r), inverse(r)
+        echelons[k][v.bit_length()] = (v, r_table)
         if k < n:
-            queue.append((r_times(r), k + 1))
+            queue.append((apply(r, r_table), k + 1))
         # [r, b] lies in St(max(k, l) - 1), so its sift starts there
-        for l, b, b_inv, b_times in sequence:
-            rb = b_times(r)
-            if rb != r_times(b):
-                queue.append((itemgetter(*itemgetter(*rb)(b_inv))(r_inv), max(k, l)))
-        sequence.append((k, r, r_inv, r_times))
+        for l, b, b_table, b_inv in sequence:
+            rb = apply(b, r_table)
+            if rb != apply(r, b_table):
+                queue.append((apply(apply(rb, b_inv), r_inv), max(k, l)))
+        sequence.append((k, r, r_table, r_inv))
     return 2 ** len(sequence)
 
 

@@ -4,7 +4,7 @@ its text, and an edited certificate verifies only when its claim still holds."""
 
 import itertools
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from basilica import InputError, basilica, parse_system
 from basilica.descent import (
@@ -27,6 +27,9 @@ _HWORD_TEXT = st.lists(
     st.tuples(st.sampled_from("gGx"), st.text(_DIGITS, max_size=3)).map("".join), max_size=4
 ).map(" ".join)
 _VERTEX_TEXT = st.text("012x" + _ODD_DIGITS, max_size=6)
+# numerals int() reads but a certificate must not: Arabic-Indic 16, and 16
+# with an underscore or a sign
+_BAD_NUMERALS = ("\u0661\u0666", "1_6", "-16", "+16")
 _CERTIFICATE = prodense_projection_search(
     SubgroupHandle.from_words(basilica(), ["ba", "bb"])
 ).serialize()
@@ -60,6 +63,11 @@ def _with_field(text: str, key: str, value: str) -> str:
     lines = text.splitlines()
     lines = [f"{key}: {value}" if line.startswith(f"{key}:") else line for line in lines]
     return "\n".join(lines) + "\n"
+
+
+def _with_stage_label(text: str, label: str) -> str:
+    """Certificate text with the label of its first stage replaced."""
+    return text.replace("\nstage1:", f"\nstage{label}:")
 
 
 def _raises_only_input_error(parse, text):
@@ -107,6 +115,13 @@ def test_parse_system_raises_only_input_error(text):
             st.sampled_from(["subgroup", "stage1", "budget-depth"]),
             st.text(_CHARS, max_size=10),
         ),
+        st.builds(
+            _with_field,
+            st.just(_CERTIFICATE),
+            st.sampled_from(["budget-states", "budget-depth"]),
+            st.sampled_from(_BAD_NUMERALS),
+        ),
+        st.builds(_with_stage_label, st.just(_CERTIFICATE), st.sampled_from(_BAD_NUMERALS)),
         _edited(_CERTIFICATE),
         st.text(_CHARS, max_size=60),
     )
@@ -114,6 +129,33 @@ def test_parse_system_raises_only_input_error(text):
 def test_certificate_parse_and_verify_raise_only_input_error(text):
     H = SubgroupHandle.from_words(basilica(), ["ba", "bb"])
     _raises_only_input_error(lambda t: verify_certificate(H, parse_certificate(t)), text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.sampled_from(["budget-states", "budget-schreier", "budget-depth", "stage"]),
+    st.one_of(st.sampled_from(_BAD_NUMERALS), st.text(_DIGITS + "_-+ ", max_size=4)),
+)
+@example("stage", "\u0661")
+@example("budget-depth", "\u0661\u0666")
+@example("budget-depth", "1_6")
+@example("budget-depth", "-16")
+def test_edited_budget_value_or_stage_label_parses_only_as_ascii_digits(key, numeral):
+    # the parser strips each line and each value, so a stage label keeps
+    # its leading spaces and a budget value neither
+    if key == "stage":
+        text, digits = _with_stage_label(_CERTIFICATE, numeral), numeral.rstrip()
+    else:
+        text, digits = _with_field(_CERTIFICATE, key, numeral), numeral.strip()
+    ascii_digits = digits.isascii() and digits.isdigit()
+    try:
+        cert = parse_certificate(text)
+    except InputError:
+        assert not ascii_digits
+    else:
+        assert ascii_digits
+        if key != "stage":
+            assert cert.budgets[key[len("budget-") :]] == int(digits)
 
 
 def _certificate(words):

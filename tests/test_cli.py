@@ -194,6 +194,18 @@ def test_verify_non_ascii_generator_index_is_parse_error(tmp_path, capsys):
         assert err == f"parse error: bad generator token {token!r}\n"
 
 
+def test_verify_non_ascii_budget_value_is_parse_error(tmp_path, capsys):
+    cert_file = tmp_path / "cert.txt"
+    run(capsys, "prodense", "--gens", "a,b", "--out", str(cert_file))
+    text = cert_file.read_text()
+    assert "budget-depth: 16\n" in text
+    cert_file.write_text(text.replace("budget-depth: 16", "budget-depth: \u0661\u0666"))
+    code, out, err = run(capsys, "verify", "--cert", str(cert_file))
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: bad budget value\n"
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "--cert", "/nonexistent/cert.txt")
     assert code == 2

@@ -498,6 +498,11 @@ def test_system_file_errors():
         parse_system("alphabet 2; gen e perm=0,1 sections=e,e")
     with pytest.raises(InputError):
         parse_system("alphabet 1; gen a perm=0 sections=e")
+    # numerals int() reads but a system file may not hold: Arabic-Indic two
+    # and one, a sign
+    for text in ("alphabet \u0662", "alphabet +2", "alphabet 2; gen a perm=\u0661,0 sections=e,e"):
+        with pytest.raises(InputError):
+            parse_system(text + "; gen b perm=1,0 sections=e,e")
 
 
 def test_custom_system_loads():

@@ -204,17 +204,35 @@ def test_group_order_agrees_with_closure(handles):
             assert fast == mulclose(perms)
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
-@given(
+# up to three words of at most four letters, and a level n <= 6
+_LEVEL_SUBGROUPS = (
     st.lists(st.text(alphabet="aAbB", min_size=1, max_size=4), min_size=1, max_size=3),
     st.integers(min_value=1, max_value=6),
 )
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(*_LEVEL_SUBGROUPS)
 def test_tree_order_agrees_with_schreier_sims(words, n):
     B = basilica()
     perms = level_perms(B, [B.element(w) for w in words], n)
     images = [p.images for p in perms]
     assert all(_keeps_dyadic_blocks(g) for g in images)
     assert group_order(perms) == _schreier_sims_order(images)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(*_LEVEL_SUBGROUPS)
+def test_tree_order_on_tuples_agrees_with_bytes(words, n):
+    # lifted to 512 leaves, past the 256 that bytes elements hold, by acting
+    # as p on the top n levels and trivially on the 9 - n below
+    B = basilica()
+    images = [p.images for p in level_perms(B, [B.element(w) for w in words], n)]
+    k = 9 - n
+    mask = (1 << k) - 1
+    lifted = [tuple(p[x >> k] << k | (x & mask) for x in range(512)) for p in images]
+    assert all(_keeps_dyadic_blocks(g) for g in lifted)
+    assert group_order(lifted) == group_order(images)
 
 
 def test_full_group_level_orders():
