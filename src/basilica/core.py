@@ -26,11 +26,12 @@ systems.
 
 Root and sections of a word come from one walk over its letters per
 alphabet point, which yields the root image of that point and the section
-below it together.  Each system memoises that pair, and the triviality
-verdict, per word, but only for words of at most ``MEMO_LETTERS`` letters:
-in a contracting group such as Basilica sections shrink (two levels down
-they are about half as long as the word), so a long input word seldom comes
-back as the section of another, while short words recur across calls.
+below it together.  Each system memoises that pair per word, and the
+triviality verdict (for the whole closure if trivial, else for the input and
+the first nontrivial closure word), but only for words of at most
+``MEMO_LETTERS`` letters: in a contracting group such as Basilica sections
+shrink (two levels down to about half the word), so a long input word seldom
+comes back as the section of another, while short words recur across calls.
 
 The action of a word on level n is a fold over its letters of per-letter
 level-n tables, each built once from the level below; nothing is kept per
@@ -140,6 +141,19 @@ def invert_word(word: Sequence[int]) -> Word:
     return tuple(-l for l in reversed(word))
 
 
+def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
+    """Image tuple of the permutation p o q: x goes to p[q[x]]."""
+    return tuple(map(p.__getitem__, q))
+
+
+def invert_images(p: Sequence[int]) -> tuple[int, ...]:
+    """Image tuple of the inverse permutation."""
+    out = [0] * len(p)
+    for x, y in enumerate(p):
+        out[y] = x
+    return tuple(out)
+
+
 def substitute_word(word: Sequence[int], images: Sequence[Sequence[int]]) -> list[int]:
     """Letters of ``word`` with +(i+1) replaced by ``images[i]`` and -(i+1) by
     its inverse; not reduced, so the caller reduces once."""
@@ -176,13 +190,10 @@ class Perm:
         """Composition p*q with (p*q)(x) = p(q(x))."""
         if len(self.images) != len(other.images):
             raise InputError("permutation degrees differ")
-        return Perm(self.images[y] for y in other.images)
+        return Perm(compose_images(self.images, other.images))
 
     def __invert__(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Perm(inv)
+        return Perm(invert_images(self.images))
 
     def is_identity(self) -> bool:
         return all(x == y for x, y in enumerate(self.images))
@@ -277,7 +288,7 @@ class GeneratorSystem:
         self._letter_sections: dict[int, tuple[Word, ...]] = {}
         ident = tuple(range(alphabet_size))
         for i, (root, secs) in enumerate(zip(roots, sections_parsed)):
-            inv_root = tuple(root.index(x) for x in range(alphabet_size))
+            inv_root = invert_images(root)
             self._letter_root[i + 1] = root
             self._letter_root[-(i + 1)] = inv_root
             self._letter_sections[i + 1] = secs
@@ -479,16 +490,16 @@ class GeneratorSystem:
         return p[: self._key_size]
 
     def word_is_trivial(self, word: Word) -> bool:
-        """Decide triviality by section closure; exact."""
+        """Decide triviality by section closure; exact.  Memoises, for words
+        of at most ``MEMO_LETTERS`` letters, a True verdict for every closure
+        word and a False one for the input and the first nontrivial one."""
         cache = self._trivial_cache
         cached = cache.get(word)
         if cached is not None:
             return cached
         queue: list[Word] = [word]
-        parent: dict[Word, Word] = {}
         seen = {word}
         letters = len(word)
-        culprit = None
         i = 0
         while i < len(queue):
             u = queue[i]
@@ -497,16 +508,13 @@ class GeneratorSystem:
             if known is True:
                 continue
             if known is False:
-                culprit = u
                 break
             root, sections = self._root_and_sections(u)
             if root != self._identity_root:
-                culprit = u
                 break
             for s in sections:
                 if s and s not in seen:
                     seen.add(s)
-                    parent[s] = u
                     queue.append(s)
                     letters += len(s)
             if letters > MAX_CLOSURE_LETTERS:
@@ -515,21 +523,18 @@ class GeneratorSystem:
                     "the recursion may not be length-contracting",
                     partial=letters,
                 )
-        if culprit is None:
-            # sections of closure members stay inside the closure, so every
-            # member is trivial along with the input
+        else:
+            # no break: sections of closure members stay inside the closure,
+            # so every member is trivial along with the input
             for u in queue:
                 if len(u) <= MEMO_LETTERS:
                     cache[u] = True
             return True
-        # the culprit and its chain of closure parents back to the input
-        u = culprit
-        while True:
-            if len(u) <= MEMO_LETTERS:
-                cache[u] = False
-            if u not in parent:
-                return False
-            u = parent[u]
+        # u is nontrivial: its root moves a point, or the memo says so
+        for w in (word, u):
+            if len(w) <= MEMO_LETTERS:
+                cache[w] = False
+        return False
 
     # -- structural equality & serialization --------------------------------
 

@@ -362,11 +362,15 @@ def prodense_projection_search(
     (4) solve the (1,-1) coset over the projection, (5) descend to b^-1 a at
     v', (6) persist ab down v' and finish through a^2 or b^2.  Every witness
     is rewritten over H's original generators, so the certificate can be
-    replayed without trusting any of this code.
+    replayed without trusting any of this code.  A negative budget raises
+    ``InputError``, since a certificate records its budgets as decimals.
     """
     require_basilica(H.system)
     system = H.system
     budgets = dict(zip(_BUDGET_KEYS, (max_states, schreier_cap, max_depth)))
+    for key, value in budgets.items():
+        if value < 0:
+            raise InputError(f"budget-{key} must be non-negative, got {value}")
     stages: list[str] = []
 
     def fail(stage, reason, lattice=None):

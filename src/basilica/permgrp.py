@@ -35,7 +35,9 @@ from .core import (
     InputError,
     Perm,
     ascii_int,
+    compose_images,
     free_reduce,
+    invert_images,
     invert_word,
     substitute_word,
 )
@@ -133,7 +135,9 @@ def orbit(H: SubgroupHandle, vertex: str) -> SchreierTable:
         for letter, g in moves:
             w = g.act(u)
             if w not in transversal:
-                transversal[w] = free_reduce((letter,) + transversal[u])
+                # already reduced: the inverse of u's first letter leads back
+                # to u's parent, which is visited, so it never reaches w
+                transversal[w] = (letter,) + transversal[u]
                 queue.append(w)
         if len(transversal) > MAX_LEVEL_POINTS:
             raise BudgetExceededError(
@@ -148,8 +152,8 @@ def stabilizer_generator_pairs(
 ) -> list[tuple[Element, HWord]]:
     """Schreier generators of the vertex stabilizer with their hwords.
 
-    Trivial generators are dropped and duplicates removed by exact equality,
-    keeping at most ``cap`` survivors with shorter elements preferred.
+    One exact lookup in an index seeded with the identity drops trivial
+    and repeated elements; at most ``cap`` survive, shorter ones first.
     """
     tab = orbit(H, vertex)
     candidates: list[tuple[Element, HWord]] = []
@@ -162,12 +166,11 @@ def stabilizer_generator_pairs(
             candidates.append((H.evaluate(hw), hw))
     candidates.sort(key=lambda pair: (len(pair[0].word), pair[0].word, len(pair[1])))
     index = ElementIndex(H.system)
+    index.find_or_insert(())
     survivors: list[tuple[Element, HWord]] = []
     for elem, hw in candidates:
         if len(survivors) >= cap:
             break
-        if elem.is_trivial():
-            continue
         _, new = index.find_or_insert(elem.word)
         if new:
             survivors.append((elem, hw))
@@ -193,17 +196,6 @@ def projection_pairs(
 def projected_subgroup(H: SubgroupHandle, vertex: str, cap: int = 64) -> SubgroupHandle:
     """The projection H_v: sections at v of the vertex-stabilizer generators."""
     return SubgroupHandle(H.system, [sec for sec, _ in projection_pairs(H, vertex, cap)])
-
-
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(p[y] for y in q)
-
-
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for x, y in enumerate(p):
-        out[y] = x
-    return tuple(out)
 
 
 def group_order(perms: Sequence) -> int:
@@ -273,7 +265,7 @@ def _tree_order(gens: list[tuple[int, ...]]) -> int:
         table, inverse = lambda w: w + pad, lambda w: bytes.maketrans(w, identity)
         apply = gather = bytes.translate
     else:
-        identity, table, inverse = tuple(range(degree)), tuple, _invert
+        identity, table, inverse = tuple(range(degree)), tuple, invert_images
         apply = lambda g, t: itemgetter(*g)(t)
         gather = lambda h, t: bytes(map(t.__getitem__, h))
     # echelons[k]: leading digit -> (flip vector, table of the sequence element)
@@ -324,19 +316,24 @@ def _schreier_sims_order(gens: list[tuple[int, ...]]) -> int:
     deterministic.  Generator lists per level are cumulative: level i holds
     every strong generator fixing the first i base points, and a level is
     verified by stripping all its Schreier generators through the deeper
-    chain.  Raises ``BudgetExceededError`` (``partial``: the number of
-    base points so far) on sift number ``MAX_SCHREIER_SIFTS`` + 1.
+    chain.  No generator joins a level twice: a residue p joins levels
+    start..stop when it fixes the first stop base points and moves
+    ``base[stop]`` out of that level's orbit, or opens a new level.  Had p
+    joined a level in start..stop before, it would have joined all levels
+    down to one whose (never changed) base point it moves: level stop, whose
+    orbit is closed under p, or one past the last.  Raises
+    ``BudgetExceededError`` (``partial``: the number of base points so far)
+    on sift number ``MAX_SCHREIER_SIFTS`` + 1.
     """
     degree = len(gens[0])
     identity = tuple(range(degree))
 
     class _Level:
-        __slots__ = ("base", "gens", "gen_set", "points", "trans", "pending")
+        __slots__ = ("base", "gens", "points", "trans", "pending")
 
         def __init__(self, base):
             self.base = base
             self.gens = []
-            self.gen_set = set()
             self.points = [base]  # append-only orbit, discovery order
             self.trans = {base: identity}
             self.pending = []  # (point, gen) Schreier pairs not yet verified
@@ -352,19 +349,10 @@ def _schreier_sims_order(gens: list[tuple[int, ...]]) -> int:
             for g in lv.gens:
                 y = g[x]
                 if y not in lv.trans:
-                    lv.trans[y] = _compose(g, ux)
+                    lv.trans[y] = compose_images(g, ux)
                     lv.points.append(y)
                     lv.pending.extend((y, h) for h in lv.gens)
             i += 1
-
-    def add_gen_to_level(lv, p):
-        if p in lv.gen_set:
-            return False
-        lv.gens.append(p)
-        lv.gen_set.add(p)
-        lv.pending.extend((x, p) for x in lv.points)
-        extend_orbit(lv)
-        return True
 
     def strip(p, start):
         nonlocal sifts
@@ -380,19 +368,19 @@ def _schreier_sims_order(gens: list[tuple[int, ...]]) -> int:
             y = p[lv.base]
             if y not in lv.trans:
                 return p, i
-            p = _compose(_invert(lv.trans[y]), p)
+            p = compose_images(invert_images(lv.trans[y]), p)
         return p, len(levels)
 
     def insert(p, start, stop):
         # p fixes every base above `start`; register it on levels start..stop
         if stop == len(levels):
             levels.append(_Level(min(x for x in range(degree) if p[x] != x)))
-        changed = False
-        for j in range(start, stop + 1):
-            changed = add_gen_to_level(levels[j], p) or changed
-        if changed:
-            for j in range(stop, start - 1, -1):
-                process_level(j)
+        for lv in levels[start : stop + 1]:
+            lv.gens.append(p)
+            lv.pending.extend((x, p) for x in lv.points)
+            extend_orbit(lv)
+        for j in range(stop, start - 1, -1):
+            process_level(j)
 
     def process_level(i):
         # verified pairs stay members when deeper groups grow, so each
@@ -400,7 +388,8 @@ def _schreier_sims_order(gens: list[tuple[int, ...]]) -> int:
         lv = levels[i]
         while lv.pending:
             x, g = lv.pending.pop()
-            schreier = _compose(_invert(lv.trans[g[x]]), _compose(g, lv.trans[x]))
+            gx = compose_images(g, lv.trans[x])
+            schreier = compose_images(invert_images(lv.trans[g[x]]), gx)
             if schreier == identity:
                 continue
             residue, lev = strip(schreier, i + 1)

@@ -206,6 +206,17 @@ def test_verify_non_ascii_budget_value_is_parse_error(tmp_path, capsys):
     assert err == "parse error: bad budget value\n"
 
 
+def test_prodense_negative_budget_is_parse_error(tmp_path, capsys):
+    cert_file = tmp_path / "c.txt"
+    code, out, err = run(
+        capsys, "prodense", "--gens", "ab,Ba", "--budget", "-1", "--out", str(cert_file)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: budget-states must be non-negative, got -1\n"
+    assert not cert_file.exists()
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "--cert", "/nonexistent/cert.txt")
     assert code == 2

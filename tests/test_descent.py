@@ -258,3 +258,15 @@ def test_search_reports_budgets(B):
         SubgroupHandle(B, [B.element("ab")]), max_states=123, schreier_cap=7
     )
     assert res.budgets == {"states": 123, "schreier": 7, "depth": 16}
+
+
+@pytest.mark.parametrize(
+    "budget, key",
+    [("max_states", "states"), ("schreier_cap", "schreier"), ("max_depth", "depth")],
+)
+def test_search_rejects_negative_budget(B, budget, key):
+    # parse_certificate takes ASCII digits only, so a certificate recording
+    # a negative budget could never be read back
+    H = SubgroupHandle.from_words(B, ["ab", "Ba"])
+    with pytest.raises(InputError, match=f"budget-{key} must be non-negative"):
+        prodense_projection_search(H, **{budget: -1})

@@ -112,6 +112,14 @@ def test_stabilizer_of_root_is_generators(handles):
     assert len(gens) == 2
     assert equals(gens[0], B.generator("a"))
     assert equals(gens[1], B.generator("b"))
+    # a trivial generator, the relator [b^-1 a b, a], and a second spelling
+    # of a are both dropped by the identity test
+    relator = "BAbABaba"
+    assert B.element(relator).is_trivial()
+    H = SubgroupHandle.from_words(B, ["a", relator, "b", relator + "a"])
+    pairs = stabilizer_generator_pairs(H, "")
+    assert [(str(elem), hw) for elem, hw in pairs] == [("a", (1,)), ("b", (3,))]
+    assert [str(elem) for elem in stabilizer_elements(H, "0")] == ["a", "bb", "Bab"]
 
 
 def test_stabilizer_cyclic_b(handles):
@@ -258,6 +266,18 @@ def test_group_order_off_the_tree():
     assert group_order(s3) == _schreier_sims_order(s3) == 6
     assert group_order([(0, 2, 1, 3)]) == 2
     assert group_order([(1, 0, 3, 2), (0, 2, 1, 3)]) == 8
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    st.integers(min_value=3, max_value=7).flatmap(
+        lambda degree: st.lists(st.permutations(range(degree)), min_size=1, max_size=3)
+    )
+)
+def test_schreier_sims_agrees_with_closure(gens):
+    # random permutations, mostly off the tree path, against brute force
+    images = [tuple(p) for p in gens]
+    assert _schreier_sims_order(images) == mulclose([Perm(p) for p in images])
 
 
 _D3_SYSTEM = "alphabet 3; gen a perm=1,2,0 sections=e,b,a; gen b perm=0,2,1 sections=aB,e,b"
