@@ -24,6 +24,8 @@ from .core import (
 )
 from .checks import SUITES, run_checks
 from .descent import (
+    DEFAULT_DEPTH,
+    DEFAULT_STATES,
     FailureReport,
     find_ab,
     find_b_inv_a,
@@ -33,6 +35,7 @@ from .descent import (
 )
 from .norms import ball, geodesic_rep, norm
 from .permgrp import (
+    DEFAULT_SCHREIER_CAP,
     SubgroupHandle,
     group_order,
     level_perms,
@@ -52,7 +55,7 @@ EXIT_INTERNAL = 6
 
 
 def _system(args) -> GeneratorSystem:
-    if getattr(args, "system", None):
+    if args.system:
         return load_system(args.system)
     return basilica()
 
@@ -134,14 +137,8 @@ def cmd_order(args) -> int:
     return EXIT_OK
 
 
-def cmd_find_ab(args) -> int:
-    cert = find_ab(basilica().element(args.word), max_states=args.budget)
-    print(f"vertex={cert.vertex or 'e'} k={cert.exponent_log}")
-    return EXIT_OK
-
-
-def cmd_find_binva(args) -> int:
-    cert = find_b_inv_a(basilica().element(args.word), max_states=args.budget)
+def cmd_descend(args) -> int:
+    cert = args.search(basilica().element(args.word), max_states=args.budget)
     print(f"vertex={cert.vertex or 'e'} k={cert.exponent_log}")
     return EXIT_OK
 
@@ -152,21 +149,9 @@ def cmd_lift(args) -> int:
     return EXIT_OK
 
 
-def cmd_abelianize(args) -> int:
-    s, t = ab_image(basilica().element(args.word))
-    print(f"({s},{t})")
-    return EXIT_OK
-
-
-def cmd_heis(args) -> int:
-    h = heis_image(basilica().element(args.word))
-    print(f"({h.p},{h.q},{h.r})")
-    return EXIT_OK
-
-
-def cmd_bprime(args) -> int:
-    l, m, n = bprime_coords(basilica().element(args.word))
-    print(f"({l},{m},{n})")
+def cmd_coords(args) -> int:
+    coords = args.image(basilica().element(args.word))
+    print(f"({','.join(map(str, coords))})")
     return EXIT_OK
 
 
@@ -229,72 +214,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, system=False, **defaults):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, **defaults)
+        if system:
+            p.add_argument("--system", help="group-definition file (default: Basilica)")
         return p
 
-    p = add("eval", cmd_eval, "root permutation and sections of a word")
+    p = add("eval", cmd_eval, "root permutation and sections of a word", system=True)
     p.add_argument("word")
     p.add_argument("--depth", type=int, default=0, help="also print the portrait")
-    p.add_argument("--system", help="group-definition file (default: Basilica)")
 
-    p = add("portrait", cmd_portrait, "portrait of a word to a given depth")
+    p = add("portrait", cmd_portrait, "portrait of a word to a given depth", system=True)
     p.add_argument("word")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--dot", action="store_true", help="emit a DOT graph")
-    p.add_argument("--system")
 
-    p = add("norm", cmd_norm, "word norm and canonical geodesic")
+    p = add("norm", cmd_norm, "word norm and canonical geodesic", system=True)
     p.add_argument("word")
-    p.add_argument("--system")
 
-    p = add("ball", cmd_ball, "enumerate ball classes as norm/word lines")
+    p = add("ball", cmd_ball, "enumerate ball classes as norm/word lines", system=True)
     p.add_argument("radius", type=int)
-    p.add_argument("--system")
 
-    p = add("orbit", cmd_orbit, "orbit of a vertex with transversal words")
+    p = add("orbit", cmd_orbit, "orbit of a vertex with transversal words", system=True)
     p.add_argument("--gens", required=True, help="comma-separated generator words")
     p.add_argument("--vertex", required=True)
-    p.add_argument("--system")
 
-    p = add("stab", cmd_stab, "stabilizer generators of a vertex")
+    p = add("stab", cmd_stab, "stabilizer generators of a vertex", system=True)
     p.add_argument("--gens", required=True)
     p.add_argument("--vertex", required=True)
-    p.add_argument("--cap", type=int, default=64)
-    p.add_argument("--system")
+    p.add_argument("--cap", type=int, default=DEFAULT_SCHREIER_CAP)
 
-    p = add("order", cmd_order, "order of the level-n quotient of a subgroup")
+    p = add("order", cmd_order, "order of the level-n quotient of a subgroup", system=True)
     p.add_argument("--gens", required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--system")
 
-    p = add("find-ab", cmd_find_ab, "descend a (1,1)-word to the projection ab")
-    p.add_argument("word")
-    p.add_argument("--budget", type=int, default=100_000)
-
-    p = add("find-binva", cmd_find_binva, "descend a (1,-1)-word to b^-1 a")
-    p.add_argument("word")
-    p.add_argument("--budget", type=int, default=100_000)
+    for name, search, help_text in (
+        ("find-ab", find_ab, "descend a (1,1)-word to the projection ab"),
+        ("find-binva", find_b_inv_a, "descend a (1,-1)-word to b^-1 a"),
+    ):
+        p = add(name, cmd_descend, help_text, search=search)
+        p.add_argument("word")
+        p.add_argument("--budget", type=int, default=DEFAULT_STATES)
 
     p = add("lift", cmd_lift, "rigid-stabilizer lift of a derived-subgroup word")
     p.add_argument("word")
     p.add_argument("vertex")
 
-    p = add("abelianize", cmd_abelianize, "exponent sums (s,t)")
-    p.add_argument("word")
-
-    p = add("heis", cmd_heis, "Heisenberg normal form (p,q,r)")
-    p.add_argument("word")
-
-    p = add("bprime", cmd_bprime, "derived-subgroup coordinates (l,m,n)")
-    p.add_argument("word")
+    for name, image, help_text in (
+        ("abelianize", ab_image, "exponent sums (s,t)"),
+        ("heis", heis_image, "Heisenberg normal form (p,q,r)"),
+        ("bprime", bprime_coords, "derived-subgroup coordinates (l,m,n)"),
+    ):
+        p = add(name, cmd_coords, help_text, image=image)
+        p.add_argument("word")
 
     p = add("prodense", cmd_prodense, "search for a full-projection certificate")
     p.add_argument("--gens", required=True)
-    p.add_argument("--budget", type=int, default=100_000)
-    p.add_argument("--schreier-cap", type=int, default=64)
-    p.add_argument("--max-depth", type=int, default=16)
+    p.add_argument("--budget", type=int, default=DEFAULT_STATES)
+    p.add_argument("--schreier-cap", type=int, default=DEFAULT_SCHREIER_CAP)
+    p.add_argument("--max-depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument("--out", help="write the certificate to a file")
 
     p = add("verify", cmd_verify, "replay a projection certificate file")

@@ -92,11 +92,9 @@ MEMO_LETTERS = 64
 # 16 MB; with this bound it answers 3150 and grows it by 1.5 MB
 
 MAX_LEVEL_POINTS = 1 << 16
-# vertices a level permutation may have (level 16 of the binary tree); the
-# level-quotient orders are already minutes of work at level 10
-
-MAX_PORTRAIT_VERTICES = 1 << 16
-# vertices one level of a portrait may label
+# vertices one level may have: of a level permutation, a portrait or an orbit
+# (level 16 of the binary tree); the level-quotient orders are already minutes
+# of work at level 10
 
 _BYTE_IDENTITY = bytes(range(256))
 
@@ -174,14 +172,6 @@ class Perm:
         if sorted(images) != list(range(len(images))):
             raise InputError(f"not a permutation: {images!r}")
         object.__setattr__(self, "images", images)
-
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(range(n))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
 
     def __call__(self, x: int) -> int:
         return self.images[x]
@@ -331,11 +321,8 @@ class GeneratorSystem:
         self._key_tables = {
             l: bytes(self._fold((l,), key_level)) + fixed for l in self._letter_root
         }
-        # per-system state of other layers: the ball registry of `norms`
-        # (built on first use) and the full group's level-quotient orders
-        # of `permgrp`
+        # the ball registry of `norms`, built on first use
         self._ball_registry = None
-        self._full_level_orders: dict[int, int] = {}
 
     # -- surface syntax ----------------------------------------------------
 
@@ -739,17 +726,17 @@ class Element:
 
         Raises ``BudgetExceededError`` (``partial``: the number of complete
         levels) before labelling a level of more than
-        ``MAX_PORTRAIT_VERTICES`` vertices.
+        ``MAX_LEVEL_POINTS`` vertices.
         """
         if depth < 0:
             raise InputError("portrait depth must be non-negative")
         labels: dict[str, Perm] = {}
         frontier = [("", self.word)]
         for level in range(depth):
-            if len(frontier) > MAX_PORTRAIT_VERTICES:
+            if len(frontier) > MAX_LEVEL_POINTS:
                 raise BudgetExceededError(
                     f"portrait level {level} has more than "
-                    f"{MAX_PORTRAIT_VERTICES} vertices",
+                    f"{MAX_LEVEL_POINTS} vertices",
                     partial=level,
                 )
             next_frontier = []
@@ -790,11 +777,6 @@ class Portrait(NamedTuple):
 
     depth: int
     labels: dict[str, Perm]
-
-    def label(self, vertex: str) -> Perm:
-        if vertex not in self.labels:
-            raise InputError(f"vertex {vertex!r} not covered by this portrait")
-        return self.labels[vertex]
 
     def to_dot(self) -> str:
         """DOT graph with one node per labeled vertex."""

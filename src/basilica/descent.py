@@ -42,6 +42,7 @@ from .core import (
 )
 from .norms import geodesic_rep
 from .permgrp import (
+    DEFAULT_SCHREIER_CAP,
     HWord,
     SubgroupHandle,
     hword_parse,
@@ -49,6 +50,12 @@ from .permgrp import (
     projection_pairs,
 )
 from .structure import ab_image, require_basilica
+
+DEFAULT_STATES = 100_000
+# descent states one search may visit
+DEFAULT_DEPTH = 16
+# deepest vertex a projection search may use; a certificate records both
+# budgets it ran with (``budget-states``, ``budget-depth``)
 
 CLASS_AB = (1, 1)
 CLASS_AB_INV = (1, -1)
@@ -97,6 +104,8 @@ class DescentCertificate(NamedTuple):
 
 
 def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> DescentCertificate:
+    if max_states < 0:
+        raise InputError(f"descent budget must be non-negative, got {max_states}")
     require_basilica(g)
     image = ab_image(g)
     if image not in allowed:
@@ -133,14 +142,14 @@ def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> De
     )
 
 
-def find_ab(g: Element, max_states: int = 100_000) -> DescentCertificate:
+def find_ab(g: Element, max_states: int = DEFAULT_STATES) -> DescentCertificate:
     """Descend from g (image (1,1)) to an exact projection equal to ab."""
     system = require_basilica(g)
     target = system.element("ab")
     return _descend(g, target, (CLASS_AB,), max_states)
 
 
-def find_b_inv_a(g: Element, max_states: int = 100_000) -> DescentCertificate:
+def find_b_inv_a(g: Element, max_states: int = DEFAULT_STATES) -> DescentCertificate:
     """Descend from g (image (1,-1) or (-1,1)) to a projection equal to b^-1 a.
 
     Only positive powers are tracked: from the (1,-1) class the first
@@ -351,9 +360,9 @@ class FailureReport(NamedTuple):
 
 def prodense_projection_search(
     H: SubgroupHandle,
-    max_states: int = 100_000,
-    schreier_cap: int = 64,
-    max_depth: int = 16,
+    max_states: int = DEFAULT_STATES,
+    schreier_cap: int = DEFAULT_SCHREIER_CAP,
+    max_depth: int = DEFAULT_DEPTH,
 ):
     """Run the projection pipeline; a certificate on success, else a report.
 

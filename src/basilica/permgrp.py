@@ -9,6 +9,8 @@ induced polycyclic sequence along the level stabilizers, with elements as
 ``bytes`` multiplied by ``bytes.translate`` up to 256 points (level 8) and as
 tuples above.  That covers every level action of a binary system, so
 ``level_quotient_equals_full`` and the ``order`` command take this path.
+The full-quotient test is a membership test: it sifts the full group's
+generators through the subgroup's chain and never counts the full group.
 Any other input (other degrees, d >= 3 systems, permutations that break the
 blocks) goes through a deterministic Schreier-Sims stabilizer chain, which
 raises ``BudgetExceededError`` (its ``partial``: the base length so far)
@@ -24,7 +26,7 @@ way, for ``projected_subgroup`` and the projection search alike.
 from __future__ import annotations
 
 from operator import itemgetter, xor
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .core import (
     MAX_LEVEL_POINTS,
@@ -47,6 +49,10 @@ MAX_SCHREIER_SIFTS = 10_000
 # of a d = 3 system (degree 81) takes about 4300, and its level-5 quotient
 # (degree 243, 85 s to finish) reaches this bound after about 7 s, both
 # on a 2-CPU VM with Python 3.11
+
+DEFAULT_SCHREIER_CAP = 64
+# Schreier generators a vertex stabilizer keeps; a certificate records the
+# cap it ran with (``budget-schreier``)
 
 HWord = tuple[int, ...]
 # a word over a subgroup's generator list; letter +(i+1) is generator i,
@@ -110,7 +116,7 @@ class SchreierTable(NamedTuple):
     transversal: dict[str, HWord]
 
     def table(self) -> str:
-        lines = [f"{v}\t{hword_str(self.transversal[v])}" for v in self.orbit]
+        lines = [f"{v or 'e'}\t{hword_str(self.transversal[v])}" for v in self.orbit]
         return "\n".join(lines) + "\n"
 
 
@@ -148,7 +154,7 @@ def orbit(H: SubgroupHandle, vertex: str) -> SchreierTable:
 
 
 def stabilizer_generator_pairs(
-    H: SubgroupHandle, vertex: str, cap: int = 64
+    H: SubgroupHandle, vertex: str, cap: int = DEFAULT_SCHREIER_CAP
 ) -> list[tuple[Element, HWord]]:
     """Schreier generators of the vertex stabilizer with their hwords.
 
@@ -178,7 +184,7 @@ def stabilizer_generator_pairs(
 
 
 def projection_pairs(
-    H: SubgroupHandle, vertex: str, cap: int = 64
+    H: SubgroupHandle, vertex: str, cap: int = DEFAULT_SCHREIER_CAP
 ) -> list[tuple[Element, HWord]]:
     """Generators of the projection H_v with their hwords over H.
 
@@ -193,7 +199,9 @@ def projection_pairs(
     return pairs
 
 
-def projected_subgroup(H: SubgroupHandle, vertex: str, cap: int = 64) -> SubgroupHandle:
+def projected_subgroup(
+    H: SubgroupHandle, vertex: str, cap: int = DEFAULT_SCHREIER_CAP
+) -> SubgroupHandle:
     """The projection H_v: sections at v of the vertex-stabilizer generators."""
     return SubgroupHandle(H.system, [sec for sec, _ in projection_pairs(H, vertex, cap)])
 
@@ -209,6 +217,12 @@ def group_order(perms: Sequence) -> int:
     ``level_perms`` output of a binary system is such input.  Everything
     else goes through the stabilizer chain (``_schreier_sims_order``).
     """
+    return _chain(perms)[0]
+
+
+def _chain(perms: Sequence) -> tuple[int, Callable[[tuple[int, ...]], bool]]:
+    """``group_order``'s order, with a membership test for image tuples of
+    the same degree that sifts through the chain the order was read from."""
     gens = []
     identity = None
     for p in perms:
@@ -220,7 +234,7 @@ def group_order(perms: Sequence) -> int:
         if images != identity:
             gens.append(images)
     if not gens:
-        return 1
+        return 1, lambda p: p == tuple(range(len(p)))
     if len(identity).bit_count() == 1 and all(map(_keeps_dyadic_blocks, gens)):
         return _tree_order(gens)
     return _schreier_sims_order(gens)
@@ -236,8 +250,9 @@ def _keeps_dyadic_blocks(g: tuple[int, ...]) -> bool:
     return True
 
 
-def _tree_order(gens: list[tuple[int, ...]]) -> int:
-    """Order of a group of binary-tree automorphisms of the 2^n leaves.
+def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
+    """Order of a group of binary-tree automorphisms of the 2^n leaves, and
+    a membership test for permutations of the same leaves.
 
     Builds an induced polycyclic sequence with C2 factors along the series of
     level stabilizers St(0) > St(1) > ... > St(n) = 1 (Holt, Eick and
@@ -253,19 +268,20 @@ def _tree_order(gens: list[tuple[int, ...]]) -> int:
     joins the sequence, and its square and its commutators with every earlier
     element are sifted in turn.  Once all of these sift to the identity, the
     elements that sift to the identity form the group, so its order is
-    2^(sequence length).  Up to 256 leaves an element is ``bytes`` and each
-    product or flip vector one ``bytes.translate``; above, a tuple.
+    2^(sequence length), and a permutation of the leaves is a member exactly
+    when it sifts to the identity.  Up to 256 leaves an element is ``bytes``
+    and each product or flip vector one ``bytes.translate``; above, a tuple.
     """
     degree = len(gens[0])
     n = degree.bit_length() - 1
     # flips[s][x]: which child of its height-(s+1) ancestor leaf x lies under
     flips = [(bytes(1 << s) + b"\1" * (1 << s)) * (max(degree, 256) >> s + 1) for s in range(n)]
     if degree <= 256:  # apply(g, table(w)) is w o g; inverse(w) is table(w^-1)
-        gens, identity, pad = map(bytes, gens), bytes(range(degree)), bytes(range(degree, 256))
+        convert, identity, pad = bytes, bytes(range(degree)), bytes(range(degree, 256))
         table, inverse = lambda w: w + pad, lambda w: bytes.maketrans(w, identity)
         apply = gather = bytes.translate
     else:
-        identity, table, inverse = tuple(range(degree)), tuple, invert_images
+        convert, identity, table, inverse = tuple, tuple(range(degree)), tuple, invert_images
         apply = lambda g, t: itemgetter(*g)(t)
         gather = lambda h, t: bytes(map(t.__getitem__, h))
     # echelons[k]: leading digit -> (flip vector, table of the sequence element)
@@ -287,9 +303,11 @@ def _tree_order(gens: list[tuple[int, ...]]) -> int:
                 w, w_table = entry
                 v ^= w
                 g = apply(g, w_table)
-        return None
+        # St(n) is trivial, so a tree automorphism is the identity by now;
+        # a permutation that is not the identity here is no member
+        return None if g == identity else (n + 1, 0, g)
 
-    queue = [(g, 1) for g in gens]
+    queue = [(convert(g), 1) for g in gens]
     while queue:
         found = sift(*queue.pop())
         if found is None:
@@ -305,12 +323,13 @@ def _tree_order(gens: list[tuple[int, ...]]) -> int:
             if rb != apply(r, b_table):
                 queue.append((apply(apply(rb, b_inv), r_inv), max(k, l)))
         sequence.append((k, r, r_table, r_inv))
-    return 2 ** len(sequence)
+    return 2 ** len(sequence), lambda g: sift(convert(g), 1) is None
 
 
-def _schreier_sims_order(gens: list[tuple[int, ...]]) -> int:
+def _schreier_sims_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
     """Order of the group generated by a nonempty list of image tuples of one
-    degree, by a stabilizer chain.
+    degree, by a stabilizer chain, and a membership test for image tuples of
+    that degree: a member strips to the identity.
 
     Base points are chosen as the smallest moved point, so the chain is
     deterministic.  Generator lists per level are cumulative: level i holds
@@ -403,7 +422,7 @@ def _schreier_sims_order(gens: list[tuple[int, ...]]) -> int:
     order = 1
     for lv in levels:
         order *= len(lv.points)
-    return order
+    return order, lambda p: strip(p, 0)[0] == identity
 
 
 def level_perms(system: GeneratorSystem, elements: Sequence[Element], n: int) -> list[Perm]:
@@ -411,10 +430,9 @@ def level_perms(system: GeneratorSystem, elements: Sequence[Element], n: int) ->
 
 
 def level_quotient_equals_full(H: SubgroupHandle, n: int) -> bool:
-    """Whether H surjects onto the full group's level-n quotient."""
+    """Whether H surjects onto the full group's level-n quotient: whether
+    every generator of the full group acts on level n as an element of H,
+    sifted through the chain of H's level-n quotient."""
     system = H.system
-    cache = system._full_level_orders
-    if n not in cache:
-        cache[n] = group_order(level_perms(system, system.generators(), n))
-    sub = group_order(level_perms(system, H.generators, n))
-    return sub == cache[n]
+    _, contains = _chain(level_perms(system, H.generators, n))
+    return all(contains(system.word_level_perm(g.word, n)) for g in system.generators())

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from basilica import ConsistencyError, basilica, cli, core, norms, permgrp
 from basilica.cli import main
 
@@ -65,6 +67,12 @@ def test_orbit_golden(capsys):
     code, out, _ = run(capsys, "orbit", "--gens", "b", "--vertex", "0")
     assert code == 0
     assert out == "0\te\n1\tg0\n"
+
+
+def test_orbit_prints_root_as_e(capsys):
+    code, out, _ = run(capsys, "orbit", "--gens", "a", "--vertex", "")
+    assert code == 0
+    assert out == "e\te\n"
 
 
 def test_orbit_non_ascii_vertex_is_parse_error(capsys):
@@ -217,6 +225,20 @@ def test_prodense_negative_budget_is_parse_error(tmp_path, capsys):
     assert not cert_file.exists()
 
 
+@pytest.mark.parametrize(
+    "command, word", [("find-ab", "bAbbbaBBaB"), ("find-ab", "ab"), ("find-binva", "aB")]
+)
+def test_descent_negative_budget_is_parse_error(capsys, command, word):
+    code, out, err = run(capsys, command, word, "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: descent budget must be non-negative, got -1\n"
+
+
+def test_descent_zero_budget(capsys):
+    assert run(capsys, "find-ab", "ab", "--budget", "0") == (0, "vertex=e k=0\n", "")
+
+
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "--cert", "/nonexistent/cert.txt")
     assert code == 2
@@ -288,7 +310,7 @@ def test_order_sift_budget_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_portrait_budget_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(core, "MAX_PORTRAIT_VERTICES", 4)
+    monkeypatch.setattr(core, "MAX_LEVEL_POINTS", 4)
     assert run(capsys, "portrait", "ab", "--depth", "3")[0] == 0
     code, out, err = run(capsys, "portrait", "ab", "--depth", "4")
     assert code == 4

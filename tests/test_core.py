@@ -259,7 +259,7 @@ def _reference_letter_perm(kind, letter, n):
 
 def _reference_level_perm(kind, word, n):
     """Product of the letters' level-n Perms; level 0 has one vertex."""
-    p = Perm.identity(parse_system(_SYSTEMS[kind]).alphabet_size ** n)
+    p = Perm(range(parse_system(_SYSTEMS[kind]).alphabet_size ** n))
     for l in word if n else ():
         p = p * _reference_letter_perm(kind, l, n)
     return p
@@ -369,7 +369,7 @@ def test_level_perm_budget(monkeypatch):
 
 
 def test_portrait_budget(B, monkeypatch):
-    monkeypatch.setattr(core, "MAX_PORTRAIT_VERTICES", 4)
+    monkeypatch.setattr(core, "MAX_LEVEL_POINTS", 4)
     assert len(B.element("ab").portrait(3).labels) == 7
     with pytest.raises(BudgetExceededError) as info:
         B.element("ab").portrait(4)
@@ -433,15 +433,15 @@ def test_portrait(B):
     assert p.depth == 3 and all(l.is_identity() for l in p.labels.values())
     assert len(p.labels) == 7
     p = b.portrait(1)
-    assert p.label("") == Perm((1, 0))
+    assert p.labels[""] == Perm((1, 0))
     p = (a * a).portrait(2)
-    assert p.label("").is_identity()
-    assert p.label("0").is_identity()
-    assert p.label("1").is_identity()
+    assert p.labels[""].is_identity()
+    assert p.labels["0"].is_identity()
+    assert p.labels["1"].is_identity()
     # a^2 = (1, b^2) and b^2 = (a, a), so the first swap sits below 111
     deeper = (a * a).portrait(4)
-    assert deeper.label("11").is_identity()
-    assert deeper.label("111") == Perm((1, 0))
+    assert deeper.labels["11"].is_identity()
+    assert deeper.labels["111"] == Perm((1, 0))
 
 
 def test_portrait_labels_match_sections(B, rng):
@@ -450,12 +450,6 @@ def test_portrait_labels_match_sections(B, rng):
         p = g.portrait(3)
         for v, label in p.labels.items():
             assert label == g.section_at_vertex(v).root_perm()
-
-
-def test_portrait_uncovered_vertex(B):
-    p = B.generator("b").portrait(1)
-    with pytest.raises(InputError):
-        p.label("00")
 
 
 def test_unknown_generator_name(B):
@@ -533,6 +527,6 @@ def test_perm_api():
     assert (p * q).images == (1, 0, 2)
     assert (~p).images == (2, 0, 1)
     assert str(p) == "(0 1 2)"
-    assert str(Perm.identity(3)) == "e"
+    assert str(Perm(range(3))) == "e"
     with pytest.raises(InputError):
         Perm((0, 0, 1))

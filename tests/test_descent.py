@@ -100,6 +100,18 @@ def test_descent_budget(B):
     assert "states" in str(exc.value)
 
 
+def test_find_ab_negative_budget(B):
+    # ab is its own target, so a search would end before counting a state
+    with pytest.raises(InputError, match="descent budget must be non-negative, got -1"):
+        find_ab(B.element("ab"), max_states=-1)
+    assert find_ab(B.element("ab"), max_states=0).exponent_log == 0
+
+
+def test_find_b_inv_a_negative_budget(B):
+    with pytest.raises(InputError, match="descent budget must be non-negative, got -2"):
+        find_b_inv_a(B.element("aB"), max_states=-2)
+
+
 def test_persist_ab(B):
     ab = B.element("ab")
     ba = B.element("ba")

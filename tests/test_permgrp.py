@@ -226,7 +226,7 @@ def test_tree_order_agrees_with_schreier_sims(words, n):
     perms = level_perms(B, [B.element(w) for w in words], n)
     images = [p.images for p in perms]
     assert all(_keeps_dyadic_blocks(g) for g in images)
-    assert group_order(perms) == _schreier_sims_order(images)
+    assert group_order(perms) == _schreier_sims_order(images)[0]
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
@@ -263,7 +263,7 @@ def test_group_order_off_the_tree():
     # tree would be wrong
     s3 = [(1, 2, 0, 3), (1, 0, 2, 3)]
     assert not _keeps_dyadic_blocks(s3[0])
-    assert group_order(s3) == _schreier_sims_order(s3) == 6
+    assert group_order(s3) == _schreier_sims_order(s3)[0] == 6
     assert group_order([(0, 2, 1, 3)]) == 2
     assert group_order([(1, 0, 3, 2), (0, 2, 1, 3)]) == 8
 
@@ -277,7 +277,7 @@ def test_group_order_off_the_tree():
 def test_schreier_sims_agrees_with_closure(gens):
     # random permutations, mostly off the tree path, against brute force
     images = [tuple(p) for p in gens]
-    assert _schreier_sims_order(images) == mulclose([Perm(p) for p in images])
+    assert _schreier_sims_order(images)[0] == mulclose([Perm(p) for p in images])
 
 
 _D3_SYSTEM = "alphabet 3; gen a perm=1,2,0 sections=e,b,a; gen b perm=0,2,1 sections=aB,e,b"
@@ -287,7 +287,7 @@ def test_schreier_sims_sift_budget(monkeypatch):
     # the S8 chain from a transposition and an 8-cycle makes exactly 35 sifts
     gens = [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)]
     monkeypatch.setattr(permgrp, "MAX_SCHREIER_SIFTS", 35)
-    assert _schreier_sims_order(gens) == 40320
+    assert _schreier_sims_order(gens)[0] == 40320
     for budget, base_points in ((34, 7), (10, 6), (0, 0)):
         monkeypatch.setattr(permgrp, "MAX_SCHREIER_SIFTS", budget)
         with pytest.raises(BudgetExceededError) as exc:
@@ -323,6 +323,52 @@ def test_level_quotient_equals_full(handles):
     assert level_quotient_equals_full(Hab, 3)
     assert not level_quotient_equals_full(Ha, 1)
     assert not level_quotient_equals_full(SubgroupHandle(B, [B.element("ab")]), 2)
+    # degree 4 = 2^2: <x> takes the tree path, and y, which splits the
+    # pairs x keeps, reduces through x's echelon to a residue other than
+    # the identity, so it is no member
+    d4 = parse_system(
+        "alphabet 4; gen x perm=1,0,3,2 sections=e,e,e,e; gen y perm=1,2,3,0 sections=e,e,e,e"
+    )
+    assert not level_quotient_equals_full(SubgroupHandle(d4, [d4.element("x")]), 1)
+    assert level_quotient_equals_full(SubgroupHandle(d4, [d4.element("y"), d4.element("x")]), 1)
+
+
+# system, deepest level tested; the systems are those of the ROADMAP Baseline
+_QUOTIENT_SYSTEMS = {
+    "basilica": (basilica(), 6),
+    "grigorchuk": (parse_system(
+        "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,c; "
+        "gen c perm=0,1 sections=a,d; gen d perm=0,1 sections=e,b"
+    ), 6),
+    "gupta-sidki": (parse_system(
+        "alphabet 3; gen a perm=1,2,0 sections=e,e,e; gen b perm=0,1,2 sections=a,A,b"
+    ), 2),
+    "d3": (parse_system(_D3_SYSTEM), 2),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=240)
+@given(st.sampled_from(sorted(_QUOTIENT_SYSTEMS)), st.data())
+def test_full_quotient_test_agrees_with_orders(name, data):
+    system, top = _QUOTIENT_SYSTEMS[name]
+    n = data.draw(st.integers(min_value=1, max_value=top))
+    letters = "".join(c + c.upper() for c in system.names)
+    names = st.sampled_from(system.names)
+    words = data.draw(st.lists(names, max_size=len(system.names), unique=True))
+    words += data.draw(st.lists(st.text(alphabet=letters, max_size=4), max_size=3))
+    gens = [system.element(w) for w in words]
+    # a level-n action of a d-ary system has order dividing exp(S_d)^n, so
+    # these powers act trivially on level n
+    exponent = (2 if system.alphabet_size == 2 else 6) ** n
+    powered = st.lists(st.text(alphabet=letters, min_size=1, max_size=3), max_size=2)
+    for w in data.draw(powered):
+        g = system.element(w) ** exponent
+        assert g.level_perm(n).is_identity()
+        gens.append(g)
+    gens = data.draw(st.permutations(gens))
+    H = SubgroupHandle(system, gens)
+    full = group_order(level_perms(system, system.generators(), n))
+    assert level_quotient_equals_full(H, n) == (group_order(level_perms(system, gens, n)) == full)
 
 
 def test_orbit_stabilizer_identity(handles):
