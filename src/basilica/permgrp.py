@@ -7,14 +7,18 @@ points that keep the dyadic blocks together are automorphisms of the binary
 tree of depth n; they generate a 2-group, counted by sifting through an
 induced polycyclic sequence along the level stabilizers, with elements as
 ``bytes`` multiplied by ``bytes.translate`` up to 256 points (level 8) and as
-tuples above.  That covers every level action of a binary system, so
-``level_quotient_equals_full`` and the ``order`` command take this path.
-The full-quotient test is a membership test: it sifts the full group's
-generators through the subgroup's chain and never counts the full group.
-Any other input (other degrees, d >= 3 systems, permutations that break the
-blocks) goes through a deterministic Schreier-Sims stabilizer chain, which
-raises ``BudgetExceededError`` (its ``partial``: the base length so far)
-past ``MAX_SCHREIER_SIFTS`` sifts.
+tuples above.  That covers every level action of a binary system, so the
+``order`` command takes this path.  The full-quotient test of a binary
+system whose generators have independent level parities (per level, the
+parity of the vertices whose children an element swaps) builds no chain:
+those parities give the full group's Frattini quotient, and the subgroup is
+full exactly when its generators' parities have the same rank.  Otherwise
+it is a membership test: it sifts the full group's generators through the
+subgroup's chain and never counts the full group.  Any other input (other
+degrees, d >= 3 systems, permutations that break the blocks) goes through
+a deterministic Schreier-Sims stabilizer chain, which raises
+``BudgetExceededError`` (its ``partial``: the base length so far) past
+``MAX_SCHREIER_SIFTS`` sifts.
 
 Subgroup elements are tracked together with their expressions over the
 subgroup's own generators (an "hword": signed 1-based indices into the
@@ -25,6 +29,7 @@ way, for ``projected_subgroup`` and the projection search alike.
 
 from __future__ import annotations
 
+from functools import reduce
 from operator import itemgetter, xor
 from typing import Callable, NamedTuple, Sequence
 
@@ -160,7 +165,10 @@ def stabilizer_generator_pairs(
 
     One exact lookup in an index seeded with the identity drops trivial
     and repeated elements; at most ``cap`` survive, shorter ones first.
+    Raises ``InputError`` when ``cap`` is negative.
     """
+    if cap < 0:
+        raise InputError(f"stabilizer cap must be non-negative, got {cap}")
     tab = orbit(H, vertex)
     candidates: list[tuple[Element, HWord]] = []
     for u in tab.orbit:
@@ -430,9 +438,54 @@ def level_perms(system: GeneratorSystem, elements: Sequence[Element], n: int) ->
 
 
 def level_quotient_equals_full(H: SubgroupHandle, n: int) -> bool:
-    """Whether H surjects onto the full group's level-n quotient: whether
-    every generator of the full group acts on level n as an element of H,
-    sifted through the chain of H's level-n quotient."""
+    """Whether H surjects onto the full group's level-n quotient G_n.
+
+    For a binary system with generators g_1, ..., g_m, let psi send an
+    automorphism of the depth-n tree to its level parities: per level j, the
+    parity of the number of level-j vertices at which it swaps the two
+    children.  gh swaps below v when exactly one of g below h(v) and h below
+    v does, and h permutes each level, so psi is a homomorphism to F_2^n
+    (the abelianisation of Aut(T_n)) with psi(g^-1) = psi(g), and psi of a
+    word is the XOR of psi over its letters.  Its image is elementary
+    abelian, so its kernel contains the Frattini subgroup
+    Phi(G_n) = G_n^2 [G_n, G_n], and psi(G_n) is a quotient of
+    G_n/Phi(G_n) = F_2^d(G_n), d the least number of generators.  When
+    psi(g_1), ..., psi(g_m) are independent, m <= dim psi(G_n) <= d(G_n)
+    <= m, so psi induces an isomorphism G_n/Phi(G_n) -> psi(G_n).  By the
+    Burnside basis theorem H_n = G_n exactly when H_n maps onto
+    G_n/Phi(G_n): when psi of H's generators has rank m.  No chain is
+    built then.
+
+    Otherwise (d >= 3, or dependent parities, as for the Basilica group at
+    level 1 or the Grigorchuk group) the answer is whether every g_i acts on
+    level n as an element of H, sifted through the chain of H's level-n
+    quotient.
+    """
     system = H.system
+    if system.alphabet_size == 2:
+        psi = [_level_parities(system.word_level_perm(g.word, n)) for g in system.generators()]
+        if _f2_rank(psi) == len(psi):
+            h_psi = [reduce(xor, (psi[abs(l) - 1] for l in h.word), 0) for h in H.generators]
+            return _f2_rank(h_psi) == len(psi)
     _, contains = _chain(level_perms(system, H.generators, n))
     return all(contains(system.word_level_perm(g.word, n)) for g in system.generators())
+
+
+def _level_parities(p: tuple[int, ...]) -> int:
+    """psi of a level-n action of the binary tree, one bit per level: the
+    first leaf below a vertex v of height s + 1 lands below the second child
+    of v's image exactly when the action swaps v's children, so the parity
+    is bit s of the XOR of those leaves' images."""
+    return sum((reduce(xor, p[:: 2 << s]) >> s & 1) << s for s in range(len(p).bit_length() - 1))
+
+
+def _f2_rank(vectors: Sequence[int]) -> int:
+    """Rank over F_2 of bit vectors held in ints."""
+    basis: list[int] = []
+    for v in vectors:
+        # clears the leading bit of b, which no later basis vector has set
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)

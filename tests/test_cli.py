@@ -98,9 +98,12 @@ def test_stab_golden(capsys):
 
 
 def test_stab_cap(capsys):
-    for cap, want in (("-1", ""), ("0", ""), ("1", "BAba\tG0 g1\n")):
+    for cap, want in (("0", ""), ("1", "BAba\tG0 g1\n")):
         code, out, _ = run(capsys, "stab", "--gens", "ab,ba", "--vertex", "0", "--cap", cap)
         assert (code, out) == (0, want)
+    assert run(capsys, "stab", "--gens", "a,b", "--vertex", "0", "--cap", "-1") == (
+        2, "", "parse error: stabilizer cap must be non-negative, got -1\n"
+    )
 
 
 def test_order_golden(capsys):

@@ -158,8 +158,10 @@ def test_stabilizer_cap_bounds_survivors(handles):
     H = SubgroupHandle.from_words(B, ["ab", "ba"])
     full = stabilizer_generator_pairs(H, "0")
     assert len(full) == 3
-    for cap in (-1, 0, 1, 2, 3, 4):
-        assert stabilizer_generator_pairs(H, "0", cap=cap) == full[: max(cap, 0)]
+    for cap in (0, 1, 2, 3, 4):
+        assert stabilizer_generator_pairs(H, "0", cap=cap) == full[:cap]
+    with pytest.raises(InputError, match="stabilizer cap must be non-negative, got -1"):
+        stabilizer_generator_pairs(H, "0", cap=-1)
 
 
 def test_stabilizer_pairs_expressions_match(handles):
@@ -331,10 +333,34 @@ def test_level_quotient_equals_full(handles):
     )
     assert not level_quotient_equals_full(SubgroupHandle(d4, [d4.element("x")]), 1)
     assert level_quotient_equals_full(SubgroupHandle(d4, [d4.element("y"), d4.element("x")]), 1)
+    # b swaps below both level-1 vertices, so its level parities are zero
+    # and G_2 = C2 x C2 has them of rank 1: <a> has the full group's
+    # parities, yet is not full, which the chain decides
+    blind = _QUOTIENT_SYSTEMS["parity-blind"][0]
+    assert group_order(level_perms(blind, blind.generators(), 2)) == 4
+    assert not level_quotient_equals_full(SubgroupHandle.from_words(blind, ["a"]), 2)
+    assert level_quotient_equals_full(SubgroupHandle.from_words(blind, ["ab", "b"]), 2)
 
 
-# system, deepest level tested; the systems are those of the ROADMAP Baseline
+def test_full_quotient_parity_path_builds_no_chain(monkeypatch):
+    def no_chain(perms):
+        raise AssertionError("the level parities decide this test")
+
+    monkeypatch.setattr(permgrp, "_chain", no_chain)
+    B = basilica()
+    for n in range(2, 11):
+        for words in (["a", "b"], ["a", "ab"]):
+            assert level_quotient_equals_full(SubgroupHandle.from_words(B, words), n)
+        for words in (["ab", "ba", "bb"], ["a", "bab"]):
+            assert not level_quotient_equals_full(SubgroupHandle.from_words(B, words), n)
+
+
+# system, deepest level tested; the systems are those of the ROADMAP
+# Baseline, and one whose level parities miss a generator
 _QUOTIENT_SYSTEMS = {
+    "parity-blind": (parse_system(
+        "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,a"
+    ), 6),
     "basilica": (basilica(), 6),
     "grigorchuk": (parse_system(
         "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,c; "
@@ -347,10 +373,26 @@ _QUOTIENT_SYSTEMS = {
 }
 
 
+@st.composite
+def _binary_systems(draw):
+    """A binary system of 1-4 generators with sections of at most 2 letters."""
+    names = "abcd"[: draw(st.integers(min_value=1, max_value=4))]
+    section = st.text(alphabet=names + names.upper(), max_size=2).map(lambda w: w or "e")
+    gens = [
+        f"gen {c} perm={draw(st.sampled_from(['0,1', '1,0']))} "
+        f"sections={draw(section)},{draw(section)}"
+        for c in names
+    ]
+    return parse_system("; ".join(["alphabet 2", *gens]))
+
+
 @settings(derandomize=True, deadline=None, max_examples=240)
-@given(st.sampled_from(sorted(_QUOTIENT_SYSTEMS)), st.data())
+@given(st.sampled_from([*sorted(_QUOTIENT_SYSTEMS), "random binary"]), st.data())
 def test_full_quotient_test_agrees_with_orders(name, data):
-    system, top = _QUOTIENT_SYSTEMS[name]
+    if name == "random binary":
+        system, top = data.draw(_binary_systems()), 5
+    else:
+        system, top = _QUOTIENT_SYSTEMS[name]
     n = data.draw(st.integers(min_value=1, max_value=top))
     letters = "".join(c + c.upper() for c in system.names)
     names = st.sampled_from(system.names)
