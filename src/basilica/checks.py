@@ -473,9 +473,13 @@ SUITES = {
 def run_checks(only=None, seed: int = 0) -> CheckReport:
     """Run the verification suites (all by default) into one report."""
     names = list(SUITES) if only is None else list(only)
+    if not names:
+        raise InputError(f"no suite selected; choose from {sorted(SUITES)}")
     for name in names:
         if name not in SUITES:
             raise InputError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        if names.count(name) > 1:
+            raise InputError(f"suite {name!r} selected more than once")
     collector = _Collector()
     for name in names:
         SUITES[name](collector, random.Random(seed))

@@ -21,6 +21,7 @@ from .core import (
     PreconditionError,
     basilica,
     load_system,
+    vertex_str,
 )
 from .checks import SUITES, run_checks
 from .descent import (
@@ -77,11 +78,10 @@ def _print_sections(g: Element) -> None:
 def cmd_eval(args) -> int:
     system = _system(args)
     g = system.element(args.word)
+    portrait = g.portrait(args.depth)
     _print_sections(g)
-    if args.depth:
-        portrait = g.portrait(args.depth)
-        for vertex in sorted(portrait.labels, key=lambda v: (len(v), v)):
-            print(f"portrait {vertex or 'e'}: {portrait.labels[vertex]}")
+    for vertex, label in portrait.labels.items():
+        print(f"portrait {vertex_str(vertex)}: {label}")
     return EXIT_OK
 
 
@@ -92,8 +92,8 @@ def cmd_portrait(args) -> int:
     if args.dot:
         sys.stdout.write(portrait.to_dot())
     else:
-        for vertex in sorted(portrait.labels, key=lambda v: (len(v), v)):
-            print(f"{vertex or 'e'}\t{portrait.labels[vertex]}")
+        for vertex, label in portrait.labels.items():
+            print(f"{vertex_str(vertex)}\t{label}")
     return EXIT_OK
 
 
@@ -139,7 +139,7 @@ def cmd_order(args) -> int:
 
 def cmd_descend(args) -> int:
     cert = args.search(basilica().element(args.word), max_states=args.budget)
-    print(f"vertex={cert.vertex or 'e'} k={cert.exponent_log}")
+    print(f"vertex={vertex_str(cert.vertex)} k={cert.exponent_log}")
     return EXIT_OK
 
 
@@ -171,7 +171,7 @@ def cmd_prodense(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"projection certificate written to {args.out}")
-        print(f"vertex={result.vertex}")
+        print(f"vertex={vertex_str(result.vertex)}")
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -182,7 +182,7 @@ def cmd_verify(args) -> int:
         cert = parse_certificate(fh.read())
     H = SubgroupHandle.from_words(basilica(), cert.subgroup)
     if verify_certificate(H, cert):
-        print(f"certificate valid: projection at {cert.vertex or 'e'} is the full group")
+        print(f"certificate valid: projection at {vertex_str(cert.vertex)} is the full group")
         return EXIT_OK
     print("certificate INVALID")
     return EXIT_VERIFY
@@ -190,7 +190,7 @@ def cmd_verify(args) -> int:
 
 def cmd_check_paper(args) -> int:
     only = None
-    if args.only:
+    if args.only is not None:
         only = [name.strip() for name in args.only.split(",") if name.strip()]
     report = run_checks(only=only, seed=args.seed)
     sys.stdout.write(report.render())

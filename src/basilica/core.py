@@ -13,8 +13,9 @@ Conventions, fixed once and validated by the test suite:
   sigma_{gh} = sigma_g o sigma_h, hence (g^-1)_x = (g_{sigma_g^-1(x)})^-1;
 * section tuples are ordered with coordinate 0 leftmost (lexicographic
   vertex order);
-* surface syntax: a lowercase generator name inverts to its uppercase,
-  vertices are strings of digits, and `e` denotes the empty word.
+* surface syntax: a lowercase generator name inverts to its uppercase, `e`
+  denotes the empty word, and vertices (for at most 10 letters) are strings
+  of one digit per level, the root empty and printed and read as `e`.
 
 Triviality of an element is decided by closing its word under taking
 sections: the element is the identity iff every word in the closure has a
@@ -173,18 +174,6 @@ class Perm:
             raise InputError(f"not a permutation: {images!r}")
         object.__setattr__(self, "images", images)
 
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        """Composition p*q with (p*q)(x) = p(q(x))."""
-        if len(self.images) != len(other.images):
-            raise InputError("permutation degrees differ")
-        return Perm(compose_images(self.images, other.images))
-
-    def __invert__(self) -> "Perm":
-        return Perm(invert_images(self.images))
-
     def is_identity(self) -> bool:
         return all(x == y for x, y in enumerate(self.images))
 
@@ -221,6 +210,24 @@ class Perm:
 
 
 _NAME_ALPHABET = set(string.ascii_lowercase) - {"e"}  # `e` is the empty word
+
+_ROOT_VERTEX = "e"  # how commands print the root; parse_vertex reads it back
+
+
+def vertex_word(path: Iterable[int]) -> str:
+    """The canonical string of a vertex path: its digits, empty for the root."""
+    return "".join(map(str, path))
+
+
+def vertex_str(vertex: str) -> str:
+    """A canonical vertex string as commands print it: the root as ``e``."""
+    return vertex or _ROOT_VERTEX
+
+
+def _require_digit_vertices(alphabet_size: int) -> None:
+    """One digit per level names vertices unambiguously only up to 10 letters."""
+    if alphabet_size > 10:
+        raise InputError("string vertices only supported for alphabets up to 10")
 
 
 class GeneratorSystem:
@@ -286,7 +293,7 @@ class GeneratorSystem:
                 invert_word(secs[inv_root[x]]) for x in range(alphabet_size)
             )
         self._identity_root = ident
-        # the defining data, fixed once built: spec(), == and hash read it
+        # the defining data, fixed once built: == and hash read it
         self._spec = (
             alphabet_size,
             tuple(
@@ -344,8 +351,10 @@ class GeneratorSystem:
         return "".join(map(self._chars.__getitem__, word))
 
     def parse_vertex(self, vertex: str) -> tuple[int, ...]:
-        if self.alphabet_size > 10:
-            raise InputError("string vertices only supported for alphabets up to 10")
+        """The path of a vertex string; ``""`` and ``e`` are the root."""
+        _require_digit_vertices(self.alphabet_size)
+        if vertex == _ROOT_VERTEX:
+            return ()
         out = []
         for col, ch in enumerate(vertex, start=1):
             if ch not in string.digits[: self.alphabet_size]:
@@ -523,10 +532,7 @@ class GeneratorSystem:
                 cache[w] = False
         return False
 
-    # -- structural equality & serialization --------------------------------
-
-    def spec(self) -> tuple:
-        return self._spec
+    # -- structural equality -----------------------------------------------
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GeneratorSystem) and self._spec == other._spec
@@ -536,15 +542,6 @@ class GeneratorSystem:
 
     def __repr__(self) -> str:
         return f"GeneratorSystem(d={self.alphabet_size}, names={''.join(self.names)})"
-
-    def dump(self) -> str:
-        """Serialize in the group-definition file format."""
-        lines = [f"alphabet {self.alphabet_size}"]
-        for i, name in enumerate(self.names):
-            perm = ",".join(map(str, self._letter_root[i + 1]))
-            secs = ",".join(self.word_str(s) for s in self._letter_sections[i + 1])
-            lines.append(f"gen {name} perm={perm} sections={secs}")
-        return "\n".join(lines) + "\n"
 
 
 def parse_system(text: str) -> GeneratorSystem:
@@ -694,7 +691,7 @@ class Element:
     def act(self, vertex: str) -> str:
         """Image of a vertex under the left action."""
         path = self.system.parse_vertex(vertex)
-        return "".join(map(str, self.system.word_act(self.word, path)))
+        return vertex_word(self.system.word_act(self.word, path))
 
     def level_perm(self, n: int) -> Perm:
         """The permutation of the d^n level-n vertices (lexicographic order)."""
@@ -703,33 +700,32 @@ class Element:
     def is_trivial(self) -> bool:
         return self.system.word_is_trivial(self.word)
 
-    def substitute(self, rule: Mapping[str, object]) -> "Element":
+    def substitute(self, rule: Mapping[str, str]) -> "Element":
         """Apply a generator substitution letter-wise, then reduce.
 
-        The rule must map every generator name to a word (surface syntax or
-        Element); inverse letters map to inverted images.
+        The rule must map every generator name to a word in surface syntax;
+        inverse letters map to inverted images.
         """
         images = []
         for name in self.system.names:
             if name not in rule:
                 raise InputError(f"substitution rule misses generator {name!r}")
-            value = rule[name]
-            if isinstance(value, Element):
-                _same_system(self, value)
-                images.append(value.word)
-            else:
-                images.append(self.system.parse_word(value))
+            images.append(self.system.parse_word(rule[name]))
         return Element._reduced(self.system, free_reduce(substitute_word(self.word, images)))
 
     def portrait(self, depth: int) -> "Portrait":
-        """Root permutations of all sections above the given depth.
+        """Root permutations of all sections above the given depth, labelled
+        level by level in lexicographic vertex order.
 
-        Raises ``BudgetExceededError`` (``partial``: the number of complete
-        levels) before labelling a level of more than
+        Raises ``InputError`` when a label would name a vertex below the root
+        over more than 10 letters, and ``BudgetExceededError`` (``partial``:
+        the number of complete levels) before labelling a level of more than
         ``MAX_LEVEL_POINTS`` vertices.
         """
         if depth < 0:
             raise InputError("portrait depth must be non-negative")
+        if depth >= 2:
+            _require_digit_vertices(self.system.alphabet_size)
         labels: dict[str, Perm] = {}
         frontier = [("", self.word)]
         for level in range(depth):
@@ -781,10 +777,10 @@ class Portrait(NamedTuple):
     def to_dot(self) -> str:
         """DOT graph with one node per labeled vertex."""
         lines = ["digraph portrait {"]
-        for vertex in sorted(self.labels, key=lambda v: (len(v), v)):
+        for vertex in self.labels:
             node = "root" if vertex == "" else f"v{vertex}"
             lines.append(f'  {node} [label="{self.labels[vertex]}"];')
-        for vertex in sorted(self.labels, key=lambda v: (len(v), v)):
+        for vertex in self.labels:
             if vertex:
                 parent = "root" if len(vertex) == 1 else f"v{vertex[:-1]}"
                 lines.append(f'  {parent} -> v{vertex} [label="{vertex[-1]}"];')

@@ -39,6 +39,8 @@ from .core import (
     free_reduce,
     invert_word,
     substitute_word,
+    vertex_str,
+    vertex_word,
 )
 from .norms import geodesic_rep
 from .permgrp import (
@@ -93,7 +95,7 @@ class DescentCertificate(NamedTuple):
 
     @property
     def vertex(self) -> str:
-        return "".join(map(str, self.steps))
+        return vertex_word(self.steps)
 
     def replay(self) -> bool:
         """Re-check the witness with nothing but the recursion engine."""
@@ -287,7 +289,7 @@ class ProdenseCertificate(NamedTuple):
             1,
             self.engine,
             ", ".join(self.subgroup),
-            self.vertex or "e",
+            vertex_str(self.vertex),
             hword_str(self.expr_a),
             hword_str(self.expr_b),
             *(self.budgets[key] for key in _BUDGET_KEYS),
@@ -323,9 +325,6 @@ def parse_certificate(text: str) -> ProdenseCertificate:
         raise InputError("unsupported certificate version")
     subgroup = tuple(w.strip() for w in fields["subgroup"].split(",") if w.strip())
     ngens = len(subgroup)
-    vertex = fields["vertex"]
-    if vertex == "e":
-        vertex = ""
     budgets = {key: ascii_int(fields[f"budget-{key}"]) for key in _BUDGET_KEYS}
     if None in budgets.values():
         raise InputError("bad budget value")
@@ -333,7 +332,7 @@ def parse_certificate(text: str) -> ProdenseCertificate:
     return ProdenseCertificate(
         subgroup=subgroup,
         stages=tuple(s for _, s in stages),
-        vertex=vertex,
+        vertex=fields["vertex"],
         expr_a=hword_parse(fields["expr-a"], ngens),
         expr_b=hword_parse(fields["expr-b"], ngens),
         budgets=budgets,
@@ -403,11 +402,11 @@ def prodense_projection_search(
     if len(v) > max_depth:
         return fail(2, f"descent vertex deeper than {max_depth}")
     expr_ab_at_v = _hword_pow(expr_h, 2**k)
-    stages.append(f"descend-ab vertex {v or 'e'} k {k}")
+    stages.append(f"descend-ab vertex {vertex_str(v)} k {k}")
 
     # stage 3: generators of the projection H_v, paired with expressions
     pairs = projection_pairs(H, v, cap=schreier_cap)
-    stages.append(f"stabilizer vertex {v or 'e'} generators {len(pairs)}")
+    stages.append(f"stabilizer vertex {vertex_str(v)} generators {len(pairs)}")
     projection = SubgroupHandle(system, [sec for sec, _ in pairs])
 
     # stage 4: an element of H_v congruent to a b^-1
@@ -428,7 +427,7 @@ def prodense_projection_search(
     if len(v) + len(vprime) + 2 > max_depth:
         return fail(5, f"combined vertex deeper than {max_depth}")
     expr_binva = _hword_pow(expr_hprime, 2**kprime)
-    stages.append(f"descend-binva vertex {vprime or 'e'} k {kprime}")
+    stages.append(f"descend-binva vertex {vertex_str(vprime)} k {kprime}")
 
     # stage 6: persist ab down v' and assemble the endgame
     _, final = persist_ab(system.element("ab"), vprime)
@@ -446,7 +445,7 @@ def prodense_projection_search(
         expr_ab_deep = _hword_pow(expr_persist, 2)
         final_tag = "ba"
     expr_b = free_reduce(invert_word(expr_a) + expr_ab_deep)
-    stages.append(f"persist vertex {vprime or 'e'} final {final_tag}")
+    stages.append(f"persist vertex {vertex_str(vprime)} final {final_tag}")
 
     certificate = ProdenseCertificate(
         subgroup=H.words(),
@@ -470,11 +469,11 @@ def verify_certificate(H: SubgroupHandle, cert: ProdenseCertificate) -> bool:
     """
     system = require_basilica(H.system)
     elements = [H.evaluate(expr) for expr in (cert.expr_a, cert.expr_b)]
-    system.parse_vertex(cert.vertex)
+    path = system.parse_vertex(cert.vertex)
     if tuple(cert.subgroup) != H.words():
         return False
     for elem, name in zip(elements, "ab"):
-        if elem.act(cert.vertex) != cert.vertex:
+        if system.word_act(elem.word, path) != path:
             return False
         if elem.section_at_vertex(cert.vertex) != system.generator(name):
             return False

@@ -47,6 +47,8 @@ from .core import (
     invert_images,
     invert_word,
     substitute_word,
+    vertex_str,
+    vertex_word,
 )
 
 MAX_SCHREIER_SIFTS = 10_000
@@ -121,7 +123,7 @@ class SchreierTable(NamedTuple):
     transversal: dict[str, HWord]
 
     def table(self) -> str:
-        lines = [f"{v or 'e'}\t{hword_str(self.transversal[v])}" for v in self.orbit]
+        lines = [f"{vertex_str(v)}\t{hword_str(self.transversal[v])}" for v in self.orbit]
         return "\n".join(lines) + "\n"
 
 
@@ -132,7 +134,7 @@ def orbit(H: SubgroupHandle, vertex: str) -> SchreierTable:
     once the orbit holds more than ``MAX_LEVEL_POINTS`` vertices, which no
     vertex of binary depth at most 16 reaches.
     """
-    H.system.parse_vertex(vertex)
+    vertex = vertex_word(H.system.parse_vertex(vertex))
     transversal: dict[str, HWord] = {vertex: ()}
     queue = [vertex]
     moves = []

@@ -94,15 +94,6 @@ class HeisenbergElement(NamedTuple):
     def inverse(self) -> "HeisenbergElement":
         return HeisenbergElement(-self.p, -self.q, -self.r - self.p * self.q)
 
-    __invert__ = inverse
-
-    def __pow__(self, n: int) -> "HeisenbergElement":
-        result = HeisenbergElement(0, 0, 0)
-        base = self if n >= 0 else self.inverse()
-        for _ in range(abs(n)):
-            result = result * base
-        return result
-
     def is_identity(self) -> bool:
         return self == HeisenbergElement(0, 0, 0)
 

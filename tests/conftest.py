@@ -4,6 +4,10 @@ import pytest
 
 from basilica import basilica
 
+BASILICA_TEXT = "alphabet 2\ngen a perm=0,1 sections=e,b\ngen b perm=1,0 sections=a,e\n"
+# the Basilica system in the group-definition file format; parse_system of
+# it is a fresh system equal to basilica(), with caches of its own
+
 
 @pytest.fixture(scope="session")
 def B():

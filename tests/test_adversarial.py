@@ -15,6 +15,8 @@ from basilica.descent import (
 )
 from basilica.permgrp import SubgroupHandle, hword_parse, hword_str
 
+from conftest import BASILICA_TEXT
+
 # digits that str.isdigit() accepts but that are no ASCII digits: superscript
 # two, Arabic-Indic zero and three, Devanagari nine, fullwidth one
 _ODD_DIGITS = "²٠٣९１"
@@ -97,7 +99,7 @@ def test_parse_vertex_raises_only_input_error(kind, text):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(st.one_of(_edited(basilica().dump()), _edited(_D3_SYSTEM), st.text(_CHARS, max_size=60)))
+@given(st.one_of(_edited(BASILICA_TEXT), _edited(_D3_SYSTEM), st.text(_CHARS, max_size=60)))
 def test_parse_system_raises_only_input_error(text):
     _raises_only_input_error(parse_system, text)
 

@@ -32,6 +32,13 @@ def test_unknown_suite_rejected():
         run_checks(only=["nonsense"])
 
 
+def test_repeated_or_empty_selection_rejected():
+    with pytest.raises(InputError, match="suite 'psi1' selected more than once"):
+        run_checks(only=["psi1", "relators", "psi1"])
+    with pytest.raises(InputError, match="no suite selected"):
+        run_checks(only=[])
+
+
 def test_seed_recorded():
     report = run_checks(only=["psi1"], seed=7)
     assert report.seed == 7

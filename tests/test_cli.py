@@ -5,6 +5,8 @@ import pytest
 from basilica import ConsistencyError, basilica, cli, core, norms, permgrp
 from basilica.cli import main
 
+from conftest import BASILICA_TEXT
+
 GOLDEN = Path(__file__).with_name("golden")
 
 
@@ -25,6 +27,20 @@ def test_eval_with_portrait(capsys):
     assert code == 0
     assert "portrait e: e" in out
     assert "portrait 1: (0 1)" in out
+
+
+def test_eval_error_leaves_stdout_empty(tmp_path, capsys):
+    assert run(capsys, "eval", "ab", "--depth", "-1") == (
+        2, "", "parse error: portrait depth must be non-negative\n"
+    )
+    path = tmp_path / "eleven.txt"
+    path.write_text("alphabet 11\ngen a perm=1,2,3,4,5,6,7,8,9,10,0 sections=a,e,e,e,e,e,e,e,e,e,e\n")
+    too_wide = "parse error: string vertices only supported for alphabets up to 10\n"
+    assert run(capsys, "eval", "a", "--system", str(path), "--depth", "2") == (2, "", too_wide)
+    assert run(capsys, "portrait", "a", "--system", str(path), "--depth", "3") == (2, "", too_wide)
+    assert run(capsys, "portrait", "a", "--system", str(path), "--depth", "1") == (
+        0, "e\t(0 1 2 3 4 5 6 7 8 9 10)\n", ""
+    )
 
 
 def test_eval_parse_error(capsys):
@@ -73,6 +89,16 @@ def test_orbit_prints_root_as_e(capsys):
     code, out, _ = run(capsys, "orbit", "--gens", "a", "--vertex", "")
     assert code == 0
     assert out == "e\te\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("orbit", "--gens", "a,b", "--vertex"), ("stab", "--gens", "a,b", "--vertex"), ("lift", "ABab")],
+)
+def test_root_vertex_e_prints_as_empty_vertex(capsys, argv):
+    # every command prints the root as e, and reads e back as the root
+    assert run(capsys, *argv, "e") == run(capsys, *argv, "")
+    assert run(capsys, "orbit", "--gens", "a", "--vertex", "e") == (0, "e\te\n", "")
 
 
 def test_orbit_non_ascii_vertex_is_parse_error(capsys):
@@ -262,7 +288,7 @@ def test_prodense_out_directory(tmp_path, capsys):
 def test_norm_budget_exit_code(tmp_path, capsys, monkeypatch):
     # a system file gives a fresh ball registry, left out of other tests
     path = tmp_path / "basilica.txt"
-    path.write_text(basilica().dump())
+    path.write_text(BASILICA_TEXT)
     monkeypatch.setattr(norms, "MAX_CLASSES", 100)
     code, out, err = run(capsys, "norm", "ABabABab", "--system", str(path))
     assert code == 4
@@ -286,7 +312,7 @@ def test_norm_missed_word_exit_code(tmp_path, capsys, monkeypatch):
     # a registry that marks radii done without enumerating them breaks an
     # engine invariant: one line and exit 6, not a traceback
     path = tmp_path / "basilica.txt"
-    path.write_text(basilica().dump())
+    path.write_text(BASILICA_TEXT)
 
     def skip(self, radius):
         self.radius_done = max(self.radius_done, radius)
@@ -359,6 +385,16 @@ def test_check_paper_unknown_suite(capsys):
     code, _, err = run(capsys, "check-paper", "--only", "bogus")
     assert code == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize(
+    "only, message",
+    [("psi1,psi1", "suite 'psi1' selected more than once"), (",", "no suite selected"), ("", "no suite selected")],
+)
+def test_check_paper_repeated_or_empty_selection(capsys, only, message):
+    code, out, err = run(capsys, "check-paper", "--only", only)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {message}") and err.count("\n") == 1
 
 
 def test_ball_negative_radius(capsys):

@@ -18,6 +18,8 @@ from basilica.descent import (
 from basilica.permgrp import SubgroupHandle
 from basilica.structure import ab_image, alpha
 
+from conftest import BASILICA_TEXT
+
 
 def test_congruence_transition_table():
     assert congruence_transition((1, 1)) == (1, 1)
@@ -183,7 +185,7 @@ def test_search_failures(B):
 def test_find_ab_never_builds_the_ball(B):
     # descent states are section words keyed by exact identity; only the
     # norm-2 target is canonicalised through the ball registry
-    fresh = parse_system(B.dump())
+    fresh = parse_system(BASILICA_TEXT)
     cert = find_ab(fresh.element("bAbbbaBBaB"))
     assert cert.replay()
     assert fresh._ball_registry.radius_done <= 2
@@ -194,7 +196,7 @@ def test_search_certifies_subgroups_with_long_descent_states(B, words):
     # their descents pass through states of norm 10 or more, which a search
     # that canonicalises states through the ball reaches only by
     # enumerating ball(10) or larger
-    fresh = parse_system(B.dump())
+    fresh = parse_system(BASILICA_TEXT)
     H = SubgroupHandle.from_words(fresh, words)
     cert = prodense_projection_search(H)
     assert isinstance(cert, ProdenseCertificate)
@@ -233,6 +235,21 @@ def test_certificate_tampered_vertex(B):
         engine=cert.engine,
     )
     assert not verify_certificate(H, truncated)
+
+
+def test_root_certificate_verifies_under_either_spelling(B):
+    # a and b are their own sections at the root; the vertex is compared as
+    # a parsed path, so "e" and "" are one vertex
+    H = SubgroupHandle(B, list(B.generators()))
+    for vertex in ("e", ""):
+        cert = ProdenseCertificate(
+            subgroup=("a", "b"), stages=(), vertex=vertex, expr_a=(1,), expr_b=(2,),
+            budgets={"states": 0, "schreier": 0, "depth": 0},
+        )
+        assert verify_certificate(H, cert)
+        assert "vertex: e\n" in cert.serialize()
+        assert verify_certificate(H, parse_certificate(cert.serialize()))
+    assert not verify_certificate(H, cert._replace(vertex="0"))
 
 
 def test_certificate_foreign_generator(B):

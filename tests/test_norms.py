@@ -6,7 +6,7 @@ from basilica import BudgetExceededError, equals, norms, parse_system
 from basilica.norms import ball, geodesic_rep, norm
 from basilica.structure import alpha, tau
 
-from conftest import reduced_words
+from conftest import BASILICA_TEXT, reduced_words
 
 
 def brute_force_classes(system, max_len):
@@ -148,7 +148,7 @@ def test_square_section_bound_small(B):
 
 
 def test_ball_budget(B, monkeypatch):
-    fresh = parse_system(B.dump())
+    fresh = parse_system(BASILICA_TEXT)
     monkeypatch.setattr(norms, "MAX_CLASSES", 100)
     # ball(3) has 53 classes, ball(4) has 153
     with pytest.raises(BudgetExceededError) as exc:
@@ -165,6 +165,6 @@ def test_ball_budget(B, monkeypatch):
 def test_ball_order_is_first_occurrence_in_shortlex(B):
     # the registry extends only the class representatives of the last
     # radius; the classes and their order must be those of all reduced words
-    fresh = parse_system(B.dump())
+    fresh = parse_system(BASILICA_TEXT)
     oracle = brute_force_classes(fresh, 5)
     assert [c.word for c in ball(fresh, 5).classes] == [g.word for g in oracle]

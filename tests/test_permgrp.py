@@ -13,6 +13,7 @@ from basilica.permgrp import (
     level_quotient_equals_full,
     orbit,
     projected_subgroup,
+    projection_pairs,
     stabilizer_generator_pairs,
 )
 
@@ -59,6 +60,17 @@ def test_orbit_transversal_moves_base(handles):
     assert tab.transversal[tab.base] == ()
     for u in tab.orbit:
         assert Hab.evaluate(tab.transversal[u]).act(tab.base) == u
+
+
+def test_root_vertex_e_is_the_empty_vertex(handles):
+    B, Ha, Hb, Hab = handles
+    assert orbit(Ha, "e") == orbit(Ha, "") == ("", ("",), {"": ()})
+    for H in (Ha, Hab):
+        assert orbit(H, "e") == orbit(H, "")
+        for pairs in (stabilizer_generator_pairs, projection_pairs):
+            assert [(g.word, hw) for g, hw in pairs(H, "e")] == [
+                (g.word, hw) for g, hw in pairs(H, "")
+            ]
 
 
 def test_orbit_rejects_bad_vertex(handles):

@@ -64,7 +64,7 @@ def test_heisenberg_normal_form():
     # c is central
     assert a * c == c * a and b * c == c * b
     assert (a * b).inverse() * (a * b) == HeisenbergElement(0, 0, 0)
-    assert b**-3 == HeisenbergElement(0, -3, 0)
+    assert b.inverse() * b.inverse() * b.inverse() == HeisenbergElement(0, -3, 0)
 
 
 def test_heis_image_values(B):
