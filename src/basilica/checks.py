@@ -14,7 +14,7 @@ import re
 from typing import NamedTuple
 
 from . import ENGINE
-from .core import BudgetExceededError, ConsistencyError, Element, InputError, equals
+from .core import BudgetExceededError, ConsistencyError, Element, InputError, equals, vertex_word
 from .norms import ball, norm
 from .structure import (
     LIFT_SUBSTITUTION,
@@ -403,10 +403,9 @@ def check_persist(out: _Collector) -> None:
         vertices = [v + x for v in vertices for x in "01"]
         for v in vertices:
             k, final = persist_ab(ab, v)
-            power = ab ** (2**k)
-            if k != len(v) or power.act(v) != v or not equals(
-                power.section_at_vertex(v), final
-            ):
+            path = sys.parse_vertex(v)
+            image, section = sys.word_at((ab ** (2**k)).word, path)
+            if k != len(v) or image != path or not equals(Element._reduced(sys, section), final):
                 ok = False
     out.add(
         "persist-replay",
@@ -436,14 +435,15 @@ def check_lifts(out: _Collector, rng: random.Random) -> None:
     for w in chosen:
         for v in vertices:
             r = lift_section(w, v)
-            for u in map("".join, itertools.product("01", repeat=len(v))):
-                if r.act(u) != u:
-                    ok, bad = False, f"{w}@{v} moves {u}"
+            path = sys.parse_vertex(v)
+            for u in itertools.product((0, 1), repeat=len(path)):
+                image, section = sys.word_at(r.word, u)
+                if image != u:
+                    ok, bad = False, f"{w}@{v} moves {vertex_word(u)}"
                     break
-                sec = r.section_at_vertex(u)
-                want = w if u == v else sys.identity()
-                if not equals(sec, want):
-                    ok, bad = False, f"{w}@{v} wrong section at {u}"
+                want = w if u == path else sys.identity()
+                if not equals(Element._reduced(sys, section), want):
+                    ok, bad = False, f"{w}@{v} wrong section at {vertex_word(u)}"
                     break
             if not ok:
                 break

@@ -27,12 +27,13 @@ systems.
 
 Root and sections of a word come from one walk over its letters per
 alphabet point, which yields the root image of that point and the section
-below it together.  Each system memoises that pair per word, and the
-triviality verdict (for the whole closure if trivial, else for the input and
-the first nontrivial closure word), but only for words of at most
-``MEMO_LETTERS`` letters: in a contracting group such as Basilica sections
-shrink (two levels down to about half the word), so a long input word seldom
-comes back as the section of another, while short words recur across calls.
+below it together; one walk down a vertex path gives its image and the
+section there (``word_at``).  Each system memoises that pair per word, and
+the words proven trivial (no nontrivial verdict), but only for words of at
+most ``MEMO_LETTERS`` letters: in a contracting group such as Basilica
+sections shrink (two levels down to about half the word), so a long input
+word seldom comes back as the section of another, while short words recur
+across calls.
 
 The action of a word on level n is a fold over its letters of per-letter
 level-n tables, each built once from the level below; nothing is kept per
@@ -309,10 +310,11 @@ class GeneratorSystem:
             for l, secs in self._letter_sections.items()
         }
 
-        # transparent memo caches, results never depend on their state; the
-        # first two hold only words of at most MEMO_LETTERS letters
+        # transparent memo caches, results never depend on their state; both
+        # hold only words of at most MEMO_LETTERS letters, the second only
+        # words proven trivial
         self._section_cache: dict[Word, tuple[tuple[int, ...], tuple[Word, ...]]] = {}
-        self._trivial_cache: dict[Word, bool] = {(): True}
+        self._trivial_cache: set[Word] = {()}
         # per level n >= 1, at index n - 1: per signed letter, the itemgetter
         # that takes a level-n action p to p o (the letter's action); built
         # on first use from the level below
@@ -424,14 +426,15 @@ class GeneratorSystem:
         """All first-level section words of a word, freely reduced."""
         return self._root_and_sections(word)[1]
 
-    def word_act(self, word: Word, vertex: tuple[int, ...]) -> tuple[int, ...]:
-        out = []
-        w = word
-        for x in vertex:
-            root, sections = self._root_and_sections(w)
-            out.append(root[x])
-            w = sections[x]
-        return tuple(out)
+    def word_at(self, word: Word, path: Sequence[int]) -> tuple[tuple[int, ...], Word]:
+        """The image of a vertex path under a word and the word's section
+        there, from one walk down the path."""
+        image = []
+        for x in path:
+            root, sections = self._root_and_sections(word)
+            image.append(root[x])
+            word = sections[x]
+        return tuple(image), word
 
     def _fold(self, word: Word, n: int) -> tuple[int, ...]:
         """Images of the d^n level-n vertices under ``word``; no budget."""
@@ -486,13 +489,12 @@ class GeneratorSystem:
         return p[: self._key_size]
 
     def word_is_trivial(self, word: Word) -> bool:
-        """Decide triviality by section closure; exact.  Memoises, for words
-        of at most ``MEMO_LETTERS`` letters, a True verdict for every closure
-        word and a False one for the input and the first nontrivial one."""
-        cache = self._trivial_cache
-        cached = cache.get(word)
-        if cached is not None:
-            return cached
+        """Decide triviality by section closure; exact.  A trivial word's
+        closure words of at most ``MEMO_LETTERS`` letters join the memo of
+        words proven trivial; a nontrivial verdict is not kept."""
+        proven = self._trivial_cache
+        if word in proven:
+            return True
         queue: list[Word] = [word]
         seen = {word}
         letters = len(word)
@@ -500,14 +502,11 @@ class GeneratorSystem:
         while i < len(queue):
             u = queue[i]
             i += 1
-            known = cache.get(u)
-            if known is True:
+            if u in proven:
                 continue
-            if known is False:
-                break
             root, sections = self._root_and_sections(u)
             if root != self._identity_root:
-                break
+                return False
             for s in sections:
                 if s and s not in seen:
                     seen.add(s)
@@ -519,18 +518,10 @@ class GeneratorSystem:
                     "the recursion may not be length-contracting",
                     partial=letters,
                 )
-        else:
-            # no break: sections of closure members stay inside the closure,
-            # so every member is trivial along with the input
-            for u in queue:
-                if len(u) <= MEMO_LETTERS:
-                    cache[u] = True
-            return True
-        # u is nontrivial: its root moves a point, or the memo says so
-        for w in (word, u):
-            if len(w) <= MEMO_LETTERS:
-                cache[w] = False
-        return False
+        # sections of closure members stay inside the closure, so every
+        # member is trivial along with the input
+        proven.update(u for u in queue if len(u) <= MEMO_LETTERS)
+        return True
 
     # -- structural equality -----------------------------------------------
 
@@ -683,15 +674,13 @@ class Element:
 
     def section_at_vertex(self, vertex: str) -> "Element":
         """Iterated section along a vertex string; the empty vertex is the root."""
-        w = self.word
-        for x in self.system.parse_vertex(vertex):
-            w = self.system.word_sections(w)[x]
-        return Element._reduced(self.system, w)
+        path = self.system.parse_vertex(vertex)
+        return Element._reduced(self.system, self.system.word_at(self.word, path)[1])
 
     def act(self, vertex: str) -> str:
         """Image of a vertex under the left action."""
         path = self.system.parse_vertex(vertex)
-        return vertex_word(self.system.word_act(self.word, path))
+        return vertex_word(self.system.word_at(self.word, path)[0])
 
     def level_perm(self, n: int) -> Perm:
         """The permutation of the d^n level-n vertices (lexicographic order)."""

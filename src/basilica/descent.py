@@ -100,9 +100,8 @@ class DescentCertificate(NamedTuple):
     def replay(self) -> bool:
         """Re-check the witness with nothing but the recursion engine."""
         power = self.start ** (2**self.exponent_log)
-        if power.act(self.vertex) != self.vertex:
-            return False
-        return power.section_at_vertex(self.vertex) == self.target
+        image, section = power.system.word_at(power.word, self.steps)
+        return image == self.steps and Element._reduced(power.system, section) == self.target
 
 
 def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> DescentCertificate:
@@ -300,8 +299,10 @@ class ProdenseCertificate(NamedTuple):
 
 
 def parse_certificate(text: str) -> ProdenseCertificate:
+    """Unknown keys are ignored; a key or stage label stated twice, like a
+    missing field, raises ``InputError``."""
     fields: dict[str, str] = {}
-    stages: list[tuple[int, str]] = []
+    stages: dict[int, str] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -311,13 +312,12 @@ def parse_certificate(text: str) -> ProdenseCertificate:
         key, value = line.split(":", 1)
         key = key.strip()
         value = value.strip()
-        if key.startswith("stage"):
-            label = ascii_int(key[5:])
-            if label is None:
-                raise InputError(f"bad stage label {key!r}")
-            stages.append((label, value))
-        else:
-            fields[key] = value
+        table, name = (stages, ascii_int(key[5:])) if key.startswith("stage") else (fields, key)
+        if name is None:
+            raise InputError(f"bad stage label {key!r}")
+        if name in table:
+            raise InputError(f"certificate states {key!r} twice")
+        table[name] = value
     missing = set(_FIELDS) - set(fields)
     if missing:
         raise InputError(f"certificate misses fields: {sorted(missing)}")
@@ -328,10 +328,9 @@ def parse_certificate(text: str) -> ProdenseCertificate:
     budgets = {key: ascii_int(fields[f"budget-{key}"]) for key in _BUDGET_KEYS}
     if None in budgets.values():
         raise InputError("bad budget value")
-    stages.sort()
     return ProdenseCertificate(
         subgroup=subgroup,
-        stages=tuple(s for _, s in stages),
+        stages=tuple(stages[label] for label in sorted(stages)),
         vertex=fields["vertex"],
         expr_a=hword_parse(fields["expr-a"], ngens),
         expr_b=hword_parse(fields["expr-b"], ngens),
@@ -473,8 +472,7 @@ def verify_certificate(H: SubgroupHandle, cert: ProdenseCertificate) -> bool:
     if tuple(cert.subgroup) != H.words():
         return False
     for elem, name in zip(elements, "ab"):
-        if system.word_act(elem.word, path) != path:
-            return False
-        if elem.section_at_vertex(cert.vertex) != system.generator(name):
+        image, section = system.word_at(elem.word, path)
+        if image != path or Element._reduced(system, section) != system.generator(name):
             return False
     return True

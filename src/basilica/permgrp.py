@@ -118,13 +118,41 @@ class SubgroupHandle:
 class SchreierTable(NamedTuple):
     """Orbit of a vertex with one transversal hword per orbit point."""
 
-    base: str
     orbit: tuple[str, ...]
     transversal: dict[str, HWord]
 
     def table(self) -> str:
         lines = [f"{vertex_str(v)}\t{hword_str(self.transversal[v])}" for v in self.orbit]
         return "\n".join(lines) + "\n"
+
+
+def _schreier_search(H: SubgroupHandle, vertex: str) -> dict[tuple[int, ...], HWord]:
+    """Orbit paths in BFS order under g1, g1^-1, g2, g2^-1, ..., each with
+    the hword of an element taking the vertex there."""
+    start = H.system.parse_vertex(vertex)
+    word_at = H.system.word_at
+    moves = []
+    for i, g in enumerate(H.generators):
+        moves += [(i + 1, g.word), (-(i + 1), invert_word(g.word))]
+    transversal: dict[tuple[int, ...], HWord] = {start: ()}
+    queue = [start]
+    i = 0
+    while i < len(queue):
+        u = queue[i]
+        i += 1
+        for letter, word in moves:
+            w = word_at(word, u)[0]
+            if w not in transversal:
+                # already reduced: the inverse of u's first letter leads back
+                # to u's parent, which is visited, so it never reaches w
+                transversal[w] = (letter,) + transversal[u]
+                queue.append(w)
+        if len(transversal) > MAX_LEVEL_POINTS:
+            raise BudgetExceededError(
+                f"orbit of {vertex_word(start)!r} exceeded {MAX_LEVEL_POINTS} vertices",
+                partial=tuple(map(vertex_word, transversal)),
+            )
+    return transversal
 
 
 def orbit(H: SubgroupHandle, vertex: str) -> SchreierTable:
@@ -134,30 +162,8 @@ def orbit(H: SubgroupHandle, vertex: str) -> SchreierTable:
     once the orbit holds more than ``MAX_LEVEL_POINTS`` vertices, which no
     vertex of binary depth at most 16 reaches.
     """
-    vertex = vertex_word(H.system.parse_vertex(vertex))
-    transversal: dict[str, HWord] = {vertex: ()}
-    queue = [vertex]
-    moves = []
-    for i, g in enumerate(H.generators):
-        moves.append((i + 1, g))
-        moves.append((-(i + 1), g.inverse()))
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        for letter, g in moves:
-            w = g.act(u)
-            if w not in transversal:
-                # already reduced: the inverse of u's first letter leads back
-                # to u's parent, which is visited, so it never reaches w
-                transversal[w] = (letter,) + transversal[u]
-                queue.append(w)
-        if len(transversal) > MAX_LEVEL_POINTS:
-            raise BudgetExceededError(
-                f"orbit of {vertex!r} exceeded {MAX_LEVEL_POINTS} vertices",
-                partial=tuple(transversal),
-            )
-    return SchreierTable(vertex, tuple(sorted(transversal)), transversal)
+    transversal = {vertex_word(u): hw for u, hw in _schreier_search(H, vertex).items()}
+    return SchreierTable(tuple(sorted(transversal)), transversal)
 
 
 def stabilizer_generator_pairs(
@@ -171,14 +177,13 @@ def stabilizer_generator_pairs(
     """
     if cap < 0:
         raise InputError(f"stabilizer cap must be non-negative, got {cap}")
-    tab = orbit(H, vertex)
+    transversal = _schreier_search(H, vertex)
     candidates: list[tuple[Element, HWord]] = []
-    for u in tab.orbit:
+    # paths of one length sort as their vertex strings do
+    for u in sorted(transversal):
         for i, g in enumerate(H.generators):
-            w = g.act(u)
-            hw = free_reduce(
-                invert_word(tab.transversal[w]) + (i + 1,) + tab.transversal[u]
-            )
+            w = H.system.word_at(g.word, u)[0]
+            hw = free_reduce(invert_word(transversal[w]) + (i + 1,) + transversal[u])
             candidates.append((H.evaluate(hw), hw))
     candidates.sort(key=lambda pair: (len(pair[0].word), pair[0].word, len(pair[1])))
     index = ElementIndex(H.system)
@@ -201,9 +206,10 @@ def projection_pairs(
     Each is the section at ``vertex`` of a stabilizer generator, paired with
     that stabilizer generator's hword; trivial sections are dropped.
     """
+    path = H.system.parse_vertex(vertex)
     pairs = []
     for elem, hw in stabilizer_generator_pairs(H, vertex, cap):
-        sec = elem.section_at_vertex(vertex)
+        sec = Element._reduced(H.system, H.system.word_at(elem.word, path)[1])
         if not sec.is_trivial():
             pairs.append((sec, hw))
     return pairs

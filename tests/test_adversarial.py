@@ -245,3 +245,19 @@ def test_edited_vertex_digit_or_generator_token_verifies_only_if_it_holds(words,
         value = hword_str(hword[:i] + (data.draw(st.sampled_from(letters)),) + hword[i + 1 :])
     edited = parse_certificate(_with_field(text, key, value))
     assert not verify_certificate(H, edited) or _acts_as_claimed(H, edited)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_SUBGROUPS, st.data())
+def test_duplicated_line_never_verifies(words, data):
+    # a copy of any line, as it is or with another certificate's value for
+    # its key, placed anywhere: a key stated twice is refused, whichever copy
+    # would have held
+    H, cert = _certificate(words)
+    lines = cert.serialize().splitlines(keepends=True)
+    line = data.draw(st.sampled_from(lines))
+    key = line.split(":", 1)[0]
+    other = dict(l.split(": ", 1) for l in _CERTIFICATE.splitlines())
+    copy = data.draw(st.sampled_from([line, f"{key}: {other.get(key, 'e')}\n"]))
+    at = data.draw(st.integers(0, len(lines)))
+    assert not _verifies(H, "".join(lines[:at] + [copy] + lines[at:]))

@@ -123,6 +123,21 @@ def test_stab_golden(capsys):
     assert out == "a\tg0\nbb\tg1 g1\nBab\tG1 g0 g1\n"
 
 
+def test_orbit_and_stab_goldens_below_the_root(tmp_path, capsys):
+    # pins BFS order, inverse letters and cap tie-breaks; each block of the
+    # file is "== argv" and then the output, and d3.txt names the d = 3 test
+    # system
+    (tmp_path / "d3.txt").write_text(
+        "alphabet 3\ngen a perm=1,2,0 sections=e,b,a\ngen b perm=0,2,1 sections=aB,e,b\n"
+    )
+    blocks = (GOLDEN / "orbit_stab.txt").read_text().split("== ")[1:]
+    assert len(blocks) == 6
+    for block in blocks:
+        header, want = block.split("\n", 1)
+        argv = [str(tmp_path / arg) if arg == "d3.txt" else arg for arg in header.split()]
+        assert run(capsys, *argv) == (0, want, "")
+
+
 def test_stab_cap(capsys):
     for cap, want in (("0", ""), ("1", "BAba\tG0 g1\n")):
         code, out, _ = run(capsys, "stab", "--gens", "ab,ba", "--vertex", "0", "--cap", cap)
@@ -216,6 +231,22 @@ def test_verify_tampered(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--cert", str(cert_file))
     assert code == 5
     assert "INVALID" in out
+
+
+def test_verify_repeated_field_is_parse_error(tmp_path, capsys):
+    # the first of two vertex lines must not be overruled by the second
+    cert_file = tmp_path / "cert.txt"
+    run(capsys, "prodense", "--gens", "a,b", "--out", str(cert_file))
+    text = cert_file.read_text()
+    for old, new, key in (
+        ("vertex: 001\n", "vertex: 0\nvertex: 001\n", "vertex"),
+        ("expr-b:", "expr-a: g0\nexpr-b:", "expr-a"),
+        ("stage2:", "stage1: x\nstage2:", "stage1"),
+    ):
+        cert_file.write_text(text.replace(old, new))
+        assert run(capsys, "verify", "--cert", str(cert_file)) == (
+            2, "", f"parse error: certificate states {key!r} twice\n"
+        )
 
 
 def test_verify_non_ascii_generator_index_is_parse_error(tmp_path, capsys):

@@ -355,6 +355,32 @@ def test_fused_walk_matches_section_law(kind, letters):
     assert (word in system._section_cache) == (len(word) <= core.MEMO_LETTERS)
 
 
+def _level_point(path, d):
+    """Index of a vertex path among its level's vertices in lexicographic order."""
+    return functools.reduce(lambda point, x: point * d + x, path, 0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.sampled_from(["basilica", "d3"]),
+    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=24),
+    st.lists(st.integers(0, 2), max_size=7),
+)
+def test_word_at_is_level_action_and_iterated_section(kind, letters, digits):
+    system = parse_system(_SYSTEMS[kind])
+    d = system.alphabet_size
+    word = free_reduce(letters)
+    path = tuple(x % d for x in digits)
+    image, section = system.word_at(word, path)
+    assert len(image) == len(path)
+    level = system.word_level_perm(word, len(path))
+    assert _level_point(image, d) == level[_level_point(path, d)]
+    expected = word
+    for x in path:
+        expected = system.word_sections(expected)[x]
+    assert section == expected
+
+
 def test_memo_keeps_only_short_words():
     # lifts of two words to a depth-7 vertex: equal elements give a long
     # trivial word, different ones a long nontrivial word, and both closures
@@ -370,6 +396,25 @@ def test_memo_keeps_only_short_words():
         assert not system.word_is_trivial(nontrivial)
     for cache in (system._section_cache, system._trivial_cache):
         assert cache and max(map(len, cache)) <= core.MEMO_LETTERS
+
+
+def test_trivial_memo_holds_only_proofs(rng):
+    # a ball decides many equalities both ways, then single decisions on
+    # random words (mostly nontrivial) and on long trivial lifts
+    system = parse_system(BASILICA_TEXT)
+    ball(system, 5)
+    g = system.element("ABab")
+    trivial = (lift_section(g, "0110") * lift_section(g * tau(3), "0110").inverse()).word
+    assert system.word_is_trivial(trivial)
+    proven = system._trivial_cache
+    for _ in range(300):
+        word = random_element(system, rng, max_len=16).word
+        before = set(proven)
+        if not system.word_is_trivial(word):
+            assert set(proven) == before  # a nontrivial verdict adds nothing
+    fresh = parse_system(BASILICA_TEXT)
+    assert len(proven) > 1
+    assert all(len(w) <= core.MEMO_LETTERS and fresh.word_is_trivial(w) for w in proven)
 
 
 def test_level_perm_budget(monkeypatch):

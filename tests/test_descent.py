@@ -1,6 +1,6 @@
 import pytest
 
-from basilica import equals, parse_system
+from basilica import GeneratorSystem, equals, parse_system
 from basilica.core import InputError, PreconditionError
 from basilica.descent import (
     FailureReport,
@@ -280,6 +280,35 @@ def test_certificate_parse_errors(B):
         parse_certificate("not a certificate")
     with pytest.raises(InputError):
         parse_certificate("basilica-certificate: 1\n")
+
+
+def test_replay_and_verify_read_the_vertex_once(B, monkeypatch):
+    # replay walks its own steps; verification parses the vertex once and
+    # walks it once per expression
+    H = SubgroupHandle(B, list(B.generators()))
+    cert = prodense_projection_search(H)
+    descent_cert = find_ab(B.element("ab") * alpha(1, 1))
+    calls = []
+    parse = GeneratorSystem.parse_vertex
+    monkeypatch.setattr(
+        GeneratorSystem, "parse_vertex", lambda system, v: calls.append(v) or parse(system, v)
+    )
+    assert descent_cert.replay() and calls == []
+    assert verify_certificate(H, cert) and calls == [cert.vertex]
+
+
+def test_certificate_repeated_key_or_stage_label(B):
+    text = prodense_projection_search(SubgroupHandle.from_words(B, ["ba", "bb"])).serialize()
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        key = line.split(":", 1)[0]
+        for copy in (line, f"{key}: 0\n"):
+            with pytest.raises(InputError, match=f"certificate states '{key}' twice"):
+                parse_certificate("".join(lines[:i] + [copy] + lines[i:]))
+    with pytest.raises(InputError, match="certificate states 'stage01' twice"):
+        parse_certificate(text.replace("stage2:", "stage01:"))
+    # an unknown key is ignored
+    assert parse_certificate(text + "note: x\n").serialize() == text
 
 
 def test_search_reports_budgets(B):

@@ -1,7 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from basilica import BudgetExceededError, InputError, Perm, basilica, equals, parse_system, permgrp
+from basilica import (
+    BudgetExceededError,
+    GeneratorSystem,
+    InputError,
+    Perm,
+    basilica,
+    equals,
+    parse_system,
+    permgrp,
+)
 from basilica.permgrp import (
     SubgroupHandle,
     _keeps_dyadic_blocks,
@@ -57,14 +66,14 @@ def test_orbit_examples(handles):
 def test_orbit_transversal_moves_base(handles):
     B, Ha, Hb, Hab = handles
     tab = orbit(Hab, "01")
-    assert tab.transversal[tab.base] == ()
+    assert tab.transversal["01"] == ()
     for u in tab.orbit:
-        assert Hab.evaluate(tab.transversal[u]).act(tab.base) == u
+        assert Hab.evaluate(tab.transversal[u]).act("01") == u
 
 
 def test_root_vertex_e_is_the_empty_vertex(handles):
     B, Ha, Hb, Hab = handles
-    assert orbit(Ha, "e") == orbit(Ha, "") == ("", ("",), {"": ()})
+    assert orbit(Ha, "e") == orbit(Ha, "") == (("",), {"": ()})
     for H in (Ha, Hab):
         assert orbit(H, "e") == orbit(H, "")
         for pairs in (stabilizer_generator_pairs, projection_pairs):
@@ -80,6 +89,23 @@ def test_orbit_rejects_bad_vertex(handles):
     for vertex in ("0x", "0\u00b2", "\u06601"):
         with pytest.raises(InputError):
             orbit(Hab, vertex)
+
+
+def test_orbit_and_stabilizer_parse_their_vertex_once(handles, monkeypatch):
+    # the search moves parsed paths; the vertex text is read once per call
+    B, Ha, Hb, Hab = handles
+    calls = []
+    parse = GeneratorSystem.parse_vertex
+
+    def counting_parse(system, vertex):
+        calls.append(vertex)
+        return parse(system, vertex)
+
+    monkeypatch.setattr(GeneratorSystem, "parse_vertex", counting_parse)
+    for search in (orbit, stabilizer_generator_pairs):
+        calls.clear()
+        search(Hab, "0" * 10)
+        assert calls == ["0" * 10]
 
 
 def test_orbit_budget(handles, monkeypatch):

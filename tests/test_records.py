@@ -55,7 +55,7 @@ def _records(B):
         ("norm", lambda: BallClass(a, 1)),
         ("radius", lambda: Ball(0, ())),
         ("p", lambda: HeisenbergElement(1, 2, 3)),
-        ("base", lambda: SchreierTable("0", ("0", "1"), {"0": (), "1": (1,)})),
+        ("orbit", lambda: SchreierTable(("0", "1"), {"0": (), "1": (1,)})),
         ("steps", lambda: DescentCertificate(a, (0, 1), a)),
         ("basis", lambda: NotInLattice(((2, 0), (0, 2)))),
         ("vertex", lambda: ProdenseCertificate(("a", "b"), ("s",), "01", (1,), (2,), budgets)),
