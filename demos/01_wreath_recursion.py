@@ -41,8 +41,8 @@ print("ab equals ba:", equals(ab, b * a))  # the positive semigroup is free
 # portraits record the root permutation of every section up to a depth
 portrait = (a * a).portrait(4)
 print("portrait labels of a^2 at depth 4:")
-for vertex in sorted(portrait.labels, key=lambda v: (len(v), v)):
-    print(f"  {vertex or 'root'}: {portrait.labels[vertex]}")
+for vertex, label in portrait.labels.items():
+    print(f"  {vertex or 'root'}: {label}")
 
 # other self-similar actions load from the same file format
 from basilica import parse_system

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success; 1 a check or verification suite reported failures;
-2 parse error, or a file that cannot be read or written (missing, a
-directory, no permission); 3 precondition violation; 4 budget exhausted or
+Exit codes: 0 success; 1 a check or verification suite reported failures; 2
+parse error, or a file that cannot be read or written (missing, a directory,
+no permission, not UTF-8); 3 precondition violation; 4 budget exhausted or
 projection search failed; 5 certificate verification failed; 6 internal
 consistency error (an engine invariant broke: a bug, reported in one line).
 """
@@ -297,15 +297,12 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except InputError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except OSError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -28,12 +28,13 @@ systems.
 Root and sections of a word come from one walk over its letters per
 alphabet point, which yields the root image of that point and the section
 below it together; one walk down a vertex path gives its image and the
-section there (``word_at``).  Each system memoises that pair per word, and
-the words proven trivial (no nontrivial verdict), but only for words of at
-most ``MEMO_LETTERS`` letters: in a contracting group such as Basilica
-sections shrink (two levels down to about half the word), so a long input
-word seldom comes back as the section of another, while short words recur
-across calls.
+section there (``word_at``), read by ``Element.projection`` as the projection
+g -> g_v of a vertex stabilizer, which every witness replay checks.  Each
+system memoises that pair per word, and the words proven trivial (no
+nontrivial verdict), but only for words of at most ``MEMO_LETTERS`` letters:
+in a contracting group such as Basilica sections shrink (two levels down to
+about half the word), so a long input word seldom comes back as the section
+of another, while short words recur across calls.
 
 The action of a word on level n is a fold over its letters of per-letter
 level-n tables, each built once from the level below; nothing is kept per
@@ -676,6 +677,11 @@ class Element:
         """Iterated section along a vertex string; the empty vertex is the root."""
         path = self.system.parse_vertex(vertex)
         return Element._reduced(self.system, self.system.word_at(self.word, path)[1])
+
+    def projection(self, path: Sequence[int]) -> "Element | None":
+        """The section g_v at a vertex path v that g fixes; None if g moves v."""
+        image, section = self.system.word_at(self.word, path)
+        return Element._reduced(self.system, section) if image == tuple(path) else None
 
     def act(self, vertex: str) -> str:
         """Image of a vertex under the left action."""

@@ -99,9 +99,8 @@ class DescentCertificate(NamedTuple):
 
     def replay(self) -> bool:
         """Re-check the witness with nothing but the recursion engine."""
-        power = self.start ** (2**self.exponent_log)
-        image, section = power.system.word_at(power.word, self.steps)
-        return image == self.steps and Element._reduced(power.system, section) == self.target
+        section = (self.start ** (2**self.exponent_log)).projection(self.steps)
+        return section is not None and section == self.target
 
 
 def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> DescentCertificate:
@@ -472,7 +471,7 @@ def verify_certificate(H: SubgroupHandle, cert: ProdenseCertificate) -> bool:
     if tuple(cert.subgroup) != H.words():
         return False
     for elem, name in zip(elements, "ab"):
-        image, section = system.word_at(elem.word, path)
-        if image != path or Element._reduced(system, section) != system.generator(name):
+        section = elem.projection(path)
+        if section is None or section != system.generator(name):
             return False
     return True

@@ -106,7 +106,8 @@ class SubgroupHandle:
         for l in hword:
             if l == 0 or abs(l) > len(self.generators):
                 raise InputError(f"hword letter {l} outside the generator range")
-        return Element(self.system, substitute_word(hword, [g.word for g in self.generators]))
+        images = [g.word for g in self.generators]  # each reduced and in range
+        return Element._reduced(self.system, free_reduce(substitute_word(hword, images)))
 
     def words(self) -> tuple[str, ...]:
         return tuple(self.system.word_str(g.word) for g in self.generators)
@@ -225,13 +226,13 @@ def projected_subgroup(
 def group_order(perms: Sequence) -> int:
     """Order of the group generated by permutations; exact.
 
-    Accepts Perm instances or plain image tuples of one degree.  The input
-    alone selects the method.  When the degree is 2^n and every generator
-    keeps the dyadic blocks together (leaf i sits under vertex ``i >> s`` at
-    every height s), the group lies in Aut(T_n) of the binary tree, a
-    2-group, and is counted by polycyclic sifting (``_tree_order``).  Every
-    ``level_perms`` output of a binary system is such input.  Everything
-    else goes through the stabilizer chain (``_schreier_sims_order``).
+    Accepts Perm instances or image tuples of one degree; a tuple that is not
+    a permutation raises ``InputError``.  When the degree is 2^n and every
+    generator keeps the dyadic blocks together (leaf i sits under vertex
+    ``i >> s`` at every height s), the group lies in Aut(T_n) of the binary
+    tree, a 2-group, and is counted by polycyclic sifting (``_tree_order``).
+    Every ``level_perms`` output of a binary system is such input.
+    Everything else goes through the stabilizer chain (``_schreier_sims_order``).
     """
     return _chain(perms)[0]
 
@@ -242,7 +243,7 @@ def _chain(perms: Sequence) -> tuple[int, Callable[[tuple[int, ...]], bool]]:
     gens = []
     identity = None
     for p in perms:
-        images = p.images if isinstance(p, Perm) else tuple(p)
+        images = p.images if isinstance(p, Perm) else Perm(p).images
         if identity is None:
             identity = tuple(range(len(images)))
         elif len(images) != len(identity):

@@ -433,6 +433,15 @@ def test_ball_negative_radius(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [("verify", "--cert"), ("eval", "ab", "--system")])
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfealphabet 2\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
 def test_custom_system_file(tmp_path, capsys):
     path = tmp_path / "odometer.txt"
     path.write_text("alphabet 2\ngen c perm=1,0 sections=e,c\n")

@@ -381,6 +381,50 @@ def test_word_at_is_level_action_and_iterated_section(kind, letters, digits):
     assert section == expected
 
 
+_PROJECTION_SYSTEMS = {
+    kind: parse_system(text)
+    for kind, text in {
+        "basilica": BASILICA_TEXT,
+        "grigorchuk": "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,c; "
+        "gen c perm=0,1 sections=a,d; gen d perm=0,1 sections=e,b",
+        "gupta-sidki": "alphabet 3; gen a perm=1,2,0 sections=e,e,e; gen b perm=0,1,2 sections=a,A,b",
+        "d3": _D3_SYSTEM,
+    }.items()
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.sampled_from(sorted(_PROJECTION_SYSTEMS)),
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4]), max_size=24),
+    st.lists(st.integers(0, 2), max_size=7),
+)
+def test_projection_is_the_section_exactly_at_fixed_vertices(kind, letters, digits):
+    system = _PROJECTION_SYSTEMS[kind]
+    n, d = len(system.names), system.alphabet_size
+    # fold the letters into the system's generator range, keeping signs
+    g = system.element([(1 if l > 0 else -1) * ((abs(l) - 1) % n + 1) for l in letters])
+    path = tuple(x % d for x in digits)
+    point = _level_point(path, d)
+    projection = g.projection(path)
+    if system.word_level_perm(g.word, len(path))[point] != point:
+        assert projection is None
+    else:
+        section = g
+        for x in path:
+            section = section.section(x)
+        assert projection is not None and projection.word == section.word
+
+
+def test_projection_needs_the_vertex_fixed(B):
+    # b's section at 0 is a, but b moves 0, so 0 is outside its stabilizer
+    b = B.generator("b")
+    assert equals(b.section(0), B.generator("a"))
+    assert b.projection((0,)) is None
+    assert equals(b.projection(()), b)
+    assert equals((b * b).projection((0,)), B.generator("a"))
+
+
 def test_memo_keeps_only_short_words():
     # lifts of two words to a depth-7 vertex: equal elements give a long
     # trivial word, different ones a long nontrivial word, and both closures

@@ -358,6 +358,13 @@ def test_group_order_mixed_degrees_rejected():
         group_order([Perm((1, 0)), Perm((0, 1, 2))])
 
 
+@pytest.mark.parametrize("images", [(-1, 0), (0, 5), (1, 1, 0), (0, 0, 1, 1)])
+def test_group_order_rejects_tuples_that_are_not_permutations(images):
+    # a negative point, a point past the degree, and repeated points
+    with pytest.raises(InputError, match="not a permutation"):
+        group_order([images])
+
+
 def test_level_quotient_equals_full(handles):
     B, Ha, Hb, Hab = handles
     assert level_quotient_equals_full(Hab, 3)
