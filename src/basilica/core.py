@@ -40,7 +40,9 @@ The action of a word on level n is a fold over its letters of per-letter
 level-n tables, each built once from the level below; nothing is kept per
 word.  Element identity (``ElementIndex``) buckets words by such a fold on
 the deepest level of at most 256 vertices, taken with ``bytes.translate``,
-and confirms every bucket hit with the word problem.
+and confirms every bucket hit with the word problem.  The index keeps each
+entry's key, so an entry's word times one letter is keyed with one more
+``translate`` (``find_or_insert_child``) instead of a fold of every letter.
 """
 
 from __future__ import annotations
@@ -796,6 +798,9 @@ class ElementIndex:
         self.system = system
         self._buckets: dict[bytes, list[int]] = {}
         self._words: list[Word] = []
+        self._keys: list[bytes] = []  # per entry, the key it was bucketed by
+        # the points past the key level, which every key table fixes
+        self._key_pad = _BYTE_IDENTITY[system._key_size :]
 
     def __len__(self) -> int:
         return len(self._words)
@@ -812,7 +817,20 @@ class ElementIndex:
         return self._insert(word, self.system._index_key(word))
 
     def find_or_insert(self, word: Word) -> tuple[int, bool]:
-        key = self.system._index_key(word)
+        return self._find_or_insert(word, self.system._index_key(word))
+
+    def find_or_insert_child(self, idx: int, letter: int) -> tuple[int, bool]:
+        """``find_or_insert`` of entry ``idx``'s word times ``letter``, which
+        must not cancel the word's last letter.  The key fold takes letters
+        one ``translate`` each, so the child's key is the entry's key with
+        one more letter folded in.  That key is the translation table, which
+        must have 256 bytes: a shorter key is padded with the points past
+        the key level, which every letter fixes, and the result cut back."""
+        system = self.system
+        key = system._key_tables[letter].translate(self._keys[idx] + self._key_pad)
+        return self._find_or_insert(self._words[idx] + (letter,), key[: system._key_size])
+
+    def _find_or_insert(self, word: Word, key: bytes) -> tuple[int, bool]:
         idx = self._find(word, key)
         if idx is not None:
             return idx, False
@@ -832,5 +850,6 @@ class ElementIndex:
     def _insert(self, word: Word, key: bytes) -> int:
         idx = len(self._words)
         self._words.append(word)
+        self._keys.append(key)
         self._buckets.setdefault(key, []).append(idx)
         return idx

@@ -6,9 +6,11 @@ class by an ``ElementIndex`` (level-action fingerprint buckets confirmed by
 the exact decision procedure), so the first word reaching a class is its
 shortlex-least geodesic, the class representative.  A prefix of such a
 geodesic is one itself, so radius r + 1 tries only the one-letter extensions
-of the norm-r representatives.  The registry is shared per system, so
-repeated norm queries reuse the ball built so far; ``norm`` and
-``geodesic_rep`` read one class lookup.  It holds at most ``MAX_CLASSES``
+of the norm-r representatives, each keyed from its parent's index entry with
+one ``bytes.translate``.  The registry is shared per system, so repeated
+norm queries reuse the ball built so far; ``norm`` and ``geodesic_rep`` read
+one class lookup, and each ``BallClass`` is built once and shared by every
+later ``ball``.  The registry holds at most ``MAX_CLASSES``
 classes: ``ball``, ``norm`` and ``geodesic_rep`` raise
 ``BudgetExceededError`` past that, with the last complete radius as its
 ``partial``.
@@ -68,47 +70,42 @@ class _BallRegistry:
     def __init__(self, system: GeneratorSystem):
         self.system = system
         self.index = ElementIndex(system)
-        self.norms: list[int] = []
-        self.radius_done = -1
+        self.index.insert_word(())
+        self.norms: list[int] = [0]
+        self.radius_done = 0
+        # the class objects ``ball`` has handed out, in index order
+        self.classes: list[BallClass] = []
         n = len(system.names)
         # a < a^-1 < b < b^-1 < ...
         self._letters = [l for i in range(n) for l in (i + 1, -(i + 1))]
 
     def extend(self, radius: int) -> None:
-        while self.radius_done < radius:
-            r = self.radius_done + 1
-            for w in [()] if r == 0 else self._expand(r - 1):
-                idx, new = self.index.find_or_insert(w)
-                if new:
-                    self.norms.append(r)
-                    if len(self.norms) > MAX_CLASSES:
-                        # the classes found so far are exact; a later call
-                        # at or below radius_done still reads them
-                        raise BudgetExceededError(
-                            f"ball radius {r} needs more than {MAX_CLASSES} classes",
-                            partial=self.radius_done,
-                        )
-            self.radius_done = r
-
-    def _expand(self, r: int):
-        """One-letter extensions of the norm-r classes, in shortlex order.
+        """Enumerate the classes up to ``radius``.
 
         A prefix of a shortlex-least geodesic is one itself, so every class
-        of norm r + 1 first appears among these words, in the same order as
-        among all reduced words of length r + 1.  The norm-r classes are
-        read back from the registry, which may already hold some classes of
-        norm r + 1 from a pass a budget stopped.
+        of norm r first appears among the one-letter extensions of the
+        norm-(r - 1) classes, in the same order as among all reduced words
+        of length r.  Each extension is keyed from its parent's entry.  The
+        norm-(r - 1) classes are read back from the registry, which may
+        already hold some classes of norm r from a pass a budget stopped.
         """
-        norms = self.norms
-        for idx in range(bisect_left(norms, r), bisect_left(norms, r + 1)):
-            w = self.index.word_at(idx)
-            last = w[-1] if w else 0
-            for l in self._letters:
-                if l != -last:
-                    yield w + (l,)
-
-    def class_at(self, idx: int) -> BallClass:
-        return BallClass(Element._reduced(self.system, self.index.word_at(idx)), self.norms[idx])
+        index, norms = self.index, self.norms
+        while self.radius_done < radius:
+            r = self.radius_done + 1
+            for parent in range(bisect_left(norms, r - 1), bisect_left(norms, r)):
+                w = index.word_at(parent)
+                cancel = -w[-1] if w else 0
+                for l in self._letters:
+                    if l != cancel and index.find_or_insert_child(parent, l)[1]:
+                        norms.append(r)
+                        if len(norms) > MAX_CLASSES:
+                            # the classes found so far are exact; a later
+                            # call at or below radius_done still reads them
+                            raise BudgetExceededError(
+                                f"ball radius {r} needs more than {MAX_CLASSES} classes",
+                                partial=self.radius_done,
+                            )
+            self.radius_done = r
 
 
 def _registry(system: GeneratorSystem) -> _BallRegistry:
@@ -118,13 +115,17 @@ def _registry(system: GeneratorSystem) -> _BallRegistry:
 
 
 def ball(system: GeneratorSystem, radius: int) -> Ball:
-    """The ball of the given radius; deterministic class ordering."""
+    """The ball of the given radius; deterministic class ordering.  Each
+    class object is built once per registry and shared by every later ball."""
     if radius < 0:
         raise InputError("radius must be non-negative")
     reg = _registry(system)
     reg.extend(radius)
-    classes = tuple(reg.class_at(i) for i in range(bisect_right(reg.norms, radius)))
-    return Ball(radius, classes)
+    count = bisect_right(reg.norms, radius)
+    classes = reg.classes
+    for i in range(len(classes), count):
+        classes.append(BallClass(Element._reduced(system, reg.index.word_at(i)), reg.norms[i]))
+    return Ball(radius, tuple(classes[:count]))
 
 
 def _find(g: Element) -> tuple[_BallRegistry, int]:

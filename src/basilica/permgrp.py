@@ -18,7 +18,9 @@ subgroup's chain and never counts the full group.  Any other input (other
 degrees, d >= 3 systems, permutations that break the blocks) goes through
 a deterministic Schreier-Sims stabilizer chain, which raises
 ``BudgetExceededError`` (its ``partial``: the base length so far) past
-``MAX_SCHREIER_SIFTS`` sifts.
+``MAX_SCHREIER_SIFTS`` sifts; the polycyclic sift raises it (its
+``partial``: the sequence length so far) past ``MAX_TREE_WORK`` leaves
+passed over.
 
 Subgroup elements are tracked together with their expressions over the
 subgroup's own generators (an "hword": signed 1-based indices into the
@@ -56,6 +58,11 @@ MAX_SCHREIER_SIFTS = 10_000
 # of a d = 3 system (degree 81) takes about 4300, and its level-5 quotient
 # (degree 243, 85 s to finish) reaches this bound after about 7 s, both
 # on a 2-CPU VM with Python 3.11
+
+MAX_TREE_WORK = 300_000_000
+# leaves a polycyclic sequence of binary-tree automorphisms may pass over,
+# one pass per square and commutator test of each element that joins it; the
+# full Basilica group at level 10 takes 235988 products of degree 1024
 
 DEFAULT_SCHREIER_CAP = 64
 # Schreier generators a vertex stabilizer keeps; a certificate records the
@@ -127,9 +134,10 @@ class SchreierTable(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _schreier_search(H: SubgroupHandle, vertex: str) -> dict[tuple[int, ...], HWord]:
+def _schreier_search(H: SubgroupHandle, vertex: str, forward=None) -> dict[tuple[int, ...], HWord]:
     """Orbit paths in BFS order under g1, g1^-1, g2, g2^-1, ..., each with
-    the hword of an element taking the vertex there."""
+    the hword of an element taking the vertex there.  A ``forward`` dict
+    gets each path's images under g1, g2, ...."""
     start = H.system.parse_vertex(vertex)
     word_at = H.system.word_at
     moves = []
@@ -137,12 +145,11 @@ def _schreier_search(H: SubgroupHandle, vertex: str) -> dict[tuple[int, ...], HW
         moves += [(i + 1, g.word), (-(i + 1), invert_word(g.word))]
     transversal: dict[tuple[int, ...], HWord] = {start: ()}
     queue = [start]
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        for letter, word in moves:
-            w = word_at(word, u)[0]
+    for u in queue:  # the loop reaches the points appended below
+        images = [word_at(word, u)[0] for _, word in moves]
+        if forward is not None:
+            forward[u] = images[::2]
+        for (letter, _), w in zip(moves, images):
             if w not in transversal:
                 # already reduced: the inverse of u's first letter leads back
                 # to u's parent, which is visited, so it never reaches w
@@ -178,12 +185,12 @@ def stabilizer_generator_pairs(
     """
     if cap < 0:
         raise InputError(f"stabilizer cap must be non-negative, got {cap}")
-    transversal = _schreier_search(H, vertex)
+    forward: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    transversal = _schreier_search(H, vertex, forward)
     candidates: list[tuple[Element, HWord]] = []
     # paths of one length sort as their vertex strings do
     for u in sorted(transversal):
-        for i, g in enumerate(H.generators):
-            w = H.system.word_at(g.word, u)[0]
+        for i, w in enumerate(forward[u]):
             hw = free_reduce(invert_word(transversal[w]) + (i + 1,) + transversal[u])
             candidates.append((H.evaluate(hw), hw))
     candidates.sort(key=lambda pair: (len(pair[0].word), pair[0].word, len(pair[1])))
@@ -288,6 +295,8 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
     2^(sequence length), and a permutation of the leaves is a member exactly
     when it sifts to the identity.  Up to 256 leaves an element is ``bytes``
     and each product or flip vector one ``bytes.translate``; above, a tuple.
+    A residue joins only while the products formed so far, times the
+    degree, stay within ``MAX_TREE_WORK``.
     """
     degree = len(gens[0])
     n = degree.bit_length() - 1
@@ -324,22 +333,42 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
         # a permutation that is not the identity here is no member
         return None if g == identity else (n + 1, 0, g)
 
-    queue = [(convert(g), 1) for g in gens]
+    # a queued sift is (element, first level); above 256 leaves, where a
+    # queue of elements passed 1 GB at level 16, a commutator is queued as
+    # ((entry, entry), 0), its two sequence entries, and built when popped
+    deferred = degree > 256
+    queue: list[tuple] = [(convert(g), 1) for g in gens]
+    work = len(queue)  # products formed, each at least a pass over the leaves
     while queue:
-        found = sift(*queue.pop())
+        g, start = queue.pop()
+        if not start:
+            (k, r, r_table, r_inv), (l, b, b_table, b_inv) = g
+            g, start = apply(apply(apply(b, r_table), b_inv), r_inv), max(k, l)
+        found = sift(g, start)
         if found is None:
             continue
+        if work * degree > MAX_TREE_WORK:
+            raise BudgetExceededError(
+                f"polycyclic sequence exceeded {MAX_TREE_WORK} points of work "
+                f"with {len(sequence)} elements",
+                partial=len(sequence),
+            )
         k, v, r = found
         r_table, r_inv = table(r), inverse(r)
         echelons[k][v.bit_length()] = (v, r_table)
+        entry = (k, r, r_table, r_inv)
         if k < n:
             queue.append((apply(r, r_table), k + 1))
         # [r, b] lies in St(max(k, l) - 1), so its sift starts there
-        for l, b, b_table, b_inv in sequence:
-            rb = apply(b, r_table)
-            if rb != apply(r, b_table):
-                queue.append((apply(apply(rb, b_inv), r_inv), max(k, l)))
-        sequence.append((k, r, r_table, r_inv))
+        if deferred:
+            queue += [((entry, e), 0) for e in sequence if apply(e[1], r_table) != apply(r, e[2])]
+        else:
+            for l, b, b_table, b_inv in sequence:
+                rb = apply(b, r_table)
+                if rb != apply(r, b_table):
+                    queue.append((apply(apply(rb, b_inv), r_inv), max(k, l)))
+        work += (k < n) + len(sequence)
+        sequence.append(entry)
     return 2 ** len(sequence), lambda g: sift(convert(g), 1) is None
 
 

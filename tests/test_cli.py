@@ -369,6 +369,18 @@ def test_order_sift_budget_exit_code(tmp_path, capsys, monkeypatch):
     assert err == "budget exhausted: stabilizer chain exceeded 10 sifts with 5 base points\n"
 
 
+def test_order_tree_work_budget_exit_code(capsys, monkeypatch):
+    # a binary system takes the polycyclic path; the level-5 quotient of
+    # the Basilica group makes its last join after 244 products of degree 32
+    argv = ("order", "--gens", "a,b", "--level", "5")
+    monkeypatch.setattr(permgrp, "MAX_TREE_WORK", 244 * 32)
+    assert run(capsys, *argv)[:2] == (0, f"{2**23}\n")
+    monkeypatch.setattr(permgrp, "MAX_TREE_WORK", 1000)
+    assert run(capsys, *argv) == (
+        4, "", "budget exhausted: polycyclic sequence exceeded 1000 points of work with 8 elements\n"
+    )
+
+
 def test_portrait_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(core, "MAX_LEVEL_POINTS", 4)
     assert run(capsys, "portrait", "ab", "--depth", "3")[0] == 0

@@ -248,6 +248,31 @@ def test_index_key_is_level_action(kind, letters):
     assert system._index_key(word) == bytes(system.word_level_perm(word, level))
 
 
+_GRIGORCHUK = (
+    "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,c; "
+    "gen c perm=0,1 sections=a,d; gen d perm=0,1 sections=e,b"
+)
+_CHILD_SYSTEMS = {"basilica": BASILICA_TEXT, "grigorchuk": _GRIGORCHUK, "d3": _D3_SYSTEM}
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(_CHILD_SYSTEMS)), st.data())
+def test_child_key_is_index_key_of_the_extension(kind, data):
+    # the d = 3 system keys on 243 bytes, but a translation table has 256
+    system = parse_system(_CHILD_SYSTEMS[kind])
+    letters = [l for i in range(len(system.names)) for l in (i + 1, -(i + 1))]
+    word = free_reduce(data.draw(st.lists(st.sampled_from(letters), max_size=30)))
+    letter = data.draw(st.sampled_from([l for l in letters if not word or l != -word[-1]]))
+    index = ElementIndex(system)
+    idx, _ = index.find_or_insert(word)
+    child, new = index.find_or_insert_child(idx, letter)
+    extended = word + (letter,)
+    assert (child, new) == (1, True)
+    assert index.word_at(child) == extended
+    assert index._keys[child] == system._index_key(extended)
+    assert index.find_word(extended) == child
+
+
 def _letter_data(system):
     """Per signed letter: root images and section words, from the defining
     data that == and hash compare."""

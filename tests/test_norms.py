@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from basilica import BudgetExceededError, equals, norms, parse_system
+from basilica import BudgetExceededError, core, equals, norms, parse_system
 from basilica.norms import ball, geodesic_rep, norm
 from basilica.structure import alpha, tau
 
@@ -162,9 +162,42 @@ def test_ball_budget(B, monkeypatch):
     assert ball(fresh, 5).table() == ball(B, 5).table()
 
 
+_D3_SYSTEM = "alphabet 3; gen a perm=1,2,0 sections=e,b,a; gen b perm=0,2,1 sections=aB,e,b"
+
+
 def test_ball_order_is_first_occurrence_in_shortlex(B):
     # the registry extends only the class representatives of the last
-    # radius; the classes and their order must be those of all reduced words
+    # radius; the classes and their order must be those of all reduced words.
+    # The d = 3 system keys on level 5 (243 of the 256 table bytes)
+    for text in (BASILICA_TEXT, _D3_SYSTEM):
+        fresh = parse_system(text)
+        oracle = brute_force_classes(fresh, 5)
+        assert [c.word for c in ball(fresh, 5).classes] == [g.word for g in oracle]
+
+
+def test_ball_keys_each_candidate_from_its_parent(monkeypatch):
+    # only the root is keyed from its word; every one-letter extension takes
+    # its key from the parent class's
+    keyed = []
+    index_key = core.GeneratorSystem._index_key
+
+    def counting(system, word):
+        keyed.append(word)
+        return index_key(system, word)
+
+    monkeypatch.setattr(core.GeneratorSystem, "_index_key", counting)
     fresh = parse_system(BASILICA_TEXT)
-    oracle = brute_force_classes(fresh, 5)
-    assert [c.word for c in ball(fresh, 5).classes] == [g.word for g in oracle]
+    assert len(ball(fresh, 6)) == 1125
+    assert keyed == [()]
+
+
+def test_smaller_balls_share_the_class_objects():
+    fresh = parse_system(BASILICA_TEXT)
+    small = ball(fresh, 2)  # built before the larger ball
+    big = ball(fresh, 5)
+    for r in range(5):
+        classes = ball(fresh, r).classes
+        assert classes == big.classes[: len(classes)]
+        assert all(c is d for c, d in zip(classes, big.classes))
+    assert all(c is d for c, d in zip(small.classes, big.classes))
+    assert [len(ball(fresh, r)) for r in range(6)] == [1, 5, 17, 53, 153, 421]

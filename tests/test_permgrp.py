@@ -338,6 +338,23 @@ def test_schreier_sims_sift_budget(monkeypatch):
         )
 
 
+def test_tree_order_work_budget(monkeypatch):
+    # the level-5 quotient of the Basilica group has order 2^23; its last
+    # element joins the sequence after 244 products of degree 32
+    B = basilica()
+    gens = level_perms(B, B.generators(), 5)
+    monkeypatch.setattr(permgrp, "MAX_TREE_WORK", 244 * 32)
+    assert group_order(gens) == 2**23
+    for budget, elements in ((244 * 32 - 1, 22), (100, 2), (0, 0)):
+        monkeypatch.setattr(permgrp, "MAX_TREE_WORK", budget)
+        with pytest.raises(BudgetExceededError) as exc:
+            group_order(gens)
+        assert exc.value.partial == elements
+        assert str(exc.value) == (
+            f"polycyclic sequence exceeded {budget} points of work with {elements} elements"
+        )
+
+
 def test_schreier_sims_default_budget_covers_d3_level_4():
     d3 = parse_system(_D3_SYSTEM)
     order = group_order(level_perms(d3, d3.generators(), 4))
