@@ -150,9 +150,14 @@ def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
 
 
 def invert_images(p: Sequence[int]) -> tuple[int, ...]:
-    """Image tuple of the inverse permutation."""
+    """Image tuple of the inverse permutation.  Its entries are ``p``'s own
+    int objects: past 256 points, where CPython caches no ints, an
+    ``enumerate`` counter would add a 28-byte int per entry."""
+    points = [0] * len(p)
+    for y in p:
+        points[y] = y
     out = [0] * len(p)
-    for x, y in enumerate(p):
+    for x, y in zip(points, p):
         out[y] = x
     return tuple(out)
 

@@ -19,6 +19,7 @@ classes: ``ball``, ``norm`` and ``geodesic_rep`` raise
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from functools import partial
 from typing import NamedTuple
 
 from .core import (
@@ -122,9 +123,9 @@ def ball(system: GeneratorSystem, radius: int) -> Ball:
     reg = _registry(system)
     reg.extend(radius)
     count = bisect_right(reg.norms, radius)
-    classes = reg.classes
-    for i in range(len(classes), count):
-        classes.append(BallClass(Element._reduced(system, reg.index.word_at(i)), reg.norms[i]))
+    classes, start = reg.classes, len(reg.classes)
+    elements = map(partial(Element._reduced, system), reg.index._words[start:count])
+    classes += map(BallClass, elements, reg.norms[start:count])
     return Ball(radius, tuple(classes[:count]))
 
 

@@ -1,0 +1,291 @@
+"""Exact orders of permutation groups and membership tests in them, for
+the level quotients of ``permgrp.group_order`` and
+``permgrp.level_quotient_equals_full``.  Those two import this module when
+first called, so a projection search, which counts no group, never loads it.
+
+``_chain`` picks its method from the input alone.  Permutations of 2^n
+points that keep the dyadic blocks together are automorphisms of the binary
+tree of depth n; they generate a 2-group, counted by sifting through an
+induced polycyclic sequence along the level stabilizers, with elements as
+``bytes`` multiplied by ``bytes.translate`` up to 256 points (level 8) and as
+tuples above.  That covers every level action of a binary system, so the
+``order`` command takes this path.  The full-quotient test of a binary
+system whose generators have independent level parities (per level, the
+parity of the vertices whose children an element swaps) builds no chain:
+those parities give the full group's Frattini quotient, and the subgroup is
+full exactly when its generators' parities have the same rank.  Otherwise
+it is a membership test: it sifts the full group's generators through the
+subgroup's chain and never counts the full group.  Any other input (other
+degrees, d >= 3 systems, permutations that break the blocks) goes through
+a deterministic Schreier-Sims stabilizer chain, which raises
+``BudgetExceededError`` (its ``partial``: the base length so far) past
+``MAX_SCHREIER_SIFTS`` sifts; the polycyclic sift raises it (its
+``partial``: the sequence length so far) past ``MAX_TREE_WORK`` leaves
+passed over.
+"""
+
+from __future__ import annotations
+
+from functools import reduce
+from operator import itemgetter, xor
+from typing import Callable, Sequence
+
+from .core import BudgetExceededError, InputError, Perm, compose_images, invert_images
+
+MAX_SCHREIER_SIFTS = 10_000
+# sifts one Schreier-Sims stabilizer chain may make; the level-4 quotient
+# of a d = 3 system (degree 81) takes about 4300, and its level-5 quotient
+# (degree 243, 85 s to finish) reaches this bound after about 7 s, both
+# on a 2-CPU VM with Python 3.11
+
+MAX_TREE_WORK = 300_000_000
+# leaves a polycyclic sequence of binary-tree automorphisms may pass over,
+# one pass per square and commutator test of each element that joins it; the
+# full Basilica group at level 10 takes 235988 products of degree 1024
+
+
+def _chain(perms: Sequence) -> tuple[int, Callable[[tuple[int, ...]], bool]]:
+    """``permgrp.group_order``'s order, with a membership test for image tuples of
+    the same degree that sifts through the chain the order was read from."""
+    gens = []
+    identity = None
+    for p in perms:
+        images = p.images if isinstance(p, Perm) else Perm(p).images
+        if identity is None:
+            identity = tuple(range(len(images)))
+        elif len(images) != len(identity):
+            raise InputError("permutations act on different point sets")
+        if images != identity:
+            gens.append(images)
+    if not gens:
+        return 1, lambda p: p == tuple(range(len(p)))
+    if len(identity).bit_count() == 1 and all(map(_keeps_dyadic_blocks, gens)):
+        return _tree_order(gens)
+    return _schreier_sims_order(gens)
+
+
+def _keeps_dyadic_blocks(g: tuple[int, ...]) -> bool:
+    """Whether a permutation of 2^n leaves is an automorphism of the binary
+    tree above them: siblings go to siblings at every height."""
+    while len(g) > 1:
+        if set(map(xor, g[::2], g[1::2])) != {1}:
+            return False
+        g = [x >> 1 for x in g[::2]]
+    return True
+
+
+def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
+    """Order of a group of binary-tree automorphisms of the 2^n leaves, and
+    a membership test for permutations of the same leaves.
+
+    Builds an induced polycyclic sequence with C2 factors along the series of
+    level stabilizers St(0) > St(1) > ... > St(n) = 1 (Holt, Eick and
+    O'Brien, Handbook of Computational Group Theory, ch. 8).  An element of
+    St(k-1) swaps or keeps the two children of each level-(k-1) vertex; that
+    flip vector, one byte per vertex in a Python int, is its image in the
+    elementary abelian St(k-1)/St(k).  Sifting reduces it against the level-k
+    echelon basis, keyed by leading digit, multiplying the element on the left
+    by the basis element used, then goes on one level down.  The factor is
+    abelian of exponent 2: flip(w o g) = flip(w) XOR flip(g) = flip(g o w), so
+    left products take the decisions right ones would, no inverses are needed,
+    and at closure the same elements sift to the identity.  A nonzero residue
+    joins the sequence, and its square and its commutators with every earlier
+    element are sifted in turn.  Once all of these sift to the identity, the
+    elements that sift to the identity form the group, so its order is
+    2^(sequence length), and a permutation of the leaves is a member exactly
+    when it sifts to the identity.  Up to 256 leaves an element is ``bytes``
+    and each product or flip vector one ``bytes.translate``; above, a tuple.
+    A residue joins only while the products formed so far, times the
+    degree, stay within ``MAX_TREE_WORK``.
+    """
+    degree = len(gens[0])
+    n = degree.bit_length() - 1
+    # flips[s][x]: which child of its height-(s+1) ancestor leaf x lies under
+    flips = [(bytes(1 << s) + b"\1" * (1 << s)) * (max(degree, 256) >> s + 1) for s in range(n)]
+    if degree <= 256:  # apply(g, table(w)) is w o g; inverse(w) is table(w^-1)
+        convert, identity, pad = bytes, bytes(range(degree)), bytes(range(degree, 256))
+        table, inverse = lambda w: w + pad, lambda w: bytes.maketrans(w, identity)
+        apply = gather = bytes.translate
+    else:
+        convert, identity, table, inverse = tuple, tuple(range(degree)), tuple, invert_images
+        apply = lambda g, t: itemgetter(*g)(t)
+        gather = lambda h, t: bytes(map(t.__getitem__, h))
+    # echelons[k]: leading digit -> (flip vector, table of the sequence element)
+    echelons: list[dict] = [{} for _ in range(n + 1)]
+    sequence: list[tuple] = []
+
+    def sift(g, start):
+        # g lies in St(start-1); returns (level, flip vector, residue) or None
+        for k in range(start, n + 1):
+            if g == identity:
+                return None
+            s = n - k
+            v = int.from_bytes(gather(g[:: 2 << s], flips[s]), "big")
+            echelon = echelons[k]
+            while v:
+                entry = echelon.get(v.bit_length())
+                if entry is None:
+                    return k, v, g
+                w, w_table = entry
+                v ^= w
+                g = apply(g, w_table)
+        # St(n) is trivial, so a tree automorphism is the identity by now;
+        # a permutation that is not the identity here is no member
+        return None if g == identity else (n + 1, 0, g)
+
+    # a queued sift is (element, first level); above 256 leaves, where a
+    # queue of elements passed 1 GB at level 16, a commutator is queued as
+    # ((entry, entry), 0), its two sequence entries, and built when popped
+    deferred = degree > 256
+    queue: list[tuple] = [(convert(g), 1) for g in gens]
+    work = len(queue)  # products formed, each at least a pass over the leaves
+    while queue:
+        g, start = queue.pop()
+        if not start:
+            (k, r, r_table, r_inv), (l, b, b_table, b_inv) = g
+            g, start = apply(apply(apply(b, r_table), b_inv), r_inv), max(k, l)
+        found = sift(g, start)
+        if found is None:
+            continue
+        if work * degree > MAX_TREE_WORK:
+            raise BudgetExceededError(
+                f"polycyclic sequence exceeded {MAX_TREE_WORK} points of work "
+                f"with {len(sequence)} elements",
+                partial=len(sequence),
+            )
+        k, v, r = found
+        r_table, r_inv = table(r), inverse(r)
+        echelons[k][v.bit_length()] = (v, r_table)
+        entry = (k, r, r_table, r_inv)
+        if k < n:
+            queue.append((apply(r, r_table), k + 1))
+        # [r, b] lies in St(max(k, l) - 1), so its sift starts there
+        if deferred:
+            queue += [((entry, e), 0) for e in sequence if apply(e[1], r_table) != apply(r, e[2])]
+        else:
+            for l, b, b_table, b_inv in sequence:
+                rb = apply(b, r_table)
+                if rb != apply(r, b_table):
+                    queue.append((apply(apply(rb, b_inv), r_inv), max(k, l)))
+        work += (k < n) + len(sequence)
+        sequence.append(entry)
+    return 2 ** len(sequence), lambda g: sift(convert(g), 1) is None
+
+
+def _schreier_sims_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
+    """Order of the group generated by a nonempty list of image tuples of one
+    degree, by a stabilizer chain, and a membership test for image tuples of
+    that degree: a member strips to the identity.
+
+    Base points are chosen as the smallest moved point, so the chain is
+    deterministic.  Generator lists per level are cumulative: level i holds
+    every strong generator fixing the first i base points, and a level is
+    verified by stripping all its Schreier generators through the deeper
+    chain.  No generator joins a level twice: a residue p joins levels
+    start..stop when it fixes the first stop base points and moves
+    ``base[stop]`` out of that level's orbit, or opens a new level.  Had p
+    joined a level in start..stop before, it would have joined all levels
+    down to one whose (never changed) base point it moves: level stop, whose
+    orbit is closed under p, or one past the last.  Raises
+    ``BudgetExceededError`` (``partial``: the number of base points so far)
+    on sift number ``MAX_SCHREIER_SIFTS`` + 1.
+    """
+    degree = len(gens[0])
+    identity = tuple(range(degree))
+
+    class _Level:
+        __slots__ = ("base", "gens", "points", "trans", "pending")
+
+        def __init__(self, base):
+            self.base = base
+            self.gens = []
+            self.points = [base]  # append-only orbit, discovery order
+            self.trans = {base: identity}
+            self.pending = []  # (point, gen) Schreier pairs not yet verified
+
+    levels: list[_Level] = []
+    sifts = 0
+
+    def extend_orbit(lv):
+        i = 0
+        while i < len(lv.points):
+            x = lv.points[i]
+            ux = lv.trans[x]
+            for g in lv.gens:
+                y = g[x]
+                if y not in lv.trans:
+                    lv.trans[y] = compose_images(g, ux)
+                    lv.points.append(y)
+                    lv.pending.extend((y, h) for h in lv.gens)
+            i += 1
+
+    def strip(p, start):
+        nonlocal sifts
+        sifts += 1
+        if sifts > MAX_SCHREIER_SIFTS:
+            raise BudgetExceededError(
+                f"stabilizer chain exceeded {MAX_SCHREIER_SIFTS} sifts "
+                f"with {len(levels)} base points",
+                partial=len(levels),
+            )
+        for i in range(start, len(levels)):
+            lv = levels[i]
+            y = p[lv.base]
+            if y not in lv.trans:
+                return p, i
+            p = compose_images(invert_images(lv.trans[y]), p)
+        return p, len(levels)
+
+    def insert(p, start, stop):
+        # p fixes every base above `start`; register it on levels start..stop
+        if stop == len(levels):
+            levels.append(_Level(min(x for x in range(degree) if p[x] != x)))
+        for lv in levels[start : stop + 1]:
+            lv.gens.append(p)
+            lv.pending.extend((x, p) for x in lv.points)
+            extend_orbit(lv)
+        for j in range(stop, start - 1, -1):
+            process_level(j)
+
+    def process_level(i):
+        # verified pairs stay members when deeper groups grow, so each
+        # Schreier pair is processed exactly once
+        lv = levels[i]
+        while lv.pending:
+            x, g = lv.pending.pop()
+            gx = compose_images(g, lv.trans[x])
+            schreier = compose_images(invert_images(lv.trans[g[x]]), gx)
+            if schreier == identity:
+                continue
+            residue, lev = strip(schreier, i + 1)
+            if residue != identity:
+                insert(residue, i + 1, lev)
+
+    for p in gens:
+        residue, lev = strip(p, 0)
+        if residue != identity:
+            insert(residue, 0, lev)
+    order = 1
+    for lv in levels:
+        order *= len(lv.points)
+    return order, lambda p: strip(p, 0)[0] == identity
+
+
+def _level_parities(p: tuple[int, ...]) -> int:
+    """psi of a level-n action of the binary tree, one bit per level: the
+    first leaf below a vertex v of height s + 1 lands below the second child
+    of v's image exactly when the action swaps v's children, so the parity
+    is bit s of the XOR of those leaves' images."""
+    return sum((reduce(xor, p[:: 2 << s]) >> s & 1) << s for s in range(len(p).bit_length() - 1))
+
+
+def _f2_rank(vectors: Sequence[int]) -> int:
+    """Rank over F_2 of bit vectors held in ints."""
+    basis: list[int] = []
+    for v in vectors:
+        # clears the leading bit of b, which no later basis vector has set
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)

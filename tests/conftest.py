@@ -1,12 +1,26 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import basilica as basilica_package
 from basilica import basilica
 
 BASILICA_TEXT = "alphabet 2\ngen a perm=0,1 sections=e,b\ngen b perm=1,0 sections=a,e\n"
 # the Basilica system in the group-definition file format; parse_system of
 # it is a fresh system equal to basilica(), with caches of its own
+
+
+def fresh_interpreter_output(probe: str) -> str:
+    """Standard output of a new interpreter running ``probe`` on these sources."""
+    src = str(Path(basilica_package.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from basilica import ConsistencyError, basilica, cli, core, norms, permgrp
+from basilica import ConsistencyError, basilica, cli, core, norms, permgrp, quotients
 from basilica.cli import main
 
 from conftest import BASILICA_TEXT
@@ -360,9 +360,9 @@ def test_order_sift_budget_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "d3.txt"
     path.write_text("alphabet 3\ngen a perm=1,2,0 sections=e,b,a\ngen b perm=0,2,1 sections=aB,e,b\n")
     argv = ("order", "--system", str(path), "--gens", "a,b", "--level", "2")
-    monkeypatch.setattr(permgrp, "MAX_SCHREIER_SIFTS", 38)
+    monkeypatch.setattr(quotients, "MAX_SCHREIER_SIFTS", 38)
     assert run(capsys, *argv)[:2] == (0, "1296\n")
-    monkeypatch.setattr(permgrp, "MAX_SCHREIER_SIFTS", 10)
+    monkeypatch.setattr(quotients, "MAX_SCHREIER_SIFTS", 10)
     code, out, err = run(capsys, *argv)
     assert code == 4
     assert out == ""
@@ -373,9 +373,9 @@ def test_order_tree_work_budget_exit_code(capsys, monkeypatch):
     # a binary system takes the polycyclic path; the level-5 quotient of
     # the Basilica group makes its last join after 244 products of degree 32
     argv = ("order", "--gens", "a,b", "--level", "5")
-    monkeypatch.setattr(permgrp, "MAX_TREE_WORK", 244 * 32)
+    monkeypatch.setattr(quotients, "MAX_TREE_WORK", 244 * 32)
     assert run(capsys, *argv)[:2] == (0, f"{2**23}\n")
-    monkeypatch.setattr(permgrp, "MAX_TREE_WORK", 1000)
+    monkeypatch.setattr(quotients, "MAX_TREE_WORK", 1000)
     assert run(capsys, *argv) == (
         4, "", "budget exhausted: polycyclic sequence exceeded 1000 points of work with 8 elements\n"
     )

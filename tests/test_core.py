@@ -1,4 +1,6 @@
 import functools
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -668,6 +670,30 @@ def test_mirrored_convention_is_detected():
     comm = a.inverse() * b.inverse() * a * b
     assert not equals(comm.section(0), mirrored.element("Aba"))
     assert equals(comm.section(1), mirrored.element("Aba"))
+
+
+@settings(derandomize=True, max_examples=100)
+@given(st.integers(min_value=0, max_value=600).flatmap(lambda n: st.permutations(range(n))))
+def test_invert_images_is_the_enumerate_inverse(images):
+    expected = [0] * len(images)
+    for x, y in enumerate(images):
+        expected[y] = x
+    assert invert_images(tuple(images)) == tuple(expected)
+
+
+def test_invert_images_builds_no_ints(B):
+    # one level-16 inverse keeps the tuple and nothing else; an int built
+    # per entry held 2.35 MB for a 0.52 MB tuple
+    p = B.element("ab").level_perm(16).images
+    tracemalloc.start()
+    try:
+        inverse = invert_images(p)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sys.getsizeof(inverse)
+    assert held < 1.1 * size
+    assert peak < 3.5 * size
 
 
 def test_perm_api():

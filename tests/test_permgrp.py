@@ -10,11 +10,10 @@ from basilica import (
     equals,
     parse_system,
     permgrp,
+    quotients,
 )
 from basilica.permgrp import (
     SubgroupHandle,
-    _keeps_dyadic_blocks,
-    _schreier_sims_order,
     group_order,
     hword_parse,
     hword_str,
@@ -25,6 +24,9 @@ from basilica.permgrp import (
     projection_pairs,
     stabilizer_generator_pairs,
 )
+from basilica.quotients import _keeps_dyadic_blocks, _schreier_sims_order
+
+from conftest import fresh_interpreter_output
 
 
 def mulclose(perms, maxsize=100_000):
@@ -326,10 +328,10 @@ _D3_SYSTEM = "alphabet 3; gen a perm=1,2,0 sections=e,b,a; gen b perm=0,2,1 sect
 def test_schreier_sims_sift_budget(monkeypatch):
     # the S8 chain from a transposition and an 8-cycle makes exactly 35 sifts
     gens = [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)]
-    monkeypatch.setattr(permgrp, "MAX_SCHREIER_SIFTS", 35)
+    monkeypatch.setattr(quotients, "MAX_SCHREIER_SIFTS", 35)
     assert _schreier_sims_order(gens)[0] == 40320
     for budget, base_points in ((34, 7), (10, 6), (0, 0)):
-        monkeypatch.setattr(permgrp, "MAX_SCHREIER_SIFTS", budget)
+        monkeypatch.setattr(quotients, "MAX_SCHREIER_SIFTS", budget)
         with pytest.raises(BudgetExceededError) as exc:
             group_order(gens)
         assert exc.value.partial == base_points
@@ -343,10 +345,10 @@ def test_tree_order_work_budget(monkeypatch):
     # element joins the sequence after 244 products of degree 32
     B = basilica()
     gens = level_perms(B, B.generators(), 5)
-    monkeypatch.setattr(permgrp, "MAX_TREE_WORK", 244 * 32)
+    monkeypatch.setattr(quotients, "MAX_TREE_WORK", 244 * 32)
     assert group_order(gens) == 2**23
     for budget, elements in ((244 * 32 - 1, 22), (100, 2), (0, 0)):
-        monkeypatch.setattr(permgrp, "MAX_TREE_WORK", budget)
+        monkeypatch.setattr(quotients, "MAX_TREE_WORK", budget)
         with pytest.raises(BudgetExceededError) as exc:
             group_order(gens)
         assert exc.value.partial == elements
@@ -408,13 +410,34 @@ def test_full_quotient_parity_path_builds_no_chain(monkeypatch):
     def no_chain(perms):
         raise AssertionError("the level parities decide this test")
 
-    monkeypatch.setattr(permgrp, "_chain", no_chain)
+    monkeypatch.setattr(quotients, "_chain", no_chain)
     B = basilica()
     for n in range(2, 11):
         for words in (["a", "b"], ["a", "ab"]):
             assert level_quotient_equals_full(SubgroupHandle.from_words(B, words), n)
         for words in (["ab", "ba", "bb"], ["a", "bab"]):
             assert not level_quotient_equals_full(SubgroupHandle.from_words(B, words), n)
+
+
+def test_projection_search_loads_no_order_code():
+    # a cold certify worker makes these calls; compiling the order
+    # algorithms would cost it more than the search, so they load with the
+    # first group order
+    probe = """
+import sys
+from basilica import basilica, descent
+from basilica.permgrp import SubgroupHandle, group_order, level_perms
+
+B = basilica()
+H = SubgroupHandle.from_words(B, ["ba", "bb"])
+cert = descent.prodense_projection_search(H)
+parsed = descent.parse_certificate(cert.serialize())
+assert descent.verify_certificate(H, cert) and descent.verify_certificate(H, parsed)
+print("basilica.quotients" in sys.modules)
+full = SubgroupHandle.from_words(B, ["a", "b"])
+print(group_order(level_perms(B, full.generators, 7)) == 2**88, "basilica.quotients" in sys.modules)
+"""
+    assert fresh_interpreter_output(probe) == "False\nTrue True\n"
 
 
 # system, deepest level tested; the systems are those of the ROADMAP

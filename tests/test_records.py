@@ -1,11 +1,6 @@
 """The record types: what they print, compare and refuse, and what importing
 the command line costs."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 import basilica
@@ -21,14 +16,7 @@ from basilica.norms import Ball, BallClass, ball
 from basilica.permgrp import SchreierTable
 from basilica.structure import HeisenbergElement
 
-
-def _fresh_interpreter_output(probe: str) -> str:
-    """Standard output of a new interpreter running ``probe`` on these sources."""
-    src = str(Path(basilica.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
+from conftest import fresh_interpreter_output
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -36,14 +24,14 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # imported here; dataclasses (and inspect, which it imports) cost more
     # than the search behind a typical prodense call
     probe = "import sys, basilica.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    assert _fresh_interpreter_output(probe) == "[]\n"
+    assert fresh_interpreter_output(probe) == "[]\n"
 
 
 def test_import_basilica_loads_no_module_but_core():
     # the benchmark's setup_s times a cold `import basilica` on every
     # workload; an eager import in __init__ would add its compile time there
     probe = "import sys, basilica; print(sorted(m for m in sys.modules if m.startswith('basilica.')))"
-    assert _fresh_interpreter_output(probe) == "['basilica.core']\n"
+    assert fresh_interpreter_output(probe) == "['basilica.core']\n"
 
 
 def _records(B):
