@@ -25,12 +25,14 @@ closure only ever contains words no longer than the input, so the procedure
 terminates; a closure-size guard protects against pathological custom
 systems.
 
-Root and sections of a word come from one walk over its letters per
-alphabet point, which yields the root image of that point and the section
-below it together; one walk down a vertex path gives its image and the
-section there (``word_at``), read by ``Element.projection`` as the projection
-g -> g_v of a vertex stabilizer, which every witness replay checks.  Each
-system memoises that pair per word, and the words proven trivial (no
+Root and sections of a word come from one pass over its letters, right to
+left, that follows every alphabet point at once: one reduction stack per
+point, which yields the root image of the point and the section below it
+together.  One walk down a vertex path gives its image and the section
+there (``word_at``), read by ``Element.projection`` as the projection
+g -> g_v of a vertex stabilizer, which every witness replay checks; on a
+word longer than ``MEMO_LETTERS`` it follows the path's point alone.  Each
+system memoises root and sections per word, and the words proven trivial (no
 nontrivial verdict), but only for words of at most ``MEMO_LETTERS`` letters:
 in a contracting group such as Basilica sections shrink (two levels down to
 about half the word), so a long input word seldom comes back as the section
@@ -49,7 +51,8 @@ from __future__ import annotations
 
 import operator
 import string
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class InputError(ValueError):
@@ -86,9 +89,10 @@ Word = tuple[int, ...]
 
 
 MAX_CLOSURE_LETTERS = 2_000_000
-# letters one triviality decision may hold in its section closure; the largest
+# letters one triviality decision may hold in its section closure, and one
+# rigid-stabilizer lift (``structure.lift_section``) may build; the largest
 # closure seen in real use has about 3000, while a length-expanding system
-# doubles its words at every step
+# doubles its words at every step, and a lift doubles every two levels
 
 MEMO_LETTERS = 64
 # longest word whose root and sections, and whose triviality, a system
@@ -141,7 +145,7 @@ def _product(u: Word, v: Word) -> Word:
 
 def invert_word(word: Sequence[int]) -> Word:
     """Inverse word: reversed letters with flipped signs."""
-    return tuple(-l for l in reversed(word))
+    return tuple(map(operator.neg, reversed(word)))
 
 
 def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -162,14 +166,14 @@ def invert_images(p: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def substitute_word(word: Sequence[int], images: Sequence[Sequence[int]]) -> list[int]:
+def substitute_word(word: Sequence[int], images: Sequence[Sequence[int]]) -> Iterator[int]:
     """Letters of ``word`` with +(i+1) replaced by ``images[i]`` and -(i+1) by
     its inverse; not reduced, so the caller reduces once."""
-    inverses = [invert_word(image) for image in images]
-    out: list[int] = []
-    for l in word:
-        out.extend(images[l - 1] if l > 0 else inverses[-l - 1])
-    return out
+    table = {}
+    for i, image in enumerate(images, 1):
+        table[i] = image
+        table[-i] = invert_word(image)
+    return chain.from_iterable(map(table.__getitem__, word))
 
 
 class Perm:
@@ -311,12 +315,26 @@ class GeneratorSystem:
             ),
         )
         # per signed letter and input point y: (the letter's section word at
-        # y, reversed; the image of y), the one step of the walk in
-        # _root_and_sections
+        # y, reversed; the image of y), the one step of the walk along one
+        # point in _walk
         self._steps: dict[int, tuple[tuple[Word, int], ...]] = {
             l: tuple((secs[y][::-1], self._letter_root[l][y]) for y in ident)
             for l, secs in self._letter_sections.items()
         }
+        # the walk of all points together in _root_and_sections: per signed
+        # letter, its section letters as (point y, cancelling letter, letter)
+        # pushes in the order the walk meets them, and, unless its root is
+        # trivial, the itemgetter that moves the walk at y to the root's
+        # image of y.  Each point's stack starts from a mark that no letter
+        # cancels and that names the point
+        self._mark_base = len(names) + 1
+        self._marks = tuple((self._mark_base + x,) for x in ident)
+        self._fused_steps = {}
+        for l, secs in self._letter_sections.items():
+            root = self._letter_root[l]
+            pushes = tuple((y, -s, s) for y in ident for s in reversed(secs[y]))
+            move = None if root == ident else operator.itemgetter(*invert_images(root))
+            self._fused_steps[l] = (pushes, move)
 
         # transparent memo caches, results never depend on their state; both
         # hold only words of at most MEMO_LETTERS letters, the second only
@@ -349,7 +367,10 @@ class GeneratorSystem:
             return ()
         letters = self._letters
         try:
-            return free_reduce([letters[ch] for ch in text])
+            # through a list, so the word's tuple is built at its exact size:
+            # one grown from an iterator may keep spare slots, and the memos
+            # may keep the word
+            return free_reduce(list(map(letters.__getitem__, text)))
         except KeyError:
             col = next(i for i, ch in enumerate(text, start=1) if ch not in letters)
             raise WordParseError(f"unknown letter {text[col - 1]!r}", col) from None
@@ -400,31 +421,55 @@ class GeneratorSystem:
             cached = self._section_cache.get(word)
             if cached is not None:
                 return cached
-        steps = self._steps
-        roots = []
-        sections = []
-        for x in range(self.alphabet_size):
-            # (l1 .. ln)_x = (l1)_{y_(n-1)} ... (ln)_{y_0} with y_0 = x and
-            # y_(k+1) = sigma of the k-th letter from the right applied to
-            # y_k, so y_n is the root image of x.  The walk meets the parts
-            # right to left and reduces their reversed letters, which gives
-            # the reduced section reversed.
-            y = x
-            stack: list[int] = []
-            for l in reversed(word):
-                part, y = steps[l][y]
-                for s in part:
-                    if stack and stack[-1] == -s:
-                        stack.pop()
-                    else:
-                        stack.append(s)
-            roots.append(y)
-            stack.reverse()
-            sections.append(tuple(stack))
+        # the walks of _walk from every point at once, one pass over the
+        # word: refs[y] is the stack of the walk now at y, which each letter
+        # pushes its section at y onto before the root moves it on
+        steps = self._fused_steps
+        refs = tuple(map(list, self._marks))
+        for l in reversed(word):
+            pushes, move = steps[l]
+            for y, t, s in pushes:
+                stack = refs[y]
+                if stack[-1] == t:
+                    stack.pop()
+                else:
+                    stack.append(s)
+            if move:
+                refs = move(refs)
+        # the walk from x ends at its root image y, its section reversed
+        # above the mark of x
+        base = self._mark_base
+        roots = [0] * self.alphabet_size
+        sections: list[Word] = [()] * self.alphabet_size
+        for y, stack in enumerate(refs):
+            x = stack[0] - base
+            roots[x] = y
+            sections[x] = tuple(stack[:0:-1])
         result = (tuple(roots), tuple(sections))
         if memo:
             self._section_cache[word] = result
         return result
+
+    def _walk(self, word: Word, x: int) -> tuple[int, Word]:
+        """Root image of the point x and freely reduced section at x, from
+        one walk over the word that follows x alone."""
+        # (l1 .. ln)_x = (l1)_{y_(n-1)} ... (ln)_{y_0} with y_0 = x and
+        # y_(k+1) = sigma of the k-th letter from the right applied to y_k,
+        # so y_n is the root image of x.  The walk meets the parts right to
+        # left and reduces their reversed letters, which gives the reduced
+        # section reversed.
+        steps = self._steps
+        y = x
+        stack: list[int] = []
+        for l in reversed(word):
+            part, y = steps[l][y]
+            for s in part:
+                if stack and stack[-1] == -s:
+                    stack.pop()
+                else:
+                    stack.append(s)
+        stack.reverse()
+        return y, tuple(stack)
 
     def word_root(self, word: Word) -> tuple[int, ...]:
         """Root permutation images of a word."""
@@ -436,12 +481,17 @@ class GeneratorSystem:
 
     def word_at(self, word: Word, path: Sequence[int]) -> tuple[tuple[int, ...], Word]:
         """The image of a vertex path under a word and the word's section
-        there, from one walk down the path."""
+        there, from one walk down the path.  A word the memo may hold yields
+        all its sections; a longer one is walked along the path's point
+        only, and nothing about it is kept."""
         image = []
         for x in path:
-            root, sections = self._root_and_sections(word)
-            image.append(root[x])
-            word = sections[x]
+            if len(word) <= MEMO_LETTERS:
+                root, sections = self._root_and_sections(word)
+                y, word = root[x], sections[x]
+            else:
+                y, word = self._walk(word, x)
+            image.append(y)
         return tuple(image), word
 
     def _fold(self, word: Word, n: int) -> tuple[int, ...]:

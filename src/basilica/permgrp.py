@@ -3,7 +3,8 @@ subgroups: orbits with Schreier transversals, stabilizer generators and the
 projections they give, exact group orders, and full-level-quotient tests.
 
 The order and membership algorithms live in ``quotients``, which
-``group_order`` and ``level_quotient_equals_full`` import when first called.
+``group_order`` and ``level_quotient_equals_full`` import when first called
+and keep bound after.
 
 Subgroup elements are tracked together with their expressions over the
 subgroup's own generators (an "hword": signed 1-based indices into the
@@ -200,6 +201,18 @@ def projected_subgroup(
     return SubgroupHandle(H.system, [sec for sec, _ in projection_pairs(H, vertex, cap)])
 
 
+_quotients = None
+# the module of the order code, bound by the first call that needs it
+
+
+def _load_quotients():
+    """Import ``quotients`` and bind it for later calls."""
+    global _quotients
+    from . import quotients as _quotients
+
+    return _quotients
+
+
 def group_order(perms: Sequence) -> int:
     """Order of the group generated by permutations; exact.
 
@@ -212,9 +225,7 @@ def group_order(perms: Sequence) -> int:
     system is such input.  Everything else goes through the stabilizer chain
     (``quotients._schreier_sims_order``).
     """
-    from .quotients import _chain
-
-    return _chain(perms)[0]
+    return (_quotients or _load_quotients())._chain(perms)[0]
 
 
 def level_perms(system: GeneratorSystem, elements: Sequence[Element], n: int) -> list[Perm]:
@@ -245,13 +256,13 @@ def level_quotient_equals_full(H: SubgroupHandle, n: int) -> bool:
     level n as an element of H, sifted through the chain of H's level-n
     quotient.
     """
-    from .quotients import _chain, _f2_rank, _level_parities
-
+    quotients = _quotients or _load_quotients()
     system = H.system
     if system.alphabet_size == 2:
-        psi = [_level_parities(system.word_level_perm(g.word, n)) for g in system.generators()]
-        if _f2_rank(psi) == len(psi):
+        parities = quotients._level_parities
+        psi = [parities(system.word_level_perm(g.word, n)) for g in system.generators()]
+        if quotients._f2_rank(psi) == len(psi):
             h_psi = [reduce(xor, (psi[abs(l) - 1] for l in h.word), 0) for h in H.generators]
-            return _f2_rank(h_psi) == len(psi)
-    _, contains = _chain(level_perms(system, H.generators, n))
+            return quotients._f2_rank(h_psi) == len(psi)
+    _, contains = quotients._chain(level_perms(system, H.generators, n))
     return all(contains(system.word_level_perm(g.word, n)) for g in system.generators())

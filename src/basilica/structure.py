@@ -14,11 +14,15 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import (
+    MAX_CLOSURE_LETTERS,
+    BudgetExceededError,
     ConsistencyError,
     Element,
     GeneratorSystem,
     PreconditionError,
+    Word,
     basilica,
+    substitute_word,
 )
 
 #: Substitution whose image stabilizes the first level and restores the
@@ -101,18 +105,24 @@ class HeisenbergElement(NamedTuple):
         return f"a^{self.p} b^{self.q} c^{self.r}"
 
 
-_HEIS_A = HeisenbergElement(1, 0, 0)
-_HEIS_B = HeisenbergElement(0, 1, 0)
-
-
 def heis_image(g: Element) -> HeisenbergElement:
-    """Image of g in the Heisenberg quotient, computed letter-wise."""
+    """Image of g in the Heisenberg quotient, computed letter-wise: a^p b^q
+    c^r times a^(+-1) is a^(p+-1) b^q c^(r-+q), and times b^(+-1) it is
+    a^p b^(q+-1) c^r."""
     require_basilica(g)
-    out = HeisenbergElement(0, 0, 0)
+    p = q = r = 0
     for l in g.word:
-        gen = _HEIS_A if abs(l) == 1 else _HEIS_B
-        out = out * (gen if l > 0 else gen.inverse())
-    return out
+        if l == 1:
+            p += 1
+            r -= q
+        elif l == -1:
+            p -= 1
+            r += q
+        elif l == 2:
+            q += 1
+        else:
+            q -= 1
+    return HeisenbergElement(p, q, r)
 
 
 def bprime_coords(g: Element) -> tuple[int, int, int]:
@@ -135,6 +145,15 @@ def bprime_coords(g: Element) -> tuple[int, int, int]:
     return (l, h0.q - l, -h1.r)
 
 
+def _check_lift_budget(letters: int) -> None:
+    if letters > MAX_CLOSURE_LETTERS:
+        raise BudgetExceededError(
+            f"lift would build a word of {letters} letters, more than "
+            f"{MAX_CLOSURE_LETTERS}",
+            partial=letters,
+        )
+
+
 def lift_section(w: Element, vertex: str) -> Element:
     """Rigid-stabilizer witness: fixes level |vertex| pointwise, restores w
     below ``vertex`` and is trivial below every other vertex of that level.
@@ -143,16 +162,36 @@ def lift_section(w: Element, vertex: str) -> Element:
     b -> a (its left section is the a-only image of w, trivial because the
     exponent sums vanish); the left child is reached by conjugating with b.
     Each step lands in B' again, so the construction recurses along the
-    vertex.
+    vertex.  The steps compose into one conjugate of the n-th power of the
+    substitution, so w is substituted once.  The lifted word doubles in
+    length every two levels; a lift that would build more than
+    ``MAX_CLOSURE_LETTERS`` letters raises ``BudgetExceededError``.
     """
     sys = require_basilica(w)
     if not in_derived_subgroup(w):
         raise PreconditionError("only derived-subgroup elements can be lifted")
     path = sys.parse_vertex(vertex)
-    b = sys.generator("b")
-    out = w
-    for x in reversed(path):
-        out = out.substitute(LIFT_SUBSTITUTION)
+    # With s the substitution and c_0 = b, c_1 = e, the step to x is
+    # u -> c_x s(u) c_x^-1, so the lift at x_1 ... x_n is u -> C s^n(u) C^-1
+    # with C = c_x1 s(c_x2) ... s^(n-1)(c_xn).  Level k reads s^(k-1)(b),
+    # then s^k(a) = s^(k-1)(b)^2 and s^k(b) = s^(k-1)(a): powers of one
+    # generator each, and C is a positive word.
+    a_image: Word = (1,)
+    b_image: Word = (2,)
+    conjugator: Word = ()
+    for x in path:
         if x == 0:
-            out = b * out * b.inverse()
-    return out
+            _check_lift_budget(len(conjugator) + len(b_image))
+            conjugator += b_image
+        _check_lift_budget(2 * len(b_image))
+        a_image, b_image = b_image + b_image, a_image
+    word = w.word
+    a_letters = word.count(1) + word.count(-1)
+    _check_lift_budget(
+        a_letters * len(a_image) + (len(word) - a_letters) * len(b_image) + 2 * len(conjugator)
+    )
+    # s^n maps the letters of a and of b to powers of different generators,
+    # so it keeps w reduced
+    lifted = Element._reduced(sys, tuple(substitute_word(word, (a_image, b_image))))
+    c = Element._reduced(sys, conjugator)
+    return c * lifted * c.inverse()

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from basilica import ConsistencyError, basilica, cli, core, norms, permgrp, quotients
+from basilica import ConsistencyError, basilica, cli, core, norms, permgrp, quotients, structure
 from basilica.cli import main
 
 from conftest import BASILICA_TEXT
@@ -157,6 +157,19 @@ def test_lift_golden(capsys):
     code, out, _ = run(capsys, "lift", "ABab", "1")
     assert code == 0
     assert out == "BBAbba\n"
+
+
+def test_lift_budget_exit_code(capsys, monkeypatch):
+    # the lift of ABab to the vertex of ten zeros builds 252 letters, which
+    # reduce to 220
+    argv = ("lift", "ABab", "0" * 10)
+    monkeypatch.setattr(structure, "MAX_CLOSURE_LETTERS", 252)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(out) == 221
+    monkeypatch.setattr(structure, "MAX_CLOSURE_LETTERS", 251)
+    assert run(capsys, *argv) == (
+        4, "", "budget exhausted: lift would build a word of 252 letters, more than 251\n"
+    )
 
 
 def test_lift_precondition(capsys):

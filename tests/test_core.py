@@ -363,17 +363,43 @@ def _reference_root_and_sections(system, word):
     return root, secs
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+_GUPTA_SIDKI = "alphabet 3; gen a perm=1,2,0 sections=e,e,e; gen b perm=0,1,2 sections=a,A,b"
+# the Hanoi towers group H(3): its roots generate S3
+_HANOI = (
+    "alphabet 3; gen a perm=1,0,2 sections=e,e,a; gen b perm=2,1,0 sections=e,b,e; "
+    "gen c perm=0,2,1 sections=c,e,e"
+)
+# systems with trivial roots (Grigorchuk's b, c, d, Gupta-Sidki's b) and a
+# nonabelian root group
+_WALK_SYSTEMS = {
+    "basilica": BASILICA_TEXT,
+    "d3": _D3_SYSTEM,
+    "grigorchuk": _GRIGORCHUK,
+    "gupta-sidki": _GUPTA_SIDKI,
+    "hanoi": _HANOI,
+}
+# every letter of the largest of these systems, Grigorchuk's four generators
+_ALL_LETTERS = [1, -1, 2, -2, 3, -3, 4, -4]
+
+
+def _in_range(system, letters):
+    """The letters folded into the system's generator range, signs kept."""
+    n = len(system.names)
+    return [(1 if l > 0 else -1) * ((abs(l) - 1) % n + 1) for l in letters]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
 @given(
-    st.sampled_from(["basilica", "d3"]),
-    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3 * core.MEMO_LETTERS),
+    st.sampled_from(sorted(_WALK_SYSTEMS)),
+    st.lists(st.sampled_from(_ALL_LETTERS), max_size=3 * core.MEMO_LETTERS),
 )
 @example("basilica", [1, 2] * (core.MEMO_LETTERS // 2))
 @example("basilica", [1, 2] * (core.MEMO_LETTERS // 2) + [1])
 @example("d3", [1, -2] * core.MEMO_LETTERS)
+@example("hanoi", [1, 2, 3, -1, -2, -3] * 12)
 def test_fused_walk_matches_section_law(kind, letters):
-    system = parse_system(_SYSTEMS[kind])
-    word = free_reduce(letters)
+    system = parse_system(_WALK_SYSTEMS[kind])
+    word = free_reduce(_in_range(system, letters))
     expected = _reference_root_and_sections(system, word)
     # a cold call, then one the memo may answer
     for _ in range(2):
@@ -408,13 +434,42 @@ def test_word_at_is_level_action_and_iterated_section(kind, letters, digits):
     assert section == expected
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.sampled_from(sorted(_WALK_SYSTEMS)),
+    st.lists(
+        st.sampled_from(_ALL_LETTERS),
+        min_size=core.MEMO_LETTERS + 1,
+        max_size=4 * core.MEMO_LETTERS,
+    ),
+    st.lists(st.integers(0, 2), max_size=7),
+)
+def test_word_at_walks_long_words_along_the_path(kind, letters, digits):
+    # words past the memo bound, which word_at walks along one point
+    system = parse_system(_WALK_SYSTEMS[kind])
+    d = system.alphabet_size
+    word: list[int] = []
+    for l in _in_range(system, letters):
+        # a letter that would cancel is repeated instead, so nothing cancels
+        word.append(-l if word and word[-1] == -l else l)
+    word = tuple(word)
+    path = tuple(x % d for x in digits)
+    image, section = system.word_at(word, path)
+    assert len(word) > core.MEMO_LETTERS and word not in system._section_cache
+    level = system.word_level_perm(word, len(path))
+    assert _level_point(image, d) == level[_level_point(path, d)]
+    expected = word
+    for x in path:
+        expected = system.word_sections(expected)[x]
+    assert section == expected
+
+
 _PROJECTION_SYSTEMS = {
     kind: parse_system(text)
     for kind, text in {
         "basilica": BASILICA_TEXT,
-        "grigorchuk": "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,c; "
-        "gen c perm=0,1 sections=a,d; gen d perm=0,1 sections=e,b",
-        "gupta-sidki": "alphabet 3; gen a perm=1,2,0 sections=e,e,e; gen b perm=0,1,2 sections=a,A,b",
+        "grigorchuk": _GRIGORCHUK,
+        "gupta-sidki": _GUPTA_SIDKI,
         "d3": _D3_SYSTEM,
     }.items()
 }
@@ -423,14 +478,13 @@ _PROJECTION_SYSTEMS = {
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(
     st.sampled_from(sorted(_PROJECTION_SYSTEMS)),
-    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3, 4, -4]), max_size=24),
+    st.lists(st.sampled_from(_ALL_LETTERS), max_size=24),
     st.lists(st.integers(0, 2), max_size=7),
 )
 def test_projection_is_the_section_exactly_at_fixed_vertices(kind, letters, digits):
     system = _PROJECTION_SYSTEMS[kind]
-    n, d = len(system.names), system.alphabet_size
-    # fold the letters into the system's generator range, keeping signs
-    g = system.element([(1 if l > 0 else -1) * ((abs(l) - 1) % n + 1) for l in letters])
+    d = system.alphabet_size
+    g = system.element(_in_range(system, letters))
     path = tuple(x % d for x in digits)
     point = _level_point(path, d)
     projection = g.projection(path)

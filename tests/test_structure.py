@@ -179,6 +179,29 @@ def test_lift_section_support(B):
                 assert sec.is_trivial()
 
 
+def _lift_level_by_level(w, vertex):
+    """The lift as its definition reads: substitute and reduce the whole
+    word once per level, conjugating by b at a 0."""
+    b = w.system.generator("b")
+    out = w
+    for x in reversed(vertex):
+        out = out.substitute(LIFT_SUBSTITUTION)
+        if x == "0":
+            out = b * out * b.inverse()
+    return out
+
+
+def test_lift_section_is_the_level_by_level_lift(B, rng):
+    a, b = B.generators()
+    for depth in range(13):
+        for _ in range(6):
+            g = random_element(B, rng, max_len=12)
+            s, t = ab_image(g)
+            w = g * b ** (-t) * a ** (-s)  # exponent sums zero: in B'
+            vertex = "".join(rng.choice("01") for _ in range(depth))
+            assert lift_section(w, vertex).word == _lift_level_by_level(w, vertex).word
+
+
 def test_lift_section_requires_derived(B):
     with pytest.raises(PreconditionError):
         lift_section(B.element("a"), "0")
