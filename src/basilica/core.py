@@ -50,7 +50,6 @@ entry's key, so an entry's word times one letter is keyed with one more
 from __future__ import annotations
 
 import operator
-import string
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -148,6 +147,11 @@ def invert_word(word: Sequence[int]) -> Word:
     return tuple(map(operator.neg, reversed(word)))
 
 
+def exponent_sums(word: Sequence[int], generators: int) -> tuple[int, ...]:
+    """Exponent sum of each of the generators 1..``generators`` in ``word``."""
+    return tuple(word.count(i) - word.count(-i) for i in range(1, generators + 1))
+
+
 def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     """Image tuple of the permutation p o q: x goes to p[q[x]]."""
     return tuple(map(p.__getitem__, q))
@@ -222,7 +226,7 @@ class Perm:
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
 
 
-_NAME_ALPHABET = set(string.ascii_lowercase) - {"e"}  # `e` is the empty word
+_NAME_ALPHABET = set("abcdefghijklmnopqrstuvwxyz") - {"e"}  # `e` is the empty word
 
 _ROOT_VERTEX = "e"  # how commands print the root; parse_vertex reads it back
 
@@ -388,7 +392,7 @@ class GeneratorSystem:
             return ()
         out = []
         for col, ch in enumerate(vertex, start=1):
-            if ch not in string.digits[: self.alphabet_size]:
+            if ch not in "0123456789"[: self.alphabet_size]:
                 raise InputError(f"bad vertex letter {ch!r} at position {col}")
             out.append(int(ch))
         return tuple(out)
@@ -652,6 +656,14 @@ def basilica() -> GeneratorSystem:
     if _basilica_singleton is None:
         _basilica_singleton = parse_system(_BASILICA_DEFINITION)
     return _basilica_singleton
+
+
+def require_basilica(g) -> GeneratorSystem:
+    """Return the system of ``g`` after checking it is the Basilica system."""
+    system = g.system if isinstance(g, Element) else g
+    if system != basilica():
+        raise PreconditionError("operation requires the Basilica system")
+    return system
 
 
 def _same_system(g: "Element", h: "Element") -> GeneratorSystem:

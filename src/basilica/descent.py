@@ -36,8 +36,10 @@ from .core import (
     PreconditionError,
     Word,
     ascii_int,
+    exponent_sums,
     free_reduce,
     invert_word,
+    require_basilica,
     substitute_word,
     vertex_str,
     vertex_word,
@@ -51,7 +53,6 @@ from .permgrp import (
     hword_str,
     projection_pairs,
 )
-from .structure import ab_image, require_basilica
 
 DEFAULT_STATES = 100_000
 # descent states one search may visit
@@ -106,8 +107,8 @@ class DescentCertificate(NamedTuple):
 def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> DescentCertificate:
     if max_states < 0:
         raise InputError(f"descent budget must be non-negative, got {max_states}")
-    require_basilica(g)
-    image = ab_image(g)
+    # find_ab and find_b_inv_a have checked the system
+    image = exponent_sums(g.word, 2)
     if image not in allowed:
         raise PreconditionError(
             f"descent requires exponent image in {allowed}, got {image}"
@@ -227,7 +228,7 @@ def solve_coset(H: SubgroupHandle, target: tuple[int, int]):
     of the subgroup's exponent-sum lattice.
     """
     require_basilica(H.system)
-    columns = [list(ab_image(g)) for g in H.generators]
+    columns = [list(exponent_sums(g.word, 2)) for g in H.generators]
     work, piv0, piv1 = _lattice_reduce(columns)
     failure = NotInLattice(tuple(tuple(work[p][:2]) for p in (piv0, piv1) if p is not None))
     # subtract pivot columns from (target | 0) until the target part is
@@ -246,7 +247,7 @@ def solve_coset(H: SubgroupHandle, target: tuple[int, int]):
     for i, c in enumerate(rest[2:]):
         letters.extend([-(i + 1) if c > 0 else i + 1] * abs(c))
     hword = free_reduce(letters)
-    realized = ab_image(H.evaluate(hword))
+    realized = exponent_sums(H.evaluate(hword).word, 2)
     if realized != target:
         raise ConsistencyError(f"coset solve produced image {realized} != {target}")
     return hword

@@ -18,24 +18,17 @@ from .core import (
     BudgetExceededError,
     ConsistencyError,
     Element,
-    GeneratorSystem,
     PreconditionError,
     Word,
     basilica,
+    exponent_sums,
+    require_basilica,
     substitute_word,
 )
 
 #: Substitution whose image stabilizes the first level and restores the
 #: original word at the right child: a -> b^2, b -> a.
 LIFT_SUBSTITUTION = {"a": "bb", "b": "a"}
-
-
-def require_basilica(g) -> GeneratorSystem:
-    """Return the system of ``g`` after checking it is the Basilica system."""
-    system = g.system if isinstance(g, Element) else g
-    if system != basilica():
-        raise PreconditionError("operation requires the Basilica system")
-    return system
 
 
 def commutator(g: Element, h: Element) -> Element:
@@ -64,13 +57,7 @@ def tau(m: int) -> Element:
 def ab_image(g: Element) -> tuple[int, int]:
     """Exponent sums (s, t) of a and b; the abelianization onto Z^2."""
     require_basilica(g)
-    s = t = 0
-    for l in g.word:
-        if abs(l) == 1:
-            s += 1 if l > 0 else -1
-        else:
-            t += 1 if l > 0 else -1
-    return (s, t)
+    return exponent_sums(g.word, 2)
 
 
 def in_derived_subgroup(g: Element) -> bool:

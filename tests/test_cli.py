@@ -1,6 +1,9 @@
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from basilica import ConsistencyError, basilica, cli, core, norms, permgrp, quotients, structure
 from basilica.cli import main
@@ -71,6 +74,18 @@ def test_find_ab_precondition(capsys):
     code, _, err = run(capsys, "find-ab", "a")
     assert code == 3
     assert "precondition" in err
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.text("aAbB", min_size=1, max_size=12))
+def test_find_ab_exits_3_outside_its_class(word):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["find-ab", word])
+    if core.exponent_sums(basilica().parse_word(word), 2) == (1, 1):
+        assert code == 0 and out.getvalue().startswith("vertex=")
+    else:
+        assert code == 3 and err.getvalue().startswith("precondition error:")
 
 
 def test_find_binva_golden(capsys):

@@ -16,7 +16,7 @@ from basilica import (
     parse_system,
 )
 from basilica import core
-from basilica.core import ElementIndex, compose_images, invert_images, invert_word
+from basilica.core import ElementIndex, compose_images, exponent_sums, invert_images, invert_word
 from basilica.norms import ball
 from basilica.structure import LIFT_SUBSTITUTION, lift_section, tau
 
@@ -406,6 +406,22 @@ def test_fused_walk_matches_section_law(kind, letters):
         assert system.word_root(word) == expected[0]
         assert system.word_sections(word) == expected[1]
     assert (word in system._section_cache) == (len(word) <= core.MEMO_LETTERS)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.sampled_from(["basilica", "grigorchuk", "gupta-sidki"]),
+    st.lists(st.sampled_from(_ALL_LETTERS), max_size=80),
+)
+def test_exponent_sums_count_each_letter(kind, letters):
+    system = parse_system(_WALK_SYSTEMS[kind])
+    n = len(system.names)
+    word = tuple(_in_range(system, letters))
+    expected = [0] * n
+    for l in word:
+        expected[abs(l) - 1] += 1 if l > 0 else -1
+    # free reduction cancels a letter against its inverse, so it keeps the sums
+    assert exponent_sums(word, n) == exponent_sums(free_reduce(word), n) == tuple(expected)
 
 
 def _level_point(path, d):

@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from basilica import GeneratorSystem, equals, parse_system
+from basilica import GeneratorSystem, equals, free_reduce, parse_system
 from basilica.core import InputError, PreconditionError
 from basilica.descent import (
     FailureReport,
@@ -66,6 +67,35 @@ def test_find_ab_precondition(B):
         find_ab(B.element("a"))
     with pytest.raises(PreconditionError):
         find_ab(B.element("aB"))
+
+
+# two-letter systems that are not Basilica; the lamplighter automaton has
+# Basilica's alphabet and generator names, so only the check refuses it
+_OTHER_SYSTEMS = {
+    "lamplighter": "alphabet 2; gen a perm=1,0 sections=a,b; gen b perm=0,1 sections=a,b",
+    "grigorchuk": (
+        "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,c; "
+        "gen c perm=0,1 sections=a,d; gen d perm=0,1 sections=e,b"
+    ),
+    "gupta-sidki": "alphabet 3; gen a perm=1,2,0 sections=e,e,e; gen b perm=0,1,2 sections=a,A,b",
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.sampled_from(sorted(_OTHER_SYSTEMS)),
+    st.lists(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8), min_size=1, max_size=3),
+)
+def test_exponent_sum_readers_require_basilica(kind, words):
+    system = parse_system(_OTHER_SYSTEMS[kind])
+    elements = [system.element(free_reduce(w)) for w in words]
+    for g in elements:
+        with pytest.raises(PreconditionError):
+            ab_image(g)
+        with pytest.raises(PreconditionError):
+            find_ab(g)
+    with pytest.raises(PreconditionError):
+        solve_coset(SubgroupHandle(system, elements), (1, 1))
 
 
 def test_find_b_inv_a_base_cases(B):

@@ -422,7 +422,8 @@ def test_full_quotient_parity_path_builds_no_chain(monkeypatch):
 def test_projection_search_loads_no_order_code():
     # a cold certify worker makes these calls; compiling the order
     # algorithms would cost it more than the search, so they load with the
-    # first group order
+    # first group order, and the Basilica structure code (Heisenberg
+    # quotient, B' coordinates, lifts) never
     probe = """
 import sys
 from basilica import basilica, descent
@@ -433,11 +434,11 @@ H = SubgroupHandle.from_words(B, ["ba", "bb"])
 cert = descent.prodense_projection_search(H)
 parsed = descent.parse_certificate(cert.serialize())
 assert descent.verify_certificate(H, cert) and descent.verify_certificate(H, parsed)
-print("basilica.quotients" in sys.modules)
+print("basilica.quotients" in sys.modules, "basilica.structure" in sys.modules)
 full = SubgroupHandle.from_words(B, ["a", "b"])
 print(group_order(level_perms(B, full.generators, 7)) == 2**88, "basilica.quotients" in sys.modules)
 """
-    assert fresh_interpreter_output(probe) == "False\nTrue True\n"
+    assert fresh_interpreter_output(probe) == "False False\nTrue True\n"
 
 
 # system, deepest level tested; the systems are those of the ROADMAP

@@ -29,9 +29,16 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 
 def test_import_basilica_loads_no_module_but_core():
     # the benchmark's setup_s times a cold `import basilica` on every
-    # workload; an eager import in __init__ would add its compile time there
-    probe = "import sys, basilica; print(sorted(m for m in sys.modules if m.startswith('basilica.')))"
-    assert fresh_interpreter_output(probe) == "['basilica.core']\n"
+    # workload; an eager import in __init__ would add its compile time
+    # there, and `string` cost about a millisecond for two constant strings
+    probe = """
+import sys
+before = set(sys.modules)
+import basilica
+new = set(sys.modules) - before
+print(sorted(m for m in new if m.startswith('basilica.')), 'string' in new)
+"""
+    assert fresh_interpreter_output(probe) == "['basilica.core'] False\n"
 
 
 def _records(B):

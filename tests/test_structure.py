@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from basilica import PreconditionError, equals, parse_system
+from basilica import PreconditionError, basilica, equals, free_reduce, parse_system
+from basilica.core import exponent_sums
 from basilica.structure import (
     LIFT_SUBSTITUTION,
     HeisenbergElement,
@@ -48,6 +50,13 @@ def test_ab_image(B):
     assert ab_image(a * b) == (1, 1)
     assert ab_image(alpha(3, -2)) == (0, 0)
     assert ab_image(b.inverse() * a) == (1, -1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=60))
+def test_ab_image_is_the_exponent_sums(letters):
+    g = basilica().element(free_reduce(letters))
+    assert ab_image(g) == exponent_sums(g.word, 2)
 
 
 def test_ab_image_requires_basilica():
