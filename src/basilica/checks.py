@@ -11,10 +11,17 @@ from __future__ import annotations
 import itertools
 import random
 import re
-from typing import NamedTuple
 
 from . import ENGINE
-from .core import BudgetExceededError, ConsistencyError, Element, InputError, equals, vertex_word
+from .core import (
+    BudgetExceededError,
+    ConsistencyError,
+    Element,
+    InputError,
+    Record,
+    equals,
+    vertex_word,
+)
 from .norms import ball, norm
 from .structure import (
     LIFT_SUBSTITUTION,
@@ -51,7 +58,7 @@ _FORBIDDEN = (
 )
 
 
-class CheckResult(NamedTuple):
+class CheckResult(Record):
     check_id: str
     claim: str
     status: str  # "pass" or "fail"
@@ -62,7 +69,7 @@ class CheckResult(NamedTuple):
         return self.status == "pass"
 
 
-class CheckReport(NamedTuple):
+class CheckReport(Record):
     results: tuple[CheckResult, ...]
     seed: int
     engine: str = ENGINE

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import operator
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class InputError(ValueError):
@@ -80,6 +80,65 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message: str, partial=None):
         super().__init__(message)
         self.partial = partial
+
+
+class _RecordType(type):
+    """Turns a record class's annotated names into its fields, in declaration
+    order.  The annotations stay the strings the compiler wrote, so nothing
+    is evaluated; a class-level value is the field's default.  Each field
+    reads its tuple slot, and ``__slots__ = ()`` keeps instances free of a
+    ``__dict__``.  Nothing is compiled per class."""
+
+    def __new__(mcls, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        namespace["_fields"] = fields
+        namespace["_field_defaults"] = {f: namespace[f] for f in fields if f in namespace}
+        for i, field in enumerate(fields):
+            namespace[field] = property(operator.itemgetter(i))
+        namespace.setdefault("__slots__", ())
+        return super().__new__(mcls, name, bases, namespace)
+
+
+class Record(tuple, metaclass=_RecordType):
+    """Immutable record base: a tuple with named fields, declared as
+
+        class Point(Record):
+            x: int
+            y: int = 0
+
+    Records are tuples, so they compare, hash, index and iterate as the tuple
+    of their fields; they print as ``Point(x=1, y=0)`` and pickle by value,
+    as ``typing.NamedTuple`` records do, but building a record class compiles
+    no source.  ``_make`` builds a record from an iterable of exactly its
+    field values and checks nothing.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields
+        if len(args) == len(fields) and not kwargs:
+            return tuple.__new__(cls, args)
+        if len(args) > len(fields):
+            raise TypeError(f"{cls.__name__} takes {len(fields)} fields, got {len(args)}")
+        values = dict(zip(fields, args))
+        for field in kwargs:
+            if field not in fields:
+                raise TypeError(f"{cls.__name__} has no field {field!r}")
+            if field in values:
+                raise TypeError(f"{cls.__name__} got field {field!r} twice")
+        values.update(kwargs)
+        defaults = cls._field_defaults
+        missing = [f for f in fields if f not in values and f not in defaults]
+        if missing:
+            raise TypeError(f"{cls.__name__} misses fields {missing}")
+        return tuple.__new__(cls, [values[f] if f in values else defaults[f] for f in fields])
+
+    _make = classmethod(tuple.__new__)
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map('{}={!r}'.format, self._fields, self))})"
 
 
 Word = tuple[int, ...]
@@ -832,7 +891,7 @@ def equals(g: Element, h: Element) -> bool:
     return system.word_is_trivial(_product(g.word, invert_word(h.word)))
 
 
-class Portrait(NamedTuple):
+class Portrait(Record):
     """Finite portrait: root permutations at every vertex above ``depth``."""
 
     depth: int

@@ -24,8 +24,6 @@ it never claims prodensity of the input.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from . import ENGINE
 from .core import (
     BudgetExceededError,
@@ -34,6 +32,7 @@ from .core import (
     ElementIndex,
     InputError,
     PreconditionError,
+    Record,
     Word,
     ascii_int,
     exponent_sums,
@@ -78,7 +77,7 @@ def congruence_transition(cls: tuple[int, int]) -> tuple[int, int]:
     return _TRANSITION[cls]
 
 
-class DescentCertificate(NamedTuple):
+class DescentCertificate(Record):
     """Replayable witness that a 2-power of ``start`` projects to ``target``.
 
     ``start``^(2^``exponent_log``) stabilizes ``vertex`` and its section
@@ -125,7 +124,7 @@ def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> De
         i += 1
         if goal.find_word(word) is not None:
             return DescentCertificate(g, path, target)
-        if system.word_root(word) == tuple(range(system.alphabet_size)):
+        if system.word_root(word) == system._identity_root:
             raise ConsistencyError(
                 "descent state has trivial root permutation; class invariant broken"
             )
@@ -185,7 +184,7 @@ def persist_ab(start: Element, vertex: str) -> tuple[int, Element]:
     return len(path), system.element(state)
 
 
-class NotInLattice(NamedTuple):
+class NotInLattice(Record):
     """Failure value of a coset solve: the target misses this lattice."""
 
     basis: tuple[tuple[int, int], ...]
@@ -270,7 +269,7 @@ _FIELDS = (
 )
 
 
-class ProdenseCertificate(NamedTuple):
+class ProdenseCertificate(Record):
     """Checkable witness that the subgroup's projection at ``vertex`` is the
     whole group: two expressions over the original subgroup generators whose
     sections at the vertex are a and b."""
@@ -339,7 +338,7 @@ def parse_certificate(text: str) -> ProdenseCertificate:
     )
 
 
-class FailureReport(NamedTuple):
+class FailureReport(Record):
     """Negative or aborted outcome of the projection search."""
 
     stage: int

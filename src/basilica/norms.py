@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import partial
-from typing import NamedTuple
 
 from .core import (
     BudgetExceededError,
@@ -29,6 +28,7 @@ from .core import (
     ElementIndex,
     GeneratorSystem,
     InputError,
+    Record,
     Word,
 )
 
@@ -37,7 +37,7 @@ MAX_CLASSES = 120_000
 # 114713, and each radius multiplies the count by about 2.45
 
 
-class BallClass(NamedTuple):
+class BallClass(Record):
     """One group element of the ball: canonical geodesic plus its norm."""
 
     element: Element
@@ -48,7 +48,7 @@ class BallClass(NamedTuple):
         return self.element.word
 
 
-class Ball(NamedTuple):
+class Ball(Record):
     """All group elements of norm at most ``radius``, in discovery order."""
 
     radius: int
@@ -125,7 +125,7 @@ def ball(system: GeneratorSystem, radius: int) -> Ball:
     count = bisect_right(reg.norms, radius)
     classes, start = reg.classes, len(reg.classes)
     elements = map(partial(Element._reduced, system), reg.index._words[start:count])
-    classes += map(BallClass, elements, reg.norms[start:count])
+    classes += map(BallClass._make, zip(elements, reg.norms[start:count]))
     return Ball(radius, tuple(classes[:count]))
 
 

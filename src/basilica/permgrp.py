@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import xor
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .core import (
     MAX_LEVEL_POINTS,
@@ -27,6 +27,7 @@ from .core import (
     GeneratorSystem,
     InputError,
     Perm,
+    Record,
     ascii_int,
     free_reduce,
     invert_word,
@@ -94,7 +95,7 @@ class SubgroupHandle:
         return f"SubgroupHandle(<{', '.join(self.words())}>)"
 
 
-class SchreierTable(NamedTuple):
+class SchreierTable(Record):
     """Orbit of a vertex with one transversal hword per orbit point."""
 
     orbit: tuple[str, ...]

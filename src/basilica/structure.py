@@ -11,14 +11,13 @@ substitution step per tree level.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .core import (
     MAX_CLOSURE_LETTERS,
     BudgetExceededError,
     ConsistencyError,
     Element,
     PreconditionError,
+    Record,
     Word,
     basilica,
     exponent_sums,
@@ -64,7 +63,7 @@ def in_derived_subgroup(g: Element) -> bool:
     return ab_image(g) == (0, 0)
 
 
-class HeisenbergElement(NamedTuple):
+class HeisenbergElement(Record):
     """Normal form a^p b^q c^r in the discrete Heisenberg group, c = [a, b].
 
     Multiplication moves b^q past a^p' at the cost of c^(-q p'), which makes

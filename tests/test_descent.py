@@ -271,15 +271,19 @@ def test_root_certificate_verifies_under_either_spelling(B):
     # a and b are their own sections at the root; the vertex is compared as
     # a parsed path, so "e" and "" are one vertex
     H = SubgroupHandle(B, list(B.generators()))
-    for vertex in ("e", ""):
-        cert = ProdenseCertificate(
+
+    def root_certificate(vertex):
+        return ProdenseCertificate(
             subgroup=("a", "b"), stages=(), vertex=vertex, expr_a=(1,), expr_b=(2,),
             budgets={"states": 0, "schreier": 0, "depth": 0},
         )
+
+    for vertex in ("e", ""):
+        cert = root_certificate(vertex)
         assert verify_certificate(H, cert)
         assert "vertex: e\n" in cert.serialize()
         assert verify_certificate(H, parse_certificate(cert.serialize()))
-    assert not verify_certificate(H, cert._replace(vertex="0"))
+    assert not verify_certificate(H, root_certificate("0"))
 
 
 def test_certificate_foreign_generator(B):

@@ -1,6 +1,9 @@
 """The record types: what they print, compare and refuse, and what importing
 the command line costs."""
 
+import copy
+import pickle
+
 import pytest
 
 import basilica
@@ -17,6 +20,20 @@ from basilica.permgrp import SchreierTable
 from basilica.structure import HeisenbergElement
 
 from conftest import fresh_interpreter_output
+
+RECORD_TYPES = (
+    Portrait,
+    BallClass,
+    Ball,
+    HeisenbergElement,
+    SchreierTable,
+    DescentCertificate,
+    NotInLattice,
+    ProdenseCertificate,
+    FailureReport,
+    CheckResult,
+    CheckReport,
+)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -39,6 +56,21 @@ new = set(sys.modules) - before
 print(sorted(m for m in new if m.startswith('basilica.')), 'string' in new)
 """
     assert fresh_interpreter_output(probe) == "['basilica.core'] False\n"
+
+
+def test_cli_import_compiles_only_package_sources():
+    # record classes are built without generating source: with a compiled
+    # annotation or class template per record, a cold import of the
+    # command line raised dozens of compile events for "<string>"
+    probe = """
+import os, sys
+names = []
+sys.addaudithook(lambda event, args: event == 'compile' and names.append(str(args[1])))
+import basilica.cli
+package = os.path.dirname(basilica.__file__) + os.sep
+print([name for name in names if not name.startswith(package)])
+"""
+    assert fresh_interpreter_output(probe) == "[]\n"
 
 
 def _records(B):
@@ -103,3 +135,63 @@ def test_heisenberg_arithmetic():
     assert g * g * g == HeisenbergElement(3, 6, 3)
     assert g.inverse() == HeisenbergElement(-1, -2, -5)
     assert (g * g.inverse()).is_identity()
+
+
+def test_record_fields_follow_declaration_order():
+    assert FailureReport._fields == ("stage", "reason", "lattice", "budgets", "trace")
+    assert CheckResult._fields == ("check_id", "claim", "status", "detail")
+    assert HeisenbergElement._fields == ("p", "q", "r")
+    assert Portrait._fields == ("depth", "labels")
+
+
+def test_record_defaults_and_keywords():
+    assert CheckResult("x", "c", "pass") == CheckResult("x", "c", "pass", "")
+    assert CheckResult(status="fail", claim="c", check_id="x").status == "fail"
+    assert CheckResult("x", "c", "fail", detail="why").detail == "why"
+    assert FailureReport(1, "no", None, budgets={}).trace == ()
+    assert CheckReport((), 0, engine="other").engine == "other"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: HeisenbergElement(1, 2),
+        lambda: HeisenbergElement(1, 2, 3, 4),
+        lambda: HeisenbergElement(1, 2, 3, s=4),
+        lambda: HeisenbergElement(1, 2, p=3),
+        lambda: CheckResult("x", "c"),
+        lambda: CheckResult("x", "c", "pass", "d", detail="d"),
+        lambda: FailureReport(stage=1, reason="no", lattice=None),
+    ],
+)
+def test_record_refuses_a_wrong_field_set(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_record_make_and_tuple_behaviour():
+    values = (1, -2, 3)
+    g = HeisenbergElement._make(values)
+    assert type(g) is HeisenbergElement and g == HeisenbergElement(*values)
+    assert HeisenbergElement._make(iter(values)) == g
+    assert g == values and hash(g) == hash(values)
+    assert g[0] == g.p == 1 and g[-1] == g.r == 3 and g[1:] == (-2, 3)
+    assert list(g) == [1, -2, 3] and tuple(g) == values
+    p, q, r = g
+    assert (p, q, r) == values
+    result = CheckResult("x", "c", "pass")
+    assert len(result) == 4 and result[3] == "" and result.passed
+
+
+def test_every_record_type_survives_pickle_and_copy(B):
+    # plain values, since Element (a field of two record types) does not pickle
+    assert {type(record) for _, record, _ in _records(B)} == set(RECORD_TYPES)
+    for record_type in RECORD_TYPES:
+        record = record_type(*range(len(record_type._fields)))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(record, protocol))
+            assert type(clone) is record_type and clone == record
+        assert copy.copy(record) == record and copy.deepcopy(record) == record
+    for _, record, _ in _records(B):
+        clone = copy.copy(record)
+        assert type(clone) is type(record) and clone == record
