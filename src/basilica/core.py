@@ -18,25 +18,22 @@ Conventions, fixed once and validated by the test suite:
   of one digit per level, the root empty and printed and read as `e`.
 
 Triviality of an element is decided by closing its word under taking
-sections: the element is the identity iff every word in the closure has a
-trivial root permutation.  For recursions whose section lengths per letter
-sum to at most one (the built-in Basilica system is of this kind) the
-closure only ever contains words no longer than the input, so the procedure
-terminates; a closure-size guard protects against pathological custom
-systems.
+sections: the element is the identity iff every word in the closure acts
+trivially on the levels it is walked over.  For recursions whose section
+lengths per letter sum to at most one (the built-in Basilica system is of
+this kind) the closure only ever contains words no longer than the input,
+so the procedure terminates; a closure-size guard protects against
+pathological custom systems.
 
-Root and sections of a word come from one pass over its letters, right to
-left, that follows every alphabet point at once: one reduction stack per
-point, which yields the root image of the point and the section below it
-together.  One walk down a vertex path gives its image and the section
-there (``word_at``), read by ``Element.projection`` as the projection
-g -> g_v of a vertex stabilizer, which every witness replay checks; on a
-word longer than ``MEMO_LETTERS`` it follows the path's point alone.  Each
-system memoises root and sections per word, and the words proven trivial (no
-nontrivial verdict), but only for words of at most ``MEMO_LETTERS`` letters:
-in a contracting group such as Basilica sections shrink (two levels down to
-about half the word), so a long input word seldom comes back as the section
-of another, while short words recur across calls.
+The action and sections of a word on level k come from one pass over its
+letters, right to left (``_walk_level``).  Each system memoises the level-1
+walk, and the words proven trivial (no nontrivial verdict), of words of at
+most ``MEMO_LETTERS`` letters: in a contracting group such as Basilica
+sections shrink (two levels down to about half the word), so a long input
+word seldom comes back as the section of another, while short words recur
+across calls.  A longer word is walked ``_jump`` levels at once by the
+closure and by ``word_at``, the walk down a vertex path behind
+``Element.projection``, which every witness replay checks.
 
 The action of a word on level n is a fold over its letters of per-letter
 level-n tables, each built once from the level below; nothing is kept per
@@ -147,10 +144,11 @@ Word = tuple[int, ...]
 
 
 MAX_CLOSURE_LETTERS = 2_000_000
-# letters one triviality decision may hold in its section closure, and one
-# rigid-stabilizer lift (``structure.lift_section``) may build; the largest
-# closure seen in real use has about 3000, while a length-expanding system
-# doubles its words at every step, and a lift doubles every two levels
+# letters one triviality decision may hold in its section closure (a jumping
+# closure counts the deeper sections it queues), and one rigid-stabilizer
+# lift (``structure.lift_section``) may build; the largest closure seen in
+# real use has about 3000, while a length-expanding system doubles its words
+# at every step, and a lift doubles every two levels
 
 MEMO_LETTERS = 64
 # longest word whose root and sections, and whose triviality, a system
@@ -377,27 +375,15 @@ class GeneratorSystem:
                 for i, name in enumerate(self.names)
             ),
         )
-        # per signed letter and input point y: (the letter's section word at
-        # y, reversed; the image of y), the one step of the walk along one
-        # point in _walk
-        self._steps: dict[int, tuple[tuple[Word, int], ...]] = {
-            l: tuple((secs[y][::-1], self._letter_root[l][y]) for y in ident)
-            for l, secs in self._letter_sections.items()
-        }
-        # the walk of all points together in _root_and_sections: per signed
-        # letter, its section letters as (point y, cancelling letter, letter)
-        # pushes in the order the walk meets them, and, unless its root is
-        # trivial, the itemgetter that moves the walk at y to the root's
-        # image of y.  Each point's stack starts from a mark that no letter
-        # cancels and that names the point
-        self._mark_base = len(names) + 1
-        self._marks = tuple((self._mark_base + x,) for x in ident)
-        self._fused_steps = {}
-        for l, secs in self._letter_sections.items():
-            root = self._letter_root[l]
-            pushes = tuple((y, -s, s) for y in ident for s in reversed(secs[y]))
-            move = None if root == ident else operator.itemgetter(*invert_images(root))
-            self._fused_steps[l] = (pushes, move)
+        # per level k, the tables of _walk_level; built on first use
+        self._walks: dict[int, tuple] = {}
+        # levels a long word is walked at once: when no letter's sections
+        # hold more than one letter, so no section outgrows its word, the
+        # deepest level of at most 8 vertices (2^7 actions when d = 2)
+        self._jump = 1
+        if all(sum(map(len, secs)) <= 1 for secs in self._letter_sections.values()):
+            while alphabet_size ** (self._jump + 1) <= 8:
+                self._jump += 1
 
         # transparent memo caches, results never depend on their state; both
         # hold only words of at most MEMO_LETTERS letters, the second only
@@ -479,60 +465,56 @@ class GeneratorSystem:
 
     def _root_and_sections(self, word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
         """Root permutation images and freely reduced first-level sections."""
-        memo = len(word) <= MEMO_LETTERS
-        if memo:
-            cached = self._section_cache.get(word)
-            if cached is not None:
-                return cached
-        # the walks of _walk from every point at once, one pass over the
-        # word: refs[y] is the stack of the walk now at y, which each letter
-        # pushes its section at y onto before the root moves it on
-        steps = self._fused_steps
-        refs = tuple(map(list, self._marks))
+        if len(word) > MEMO_LETTERS:
+            return self._walk_level(word, 1)
+        cached = self._section_cache.get(word)
+        if cached is None:
+            cached = self._section_cache[word] = self._walk_level(word, 1)
+        return cached
+
+    def _walk_level(self, word: Word, k: int) -> tuple[tuple[int, ...], tuple[Word, ...]]:
+        """Images of the d^k level-k vertices and the freely reduced section
+        at each, from one pass over the word, right to left."""
+        # (l w)_v = l_{w(v)} w_v: reading l after w, of action p, pushes
+        # l's section at c onto the stack of v = p^-1(c), reversed; the
+        # state becomes l o p.  No letter cancels a stack's bottom 0
+        letters, states, p = self._walks.get(k) or self._walk_tables(k)
+        state = states[p]
+        stacks = [[0] for _ in p]
         for l in reversed(word):
-            pushes, move = steps[l]
-            for y, t, s in pushes:
-                stack = refs[y]
+            step = state.get(l)
+            if step is None:
+                # kept while the table holds at most MAX_LEVEL_POINTS images
+                action, sections = letters[l]
+                origin = invert_images(p)
+                q = compose_images(action, p)
+                if q not in states and (len(states) + 1) * len(q) <= MAX_LEVEL_POINTS:
+                    states[q] = {}
+                pushes = tuple((origin[c], -s, s) for c, rev in sections for s in rev)
+                step = (pushes, q, states.get(q, {}))
+                if q in states:
+                    state[l] = step
+            pushes, p, state = step
+            for v, t, s in pushes:
+                stack = stacks[v]
                 if stack[-1] == t:
                     stack.pop()
                 else:
                     stack.append(s)
-            if move:
-                refs = move(refs)
-        # the walk from x ends at its root image y, its section reversed
-        # above the mark of x
-        base = self._mark_base
-        roots = [0] * self.alphabet_size
-        sections: list[Word] = [()] * self.alphabet_size
-        for y, stack in enumerate(refs):
-            x = stack[0] - base
-            roots[x] = y
-            sections[x] = tuple(stack[:0:-1])
-        result = (tuple(roots), tuple(sections))
-        if memo:
-            self._section_cache[word] = result
-        return result
+        return p, tuple(tuple(stack[:0:-1]) for stack in stacks)
 
-    def _walk(self, word: Word, x: int) -> tuple[int, Word]:
-        """Root image of the point x and freely reduced section at x, from
-        one walk over the word that follows x alone."""
-        # (l1 .. ln)_x = (l1)_{y_(n-1)} ... (ln)_{y_0} with y_0 = x and
-        # y_(k+1) = sigma of the k-th letter from the right applied to y_k,
-        # so y_n is the root image of x.  The walk meets the parts right to
-        # left and reduces their reversed letters, which gives the reduced
-        # section reversed.
-        steps = self._steps
-        y = x
-        stack: list[int] = []
-        for l in reversed(word):
-            part, y = steps[l][y]
-            for s in part:
-                if stack and stack[-1] == -s:
-                    stack.pop()
-                else:
-                    stack.append(s)
-        stack.reverse()
-        return y, tuple(stack)
+    def _walk_tables(self, k: int) -> tuple:
+        """Per letter, its level-k action and nonempty sections, reversed;
+        the steps of each level-k action; and the identity action."""
+        letters = {}
+        for l, secs in self._letter_sections.items():
+            if k > 1:
+                secs = chain.from_iterable(self._walk_level(s, k - 1)[1] for s in secs)
+            nonempty = tuple((c, s[::-1]) for c, s in enumerate(secs) if s)
+            letters[l] = (self._fold((l,), k), nonempty)
+        start = tuple(range(self.alphabet_size**k))
+        walk = self._walks[k] = (letters, {start: {}}, start)
+        return walk
 
     def word_root(self, word: Word) -> tuple[int, ...]:
         """Root permutation images of a word."""
@@ -544,17 +526,27 @@ class GeneratorSystem:
 
     def word_at(self, word: Word, path: Sequence[int]) -> tuple[tuple[int, ...], Word]:
         """The image of a vertex path under a word and the word's section
-        there, from one walk down the path.  A word the memo may hold yields
-        all its sections; a longer one is walked along the path's point
-        only, and nothing about it is kept."""
+        there, from one walk down the path.  A word longer than
+        ``MEMO_LETTERS`` goes down ``_jump`` levels per walk where the path
+        allows; nothing about it is kept."""
+        d = self.alphabet_size
+        jump = self._jump
         image = []
-        for x in path:
-            if len(word) <= MEMO_LETTERS:
-                root, sections = self._root_and_sections(word)
-                y, word = root[x], sections[x]
+        i = 0
+        while i < len(path):
+            if len(word) > MEMO_LETTERS and len(path) - i >= jump:
+                action, sections = self._walk_level(word, jump)
+                v = 0
+                for x in path[i : i + jump]:
+                    v = v * d + x
+                y, word = action[v], sections[v]
+                image.extend(y // d**j % d for j in reversed(range(jump)))
+                i += jump
             else:
-                y, word = self._walk(word, x)
-            image.append(y)
+                root, sections = self._root_and_sections(word)
+                image.append(root[path[i]])
+                word = sections[path[i]]
+                i += 1
         return tuple(image), word
 
     def _fold(self, word: Word, n: int) -> tuple[int, ...]:
@@ -625,8 +617,9 @@ class GeneratorSystem:
             i += 1
             if u in proven:
                 continue
-            root, sections = self._root_and_sections(u)
-            if root != self._identity_root:
+            k = self._jump if len(u) > MEMO_LETTERS else 1
+            root, sections = self._walk_level(u, k) if k > 1 else self._root_and_sections(u)
+            if root != self._walks[k][2]:
                 return False
             for s in sections:
                 if s and s not in seen:
@@ -760,6 +753,10 @@ class Element:
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
+
+    def __reduce__(self):
+        # pickle and copy would restore the slots with setattr
+        return Element._reduced, (self.system, self.word)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -16,7 +16,14 @@ from basilica import (
     parse_system,
 )
 from basilica import core
-from basilica.core import ElementIndex, compose_images, exponent_sums, invert_images, invert_word
+from basilica.core import (
+    ElementIndex,
+    _product,
+    compose_images,
+    exponent_sums,
+    invert_images,
+    invert_word,
+)
 from basilica.norms import ball
 from basilica.structure import LIFT_SUBSTITUTION, lift_section, tau
 
@@ -382,6 +389,15 @@ _WALK_SYSTEMS = {
 _ALL_LETTERS = [1, -1, 2, -2, 3, -3, 4, -4]
 
 
+def _uncancelled(letters):
+    """The letters as a reduced word: a letter that would cancel is
+    repeated instead, so nothing cancels."""
+    word: list[int] = []
+    for l in letters:
+        word.append(-l if word and word[-1] == -l else l)
+    return tuple(word)
+
+
 def _in_range(system, letters):
     """The letters folded into the system's generator range, signs kept."""
     n = len(system.names)
@@ -461,14 +477,11 @@ def test_word_at_is_level_action_and_iterated_section(kind, letters, digits):
     st.lists(st.integers(0, 2), max_size=7),
 )
 def test_word_at_walks_long_words_along_the_path(kind, letters, digits):
-    # words past the memo bound, which word_at walks along one point
+    # words past the memo bound, which word_at walks _jump levels at a time
+    # while the path has that many left
     system = parse_system(_WALK_SYSTEMS[kind])
     d = system.alphabet_size
-    word: list[int] = []
-    for l in _in_range(system, letters):
-        # a letter that would cancel is repeated instead, so nothing cancels
-        word.append(-l if word and word[-1] == -l else l)
-    word = tuple(word)
+    word = _uncancelled(_in_range(system, letters))
     path = tuple(x % d for x in digits)
     image, section = system.word_at(word, path)
     assert len(word) > core.MEMO_LETTERS and word not in system._section_cache
@@ -478,6 +491,107 @@ def test_word_at_walks_long_words_along_the_path(kind, letters, digits):
     for x in path:
         expected = system.word_sections(expected)[x]
     assert section == expected
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    st.sampled_from(sorted(_WALK_SYSTEMS)),
+    st.integers(1, 3),
+    st.lists(st.sampled_from(_ALL_LETTERS), max_size=2 * core.MEMO_LETTERS),
+)
+def test_walk_level_is_level_action_and_iterated_sections(kind, k, letters):
+    system = parse_system(_WALK_SYSTEMS[kind])
+    word = free_reduce(_in_range(system, letters))
+    action, sections = system._walk_level(word, k)
+    assert action == system.word_level_perm(word, k)
+    # level-1 sections taken k times, in lexicographic vertex order
+    expected = [word]
+    for _ in range(k):
+        expected = [s for w in expected for s in _reference_root_and_sections(system, w)[1]]
+    assert sections == tuple(expected)
+
+
+# the adding machine a = sigma(1, a) beside a trivial b = (1, b): a adds one
+# to a vertex read as a binary number, least significant digit first, so a
+# word acts as adding its a-exponent sum n, and its section at a vertex v of
+# level L is a^c with c the carry (v + n) >> L
+_ADDING_MACHINE = "alphabet 2; gen a perm=1,0 sections=e,a; gen b perm=0,1 sections=e,b"
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    st.lists(st.sampled_from([1, -1, 2, -2]), min_size=65, max_size=600),
+    st.booleans(),
+    st.lists(st.integers(0, 1), max_size=8),
+)
+def test_jump_walk_matches_the_adding_machine(letters, balance, path):
+    system = parse_system(_ADDING_MACHINE)
+    assert system._jump == 3
+    word = _uncancelled(letters)
+    if balance:
+        # a b between, then a run of a^(-n): the a-exponent sum becomes 0
+        n = exponent_sums(word, 2)[0]
+        word += (2 if word[-1] != -2 else -2,) + (-1 if n > 0 else 1,) * abs(n)
+    n = exponent_sums(word, 2)[0]
+    assert len(word) > core.MEMO_LETTERS
+    assert system.word_is_trivial(word) == (n == 0)
+    assert 3 in system._walks
+    image, section = system.word_at(word, tuple(path))
+    v = sum(x << i for i, x in enumerate(path))
+    assert image == tuple((v + n) >> i & 1 for i in range(len(path)))
+    assert exponent_sums(section, 2)[0] == (v + n) >> len(path)
+
+
+# levels a long word is walked at once
+_JUMPS = {
+    "basilica": (BASILICA_TEXT, 3),
+    "adding-machine": (_ADDING_MACHINE, 3),
+    # b = (a, c) holds two letters
+    "grigorchuk": (_GRIGORCHUK, 1),
+    "lamplighter": ("alphabet 2; gen a perm=1,0 sections=a,b; gen b perm=0,1 sections=a,b", 1),
+    # a = (a^2, 1) doubles its words
+    "expanding": ("alphabet 2; gen a perm=0,1 sections=aa,e; gen b perm=1,0 sections=e,e", 1),
+    "gupta-sidki": (_GUPTA_SIDKI, 1),
+    "hanoi": (_HANOI, 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_JUMPS))
+def test_jump_needs_one_letter_sections_on_the_binary_tree(kind):
+    text, jump = _JUMPS[kind]
+    assert parse_system(text)._jump == jump
+
+
+def test_walk_tables_stay_within_the_level_quotient(monkeypatch):
+    system = parse_system(BASILICA_TEXT)
+    built = []
+    walk_tables = system._walk_tables
+    monkeypatch.setattr(system, "_walk_tables", lambda k: built.append(k) or walk_tables(k))
+    g = system.element("ABab")
+    lifted = lift_section(g, "0110101").word
+    trivial = _product(lifted, invert_word(lift_section(g * tau(3), "0110101").word))
+    nontrivial = _product(lifted, invert_word(lift_section(system.element("AbaB"), "0110101").word))
+    assert min(len(trivial), len(nontrivial)) > core.MEMO_LETTERS
+    for _ in range(2):
+        assert system.word_is_trivial(trivial) and not system.word_is_trivial(nontrivial)
+        assert len(system.word_at(nontrivial, (0, 1, 1, 0, 1, 0, 1))[0]) == 7
+    # each level's letter data is built once, and the level-3 walk has one
+    # state per element of B/St(3), of order 2^6
+    assert sorted(built) == [1, 2, 3]
+    assert 1 < len(system._walks[3][1]) <= 64
+
+
+def test_walk_table_keeps_at_most_max_level_points_images(monkeypatch, rng):
+    # roots generating S6: a table of every level-1 action would hold 720
+    system = parse_system(
+        "alphabet 6; gen a perm=1,2,3,4,5,0 sections=e,b,e,e,e,e; "
+        "gen b perm=1,0,2,3,4,5 sections=a,e,e,e,e,e"
+    )
+    monkeypatch.setattr(core, "MAX_LEVEL_POINTS", 60)
+    for _ in range(40):
+        word = free_reduce(rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(200)))
+        assert system._walk_level(word, 1) == _reference_root_and_sections(system, word)
+    assert len(system._walks[1][1]) == 10
 
 
 _PROJECTION_SYSTEMS = {
@@ -602,7 +716,8 @@ def test_closure_budget_counts_letters(monkeypatch):
     with pytest.raises(BudgetExceededError) as info:
         system.word_is_trivial(system.parse_word("a"))
     assert 1000 < info.value.partial < 4000
-    # on a contracting system a 256-letter relator closes in 516 letters
+    # on a contracting system a 256-letter relator closes in 256 letters: its
+    # level-3 sections, which one walk reaches, all reduce to e
     relator = tau(31).substitute(LIFT_SUBSTITUTION).substitute(LIFT_SUBSTITUTION)
     assert relator.is_trivial()
 

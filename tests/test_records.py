@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 import basilica
-from basilica import Perm, Portrait
+from basilica import Perm, Portrait, parse_system
 from basilica.checks import CheckReport, CheckResult
 from basilica.descent import (
     DescentCertificate,
@@ -17,9 +17,9 @@ from basilica.descent import (
 )
 from basilica.norms import Ball, BallClass, ball
 from basilica.permgrp import SchreierTable
-from basilica.structure import HeisenbergElement
+from basilica.structure import LIFT_SUBSTITUTION, HeisenbergElement, tau
 
-from conftest import fresh_interpreter_output
+from conftest import BASILICA_TEXT, fresh_interpreter_output
 
 RECORD_TYPES = (
     Portrait,
@@ -184,7 +184,6 @@ def test_record_make_and_tuple_behaviour():
 
 
 def test_every_record_type_survives_pickle_and_copy(B):
-    # plain values, since Element (a field of two record types) does not pickle
     assert {type(record) for _, record, _ in _records(B)} == set(RECORD_TYPES)
     for record_type in RECORD_TYPES:
         record = record_type(*range(len(record_type._fields)))
@@ -195,3 +194,20 @@ def test_every_record_type_survives_pickle_and_copy(B):
     for _, record, _ in _records(B):
         clone = copy.copy(record)
         assert type(clone) is type(record) and clone == record
+
+
+def test_elements_survive_pickle_and_copy():
+    # a system whose walk tables, memos and ball registry are built
+    system = parse_system(BASILICA_TEXT)
+    ball(system, 3)
+    assert system.word_is_trivial(tau(31).substitute(LIFT_SUBSTITUTION).word)
+    a, b = system.generators()
+    for value in (a * b, BallClass(a, 1), DescentCertificate(a, (0, 1), b * b)):
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        clones = [pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols]
+        clones += [copy.copy(value), copy.deepcopy(value)]
+        for clone in clones:
+            assert type(clone) is type(value) and clone == value
+    clone = pickle.loads(pickle.dumps(a * b))
+    assert clone.system == system and clone.word == (1, 2)
+    assert clone * b.inverse() == a and not (clone == b)
