@@ -333,7 +333,6 @@ class GeneratorSystem:
                     "letter other than 'e'"
                 )
         self.names = tuple(names)
-        self._index = {n: i for i, n in enumerate(names)}
         # surface character -> letter, and back
         self._letters = {n: i + 1 for i, n in enumerate(names)}
         self._letters.update((n.upper(), -(i + 1)) for i, n in enumerate(names))
@@ -454,9 +453,9 @@ class GeneratorSystem:
         return Element(self, ())
 
     def generator(self, name: str) -> "Element":
-        if name not in self._index:
+        if name not in self.names:
             raise InputError(f"no generator named {name!r}")
-        return Element(self, (self._index[name] + 1,))
+        return Element(self, (self._letters[name],))
 
     def generators(self) -> tuple["Element", ...]:
         return tuple(Element(self, (i + 1,)) for i in range(len(self.names)))
@@ -644,6 +643,11 @@ class GeneratorSystem:
 
     def __hash__(self) -> int:
         return hash(self._spec)
+
+    def __reduce__(self):
+        # pickle and copy rebuild it from its definition, without its memos
+        d, gens = self._spec
+        return GeneratorSystem, (d, [(n, r, tuple(map(self.word_str, s))) for n, r, s in gens])
 
     def __repr__(self) -> str:
         return f"GeneratorSystem(d={self.alphabet_size}, names={''.join(self.names)})"

@@ -3,12 +3,13 @@
 The searches walk the move h -> section(h^2, child).  Every element whose
 exponent-sum image is (1,1), (1,-1) or (-1,1) has odd b-exponent, hence a
 nontrivial root permutation, so its square stabilizes the first level and
-both sections are defined; squaring keeps section words no longer than
-the parent word (the recursion is contracting) and maps the image classes
-(1,1) -> (1,1) and (1,-1) <-> (-1,1).  Breadth-first search over section
-words, with the visited elements kept by exact identity in an
-ElementIndex, therefore terminates without enumerating any ball, and it
-must reach the target (ab, resp. b^-1 a) for inputs in the right class.
+both sections are defined; squaring maps the image classes
+(1,1) -> (1,1) and (1,-1) <-> (-1,1) and keeps section words no longer
+than the parent word: |(g^2)_x| = |g_{g(x)} g_x| <= |g_0| + |g_1| <= |g|.
+Finitely many words are that short, so breadth-first search over section
+words terminates without enumerating any ball; only the goal test decides
+element identity.  It must reach the target (ab, resp. b^-1 a) for inputs
+in the right class.
 A successful run of k moves yields the replayable witness: g^(2^k)
 stabilizes the traversed vertex and its section there is the target.
 
@@ -54,7 +55,7 @@ from .permgrp import (
 )
 
 DEFAULT_STATES = 100_000
-# descent states one search may visit
+# distinct section words one descent may visit
 DEFAULT_DEPTH = 16
 # deepest vertex a projection search may use; a certificate records both
 # budgets it ran with (``budget-states``, ``budget-depth``)
@@ -113,25 +114,23 @@ def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> De
             f"descent requires exponent image in {allowed}, got {image}"
         )
     system = g.system
-    visited = ElementIndex(system)
-    visited.insert_word(g.word)
     goal = ElementIndex(system)
     goal.insert_word(geodesic_rep(target))
+    visited = {g.word}
     queue: list[tuple[Word, tuple[int, ...]]] = [(g.word, ())]
-    i = 0
-    while i < len(queue):
-        word, path = queue[i]
-        i += 1
+    for word, path in queue:
         if goal.find_word(word) is not None:
             return DescentCertificate(g, path, target)
-        if system.word_root(word) == system._identity_root:
+        root, sections = system._root_and_sections(word)
+        if root == system._identity_root:
             raise ConsistencyError(
                 "descent state has trivial root permutation; class invariant broken"
             )
-        square = free_reduce(word + word)
-        for x, sec in enumerate(system.word_sections(square)):
-            _, new = visited.find_or_insert(sec)
-            if new:
+        # (g^2)_x = g_{g(x)} g_x
+        for x, sec in enumerate(sections):
+            sec = free_reduce(sections[root[x]] + sec)
+            if sec not in visited:
+                visited.add(sec)
                 queue.append((sec, path + (x,)))
         if len(visited) > max_states:
             raise BudgetExceededError(

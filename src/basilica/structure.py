@@ -81,9 +81,6 @@ class HeisenbergElement(Record):
             self.r + other.r - self.q * other.p,
         )
 
-    def inverse(self) -> "HeisenbergElement":
-        return HeisenbergElement(-self.p, -self.q, -self.r - self.p * self.q)
-
     def is_identity(self) -> bool:
         return self == HeisenbergElement(0, 0, 0)
 

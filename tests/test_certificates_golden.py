@@ -5,8 +5,12 @@ with the certificate (``serialize()``) or the one-line failure
 (``describe()``) that ``prodense_projection_search`` gives it.  After a
 deliberate change to the search, rewrite the file from its own subgroup
 lines with ``PYTHONPATH=src python tests/test_certificates_golden.py``.
+The pool digest hashes the same texts for the 400 subgroups of the
+benchmark's ``certify`` pool, which it only reads.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 from basilica import basilica
@@ -19,6 +23,7 @@ from basilica.descent import (
 from basilica.permgrp import SubgroupHandle
 
 GOLDEN = Path(__file__).with_name("golden") / "certificates.txt"
+POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "pools.json"
 HEADER = """\
 # prodense_projection_search on fixed subgroups of the Basilica group.
 # Each entry is a "gens:" line with the subgroup's generator words, then
@@ -31,19 +36,21 @@ def subgroups(text: str) -> list[list[str]]:
     return [line.removeprefix("gens: ").split(", ") for line in lines if line.startswith("gens: ")]
 
 
+def result_text(words: list[str]) -> str:
+    """The search's certificate text, or its failure line, for one subgroup."""
+    H = SubgroupHandle.from_words(basilica(), words)
+    result = prodense_projection_search(H)
+    if isinstance(result, FailureReport):
+        return result.describe() + "\n"
+    text = result.serialize()
+    parsed = parse_certificate(text)
+    assert parsed.serialize() == text
+    assert verify_certificate(H, result) and verify_certificate(H, parsed)
+    return text
+
+
 def render(groups: list[list[str]]) -> str:
-    entries = []
-    for words in groups:
-        H = SubgroupHandle.from_words(basilica(), words)
-        result = prodense_projection_search(H)
-        if isinstance(result, FailureReport):
-            text = result.describe() + "\n"
-        else:
-            text = result.serialize()
-            parsed = parse_certificate(text)
-            assert parsed.serialize() == text
-            assert verify_certificate(H, result) and verify_certificate(H, parsed)
-        entries.append(f"gens: {', '.join(words)}\n{text}\n")
+    entries = [f"gens: {', '.join(words)}\n{result_text(words)}\n" for words in groups]
     return HEADER + "".join(entries)
 
 
@@ -52,6 +59,17 @@ def test_certificates_golden():
     groups = subgroups(text)
     assert len(groups) >= 40
     assert render(groups) == text
+
+
+def test_certify_pool_digest():
+    # every subgroup of the benchmark's certify pool, in file order; a change
+    # to any certificate or failure line changes the digest
+    tiers = json.loads(POOLS.read_text())["certify"]["tiers"]
+    assert [len(tiers[t]) for t in ("fast", "medium", "over")] == [338, 32, 30]
+    texts = [result_text(words) for t in ("fast", "medium", "over") for words in tiers[t]]
+    assert sum(text.startswith("stage=") for text in texts) == 130
+    digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+    assert digest == "1b3c35ba77bb77fc565864d432c14948f1c04834959d4612f6f74d9245aa94e5"
 
 
 def test_golden_covers_failing_stages_and_long_descents():

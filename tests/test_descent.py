@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from basilica import GeneratorSystem, equals, free_reduce, parse_system
-from basilica.core import InputError, PreconditionError
+from basilica import GeneratorSystem, basilica, equals, free_reduce, parse_system
+from basilica.core import BudgetExceededError, InputError, PreconditionError, exponent_sums
 from basilica.descent import (
     FailureReport,
     NotInLattice,
@@ -132,6 +132,31 @@ def test_descent_budget(B):
     assert "states" in str(exc.value)
 
 
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=160))
+def test_square_sections_follow_the_section_law(letters):
+    # descent forms (g^2)_x = g_{g(x)} g_x from one walk over g; words past
+    # the memo length take the long-word walk
+    B = basilica()
+    word = free_reduce(letters)
+    assume(exponent_sums(word, 2)[1] % 2)
+    root, sections = B.word_root(word), B.word_sections(word)
+    square = B.word_sections(free_reduce(word + word))
+    for x in range(2):
+        sec = free_reduce(sections[root[x]] + sections[x])
+        assert sec == square[x] and len(sec) <= len(word)
+
+
+def test_descent_budget_keeps_words_no_longer_than_the_input(B):
+    g = B.element("ab") * alpha(5, 7) * alpha(3, -4) * alpha(-6, 9) * alpha(11, -13) * alpha(-9, 8)
+    assert len(g.word) == 152 and find_ab(g).exponent_log == 8
+    with pytest.raises(BudgetExceededError) as exc:
+        find_ab(g, max_states=50)
+    visited = exc.value.partial
+    assert len(visited) > 50 and g.word in visited
+    assert all(len(word) <= len(g.word) for word in visited)
+
+
 def test_find_ab_negative_budget(B):
     # ab is its own target, so a search would end before counting a state
     with pytest.raises(InputError, match="descent budget must be non-negative, got -1"):
@@ -213,8 +238,8 @@ def test_search_failures(B):
 
 
 def test_find_ab_never_builds_the_ball(B):
-    # descent states are section words keyed by exact identity; only the
-    # norm-2 target is canonicalised through the ball registry
+    # descent states are plain section words; only the norm-2 target is
+    # canonicalised through the ball registry
     fresh = parse_system(BASILICA_TEXT)
     cert = find_ab(fresh.element("bAbbbaBBaB"))
     assert cert.replay()

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 import basilica
-from basilica import Perm, Portrait, parse_system
+from basilica import InputError, Perm, Portrait, parse_system
 from basilica.checks import CheckReport, CheckResult
 from basilica.descent import (
     DescentCertificate,
@@ -133,8 +133,8 @@ def test_heisenberg_arithmetic():
     h = HeisenbergElement(-1, 1, 0)
     assert g * h == HeisenbergElement(0, 3, 5)
     assert g * g * g == HeisenbergElement(3, 6, 3)
-    assert g.inverse() == HeisenbergElement(-1, -2, -5)
-    assert (g * g.inverse()).is_identity()
+    g_inv = HeisenbergElement(-1, -2, -5)
+    assert (g * g_inv).is_identity() and (g_inv * g).is_identity()
 
 
 def test_record_fields_follow_declaration_order():
@@ -211,3 +211,23 @@ def test_elements_survive_pickle_and_copy():
     clone = pickle.loads(pickle.dumps(a * b))
     assert clone.system == system and clone.word == (1, 2)
     assert clone * b.inverse() == a and not (clone == b)
+
+
+def test_systems_pickle_and_copy_as_their_definition():
+    # the clone is rebuilt from the generator data, so neither the memos nor
+    # the ball registry travel with an element
+    system = parse_system(BASILICA_TEXT)
+    ball(system, 8)
+    a = system.generator("a")
+    data = pickle.dumps(a)
+    assert len(data) < 1024
+    for clone in (pickle.loads(data), copy.deepcopy(a), copy.copy(a)):
+        assert clone == a and clone.word == a.word
+    for rebuilt in (pickle.loads(data).system, copy.deepcopy(system), copy.copy(system)):
+        assert rebuilt == system and rebuilt is not system
+        assert rebuilt._section_cache == {} and rebuilt._trivial_cache == {()}
+        assert rebuilt._walks == {} and rebuilt._ball_registry is None
+        with pytest.raises(InputError):
+            rebuilt.generator("A")
+    with pytest.raises(InputError):
+        system.generator("A")
