@@ -34,7 +34,7 @@ from .descent import (
     prodense_projection_search,
     verify_certificate,
 )
-from .norms import ball, geodesic_rep, norm
+from .norms import ball, geodesic_rep
 from .permgrp import (
     DEFAULT_SCHREIER_CAP,
     SubgroupHandle,
@@ -100,9 +100,10 @@ def cmd_portrait(args) -> int:
 def cmd_norm(args) -> int:
     system = _system(args)
     g = system.element(args.word)
-    n = norm(g)
-    print(f"norm: {n}")
-    print(f"geodesic: {system.word_str(geodesic_rep(g))}")
+    # the norm is the length of the geodesic, so the word is looked up once
+    rep = geodesic_rep(g)
+    print(f"norm: {len(rep)}")
+    print(f"geodesic: {system.word_str(rep)}")
     return EXIT_OK
 
 

@@ -37,17 +37,21 @@ closure and by ``word_at``, the walk down a vertex path behind
 
 The action of a word on level n is a fold over its letters of per-letter
 level-n tables, each built once from the level below; nothing is kept per
-word.  Element identity (``ElementIndex``) buckets words by such a fold on
-the deepest level of at most 256 vertices, taken with ``bytes.translate``,
-and confirms every bucket hit with the word problem.  The index keeps each
-entry's key, so an entry's word times one letter is keyed with one more
-``translate`` (``find_or_insert_child``) instead of a fold of every letter.
+word.  Element identity (``ElementIndex``) finds a word that is exactly a
+registered entry's word by the word, from a dict keyed by its letters as
+bytes.  Any other word is bucketed by such a fold on the deepest level of at
+most 256 vertices, taken with ``bytes.translate``, and every bucket hit is
+confirmed with the word problem.  The index keeps each entry's key, so an
+entry's word times one letter is keyed with one more ``translate``
+(``find_or_insert_child``) instead of a fold of every letter.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import cache
 from itertools import chain
+from struct import Struct
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -188,6 +192,20 @@ def free_reduce(letters: Iterable[int]) -> Word:
         else:
             out.append(l)
     return tuple(out)
+
+
+@cache
+def _word_struct(letters: int) -> Struct:
+    # one per word length packed, about 180 bytes each
+    return Struct(f"{letters}b")
+
+
+def _word_bytes(word: Word) -> bytes:
+    """A word as one signed byte per letter, its key in ``ElementIndex``'s
+    word dict.  Tuples of letters hash badly as keys: ``hash(-1) ==
+    hash(-2)``, so words that differ only in which inverse letters they
+    hold collide (512 of the Basilica ``ball(9)`` words share one hash)."""
+    return _word_struct(len(word)).pack(*word)
 
 
 def _product(u: Word, v: Word) -> Word:
@@ -733,7 +751,8 @@ class Element:
 
     ``==`` decides group equality (the word problem), so distinct words for
     the same automorphism compare equal; consequently elements are not
-    hashable and algorithms key on level-action fingerprints instead.
+    hashable.  ``ElementIndex`` finds a registered word by the word and any
+    other word by its level-action fingerprint, confirmed exactly.
     """
 
     __slots__ = ("system", "word")
@@ -913,18 +932,25 @@ class Portrait(Record):
 
 
 class ElementIndex:
-    """Exact-equality registry keyed by level-action fingerprints.
+    """Exact-equality registry of pairwise distinct elements.
 
-    Fingerprint inequality soundly separates elements, so a word is compared
-    only with the words that act like it on the deepest level of at most 256
-    vertices (level 8 of the binary tree); each candidate is confirmed
-    exactly by deciding the triviality of ``word . cand^-1``.
+    A word that is exactly an entry's word is found by the word, from a
+    dict, with no key fold: the entries are distinct elements, so that entry
+    is the only one equal to it.  Any other word is compared only with the
+    entries that act like it on the deepest level of at most 256 vertices
+    (level 8 of the binary tree), since fingerprint inequality soundly
+    separates elements; each candidate is confirmed exactly by deciding the
+    triviality of ``word . cand^-1``.
     """
 
     def __init__(self, system: GeneratorSystem):
         self.system = system
-        self._buckets: dict[bytes, list[int]] = {}
+        self._buckets: dict[bytes, tuple[int, ...]] = {}
         self._words: list[Word] = []
+        # each entry's word, as ``_word_bytes``, to its index
+        self._by_word: dict[bytes, int] = {}
+        self._word_keys: list[bytes] = []  # per entry, its key in _by_word
+        self._letter_bytes = {l: _word_bytes((l,)) for l in system._key_tables}
         self._keys: list[bytes] = []  # per entry, the key it was bucketed by
         # the points past the key level, which every key table fixes
         self._key_pad = _BYTE_IDENTITY[system._key_size :]
@@ -937,6 +963,9 @@ class ElementIndex:
 
     def find_word(self, word: Word) -> int | None:
         """Index of the registered element equal to ``word``, if any."""
+        idx = self._by_word.get(_word_bytes(word))
+        if idx is not None:
+            return idx
         return self._find(word, self.system._index_key(word))
 
     def insert_word(self, word: Word) -> int:
@@ -944,7 +973,13 @@ class ElementIndex:
         return self._insert(word, self.system._index_key(word))
 
     def find_or_insert(self, word: Word) -> tuple[int, bool]:
-        return self._find_or_insert(word, self.system._index_key(word))
+        idx = self._by_word.get(_word_bytes(word))
+        if idx is None:
+            key = self.system._index_key(word)
+            idx = self._find(word, key)
+            if idx is None:
+                return self._insert(word, key), True
+        return idx, False
 
     def find_or_insert_child(self, idx: int, letter: int) -> tuple[int, bool]:
         """``find_or_insert`` of entry ``idx``'s word times ``letter``, which
@@ -952,25 +987,34 @@ class ElementIndex:
         one ``translate`` each, so the child's key is the entry's key with
         one more letter folded in.  That key is the translation table, which
         must have 256 bytes: a shorter key is padded with the points past
-        the key level, which every letter fixes, and the result cut back."""
-        system = self.system
+        the key level, which every letter fixes, and the result cut back;
+        the child's word bytes are the entry's with one more byte.  The word
+        dict is not read: a word has one parent, so in the ball registry an
+        extension is never an entry's word yet, and an entry registered by
+        that word elsewhere is still confirmed in its bucket."""
+        system, words, word_keys = self.system, self._words, self._word_keys
+        word = words[idx] + (letter,)
         key = system._key_tables[letter].translate(self._keys[idx] + self._key_pad)
-        return self._find_or_insert(self._words[idx] + (letter,), key[: system._key_size])
-
-    def _find_or_insert(self, word: Word, key: bytes) -> tuple[int, bool]:
-        idx = self._find(word, key)
-        if idx is not None:
-            return idx, False
-        return self._insert(word, key), True
+        key = key[: system._key_size]
+        bucket = self._buckets.get(key, ())
+        for i in bucket:
+            if system.word_is_trivial(_product(word, invert_word(words[i]))):
+                return i, False
+        i = len(words)
+        words.append(word)
+        self._keys.append(key)
+        word_key = word_keys[idx] + self._letter_bytes[letter]
+        word_keys.append(word_key)
+        self._by_word[word_key] = i
+        self._buckets[key] = bucket + (i,)
+        return i, True
 
     def _find(self, word: Word, key: bytes) -> int | None:
-        bucket = self._buckets.get(key)
-        if not bucket:
-            return None
+        """The entry of ``key``'s bucket equal to ``word``, a word that is no
+        entry's word."""
         sys = self.system
-        for idx in bucket:
-            cand = self._words[idx]
-            if cand == word or sys.word_is_trivial(_product(word, invert_word(cand))):
+        for idx in self._buckets.get(key, ()):
+            if sys.word_is_trivial(_product(word, invert_word(self._words[idx]))):
                 return idx
         return None
 
@@ -978,5 +1022,8 @@ class ElementIndex:
         idx = len(self._words)
         self._words.append(word)
         self._keys.append(key)
-        self._buckets.setdefault(key, []).append(idx)
+        word_key = _word_bytes(word)
+        self._word_keys.append(word_key)
+        self._by_word.setdefault(word_key, idx)
+        self._buckets[key] = self._buckets.get(key, ()) + (idx,)
         return idx

@@ -10,7 +10,9 @@ of the norm-r representatives, each keyed from its parent's index entry with
 one ``bytes.translate``.  The registry is shared per system, so repeated
 norm queries reuse the ball built so far; ``norm`` and ``geodesic_rep`` read
 one class lookup, and each ``BallClass`` is built once and shared by every
-later ``ball``.  The registry holds at most ``MAX_CLASSES``
+later ``ball``.  The index finds a representative by the word, with no
+fingerprint and no decision; any other word is fingerprinted and confirmed
+against its bucket.  The registry holds at most ``MAX_CLASSES``
 classes: ``ball``, ``norm`` and ``geodesic_rep`` raise
 ``BudgetExceededError`` past that, with the last complete radius as its
 ``partial``.
@@ -132,7 +134,7 @@ def ball(system: GeneratorSystem, radius: int) -> Ball:
 def _find(g: Element) -> tuple[_BallRegistry, int]:
     """The registry of g's system and the index of g's class in it, growing
     the ball one radius at a time until it holds g."""
-    reg = _registry(g.system)
+    reg = g.system._ball_registry or _registry(g.system)
     while True:
         idx = reg.index.find_word(g.word)
         if idx is not None:

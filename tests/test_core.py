@@ -245,6 +245,7 @@ def test_element_index_agrees_with_equals(kind, texts):
         else:
             assert matches == [idx]
         assert index.find_word(g.word) == idx
+        assert index._by_word == {core._word_bytes(w): i for i, w in enumerate(index._words)}
 
 
 @settings(derandomize=True, deadline=None)
@@ -279,6 +280,7 @@ def test_child_key_is_index_key_of_the_extension(kind, data):
     assert (child, new) == (1, True)
     assert index.word_at(child) == extended
     assert index._keys[child] == system._index_key(extended)
+    assert index._by_word[core._word_bytes(extended)] == child
     assert index.find_word(extended) == child
 
 

@@ -191,6 +191,30 @@ def test_ball_keys_each_candidate_from_its_parent(monkeypatch):
     assert keyed == [()]
 
 
+def test_registered_words_are_read_without_key_or_confirm(monkeypatch):
+    # a class's own word is found by the word; any other word is keyed and
+    # confirmed against its bucket
+    fresh = parse_system(BASILICA_TEXT)
+    classes = ball(fresh, 6).classes
+    calls = {"_index_key": 0, "word_is_trivial": 0}
+    for name in calls:
+        original = getattr(core.GeneratorSystem, name)
+
+        def counting(system, word, name=name, original=original):
+            calls[name] += 1
+            return original(system, word)
+
+        monkeypatch.setattr(core.GeneratorSystem, name, counting)
+    for c in classes:
+        g = fresh.element(c.word)
+        assert norm(g) == c.norm
+        assert geodesic_rep(g) == c.word
+    assert calls == {"_index_key": 0, "word_is_trivial": 0}
+    # BAbA is another word of the registered ABAb
+    assert geodesic_rep(fresh.element("BAbA")) == fresh.parse_word("ABAb")
+    assert calls == {"_index_key": 1, "word_is_trivial": 1}
+
+
 def test_smaller_balls_share_the_class_objects():
     fresh = parse_system(BASILICA_TEXT)
     small = ball(fresh, 2)  # built before the larger ball
