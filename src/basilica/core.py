@@ -940,7 +940,10 @@ class ElementIndex:
     entries that act like it on the deepest level of at most 256 vertices
     (level 8 of the binary tree), since fingerprint inequality soundly
     separates elements; each candidate is confirmed exactly by deciding the
-    triviality of ``word . cand^-1``.
+    triviality of ``word . cand^-1``.  ``find_word`` is this general
+    lookup; the ``norms`` ball registry reads through its own, which keys a
+    word from a registered prefix and skips the last confirm inside its
+    completed radius.
     """
 
     def __init__(self, system: GeneratorSystem):
@@ -983,19 +986,15 @@ class ElementIndex:
 
     def find_or_insert_child(self, idx: int, letter: int) -> tuple[int, bool]:
         """``find_or_insert`` of entry ``idx``'s word times ``letter``, which
-        must not cancel the word's last letter.  The key fold takes letters
-        one ``translate`` each, so the child's key is the entry's key with
-        one more letter folded in.  That key is the translation table, which
-        must have 256 bytes: a shorter key is padded with the points past
-        the key level, which every letter fixes, and the result cut back;
-        the child's word bytes are the entry's with one more byte.  The word
-        dict is not read: a word has one parent, so in the ball registry an
-        extension is never an entry's word yet, and an entry registered by
-        that word elsewhere is still confirmed in its bucket."""
+        must not cancel the word's last letter.  The child's key is the
+        entry's with one more letter folded in, and its word bytes are the
+        entry's with one more byte.  The word dict is not read: a word has
+        one parent, so in the ball registry an extension is never an entry's
+        word yet, and an entry registered by that word elsewhere is still
+        confirmed in its bucket."""
         system, words, word_keys = self.system, self._words, self._word_keys
         word = words[idx] + (letter,)
-        key = system._key_tables[letter].translate(self._keys[idx] + self._key_pad)
-        key = key[: system._key_size]
+        key = self._key_after(idx, (letter,))
         bucket = self._buckets.get(key, ())
         for i in bucket:
             if system.word_is_trivial(_product(word, invert_word(words[i]))):
@@ -1008,6 +1007,18 @@ class ElementIndex:
         self._by_word[word_key] = i
         self._buckets[key] = bucket + (i,)
         return i, True
+
+    def _key_after(self, idx: int, letters: Word) -> bytes:
+        """The key of entry ``idx``'s word followed by ``letters``: the key
+        fold takes letters one ``translate`` each, so it goes on from the
+        entry's key.  That key is the translation table, which must have 256
+        bytes: a shorter key is padded with the points past the key level,
+        which every letter fixes, and the result cut back."""
+        p = self._keys[idx] + self._key_pad
+        tables = self.system._key_tables
+        for l in letters:
+            p = tables[l].translate(p)
+        return p[: self.system._key_size]
 
     def _find(self, word: Word, key: bytes) -> int | None:
         """The entry of ``key``'s bucket equal to ``word``, a word that is no

@@ -10,10 +10,14 @@ of the norm-r representatives, each keyed from its parent's index entry with
 one ``bytes.translate``.  The registry is shared per system, so repeated
 norm queries reuse the ball built so far; ``norm`` and ``geodesic_rep`` read
 one class lookup, and each ``BallClass`` is built once and shared by every
-later ``ball``.  The index finds a representative by the word, with no
-fingerprint and no decision; any other word is fingerprinted and confirmed
-against its bucket.  The registry holds at most ``MAX_CLASSES``
-classes: ``ball``, ``norm`` and ``geodesic_rep`` raise
+later ``ball``.  A read finds a representative by the word, with no
+fingerprint and no decision.  Any other word is keyed from its longest
+registered prefix, which prefix closure makes a geodesic itself.  The
+registry is complete up to ``radius_done``: a word no longer than that
+has no larger norm, so its class is registered in the word's bucket, and
+every entry but the last is confirmed and the last taken unchecked.  Only
+a longer word has every entry confirmed.  The registry holds at most
+``MAX_CLASSES`` classes: ``ball``, ``norm`` and ``geodesic_rep`` raise
 ``BudgetExceededError`` past that, with the last complete radius as its
 ``partial``.
 """
@@ -32,6 +36,9 @@ from .core import (
     InputError,
     Record,
     Word,
+    _product,
+    _word_bytes,
+    invert_word,
 )
 
 MAX_CLASSES = 120_000
@@ -110,6 +117,33 @@ class _BallRegistry:
                             )
             self.radius_done = r
 
+    def find(self, word: Word) -> int:
+        """Index of the class equal to the reduced ``word``, growing the ball
+        one radius at a time until it holds it.  Bucket entries are distinct
+        elements, so exactly one equals a word within ``radius_done``."""
+        index = self.index
+        packed = _word_bytes(word)
+        idx = index._by_word.get(packed)
+        if idx is not None:
+            return idx
+        by_word, k = index._by_word, min(len(word) - 1, self.norms[-1])
+        while (idx := by_word.get(packed[:k])) is None:
+            k -= 1  # the empty word is entry 0
+        key = index._key_after(idx, word[k:])
+        while len(word) > self.radius_done:
+            idx = index._find(word, key)
+            if idx is not None:
+                return idx
+            self.extend(self.radius_done + 1)
+        bucket = index._buckets.get(key)
+        if not bucket:
+            raise ConsistencyError("ball enumeration missed a word of its own radius")
+        words, is_trivial = index._words, self.system.word_is_trivial
+        for idx in bucket[:-1]:
+            if is_trivial(_product(word, invert_word(words[idx]))):
+                return idx
+        return bucket[-1]
+
 
 def _registry(system: GeneratorSystem) -> _BallRegistry:
     if system._ball_registry is None:
@@ -120,6 +154,8 @@ def _registry(system: GeneratorSystem) -> _BallRegistry:
 def ball(system: GeneratorSystem, radius: int) -> Ball:
     """The ball of the given radius; deterministic class ordering.  Each
     class object is built once per registry and shared by every later ball."""
+    if not isinstance(radius, int) or isinstance(radius, bool):
+        raise InputError(f"radius must be an integer, not {radius!r}")
     if radius < 0:
         raise InputError("radius must be non-negative")
     reg = _registry(system)
@@ -135,13 +171,7 @@ def _find(g: Element) -> tuple[_BallRegistry, int]:
     """The registry of g's system and the index of g's class in it, growing
     the ball one radius at a time until it holds g."""
     reg = g.system._ball_registry or _registry(g.system)
-    while True:
-        idx = reg.index.find_word(g.word)
-        if idx is not None:
-            return reg, idx
-        if reg.radius_done >= len(g.word):
-            raise ConsistencyError("ball enumeration missed a word of its own radius")
-        reg.extend(reg.radius_done + 1)
+    return reg, reg.find(g.word)
 
 
 def norm(g: Element) -> int:

@@ -1,8 +1,10 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from basilica import BudgetExceededError, core, equals, norms, parse_system
+from basilica import BudgetExceededError, InputError, core, equals, norms, parse_system
 from basilica.norms import ball, geodesic_rep, norm
 from basilica.structure import alpha, tau
 
@@ -118,6 +120,14 @@ def test_ball_growth_strictly_increasing(B):
     assert all(x < y for x, y in zip(sizes, sizes[1:]))
 
 
+@pytest.mark.parametrize("radius", [2.5, "3", True, None])
+def test_ball_radius_must_be_an_int(radius):
+    fresh = parse_system(BASILICA_TEXT)
+    with pytest.raises(InputError):
+        ball(fresh, radius)
+    assert norms._registry(fresh).radius_done == 0
+
+
 def test_ball_table_format(B):
     text = ball(B, 1).table()
     assert text.splitlines()[0] == "0\te"
@@ -192,8 +202,9 @@ def test_ball_keys_each_candidate_from_its_parent(monkeypatch):
 
 
 def test_registered_words_are_read_without_key_or_confirm(monkeypatch):
-    # a class's own word is found by the word; any other word is keyed and
-    # confirmed against its bucket
+    # a class's own word is found by the word; any other word is keyed from
+    # its longest registered prefix, and within the completed radius its
+    # bucket's last entry is taken without a confirm
     fresh = parse_system(BASILICA_TEXT)
     classes = ball(fresh, 6).classes
     calls = {"_index_key": 0, "word_is_trivial": 0}
@@ -212,7 +223,11 @@ def test_registered_words_are_read_without_key_or_confirm(monkeypatch):
     assert calls == {"_index_key": 0, "word_is_trivial": 0}
     # BAbA is another word of the registered ABAb
     assert geodesic_rep(fresh.element("BAbA")) == fresh.parse_word("ABAb")
-    assert calls == {"_index_key": 1, "word_is_trivial": 1}
+    assert calls == {"_index_key": 0, "word_is_trivial": 0}
+    # a word past the completed radius is confirmed against its bucket
+    assert geodesic_rep(fresh.element("BAbABAb")) == fresh.parse_word("ABAAb")
+    assert calls["_index_key"] == 0 and calls["word_is_trivial"] >= 1
+    assert norms._registry(fresh).radius_done == 6
 
 
 def test_smaller_balls_share_the_class_objects():
@@ -225,3 +240,74 @@ def test_smaller_balls_share_the_class_objects():
         assert all(c is d for c, d in zip(classes, big.classes))
     assert all(c is d for c, d in zip(small.classes, big.classes))
     assert [len(ball(fresh, r)) for r in range(6)] == [1, 5, 17, 53, 153, 421]
+
+
+_GRIGORCHUK = (
+    "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,c; "
+    "gen c perm=0,1 sections=a,d; gen d perm=0,1 sections=e,b"
+)
+_READ_SYSTEMS = {"basilica": BASILICA_TEXT, "grigorchuk": _GRIGORCHUK, "d3": _D3_SYSTEM}
+
+
+@functools.cache
+def _oracle_system(kind):
+    return parse_system(_READ_SYSTEMS[kind])
+
+
+def _confirmed_class(system, word):
+    """Norm and geodesic of ``word`` through ``ElementIndex.find_word``, which
+    keys the whole word and confirms every bucket entry it compares."""
+    ball(system, len(word))
+    reg = norms._registry(system)
+    idx = reg.index.find_word(word)
+    return reg.norms[idx], reg.index.word_at(idx)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.sampled_from(sorted(_READ_SYSTEMS)), st.integers(0, 4), st.data())
+def test_reads_agree_with_a_confirmed_lookup(kind, radius, data):
+    # words up to and past the completed radius: the registry reads keyed
+    # from a prefix, and the reads that skip the last confirm, agree with a
+    # lookup that confirms every candidate in a second registry
+    fresh = parse_system(_READ_SYSTEMS[kind])
+    ball(fresh, radius)
+    letters = [l for i in range(len(fresh.names)) for l in (i + 1, -(i + 1))]
+    g = fresh.element(data.draw(st.lists(st.sampled_from(letters), max_size=7)))
+    rep = geodesic_rep(g)
+    assert (norm(g), rep) == _confirmed_class(_oracle_system(kind), g.word)
+    assert equals(g, fresh.element(rep))
+
+
+def test_all_but_the_last_candidate_is_confirmed(monkeypatch):
+    # the d = 3 ball(8) has 56 buckets of two classes; every other word of at
+    # most 8 letters in them is read with one confirm, of the first entry.
+    # (The 14 two-entry buckets of the Basilica ball(9) hold powers like a^7
+    # and a^-9, which no other word of at most 11 letters equals.)
+    fresh = parse_system(_D3_SYSTEM)
+    ball(fresh, 8)
+    index = norms._registry(fresh).index
+    shared = {key: b for key, b in index._buckets.items() if len(b) > 1}
+    assert len(shared) == 56 and {len(b) for b in shared.values()} == {2}
+    aliases = [
+        w
+        for n in range(9)
+        for w in reduced_words(fresh, n)
+        if core._word_bytes(w) not in index._by_word and fresh._index_key(w) in shared
+    ]
+    expected = [index.find_word(w) for w in aliases]
+    positions = {shared[index._keys[i]].index(i) for i in expected}
+    assert positions == {0, 1}  # both the confirmed and the unchecked entry
+    confirms = []
+    is_trivial = core.GeneratorSystem.word_is_trivial
+
+    def counting(system, word):
+        confirms.append(word)
+        return is_trivial(system, word)
+
+    monkeypatch.setattr(core.GeneratorSystem, "word_is_trivial", counting)
+    reg = norms._registry(fresh)
+    for w, i in zip(aliases, expected):
+        g = fresh.element(w)
+        assert norm(g) == reg.norms[i]
+        assert geodesic_rep(g) == index.word_at(i)
+    assert len(confirms) == 2 * len(aliases)
