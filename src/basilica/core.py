@@ -37,13 +37,15 @@ closure and by ``word_at``, the walk down a vertex path behind
 
 The action of a word on level n is a fold over its letters of per-letter
 level-n tables, each built once from the level below; nothing is kept per
-word.  Element identity (``ElementIndex``) finds a word that is exactly a
-registered entry's word by the word, from a dict keyed by its letters as
-bytes.  Any other word is bucketed by such a fold on the deepest level of at
-most 256 vertices, taken with ``bytes.translate``, and every bucket hit is
-confirmed with the word problem.  The index keeps each entry's key, so an
-entry's word times one letter is keyed with one more ``translate``
-(``find_or_insert_child``) instead of a fold of every letter.
+word.  Element identity is decided in one place, ``ElementIndex``, which
+holds the identity as entry 0.  A word that is exactly a registered entry's
+word is found by the word, from a dict keyed by its letters as bytes.  Any
+other word is bucketed by such a fold on the deepest level of at most 256
+vertices, taken with ``bytes.translate``, and every bucket hit is confirmed
+with the word problem.  The index keeps each entry's key, so the fold starts
+from the key of the word's longest registered prefix (the empty word at
+worst), and an entry's word times one letter is keyed with one more
+``translate`` (``find_or_insert_child``).
 """
 
 from __future__ import annotations
@@ -609,15 +611,6 @@ class GeneratorSystem:
             )
         return self._fold(word, n)
 
-    def _index_key(self, word: Word) -> bytes:
-        """The word's action on the key level as bytes; the same fold as
-        ``word_level_perm``, one ``bytes.translate`` per letter."""
-        p = _BYTE_IDENTITY
-        tables = self._key_tables
-        for l in word:
-            p = tables[l].translate(p)
-        return p[: self._key_size]
-
     def word_is_trivial(self, word: Word) -> bool:
         """Decide triviality by section closure; exact.  A trivial word's
         closure words of at most ``MEMO_LETTERS`` letters join the memo of
@@ -934,27 +927,31 @@ class Portrait(Record):
 class ElementIndex:
     """Exact-equality registry of pairwise distinct elements.
 
-    A word that is exactly an entry's word is found by the word, from a
-    dict, with no key fold: the entries are distinct elements, so that entry
-    is the only one equal to it.  Any other word is compared only with the
-    entries that act like it on the deepest level of at most 256 vertices
+    Entry 0 is the identity, the empty word, so every word has a registered
+    prefix.  A word that is exactly an entry's word is found by the word,
+    from a dict, with no key fold: the entries are distinct elements, so that
+    entry is the only one equal to it.  Any other word is compared only with
+    the entries that act like it on the deepest level of at most 256 vertices
     (level 8 of the binary tree), since fingerprint inequality soundly
-    separates elements; each candidate is confirmed exactly by deciding the
-    triviality of ``word . cand^-1``.  ``find_word`` is this general
-    lookup; the ``norms`` ball registry reads through its own, which keys a
-    word from a registered prefix and skips the last confirm inside its
-    completed radius.
+    separates elements.  That action, the word's key, is its longest
+    registered prefix's key with the other letters folded in, and each
+    candidate is confirmed exactly by deciding the triviality of
+    ``word . cand^-1``.  ``find_word(word, complete=True)`` is for a caller
+    that knows an entry equals the word: every candidate but the last is
+    confirmed and the last is taken without a check.
     """
 
     def __init__(self, system: GeneratorSystem):
         self.system = system
-        self._buckets: dict[bytes, tuple[int, ...]] = {}
-        self._words: list[Word] = []
+        key = _BYTE_IDENTITY[: system._key_size]
+        self._buckets: dict[bytes, tuple[int, ...]] = {key: (0,)}
+        self._words: list[Word] = [()]
         # each entry's word, as ``_word_bytes``, to its index
-        self._by_word: dict[bytes, int] = {}
-        self._word_keys: list[bytes] = []  # per entry, its key in _by_word
+        self._by_word: dict[bytes, int] = {b"": 0}
+        self._word_keys: list[bytes] = [b""]  # per entry, its key in _by_word
         self._letter_bytes = {l: _word_bytes((l,)) for l in system._key_tables}
-        self._keys: list[bytes] = []  # per entry, the key it was bucketed by
+        self._keys: list[bytes] = [key]  # per entry, the key it was bucketed by
+        self._longest = 0  # letters of the longest entry word
         # the points past the key level, which every key table fixes
         self._key_pad = _BYTE_IDENTITY[system._key_size :]
 
@@ -964,24 +961,39 @@ class ElementIndex:
     def word_at(self, index: int) -> Word:
         return self._words[index]
 
-    def find_word(self, word: Word) -> int | None:
-        """Index of the registered element equal to ``word``, if any."""
-        idx = self._by_word.get(_word_bytes(word))
+    def find_word(self, word: Word, complete: bool = False) -> int | None:
+        """Index of the registered element equal to ``word``, if any.  With
+        ``complete``, some entry is known to equal it, so the last candidate
+        is returned unchecked; ``None`` then means no candidate at all."""
+        packed = _word_bytes(word)
+        idx = self._by_word.get(packed)
         if idx is not None:
             return idx
-        return self._find(word, self.system._index_key(word))
+        bucket = self._buckets.get(self._key(word, packed), ())
+        words, is_trivial = self._words, self.system.word_is_trivial
+        for i in bucket[:-1] if complete else bucket:
+            if is_trivial(_product(word, invert_word(words[i]))):
+                return i
+        return bucket[-1] if complete and bucket else None
 
     def insert_word(self, word: Word) -> int:
         """Register a word known to be a new class; returns its index."""
-        return self._insert(word, self.system._index_key(word))
+        word_key = _word_bytes(word)
+        key = self._key(word, word_key)
+        idx = len(self._words)
+        self._words.append(word)
+        self._keys.append(key)
+        self._word_keys.append(word_key)
+        self._by_word.setdefault(word_key, idx)
+        self._buckets[key] = self._buckets.get(key, ()) + (idx,)
+        if len(word) > self._longest:
+            self._longest = len(word)
+        return idx
 
     def find_or_insert(self, word: Word) -> tuple[int, bool]:
-        idx = self._by_word.get(_word_bytes(word))
+        idx = self.find_word(word)
         if idx is None:
-            key = self.system._index_key(word)
-            idx = self._find(word, key)
-            if idx is None:
-                return self._insert(word, key), True
+            return self.insert_word(word), True
         return idx, False
 
     def find_or_insert_child(self, idx: int, letter: int) -> tuple[int, bool]:
@@ -1006,7 +1018,20 @@ class ElementIndex:
         word_keys.append(word_key)
         self._by_word[word_key] = i
         self._buckets[key] = bucket + (i,)
+        if len(word) > self._longest:
+            self._longest = len(word)
         return i, True
+
+    def _key(self, word: Word, packed: bytes) -> bytes:
+        """The key of ``word``, packed as ``packed``: the key of its longest
+        registered prefix, found by slicing ``packed`` from the longest
+        entry's length down, with the remaining letters folded in.  The
+        search starts one letter short of the whole word, which
+        ``find_word`` has looked up; that letter's fold gives the same key."""
+        by_word, k = self._by_word, min(len(word) - 1, self._longest)
+        while (idx := by_word.get(packed[:k])) is None:
+            k -= 1  # the empty word is entry 0
+        return self._key_after(idx, word[k:])
 
     def _key_after(self, idx: int, letters: Word) -> bytes:
         """The key of entry ``idx``'s word followed by ``letters``: the key
@@ -1019,22 +1044,3 @@ class ElementIndex:
         for l in letters:
             p = tables[l].translate(p)
         return p[: self.system._key_size]
-
-    def _find(self, word: Word, key: bytes) -> int | None:
-        """The entry of ``key``'s bucket equal to ``word``, a word that is no
-        entry's word."""
-        sys = self.system
-        for idx in self._buckets.get(key, ()):
-            if sys.word_is_trivial(_product(word, invert_word(self._words[idx]))):
-                return idx
-        return None
-
-    def _insert(self, word: Word, key: bytes) -> int:
-        idx = len(self._words)
-        self._words.append(word)
-        self._keys.append(key)
-        word_key = _word_bytes(word)
-        self._word_keys.append(word_key)
-        self._by_word.setdefault(word_key, idx)
-        self._buckets[key] = self._buckets.get(key, ()) + (idx,)
-        return idx

@@ -114,12 +114,14 @@ def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> De
             f"descent requires exponent image in {allowed}, got {image}"
         )
     system = g.system
+    # the goal index also holds the identity, as entry 0: a trivial state
+    # finds it and then fails the root check below
     goal = ElementIndex(system)
-    goal.insert_word(geodesic_rep(target))
+    target_idx = goal.insert_word(geodesic_rep(target))
     visited = {g.word}
     queue: list[tuple[Word, tuple[int, ...]]] = [(g.word, ())]
     for word, path in queue:
-        if goal.find_word(word) is not None:
+        if goal.find_word(word) == target_idx:
             return DescentCertificate(g, path, target)
         root, sections = system._root_and_sections(word)
         if root == system._identity_root:

@@ -10,16 +10,17 @@ of the norm-r representatives, each keyed from its parent's index entry with
 one ``bytes.translate``.  The registry is shared per system, so repeated
 norm queries reuse the ball built so far; ``norm`` and ``geodesic_rep`` read
 one class lookup, and each ``BallClass`` is built once and shared by every
-later ``ball``.  A read finds a representative by the word, with no
-fingerprint and no decision.  Any other word is keyed from its longest
-registered prefix, which prefix closure makes a geodesic itself.  The
-registry is complete up to ``radius_done``: a word no longer than that
-has no larger norm, so its class is registered in the word's bucket, and
-every entry but the last is confirmed and the last taken unchecked.  Only
-a longer word has every entry confirmed.  The registry holds at most
-``MAX_CLASSES`` classes: ``ball``, ``norm`` and ``geodesic_rep`` raise
-``BudgetExceededError`` past that, with the last complete radius as its
-``partial``.
+later ``ball``.  A read goes through ``ElementIndex.find_word``: a
+representative is found by the word, with no fingerprint and no decision,
+and any other word is keyed from its longest registered prefix, which prefix
+closure makes a geodesic itself.  The registry is complete up to
+``radius_done``: a word no longer than that has no larger norm, so its class
+is registered in the word's bucket, and the read passes ``complete`` to
+confirm every entry but the last and take the last unchecked.  A longer
+word has every entry confirmed, and grows the ball until it is found.  The
+registry holds at most ``MAX_CLASSES`` classes: ``ball``, ``norm`` and
+``geodesic_rep`` raise ``BudgetExceededError`` past that, with the last
+complete radius as its ``partial``.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ from .core import (
     InputError,
     Record,
     Word,
-    _product,
-    _word_bytes,
-    invert_word,
 )
 
 MAX_CLASSES = 120_000
@@ -80,7 +78,6 @@ class _BallRegistry:
     def __init__(self, system: GeneratorSystem):
         self.system = system
         self.index = ElementIndex(system)
-        self.index.insert_word(())
         self.norms: list[int] = [0]
         self.radius_done = 0
         # the class objects ``ball`` has handed out, in index order
@@ -117,33 +114,6 @@ class _BallRegistry:
                             )
             self.radius_done = r
 
-    def find(self, word: Word) -> int:
-        """Index of the class equal to the reduced ``word``, growing the ball
-        one radius at a time until it holds it.  Bucket entries are distinct
-        elements, so exactly one equals a word within ``radius_done``."""
-        index = self.index
-        packed = _word_bytes(word)
-        idx = index._by_word.get(packed)
-        if idx is not None:
-            return idx
-        by_word, k = index._by_word, min(len(word) - 1, self.norms[-1])
-        while (idx := by_word.get(packed[:k])) is None:
-            k -= 1  # the empty word is entry 0
-        key = index._key_after(idx, word[k:])
-        while len(word) > self.radius_done:
-            idx = index._find(word, key)
-            if idx is not None:
-                return idx
-            self.extend(self.radius_done + 1)
-        bucket = index._buckets.get(key)
-        if not bucket:
-            raise ConsistencyError("ball enumeration missed a word of its own radius")
-        words, is_trivial = index._words, self.system.word_is_trivial
-        for idx in bucket[:-1]:
-            if is_trivial(_product(word, invert_word(words[idx]))):
-                return idx
-        return bucket[-1]
-
 
 def _registry(system: GeneratorSystem) -> _BallRegistry:
     if system._ball_registry is None:
@@ -162,7 +132,8 @@ def ball(system: GeneratorSystem, radius: int) -> Ball:
     reg.extend(radius)
     count = bisect_right(reg.norms, radius)
     classes, start = reg.classes, len(reg.classes)
-    elements = map(partial(Element._reduced, system), reg.index._words[start:count])
+    words = map(reg.index.word_at, range(start, count))
+    elements = map(partial(Element._reduced, system), words)
     classes += map(BallClass._make, zip(elements, reg.norms[start:count]))
     return Ball(radius, tuple(classes[:count]))
 
@@ -171,7 +142,12 @@ def _find(g: Element) -> tuple[_BallRegistry, int]:
     """The registry of g's system and the index of g's class in it, growing
     the ball one radius at a time until it holds g."""
     reg = g.system._ball_registry or _registry(g.system)
-    return reg, reg.find(g.word)
+    word, index = g.word, reg.index
+    while (idx := index.find_word(word, done := len(word) <= reg.radius_done)) is None:
+        if done:
+            raise ConsistencyError("ball enumeration missed a word of its own radius")
+        reg.extend(reg.radius_done + 1)
+    return reg, idx
 
 
 def norm(g: Element) -> int:

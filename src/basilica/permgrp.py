@@ -3,8 +3,8 @@ subgroups: orbits with Schreier transversals, stabilizer generators and the
 projections they give, exact group orders, and full-level-quotient tests.
 
 The order and membership algorithms live in ``quotients``, which
-``group_order`` and ``level_quotient_equals_full`` import when first called
-and keep bound after.
+``group_order`` and ``level_quotient_equals_full`` import inside their
+bodies, so a caller that never needs an order does not load it.
 
 Subgroup elements are tracked together with their expressions over the
 subgroup's own generators (an "hword": signed 1-based indices into the
@@ -151,7 +151,7 @@ def stabilizer_generator_pairs(
 ) -> list[tuple[Element, HWord]]:
     """Schreier generators of the vertex stabilizer with their hwords.
 
-    One exact lookup in an index seeded with the identity drops trivial
+    One exact lookup in an index, which holds the identity, drops trivial
     and repeated elements; at most ``cap`` survive, shorter ones first.
     Raises ``InputError`` when ``cap`` is negative.
     """
@@ -167,7 +167,6 @@ def stabilizer_generator_pairs(
             candidates.append((H.evaluate(hw), hw))
     candidates.sort(key=lambda pair: (len(pair[0].word), pair[0].word, len(pair[1])))
     index = ElementIndex(H.system)
-    index.find_or_insert(())
     survivors: list[tuple[Element, HWord]] = []
     for elem, hw in candidates:
         if len(survivors) >= cap:
@@ -202,18 +201,6 @@ def projected_subgroup(
     return SubgroupHandle(H.system, [sec for sec, _ in projection_pairs(H, vertex, cap)])
 
 
-_quotients = None
-# the module of the order code, bound by the first call that needs it
-
-
-def _load_quotients():
-    """Import ``quotients`` and bind it for later calls."""
-    global _quotients
-    from . import quotients as _quotients
-
-    return _quotients
-
-
 def group_order(perms: Sequence) -> int:
     """Order of the group generated by permutations; exact.
 
@@ -226,7 +213,9 @@ def group_order(perms: Sequence) -> int:
     system is such input.  Everything else goes through the stabilizer chain
     (``quotients._schreier_sims_order``).
     """
-    return (_quotients or _load_quotients())._chain(perms)[0]
+    from . import quotients
+
+    return quotients._chain(perms)[0]
 
 
 def level_perms(system: GeneratorSystem, elements: Sequence[Element], n: int) -> list[Perm]:
@@ -257,7 +246,8 @@ def level_quotient_equals_full(H: SubgroupHandle, n: int) -> bool:
     level n as an element of H, sifted through the chain of H's level-n
     quotient.
     """
-    quotients = _quotients or _load_quotients()
+    from . import quotients
+
     system = H.system
     if system.alphabet_size == 2:
         parities = quotients._level_parities

@@ -3,7 +3,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from basilica import (
     BudgetExceededError,
@@ -219,7 +219,7 @@ _WIDE_SYSTEM = (
 )
 _SYSTEMS = {"basilica": BASILICA_TEXT, "d3": _D3_SYSTEM, "wide": _WIDE_SYSTEM}
 # the deepest level of at most 256 vertices
-_KEY_LEVEL = {"basilica": 8, "d3": 5, "wide": 0}
+_KEY_LEVEL = {"basilica": 8, "grigorchuk": 8, "d3": 5, "wide": 0}
 
 
 @settings(derandomize=True, deadline=None)
@@ -231,10 +231,14 @@ _KEY_LEVEL = {"basilica": 8, "d3": 5, "wide": 0}
 # identity's level-8 key without being trivial
 @example("basilica", ["BAbA", "a" * 16, "", "ABAb", "ab"])
 @example("wide", ["BAbA", "a" * 16, "", "ABAb", "ab", "ba"])
+# later words extend registered ones, so they are keyed from an entry that
+# is not the identity; BAbABaba is trivial
+@example("basilica", ["ab", "abA", "abAB", "BAbA", "ABAb", "abABaBAbABaba", "BAbABaba"])
+@example("d3", ["ab", "abA", "abAB", "abABab", "BAbA", "BAbAb"])
 def test_element_index_agrees_with_equals(kind, texts):
     system = parse_system(_SYSTEMS[kind])
     index = ElementIndex(system)
-    registered = []
+    registered = [system.identity()]
     for text in texts:
         g = system.element(text)
         idx, new = index.find_or_insert(g.word)
@@ -246,6 +250,9 @@ def test_element_index_agrees_with_equals(kind, texts):
             assert matches == [idx]
         assert index.find_word(g.word) == idx
         assert index._by_word == {core._word_bytes(w): i for i, w in enumerate(index._words)}
+        for i in range(len(index)):
+            level_perm = system.word_level_perm(index.word_at(i), _KEY_LEVEL[kind])
+            assert index._keys[i] == bytes(level_perm)
 
 
 @settings(derandomize=True, deadline=None)
@@ -255,7 +262,9 @@ def test_index_key_is_level_action(kind, letters):
     word = free_reduce(letters)
     level = _KEY_LEVEL[kind]
     assert system.alphabet_size**level <= 256 < system.alphabet_size ** (level + 1)
-    assert system._index_key(word) == bytes(system.word_level_perm(word, level))
+    index = ElementIndex(system)
+    idx, _ = index.find_or_insert(word)
+    assert index._keys[idx] == bytes(system.word_level_perm(word, level))
 
 
 _GRIGORCHUK = (
@@ -273,13 +282,16 @@ def test_child_key_is_index_key_of_the_extension(kind, data):
     letters = [l for i in range(len(system.names)) for l in (i + 1, -(i + 1))]
     word = free_reduce(data.draw(st.lists(st.sampled_from(letters), max_size=30)))
     letter = data.draw(st.sampled_from([l for l in letters if not word or l != -word[-1]]))
+    extended = word + (letter,)
+    # a trivial word is the index's entry 0, the empty word (Grigorchuk's aa)
+    assume(not (word and system.word_is_trivial(word)))
+    assume(not system.word_is_trivial(extended))
     index = ElementIndex(system)
     idx, _ = index.find_or_insert(word)
     child, new = index.find_or_insert_child(idx, letter)
-    extended = word + (letter,)
-    assert (child, new) == (1, True)
+    assert (child, new) == (len(index) - 1, True)
     assert index.word_at(child) == extended
-    assert index._keys[child] == system._index_key(extended)
+    assert index._keys[child] == bytes(system.word_level_perm(extended, _KEY_LEVEL[kind]))
     assert index._by_word[core._word_bytes(extended)] == child
     assert index.find_word(extended) == child
 

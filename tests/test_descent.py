@@ -2,7 +2,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from basilica import GeneratorSystem, basilica, equals, free_reduce, parse_system
-from basilica.core import BudgetExceededError, InputError, PreconditionError, exponent_sums
+from basilica.core import (
+    BudgetExceededError,
+    ElementIndex,
+    InputError,
+    PreconditionError,
+    exponent_sums,
+)
 from basilica.descent import (
     FailureReport,
     NotInLattice,
@@ -16,8 +22,9 @@ from basilica.descent import (
     solve_coset,
     verify_certificate,
 )
+from basilica.norms import geodesic_rep
 from basilica.permgrp import SubgroupHandle
-from basilica.structure import ab_image, alpha
+from basilica.structure import ab_image, alpha, tau
 
 from conftest import BASILICA_TEXT
 
@@ -42,6 +49,19 @@ def test_transition_matches_engine(B):
         sq = g * g
         assert ab_image(sq.section(0)) == predicted
         assert ab_image(sq.section(1)) == predicted
+
+
+def test_goal_index_finds_the_identity_and_the_target(B):
+    # the descent's goal index: the identity is entry 0, and a word of the
+    # target that extends a registered word is keyed from that entry
+    goal = ElementIndex(B)
+    target_idx = goal.insert_word(geodesic_rep(B.element("ab")))
+    relator = (tau(3) ** -1).word  # ABBBAbbbaBBBabbb, a reduced trivial word
+    ab = B.element("ab").word
+    assert goal.find_word(relator) == 0
+    assert goal.find_word(ab + relator) == target_idx
+    assert goal.find_word(relator + ab) == target_idx
+    assert goal.find_word(B.element("ba").word) is None
 
 
 def test_find_ab_base_cases(B):

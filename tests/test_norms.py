@@ -185,20 +185,29 @@ def test_ball_order_is_first_occurrence_in_shortlex(B):
         assert [c.word for c in ball(fresh, 5).classes] == [g.word for g in oracle]
 
 
+def _count_key_folds(monkeypatch):
+    """The letters of each ``ElementIndex._key_after`` call, as a list that
+    grows with every later call."""
+    folded = []
+    key_after = core.ElementIndex._key_after
+
+    def counting(index, idx, letters):
+        folded.append(letters)
+        return key_after(index, idx, letters)
+
+    monkeypatch.setattr(core.ElementIndex, "_key_after", counting)
+    return folded
+
+
 def test_ball_keys_each_candidate_from_its_parent(monkeypatch):
-    # only the root is keyed from its word; every one-letter extension takes
-    # its key from the parent class's
-    keyed = []
-    index_key = core.GeneratorSystem._index_key
-
-    def counting(system, word):
-        keyed.append(word)
-        return index_key(system, word)
-
-    monkeypatch.setattr(core.GeneratorSystem, "_index_key", counting)
+    # every one-letter extension takes its key from the parent class's, one
+    # letter folded in: 4 extensions of the root and 3 of each of the 420
+    # classes of norm 1 to 5
+    folded = _count_key_folds(monkeypatch)
     fresh = parse_system(BASILICA_TEXT)
     assert len(ball(fresh, 6)) == 1125
-    assert keyed == [()]
+    assert len(folded) == 4 + 3 * 420
+    assert {len(letters) for letters in folded} == {1}
 
 
 def test_registered_words_are_read_without_key_or_confirm(monkeypatch):
@@ -207,26 +216,26 @@ def test_registered_words_are_read_without_key_or_confirm(monkeypatch):
     # bucket's last entry is taken without a confirm
     fresh = parse_system(BASILICA_TEXT)
     classes = ball(fresh, 6).classes
-    calls = {"_index_key": 0, "word_is_trivial": 0}
-    for name in calls:
-        original = getattr(core.GeneratorSystem, name)
+    folded = _count_key_folds(monkeypatch)
+    confirms = []
+    is_trivial = core.GeneratorSystem.word_is_trivial
 
-        def counting(system, word, name=name, original=original):
-            calls[name] += 1
-            return original(system, word)
+    def counting(system, word):
+        confirms.append(word)
+        return is_trivial(system, word)
 
-        monkeypatch.setattr(core.GeneratorSystem, name, counting)
+    monkeypatch.setattr(core.GeneratorSystem, "word_is_trivial", counting)
     for c in classes:
         g = fresh.element(c.word)
         assert norm(g) == c.norm
         assert geodesic_rep(g) == c.word
-    assert calls == {"_index_key": 0, "word_is_trivial": 0}
+    assert (len(folded), len(confirms)) == (0, 0)
     # BAbA is another word of the registered ABAb
     assert geodesic_rep(fresh.element("BAbA")) == fresh.parse_word("ABAb")
-    assert calls == {"_index_key": 0, "word_is_trivial": 0}
+    assert (len(folded), len(confirms)) == (1, 0)
     # a word past the completed radius is confirmed against its bucket
     assert geodesic_rep(fresh.element("BAbABAb")) == fresh.parse_word("ABAAb")
-    assert calls["_index_key"] == 0 and calls["word_is_trivial"] >= 1
+    assert len(confirms) >= 1
     assert norms._registry(fresh).radius_done == 6
 
 
@@ -255,8 +264,8 @@ def _oracle_system(kind):
 
 
 def _confirmed_class(system, word):
-    """Norm and geodesic of ``word`` through ``ElementIndex.find_word``, which
-    keys the whole word and confirms every bucket entry it compares."""
+    """Norm and geodesic of ``word`` through ``ElementIndex.find_word`` without
+    ``complete``, which confirms every bucket entry it compares."""
     ball(system, len(word))
     reg = norms._registry(system)
     idx = reg.index.find_word(word)
@@ -292,7 +301,8 @@ def test_all_but_the_last_candidate_is_confirmed(monkeypatch):
         w
         for n in range(9)
         for w in reduced_words(fresh, n)
-        if core._word_bytes(w) not in index._by_word and fresh._index_key(w) in shared
+        if core._word_bytes(w) not in index._by_word
+        and bytes(fresh.word_level_perm(w, 5)) in shared
     ]
     expected = [index.find_word(w) for w in aliases]
     positions = {shared[index._keys[i]].index(i) for i in expected}
