@@ -25,10 +25,20 @@ this kind) the closure only ever contains words no longer than the input,
 so the procedure terminates; a closure-size guard protects against
 pathological custom systems.
 
+Words enter and leave the engine as bytes: ``parse_word`` translates the
+text's ASCII bytes to one signed byte per letter with one 256-byte table and
+unpacks them into the word's tuple, and ``word_str`` packs and translates
+back with the inverse table.  The packing is ``_word_bytes``, which also
+keys ``ElementIndex``'s word dict.
+
 The action and sections of a word on level k come from one pass over its
-letters, right to left (``_walk_level``).  Each system memoises the level-1
-walk, and the words proven trivial (no nontrivial verdict), of words of at
-most ``MEMO_LETTERS`` letters: in a contracting group such as Basilica
+letters, right to left (``_walk_level``), one table step per letter: the
+step of a letter from the action read so far pushes the letter's section
+letters onto per-vertex stacks and leads to the next action's steps; when
+every letter pushes one letter, as on the Basilica group, a step is one
+stack operation.  Each system memoises the level-1 walk, and the words
+proven trivial (no nontrivial verdict), of words of at most
+``MEMO_LETTERS`` letters: in a contracting group such as Basilica
 sections shrink (two levels down to about half the word), so a long input
 word seldom comes back as the section of another, while short words recur
 across calls.  A longer word is walked ``_jump`` levels at once by the
@@ -51,9 +61,9 @@ worst), and an entry's word times one letter is keyed with one more
 from __future__ import annotations
 
 import operator
-from functools import cache
+from functools import lru_cache
 from itertools import chain
-from struct import Struct
+from struct import Struct, error as StructError
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -196,9 +206,10 @@ def free_reduce(letters: Iterable[int]) -> Word:
     return tuple(out)
 
 
-@cache
+@lru_cache(maxsize=256)
 def _word_struct(letters: int) -> Struct:
-    # one per word length packed, about 180 bytes each
+    # one per word length packed or unpacked, about 180 bytes each; a miss
+    # builds one in about 0.5 us
     return Struct(f"{letters}b")
 
 
@@ -353,10 +364,16 @@ class GeneratorSystem:
                     "letter other than 'e'"
                 )
         self.names = tuple(names)
-        # surface character -> letter, and back
+        # surface character -> letter, and the translation tables between
+        # ASCII bytes and letters as signed bytes; every other byte goes to
+        # 0, which is no letter and no name
         self._letters = {n: i + 1 for i, n in enumerate(names)}
         self._letters.update((n.upper(), -(i + 1)) for i, n in enumerate(names))
-        self._chars = {l: ch for ch, l in self._letters.items()}
+        to_letter, to_char = bytearray(256), bytearray(256)
+        for ch, l in self._letters.items():
+            to_letter[ord(ch)] = l & 0xFF
+            to_char[l & 0xFF] = ord(ch)
+        self._letter_table, self._char_table = bytes(to_letter), bytes(to_char)
 
         roots = []
         raw_sections = []
@@ -430,24 +447,49 @@ class GeneratorSystem:
     # -- surface syntax ----------------------------------------------------
 
     def parse_word(self, text: str) -> Word:
-        """Parse surface syntax (``"abA"``, ``"e"`` for empty) to a reduced word."""
+        """Parse surface syntax (``"abA"``, ``"e"`` for empty) to a reduced word.
+
+        The text's ASCII bytes, one per character (a non-ASCII character
+        becomes ``?``), are translated to letters as signed bytes and
+        unpacked into the word; a 0 byte marks the first character that is
+        no letter.  The text is reduced only when it holds a cancelling
+        pair: a name and its inverse differ in bit 0x20 alone, so that is
+        an adjacent pair of bytes whose XOR is 0x20, found from the text as
+        one integer XORed with itself shifted by a byte.  That test costs
+        about 0.3 us plus 4 ns a letter, whatever the number of generators
+        (Python 3.11 on a 2-CPU VM); searching the text for each of the 2n
+        cancelling pairs of n generators instead made parsing a 9-letter
+        word over 25 generators take 2.0 us in place of 0.8 us.
+        """
         if text == "e" or text == "":
             return ()
-        letters = self._letters
-        try:
-            # through a list, so the word's tuple is built at its exact size:
-            # one grown from an iterator may keep spare slots, and the memos
-            # may keep the word
-            return free_reduce(list(map(letters.__getitem__, text)))
-        except KeyError:
-            col = next(i for i, ch in enumerate(text, start=1) if ch not in letters)
-            raise WordParseError(f"unknown letter {text[col - 1]!r}", col) from None
+        surface = text.encode("ascii", "replace")
+        packed = surface.translate(self._letter_table)
+        col = packed.find(0) + 1
+        if col:
+            raise WordParseError(f"unknown letter {text[col - 1]!r}", col)
+        word = _word_struct(len(packed)).unpack(packed)
+        # byte i of x ^ (x >> 8) is the XOR of text bytes i - 1 and i; byte
+        # 0 is the first letter itself
+        x = int.from_bytes(surface, "big")
+        if 0x20 in (x ^ (x >> 8)).to_bytes(len(surface), "big"):
+            return free_reduce(word)
+        return word
 
     def word_str(self, word: Sequence[int]) -> str:
-        """Inverse of parse_word; the empty word prints as ``e``."""
+        """Inverse of parse_word; the empty word prints as ``e``.  The word
+        is packed by ``_word_bytes`` and translated to ASCII with one table;
+        a letter outside the system raises ``InputError``."""
         if not word:
             return "e"
-        return "".join(map(self._chars.__getitem__, word))
+        try:
+            text = _word_bytes(word).translate(self._char_table)
+        except StructError:  # a letter past a signed byte, or not an int
+            text = b"\0"
+        if 0 in text:
+            bad = next(l for l in word if not isinstance(l, int) or l not in self._letter_root)
+            raise InputError(f"letter {bad!r} outside the generator range")
+        return text.decode("ascii")
 
     def parse_vertex(self, vertex: str) -> tuple[int, ...]:
         """The path of a vertex string; ``""`` and ``e`` are the root."""
@@ -493,46 +535,70 @@ class GeneratorSystem:
 
     def _walk_level(self, word: Word, k: int) -> tuple[tuple[int, ...], tuple[Word, ...]]:
         """Images of the d^k level-k vertices and the freely reduced section
-        at each, from one pass over the word, right to left."""
+        at each, from one pass over the word, right to left.
+
+        The walk's state is the action p of the letters read so far, and
+        each state keeps one step per letter read from it.  When every
+        letter pushes exactly one section letter on level k, as on every
+        level of the Basilica group and the adding machine, a step is
+        ``(vertex, cancel, letter, action, next state)``, one stack
+        operation; otherwise it is ``(pushes, action, next state)`` with a
+        tuple of such ``(vertex, cancel, letter)`` pushes."""
         # (l w)_v = l_{w(v)} w_v: reading l after w, of action p, pushes
         # l's section at c onto the stack of v = p^-1(c), reversed; the
         # state becomes l o p.  No letter cancels a stack's bottom 0
-        letters, states, p = self._walks.get(k) or self._walk_tables(k)
+        _, states, p, single = self._walks.get(k) or self._walk_tables(k)
         state = states[p]
         stacks = [[0] for _ in p]
-        for l in reversed(word):
-            step = state.get(l)
-            if step is None:
-                # kept while the table holds at most MAX_LEVEL_POINTS images
-                action, sections = letters[l]
-                origin = invert_images(p)
-                q = compose_images(action, p)
-                if q not in states and (len(states) + 1) * len(q) <= MAX_LEVEL_POINTS:
-                    states[q] = {}
-                pushes = tuple((origin[c], -s, s) for c, rev in sections for s in rev)
-                step = (pushes, q, states.get(q, {}))
-                if q in states:
-                    state[l] = step
-            pushes, p, state = step
-            for v, t, s in pushes:
+        if single:
+            for l in reversed(word):
+                v, t, s, p, state = state.get(l) or self._walk_step(k, p, state, l)
                 stack = stacks[v]
                 if stack[-1] == t:
                     stack.pop()
                 else:
                     stack.append(s)
+        else:
+            for l in reversed(word):
+                pushes, p, state = state.get(l) or self._walk_step(k, p, state, l)
+                for v, t, s in pushes:
+                    stack = stacks[v]
+                    if stack[-1] == t:
+                        stack.pop()
+                    else:
+                        stack.append(s)
         return p, tuple(tuple(stack[:0:-1]) for stack in stacks)
+
+    def _walk_step(self, k: int, p: tuple[int, ...], state: dict, l: int) -> tuple:
+        """The level-k step of letter ``l`` from action ``p``; kept in
+        ``state``, p's steps, while the table holds at most
+        ``MAX_LEVEL_POINTS`` images."""
+        letters, states, _, single = self._walks[k]
+        action, sections = letters[l]
+        origin = invert_images(p)
+        q = compose_images(action, p)
+        if q not in states and (len(states) + 1) * len(q) <= MAX_LEVEL_POINTS:
+            states[q] = {}
+        pushes = tuple((origin[c], -s, s) for c, rev in sections for s in rev)
+        after = (q, states.get(q, {}))
+        step = pushes[0] + after if single else (pushes,) + after
+        if q in states:
+            state[l] = step
+        return step
 
     def _walk_tables(self, k: int) -> tuple:
         """Per letter, its level-k action and nonempty sections, reversed;
-        the steps of each level-k action; and the identity action."""
+        the steps of each level-k action; the identity action; and whether
+        every letter pushes exactly one letter."""
         letters = {}
         for l, secs in self._letter_sections.items():
             if k > 1:
                 secs = chain.from_iterable(self._walk_level(s, k - 1)[1] for s in secs)
             nonempty = tuple((c, s[::-1]) for c, s in enumerate(secs) if s)
             letters[l] = (self._fold((l,), k), nonempty)
+        single = all(sum(len(s) for _, s in secs) == 1 for _, secs in letters.values())
         start = tuple(range(self.alphabet_size**k))
-        walk = self._walks[k] = (letters, {start: {}}, start)
+        walk = self._walks[k] = (letters, {start: {}}, start, single)
         return walk
 
     def word_root(self, word: Word) -> tuple[int, ...]:
@@ -755,16 +821,16 @@ class Element:
         for l in word:
             if l == 0 or abs(l) > len(system.names):
                 raise InputError(f"letter {l} outside the generator range")
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "word", word)
+        _set_system(self, system)
+        _set_word(self, word)
 
     @classmethod
     def _reduced(cls, system: GeneratorSystem, word: Word) -> "Element":
         """Element of a word the engine built reduced and in range (a parsed
         word, a section, a product), so it is not reduced and checked again."""
         g = object.__new__(cls)
-        object.__setattr__(g, "system", system)
-        object.__setattr__(g, "word", word)
+        _set_system(g, system)
+        _set_word(g, word)
         return g
 
     def __setattr__(self, name, value):
@@ -894,6 +960,11 @@ class Element:
 
     def __str__(self) -> str:
         return self.system.word_str(self.word)
+
+
+# the slots' own setters, which ``Element.__setattr__`` refuses to reach
+_set_system = Element.system.__set__
+_set_word = Element.word.__set__
 
 
 def equals(g: Element, h: Element) -> bool:

@@ -507,22 +507,33 @@ def test_word_at_walks_long_words_along_the_path(kind, letters, digits):
     assert section == expected
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(
     st.sampled_from(sorted(_WALK_SYSTEMS)),
     st.integers(1, 3),
+    st.sampled_from([None, 1, 3]),
     st.lists(st.sampled_from(_ALL_LETTERS), max_size=2 * core.MEMO_LETTERS),
 )
-def test_walk_level_is_level_action_and_iterated_sections(kind, k, letters):
+def test_walk_level_is_level_action_and_iterated_sections(kind, k, states_cap, letters):
+    # letters push 0 (Grigorchuk's a), 1 (Basilica, Hanoi) or more (Grigorchuk's
+    # b, the d = 3 system) letters per level.  With states_cap, MAX_LEVEL_POINTS
+    # holds that many level-k actions: at 1 only the identity's steps are kept
     system = parse_system(_WALK_SYSTEMS[kind])
     word = free_reduce(_in_range(system, letters))
-    action, sections = system._walk_level(word, k)
-    assert action == system.word_level_perm(word, k)
+    action = system.word_level_perm(word, k)
     # level-1 sections taken k times, in lexicographic vertex order
     expected = [word]
     for _ in range(k):
         expected = [s for w in expected for s in _reference_root_and_sections(system, w)[1]]
-    assert sections == tuple(expected)
+    with pytest.MonkeyPatch.context() as patch:
+        if states_cap is not None:
+            patch.setattr(core, "MAX_LEVEL_POINTS", states_cap * len(action))
+        for _ in range(2):  # a cold walk, then one along the kept steps
+            assert system._walk_level(word, k) == (action, tuple(expected))
+    if states_cap is not None:
+        assert len(system._walks[k][1]) <= states_cap
+    # one stack operation per letter exactly when every letter pushes one
+    assert system._walks[k][3] == (kind in ("basilica", "hanoi"))
 
 
 # the adding machine a = sigma(1, a) beside a trivial b = (1, b): a adds one
@@ -606,6 +617,105 @@ def test_walk_table_keeps_at_most_max_level_points_images(monkeypatch, rng):
         word = free_reduce(rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(200)))
         assert system._walk_level(word, 1) == _reference_root_and_sections(system, word)
     assert len(system._walks[1][1]) == 10
+
+
+# 25 generators, every lowercase name but e: a = sigma and each further
+# generator is (its predecessor, 1)
+_NAMES_25 = "abcdfghijklmnopqrstuvwxyz"
+_SYSTEM_25 = "alphabet 2; gen a perm=1,0 sections=e,e; " + "; ".join(
+    f"gen {n} perm=0,1 sections={m},e" for m, n in zip(_NAMES_25, _NAMES_25[1:])
+)
+_PARSE_SYSTEMS = {
+    kind: parse_system(text)
+    for kind, text in {
+        "basilica": BASILICA_TEXT,
+        "grigorchuk": _GRIGORCHUK,
+        "d3": _D3_SYSTEM,
+        "25-generators": _SYSTEM_25,
+    }.items()
+}
+# no letter of any system: e and E, a NUL, ? (what a non-ASCII character
+# encodes to), other ASCII, non-ASCII of 2, 3 and 4 UTF-8 bytes, a surrogate
+_NOT_LETTERS = ["e", "E", "\x00", "?", " ", "1", "\x7f", "\xe9", "€", "\U0001f600", "\ud800"]
+
+
+def _reference_letters(system):
+    """Each surface character's letter, from the generator names."""
+    letters = {n: i + 1 for i, n in enumerate(system.names)}
+    letters.update((n.upper(), -(i + 1)) for i, n in enumerate(system.names))
+    return letters
+
+
+def _reference_parse(system, text):
+    """Letter by letter, reduced on a stack, and the first column that holds
+    no letter (None if every one does)."""
+    letters = _reference_letters(system)
+    word: list[int] = []
+    for col, ch in enumerate(text, start=1):
+        if ch not in letters:
+            return None, col
+        if word and word[-1] == -letters[ch]:
+            word.pop()
+        else:
+            word.append(letters[ch])
+    return tuple(word), None
+
+
+def _letters_and_pairs(kind):
+    """Texts of ``kind``'s system as lists of single letters and cancelling
+    pairs, so a pair may start at any column."""
+    names = _PARSE_SYSTEMS[kind].names
+    names += tuple(n.upper() for n in names)
+    tokens = names + tuple(ch + ch.swapcase() for ch in names)
+    return st.tuples(st.just(kind), st.lists(st.sampled_from(tokens), max_size=60))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.sampled_from(sorted(_PARSE_SYSTEMS)).flatmap(_letters_and_pairs),
+    st.lists(st.tuples(st.integers(0, 10**4), st.sampled_from(_NOT_LETTERS)), max_size=2),
+)
+@example(("basilica", ["e"]), [])  # the empty word, as its two texts
+@example(("d3", []), [])
+@example(("basilica", ["a", "b"]), [(1, "\x00")])  # "a\x00b": column 2
+@example(("25-generators", ["a", "b"]), [(1, "€")])  # "a€b": column 2
+@example(("grigorchuk", ["a"]), [(1, "e"), (0, "E")])  # "Eae": column 1
+def test_parse_word_agrees_with_letter_by_letter_reference(case, bad):
+    kind, tokens = case
+    system = _PARSE_SYSTEMS[kind]
+    text = "".join(tokens)
+    for pos, ch in bad:
+        pos %= len(text) + 1
+        text = text[:pos] + ch + text[pos:]
+    expected, column = _reference_parse(system, text) if text != "e" else ((), None)
+    if column is not None:
+        for parse in (system.parse_word, system.element):
+            with pytest.raises(WordParseError) as exc:
+                parse(text)
+            assert exc.value.column == column
+            assert str(exc.value) == f"unknown letter {text[column - 1]!r} (column {column})"
+        return
+    assert system.parse_word(text) == expected
+    assert system.element(text).word == expected
+    names = {l: ch for ch, l in _reference_letters(system).items()}
+    printed = system.word_str(expected)
+    assert printed == ("".join(names[l] for l in expected) or "e")
+    assert system.parse_word(printed) == expected
+
+
+def test_word_str_rejects_letters_outside_the_system(B):
+    for word in ((5,), (1, -3), (0,), (1, 200), (-128,), (2, 1.5)):
+        with pytest.raises(InputError, match=f"letter {word[-1]!r} outside"):
+            B.word_str(word)
+    assert B.word_str((1, -2, 2)) == "aBb"  # printed as given, not reduced
+
+
+def test_word_struct_cache_stays_bounded(B):
+    maxsize = core._word_struct.cache_info().maxsize
+    assert maxsize is not None
+    for n in range(1, 2 * maxsize):
+        assert B.word_str(B.parse_word("ab" * n)) == "ab" * n
+    assert core._word_struct.cache_info().currsize <= maxsize
 
 
 _PROJECTION_SYSTEMS = {
