@@ -36,13 +36,13 @@ letters, right to left (``_walk_level``), one table step per letter: the
 step of a letter from the action read so far pushes the letter's section
 letters onto per-vertex stacks and leads to the next action's steps; when
 every letter pushes one letter, as on the Basilica group, a step is one
-stack operation.  Each system memoises the level-1 walk, and the words
-proven trivial (no nontrivial verdict), of words of at most
-``MEMO_LETTERS`` letters: in a contracting group such as Basilica
-sections shrink (two levels down to about half the word), so a long input
-word seldom comes back as the section of another, while short words recur
-across calls.  A longer word is walked ``_jump`` levels at once by the
-closure and by ``word_at``, the walk down a vertex path behind
+stack operation.  No walk is kept per word: a section read walks the word
+again.  The one per-word memo is of words proven trivial (no nontrivial
+verdict) of at most ``MEMO_LETTERS`` letters: in a contracting group such
+as Basilica sections shrink (two levels down to about half the word), so a
+long input word seldom comes back as the section of another, while short
+words recur across calls.  A longer word is walked ``_jump`` levels at once
+by the closure and by ``word_at``, the walk down a vertex path behind
 ``Element.projection``, which every witness replay checks.
 
 The action of a word on level n is a fold over its letters of per-letter
@@ -167,10 +167,11 @@ MAX_CLOSURE_LETTERS = 2_000_000
 # at every step, and a lift doubles every two levels
 
 MEMO_LETTERS = 64
-# longest word whose root and sections, and whose triviality, a system
-# memoises.  On a battery of 3200 decisions on 50..2000-letter words an
-# unbounded memo answers 3186 triviality lookups and grows the process by
-# 16 MB; with this bound it answers 3150 and grows it by 1.5 MB
+# longest word the memo of words proven trivial keeps, and the length past
+# which a triviality closure or ``word_at`` walks ``_jump`` levels at once.
+# On a battery of 3200 decisions on 50..2000-letter words an unbounded memo
+# answers 2534 closure lookups and holds 1994 words in 3.5 MB; with this
+# bound it answers 2528 and holds 605 words in 0.2 MB
 
 MAX_LEVEL_POINTS = 1 << 16
 # vertices one level may have: of a level permutation, a portrait or an orbit
@@ -421,10 +422,9 @@ class GeneratorSystem:
             while alphabet_size ** (self._jump + 1) <= 8:
                 self._jump += 1
 
-        # transparent memo caches, results never depend on their state; both
-        # hold only words of at most MEMO_LETTERS letters, the second only
-        # words proven trivial
-        self._section_cache: dict[Word, tuple[tuple[int, ...], tuple[Word, ...]]] = {}
+        # the one per-word memo, of words proven trivial; transparent, since
+        # no result depends on it, and it holds only words of at most
+        # MEMO_LETTERS letters
         self._trivial_cache: set[Word] = {()}
         # per level n >= 1, at index n - 1: per signed letter, the itemgetter
         # that takes a level-n action p to p o (the letter's action); built
@@ -524,15 +524,6 @@ class GeneratorSystem:
 
     # -- word-level recursion ----------------------------------------------
 
-    def _root_and_sections(self, word: Word) -> tuple[tuple[int, ...], tuple[Word, ...]]:
-        """Root permutation images and freely reduced first-level sections."""
-        if len(word) > MEMO_LETTERS:
-            return self._walk_level(word, 1)
-        cached = self._section_cache.get(word)
-        if cached is None:
-            cached = self._section_cache[word] = self._walk_level(word, 1)
-        return cached
-
     def _walk_level(self, word: Word, k: int) -> tuple[tuple[int, ...], tuple[Word, ...]]:
         """Images of the d^k level-k vertices and the freely reduced section
         at each, from one pass over the word, right to left.
@@ -603,17 +594,17 @@ class GeneratorSystem:
 
     def word_root(self, word: Word) -> tuple[int, ...]:
         """Root permutation images of a word."""
-        return self._root_and_sections(word)[0]
+        return self._walk_level(word, 1)[0]
 
     def word_sections(self, word: Word) -> tuple[Word, ...]:
         """All first-level section words of a word, freely reduced."""
-        return self._root_and_sections(word)[1]
+        return self._walk_level(word, 1)[1]
 
     def word_at(self, word: Word, path: Sequence[int]) -> tuple[tuple[int, ...], Word]:
         """The image of a vertex path under a word and the word's section
         there, from one walk down the path.  A word longer than
         ``MEMO_LETTERS`` goes down ``_jump`` levels per walk where the path
-        allows; nothing about it is kept."""
+        allows."""
         d = self.alphabet_size
         jump = self._jump
         image = []
@@ -628,7 +619,7 @@ class GeneratorSystem:
                 image.extend(y // d**j % d for j in reversed(range(jump)))
                 i += jump
             else:
-                root, sections = self._root_and_sections(word)
+                root, sections = self._walk_level(word, 1)
                 image.append(root[path[i]])
                 word = sections[path[i]]
                 i += 1
@@ -678,9 +669,11 @@ class GeneratorSystem:
         return self._fold(word, n)
 
     def word_is_trivial(self, word: Word) -> bool:
-        """Decide triviality by section closure; exact.  A trivial word's
-        closure words of at most ``MEMO_LETTERS`` letters join the memo of
-        words proven trivial; a nontrivial verdict is not kept."""
+        """Decide triviality by section closure; exact.  Each closure word is
+        walked one level, or ``_jump`` levels when it is longer than
+        ``MEMO_LETTERS``.  A trivial word's closure words of at most
+        ``MEMO_LETTERS`` letters join the memo of words proven trivial, the
+        system's only per-word state; a nontrivial verdict is not kept."""
         proven = self._trivial_cache
         if word in proven:
             return True
@@ -694,7 +687,7 @@ class GeneratorSystem:
             if u in proven:
                 continue
             k = self._jump if len(u) > MEMO_LETTERS else 1
-            root, sections = self._walk_level(u, k) if k > 1 else self._root_and_sections(u)
+            root, sections = self._walk_level(u, k)
             if root != self._walks[k][2]:
                 return False
             for s in sections:
@@ -722,7 +715,7 @@ class GeneratorSystem:
         return hash(self._spec)
 
     def __reduce__(self):
-        # pickle and copy rebuild it from its definition, without its memos
+        # pickle and copy rebuild it from its definition, without its memo
         d, gens = self._spec
         return GeneratorSystem, (d, [(n, r, tuple(map(self.word_str, s))) for n, r, s in gens])
 
@@ -939,7 +932,7 @@ class Element:
                 )
             next_frontier = []
             for vertex, w in frontier:
-                root, secs = self.system._root_and_sections(w)
+                root, secs = self.system._walk_level(w, 1)
                 labels[vertex] = Perm(root)
                 for x, s in enumerate(secs):
                     next_frontier.append((vertex + str(x), s))
@@ -1050,16 +1043,7 @@ class ElementIndex:
     def insert_word(self, word: Word) -> int:
         """Register a word known to be a new class; returns its index."""
         word_key = _word_bytes(word)
-        key = self._key(word, word_key)
-        idx = len(self._words)
-        self._words.append(word)
-        self._keys.append(key)
-        self._word_keys.append(word_key)
-        self._by_word.setdefault(word_key, idx)
-        self._buckets[key] = self._buckets.get(key, ()) + (idx,)
-        if len(word) > self._longest:
-            self._longest = len(word)
-        return idx
+        return self._register(word, self._key(word, word_key), word_key)
 
     def find_or_insert(self, word: Word) -> tuple[int, bool]:
         idx = self.find_word(word)
@@ -1075,23 +1059,26 @@ class ElementIndex:
         one parent, so in the ball registry an extension is never an entry's
         word yet, and an entry registered by that word elsewhere is still
         confirmed in its bucket."""
-        system, words, word_keys = self.system, self._words, self._word_keys
+        system, words = self.system, self._words
         word = words[idx] + (letter,)
         key = self._key_after(idx, (letter,))
-        bucket = self._buckets.get(key, ())
-        for i in bucket:
+        for i in self._buckets.get(key, ()):
             if system.word_is_trivial(_product(word, invert_word(words[i]))):
                 return i, False
-        i = len(words)
-        words.append(word)
+        word_key = self._word_keys[idx] + self._letter_bytes[letter]
+        return self._register(word, key, word_key), True
+
+    def _register(self, word: Word, key: bytes, word_key: bytes) -> int:
+        """Append an entry with its key and its word bytes; returns its index."""
+        idx = len(self._words)
+        self._words.append(word)
         self._keys.append(key)
-        word_key = word_keys[idx] + self._letter_bytes[letter]
-        word_keys.append(word_key)
-        self._by_word[word_key] = i
-        self._buckets[key] = bucket + (i,)
+        self._word_keys.append(word_key)
+        self._by_word[word_key] = idx
+        self._buckets[key] = self._buckets.get(key, ()) + (idx,)
         if len(word) > self._longest:
             self._longest = len(word)
-        return i, True
+        return idx
 
     def _key(self, word: Word, packed: bytes) -> bytes:
         """The key of ``word``, packed as ``packed``: the key of its longest

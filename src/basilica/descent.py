@@ -123,7 +123,7 @@ def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> De
     for word, path in queue:
         if goal.find_word(word) == target_idx:
             return DescentCertificate(g, path, target)
-        root, sections = system._root_and_sections(word)
+        root, sections = system._walk_level(word, 1)
         if root == system._identity_root:
             raise ConsistencyError(
                 "descent state has trivial root permutation; class invariant broken"

@@ -76,7 +76,6 @@ class _BallRegistry:
     """Incremental ball of one system; deterministic expansion order."""
 
     def __init__(self, system: GeneratorSystem):
-        self.system = system
         self.index = ElementIndex(system)
         self.norms: list[int] = [0]
         self.radius_done = 0

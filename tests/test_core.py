@@ -431,11 +431,10 @@ def test_fused_walk_matches_section_law(kind, letters):
     system = parse_system(_WALK_SYSTEMS[kind])
     word = free_reduce(_in_range(system, letters))
     expected = _reference_root_and_sections(system, word)
-    # a cold call, then one the memo may answer
+    # a cold walk, then one through the steps the first walk built
     for _ in range(2):
         assert system.word_root(word) == expected[0]
         assert system.word_sections(word) == expected[1]
-    assert (word in system._section_cache) == (len(word) <= core.MEMO_LETTERS)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -491,14 +490,14 @@ def test_word_at_is_level_action_and_iterated_section(kind, letters, digits):
     st.lists(st.integers(0, 2), max_size=7),
 )
 def test_word_at_walks_long_words_along_the_path(kind, letters, digits):
-    # words past the memo bound, which word_at walks _jump levels at a time
+    # words past MEMO_LETTERS, which word_at walks _jump levels at a time
     # while the path has that many left
     system = parse_system(_WALK_SYSTEMS[kind])
     d = system.alphabet_size
     word = _uncancelled(_in_range(system, letters))
     path = tuple(x % d for x in digits)
     image, section = system.word_at(word, path)
-    assert len(word) > core.MEMO_LETTERS and word not in system._section_cache
+    assert len(word) > core.MEMO_LETTERS
     level = system.word_level_perm(word, len(path))
     assert _level_point(image, d) == level[_level_point(path, d)]
     expected = word
@@ -773,8 +772,36 @@ def test_memo_keeps_only_short_words():
     for _ in range(2):  # cold, then from the memo where it holds the words
         assert system.word_is_trivial(trivial)
         assert not system.word_is_trivial(nontrivial)
-    for cache in (system._section_cache, system._trivial_cache):
-        assert cache and max(map(len, cache)) <= core.MEMO_LETTERS
+    proven = system._trivial_cache
+    assert proven and max(map(len, proven)) <= core.MEMO_LETTERS
+
+
+def test_section_reads_keep_no_per_word_state(rng):
+    # roots, sections and depth-2 sections of 5000 distinct words keep
+    # nothing past the walk's step tables, warmed first; what tracemalloc
+    # still counts, about 130 KB, is freed tuples CPython holds for reuse
+    system = parse_system(BASILICA_TEXT)
+    words = set()
+    while len(words) < 5000:
+        word = []
+        for _ in range(rng.randint(8, 40)):
+            word.append(rng.choice([l for l in (1, -1, 2, -2) if not word or l != -word[-1]]))
+        words.add(tuple(word))
+
+    def read(word):
+        return system.word_sections(word), system.word_root(word), system.word_at(word, (1, 0))
+
+    for word in reduced_words(system, 4):
+        read(word)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for word in words:
+            read(word)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 512 * 1024
 
 
 def test_trivial_memo_holds_only_proofs(rng):

@@ -214,7 +214,7 @@ def test_elements_survive_pickle_and_copy():
 
 
 def test_systems_pickle_and_copy_as_their_definition():
-    # the clone is rebuilt from the generator data, so neither the memos nor
+    # the clone is rebuilt from the generator data, so neither the memo nor
     # the ball registry travel with an element
     system = parse_system(BASILICA_TEXT)
     ball(system, 8)
@@ -225,7 +225,7 @@ def test_systems_pickle_and_copy_as_their_definition():
         assert clone == a and clone.word == a.word
     for rebuilt in (pickle.loads(data).system, copy.deepcopy(system), copy.copy(system)):
         assert rebuilt == system and rebuilt is not system
-        assert rebuilt._section_cache == {} and rebuilt._trivial_cache == {()}
+        assert rebuilt._trivial_cache == {()}
         assert rebuilt._walks == {} and rebuilt._ball_registry is None
         with pytest.raises(InputError):
             rebuilt.generator("A")
