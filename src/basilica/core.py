@@ -280,6 +280,16 @@ class Perm:
             raise InputError(f"not a permutation: {images!r}")
         object.__setattr__(self, "images", images)
 
+    def __setattr__(self, name, value):
+        raise AttributeError("Perm is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Perm is immutable")
+
+    def __reduce__(self):
+        # pickle and copy would restore the slot with setattr
+        return Perm, (self.images,)
+
     def is_identity(self) -> bool:
         return all(x == y for x, y in enumerate(self.images))
 
@@ -480,8 +490,11 @@ class GeneratorSystem:
         """Inverse of parse_word; the empty word prints as ``e``.  The word
         is packed by ``_word_bytes`` and translated to ASCII with one table;
         a letter outside the system raises ``InputError``."""
-        if not word:
-            return "e"
+        return self._word_text(word).decode("ascii") if word else "e"
+
+    def _word_text(self, word: Sequence[int]) -> bytes:
+        """The surface text of a letter sequence, unreduced, as ASCII bytes;
+        a letter outside the system raises ``InputError``."""
         try:
             text = _word_bytes(word).translate(self._char_table)
         except StructError:  # a letter past a signed byte, or not an int
@@ -489,7 +502,7 @@ class GeneratorSystem:
         if 0 in text:
             bad = next(l for l in word if not isinstance(l, int) or l not in self._letter_root)
             raise InputError(f"letter {bad!r} outside the generator range")
-        return text.decode("ascii")
+        return text
 
     def parse_vertex(self, vertex: str) -> tuple[int, ...]:
         """The path of a vertex string; ``""`` and ``e`` are the root."""
@@ -809,13 +822,11 @@ class Element:
 
     __slots__ = ("system", "word")
 
-    def __init__(self, system: GeneratorSystem, word: Sequence[int]):
-        word = free_reduce(word)
-        for l in word:
-            if l == 0 or abs(l) > len(system.names):
-                raise InputError(f"letter {l} outside the generator range")
+    def __init__(self, system: GeneratorSystem, word: Iterable[int]):
+        word = tuple(word)
+        system._word_text(word)  # checks every letter, before reducing
         _set_system(self, system)
-        _set_word(self, word)
+        _set_word(self, free_reduce(word))
 
     @classmethod
     def _reduced(cls, system: GeneratorSystem, word: Word) -> "Element":
@@ -827,6 +838,9 @@ class Element:
         return g
 
     def __setattr__(self, name, value):
+        raise AttributeError("Element is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Element is immutable")
 
     def __reduce__(self):

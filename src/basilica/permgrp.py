@@ -1,10 +1,11 @@
 """Finite permutation machinery for level actions of finitely generated
 subgroups: orbits with Schreier transversals, stabilizer generators and the
-projections they give, exact group orders, and full-level-quotient tests.
+projections they give, and the entry points for exact group orders and
+full-level-quotient tests.
 
-The order and membership algorithms live in ``quotients``, which
-``group_order`` and ``level_quotient_equals_full`` import inside their
-bodies, so a caller that never needs an order does not load it.
+Those two questions are decided in ``quotients``, which ``group_order`` and
+``level_quotient_equals_full`` import inside their bodies, so a caller that
+never needs an order does not load it.
 
 Subgroup elements are tracked together with their expressions over the
 subgroup's own generators (an "hword": signed 1-based indices into the
@@ -15,8 +16,6 @@ way, for ``projected_subgroup`` and the projection search alike.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import xor
 from typing import Sequence
 
 from .core import (
@@ -202,17 +201,9 @@ def projected_subgroup(
 
 
 def group_order(perms: Sequence) -> int:
-    """Order of the group generated by permutations; exact.
-
-    Accepts Perm instances or image tuples of one degree; a tuple that is not
-    a permutation raises ``InputError``.  When the degree is 2^n and every
-    generator keeps the dyadic blocks together (leaf i sits under vertex
-    ``i >> s`` at every height s), the group lies in Aut(T_n) of the binary
-    tree, a 2-group, and is counted by polycyclic sifting
-    (``quotients._tree_order``).  Every ``level_perms`` output of a binary
-    system is such input.  Everything else goes through the stabilizer chain
-    (``quotients._schreier_sims_order``).
-    """
+    """Order of the group generated by ``Perm`` instances or image tuples of
+    one degree; exact.  A tuple that is not a permutation raises
+    ``InputError``.  ``quotients`` picks the method from the input."""
     from . import quotients
 
     return quotients._chain(perms)[0]
@@ -223,37 +214,8 @@ def level_perms(system: GeneratorSystem, elements: Sequence[Element], n: int) ->
 
 
 def level_quotient_equals_full(H: SubgroupHandle, n: int) -> bool:
-    """Whether H surjects onto the full group's level-n quotient G_n.
-
-    For a binary system with generators g_1, ..., g_m, let psi send an
-    automorphism of the depth-n tree to its level parities: per level j, the
-    parity of the number of level-j vertices at which it swaps the two
-    children.  gh swaps below v when exactly one of g below h(v) and h below
-    v does, and h permutes each level, so psi is a homomorphism to F_2^n
-    (the abelianisation of Aut(T_n)) with psi(g^-1) = psi(g), and psi of a
-    word is the XOR of psi over its letters.  Its image is elementary
-    abelian, so its kernel contains the Frattini subgroup
-    Phi(G_n) = G_n^2 [G_n, G_n], and psi(G_n) is a quotient of
-    G_n/Phi(G_n) = F_2^d(G_n), d the least number of generators.  When
-    psi(g_1), ..., psi(g_m) are independent, m <= dim psi(G_n) <= d(G_n)
-    <= m, so psi induces an isomorphism G_n/Phi(G_n) -> psi(G_n).  By the
-    Burnside basis theorem H_n = G_n exactly when H_n maps onto
-    G_n/Phi(G_n): when psi of H's generators has rank m.  No chain is
-    built then.
-
-    Otherwise (d >= 3, or dependent parities, as for the Basilica group at
-    level 1 or the Grigorchuk group) the answer is whether every g_i acts on
-    level n as an element of H, sifted through the chain of H's level-n
-    quotient.
-    """
+    """Whether H surjects onto the full group's level-n quotient G_n; decided
+    by ``quotients.equals_full``, whose docstring gives the argument."""
     from . import quotients
 
-    system = H.system
-    if system.alphabet_size == 2:
-        parities = quotients._level_parities
-        psi = [parities(system.word_level_perm(g.word, n)) for g in system.generators()]
-        if quotients._f2_rank(psi) == len(psi):
-            h_psi = [reduce(xor, (psi[abs(l) - 1] for l in h.word), 0) for h in H.generators]
-            return quotients._f2_rank(h_psi) == len(psi)
-    _, contains = quotients._chain(level_perms(system, H.generators, n))
-    return all(contains(system.word_level_perm(g.word, n)) for g in system.generators())
+    return quotients.equals_full(H.system, [g.word for g in H.generators], n)

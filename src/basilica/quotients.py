@@ -1,7 +1,9 @@
-"""Exact orders of permutation groups and membership tests in them, for
-the level quotients of ``permgrp.group_order`` and
-``permgrp.level_quotient_equals_full``.  Those two import this module when
-first called, so a projection search, which counts no group, never loads it.
+"""Exact orders of permutation groups, membership tests in them, and the
+full-quotient decision: the two questions asked of a subgroup H through the
+level quotients G_n = G/St_G(n), |H_n| and whether H_n = G_n.
+``permgrp.group_order`` and ``permgrp.level_quotient_equals_full`` import
+this module when first called, so a projection search, which counts no
+group, never loads it.
 
 ``_chain`` picks its method from the input alone.  Permutations of 2^n
 points that keep the dyadic blocks together are automorphisms of the binary
@@ -9,19 +11,14 @@ tree of depth n; they generate a 2-group, counted by sifting through an
 induced polycyclic sequence along the level stabilizers, with elements as
 ``bytes`` multiplied by ``bytes.translate`` up to 256 points (level 8) and as
 tuples above.  That covers every level action of a binary system, so the
-``order`` command takes this path.  The full-quotient test of a binary
-system whose generators have independent level parities (per level, the
-parity of the vertices whose children an element swaps) builds no chain:
-those parities give the full group's Frattini quotient, and the subgroup is
-full exactly when its generators' parities have the same rank.  Otherwise
-it is a membership test: it sifts the full group's generators through the
-subgroup's chain and never counts the full group.  Any other input (other
-degrees, d >= 3 systems, permutations that break the blocks) goes through
-a deterministic Schreier-Sims stabilizer chain, which raises
-``BudgetExceededError`` (its ``partial``: the base length so far) past
-``MAX_SCHREIER_SIFTS`` sifts; the polycyclic sift raises it (its
-``partial``: the sequence length so far) past ``MAX_TREE_WORK`` leaves
-passed over.
+``order`` command takes this path.  Any other input (other degrees, d >= 3
+systems, permutations that break the blocks) goes through a deterministic
+Schreier-Sims stabilizer chain, which raises ``BudgetExceededError`` (its
+``partial``: the base length so far) past ``MAX_SCHREIER_SIFTS`` sifts; the
+polycyclic sift raises it (its ``partial``: the sequence length so far) past
+``MAX_TREE_WORK`` leaves passed over.  ``equals_full`` decides H_n = G_n
+from the level parities when they settle it, and otherwise by sifting the
+full group's generators through H's chain; it never counts the full group.
 """
 
 from __future__ import annotations
@@ -30,7 +27,8 @@ from functools import reduce
 from operator import itemgetter, xor
 from typing import Callable, Sequence
 
-from .core import BudgetExceededError, InputError, Perm, compose_images, invert_images
+from .core import BudgetExceededError, GeneratorSystem, InputError, Perm, Word
+from .core import compose_images, invert_images
 
 MAX_SCHREIER_SIFTS = 10_000
 # sifts one Schreier-Sims stabilizer chain may make; the level-4 quotient
@@ -289,3 +287,38 @@ def _f2_rank(vectors: Sequence[int]) -> int:
         if v:
             basis.append(v)
     return len(basis)
+
+
+def equals_full(system: GeneratorSystem, words: Sequence[Word], n: int) -> bool:
+    """Whether the subgroup H generated by ``words`` surjects onto the full
+    group's level-n quotient G_n.
+
+    For a binary system with generators g_1, ..., g_m, let psi send an
+    automorphism of the depth-n tree to its level parities: per level j, the
+    parity of the number of level-j vertices at which it swaps the two
+    children.  gh swaps below v when exactly one of g below h(v) and h below
+    v does, and h permutes each level, so psi is a homomorphism to F_2^n
+    (the abelianisation of Aut(T_n)) with psi(g^-1) = psi(g), and psi of a
+    word is the XOR of psi over its letters.  Its image is elementary
+    abelian, so its kernel contains the Frattini subgroup
+    Phi(G_n) = G_n^2 [G_n, G_n], and psi(G_n) is a quotient of
+    G_n/Phi(G_n) = F_2^d(G_n), d the least number of generators.  When
+    psi(g_1), ..., psi(g_m) are independent, m <= dim psi(G_n) <= d(G_n)
+    <= m, so psi induces an isomorphism G_n/Phi(G_n) -> psi(G_n).  By the
+    Burnside basis theorem H_n = G_n exactly when H_n maps onto
+    G_n/Phi(G_n): when psi of H's generators has rank m.  No chain is
+    built then.
+
+    Otherwise (d >= 3, or dependent parities, as for the Basilica group at
+    level 1 or the Grigorchuk group) the answer is whether every g_i acts on
+    level n as an element of H, sifted through the chain of H's level-n
+    quotient.
+    """
+    full = [system.word_level_perm((i,), n) for i in range(1, len(system.names) + 1)]
+    if system.alphabet_size == 2:
+        psi = list(map(_level_parities, full))
+        if _f2_rank(psi) == len(psi):
+            h_psi = [reduce(xor, (psi[abs(l) - 1] for l in w), 0) for w in words]
+            return _f2_rank(h_psi) == len(psi)
+    _, contains = _chain([system.word_level_perm(w, n) for w in words])
+    return all(map(contains, full))

@@ -1,4 +1,6 @@
+import copy
 import functools
+import pickle
 import sys
 import tracemalloc
 
@@ -17,6 +19,7 @@ from basilica import (
 )
 from basilica import core
 from basilica.core import (
+    Element,
     ElementIndex,
     _product,
     compose_images,
@@ -1041,3 +1044,37 @@ def test_perm_api():
     assert str(Perm(range(3))) == "e"
     with pytest.raises(InputError):
         Perm((0, 0, 1))
+
+
+def test_perm_and_element_refuse_assignment_and_deletion(B):
+    p = Perm((1, 0, 2))
+    before = hash(p)
+    with pytest.raises(AttributeError):
+        p.images = (0, 1, 2)
+    with pytest.raises(AttributeError):
+        del p.images
+    assert p.images == (1, 0, 2) and hash(p) == before
+    for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert clone == p and hash(clone) == before
+    g = B.element("ab")
+    with pytest.raises(AttributeError):
+        g.word = (1,)
+    for name in ("word", "system"):
+        with pytest.raises(AttributeError):
+            delattr(g, name)
+    assert g.word == (1, 2) and g.system is B
+
+
+@pytest.mark.parametrize("bad", ["a", 1.0, None, 0, 3, -3, 10**30])
+def test_element_rejects_letters_outside_the_system(B, bad):
+    for letters in ([bad], [1, bad], (bad, -1)):
+        with pytest.raises(InputError, match=f"^letter {bad!r} outside the generator range$"):
+            Element(B, letters)
+
+
+def test_element_checks_letters_before_reducing(B):
+    with pytest.raises(InputError, match="letter 3 outside"):
+        Element(B, [3, -3])
+    for letters in ([1, -2, 2, 2], (1, -2, 2, 2), (l for l in [1, -2, 2, 2])):
+        assert Element(B, letters).word == (1, 2)
+    assert Element(B, ()).word == () and Element(B, iter(())).is_trivial()

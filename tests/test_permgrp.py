@@ -499,6 +499,29 @@ def test_full_quotient_test_agrees_with_orders(name, data):
     assert level_quotient_equals_full(H, n) == (group_order(level_perms(system, gens, n)) == full)
 
 
+@pytest.mark.parametrize("name, p, logs", [
+    ("grigorchuk", 2, [1, 3, 7, 12, 22, 42, 82]),
+    ("gupta-sidki", 3, [1, 3, 7, 19]),
+])
+def test_level_quotient_orders_of_baseline_systems(name, p, logs):
+    system = _QUOTIENT_SYSTEMS[name][0]
+    for n, log in enumerate(logs, start=1):
+        assert group_order(level_perms(system, system.generators(), n)) == p**log
+
+
+def test_grigorchuk_full_quotients_with_dependent_parities():
+    # d = bc, so <a, b, c> is the whole group; <a, b> is dihedral, and
+    # (ab)^16 is trivial, so from level 6 on it is the dihedral group of
+    # order 32
+    G = _QUOTIENT_SYSTEMS["grigorchuk"][0]
+    abc, ab = (SubgroupHandle.from_words(G, words) for words in (["a", "b", "c"], ["a", "b"]))
+    assert G.element("bcd").is_trivial() and G.element("ab" * 16).is_trivial()
+    for n, log in enumerate([1, 3, 4, 4, 5, 5, 5], start=1):
+        assert level_quotient_equals_full(abc, n)
+        assert level_quotient_equals_full(ab, n) == (n <= 2)
+        assert group_order(level_perms(G, ab.generators, n)) == 2**log
+
+
 def test_orbit_stabilizer_identity(handles):
     B, Ha, Hb, Hab = handles
     battery = [Hab, Hb, SubgroupHandle(B, [B.element("ab"), B.element("bb")])]
