@@ -33,17 +33,23 @@ keys ``ElementIndex``'s word dict.
 
 The action and sections of a word on level k come from one pass over its
 letters, right to left (``_walk_level``), one table step per letter: the
-step of a letter from the action read so far pushes the letter's section
-letters onto per-vertex stacks and leads to the next action's steps; when
-every letter pushes one letter, as on the Basilica group, a step is one
-stack operation.  No walk is kept per word: a section read walks the word
-again.  The one per-word memo is of words proven trivial (no nontrivial
-verdict) of at most ``MEMO_LETTERS`` letters: in a contracting group such
-as Basilica sections shrink (two levels down to about half the word), so a
-long input word seldom comes back as the section of another, while short
-words recur across calls.  A longer word is walked ``_jump`` levels at once
-by the closure and by ``word_at``, the walk down a vertex path behind
-``Element.projection``, which every witness replay checks.
+step of a letter from the action read so far, read from a list indexed by
+the signed letter, pushes the letter's section letters onto per-vertex
+stacks and leads to the next action's steps; when every letter pushes one
+letter, as on the Basilica group, a step is one stack operation.  The
+triviality closure walks a word one level, or ``_jump`` levels at once
+when it is longer than ``MEMO_LETTERS``.  ``word_at``, the walk down a
+vertex path behind ``Element.projection``, which every witness replay
+checks, follows one vertex instead: per chunk of up to key-level levels of
+the path, one pass whose state is a single point, with one step per letter
+from per-level point tables built once per system, and one reduction stack.
+
+No walk is kept per word: a section read walks the word again.  The one
+per-word memo is of words proven trivial (no nontrivial verdict) of at most
+``MEMO_LETTERS`` letters: in a contracting group such as Basilica sections
+shrink (two levels down to about half the word), so a long input word
+seldom comes back as the section of another, while short words recur
+across calls.
 
 The action of a word on level n is a fold over its letters of per-letter
 level-n tables, each built once from the level below; nothing is kept per
@@ -168,7 +174,7 @@ MAX_CLOSURE_LETTERS = 2_000_000
 
 MEMO_LETTERS = 64
 # longest word the memo of words proven trivial keeps, and the length past
-# which a triviality closure or ``word_at`` walks ``_jump`` levels at once.
+# which a triviality closure walks ``_jump`` levels at once.
 # On a battery of 3200 decisions on 50..2000-letter words an unbounded memo
 # answers 2534 closure lookups and holds 1994 words in 3.5 MB; with this
 # bound it answers 2528 and holds 605 words in 0.2 MB
@@ -346,6 +352,31 @@ def _require_digit_vertices(alphabet_size: int) -> None:
         raise InputError("string vertices only supported for alphabets up to 10")
 
 
+def _follow_point(rows: list, single: bool, word: Word, x: int) -> tuple[int, list[int]]:
+    """The image of point x under ``word`` and the stack of its section
+    there, reversed above a bottom 0, walking ``word`` right to left by the
+    steps of ``GeneratorSystem._point_tables``: reading l after w pushes
+    l's section at w(x).  No letter cancels the bottom 0."""
+    stack = [0]
+    if single:
+        for l in reversed(word):
+            x, s = rows[l][x]
+            if s:
+                if stack[-1] == -s:
+                    stack.pop()
+                else:
+                    stack.append(s)
+    else:
+        for l in reversed(word):
+            x, pushes = rows[l][x]
+            for s in pushes:
+                if stack[-1] == -s:
+                    stack.pop()
+                else:
+                    stack.append(s)
+    return x, stack
+
+
 class GeneratorSystem:
     """A self-similar action: alphabet size plus recursion data per generator.
 
@@ -424,11 +455,13 @@ class GeneratorSystem:
         )
         # per level k, the tables of _walk_level; built on first use
         self._walks: dict[int, tuple] = {}
-        # levels a long word is walked at once: when no letter's sections
-        # hold more than one letter, so no section outgrows its word, the
-        # deepest level of at most 8 vertices (2^7 actions when d = 2)
+        # levels the triviality closure walks a long word at once: when no
+        # letter's sections hold more than one letter in all (grow <= 1), so
+        # no section outgrows its word, the deepest level of at most 8
+        # vertices (2^7 actions when d = 2)
+        grow = max(sum(map(len, secs)) for secs in self._letter_sections.values())
         self._jump = 1
-        if all(sum(map(len, secs)) <= 1 for secs in self._letter_sections.values()):
+        if grow <= 1:
             while alphabet_size ** (self._jump + 1) <= 8:
                 self._jump += 1
 
@@ -451,6 +484,17 @@ class GeneratorSystem:
         self._key_tables = {
             l: bytes(self._fold((l,), key_level)) + fixed for l in self._letter_root
         }
+        # levels ``word_at`` walks at once: the key level (at least 1), cut
+        # while a letter's sections there could hold more letters in all
+        # than the key level has points.  A letter whose sections hold s
+        # letters has at most s^k on level k, so the tables of an expanding
+        # system stay small; Basilica, Grigorchuk, Gupta-Sidki, Hanoi and the
+        # README's d = 3 system are not cut
+        self._chunk = max(key_level, 1)
+        while self._chunk > 1 and grow**self._chunk > self._key_size:
+            self._chunk -= 1
+        # per level k <= _chunk, the tables of word_at; built on first use
+        self._points: dict[int, tuple] = {}
         # the ball registry of `norms`, built on first use
         self._ball_registry = None
 
@@ -542,12 +586,14 @@ class GeneratorSystem:
         at each, from one pass over the word, right to left.
 
         The walk's state is the action p of the letters read so far, and
-        each state keeps one step per letter read from it.  When every
-        letter pushes exactly one section letter on level k, as on every
-        level of the Basilica group and the adding machine, a step is
-        ``(vertex, cancel, letter, action, next state)``, one stack
-        operation; otherwise it is ``(pushes, action, next state)`` with a
-        tuple of such ``(vertex, cancel, letter)`` pushes."""
+        each state keeps one step per letter read from it, in a list of 2n
+        + 1 slots indexed by the signed letter, so an inverse letter reads
+        its slot from the end.  When every letter pushes exactly one
+        section letter on level k, as on every level of the Basilica group
+        and the adding machine, a step is ``(vertex, cancel, letter,
+        action, next state)``, one stack operation; otherwise it is
+        ``(pushes, action, next state)`` with a tuple of such ``(vertex,
+        cancel, letter)`` pushes."""
         # (l w)_v = l_{w(v)} w_v: reading l after w, of action p, pushes
         # l's section at c onto the stack of v = p^-1(c), reversed; the
         # state becomes l o p.  No letter cancels a stack's bottom 0
@@ -556,7 +602,7 @@ class GeneratorSystem:
         stacks = [[0] for _ in p]
         if single:
             for l in reversed(word):
-                v, t, s, p, state = state.get(l) or self._walk_step(k, p, state, l)
+                v, t, s, p, state = state[l] or self._walk_step(k, p, state, l)
                 stack = stacks[v]
                 if stack[-1] == t:
                     stack.pop()
@@ -564,7 +610,7 @@ class GeneratorSystem:
                     stack.append(s)
         else:
             for l in reversed(word):
-                pushes, p, state = state.get(l) or self._walk_step(k, p, state, l)
+                pushes, p, state = state[l] or self._walk_step(k, p, state, l)
                 for v, t, s in pushes:
                     stack = stacks[v]
                     if stack[-1] == t:
@@ -573,7 +619,7 @@ class GeneratorSystem:
                         stack.append(s)
         return p, tuple(tuple(stack[:0:-1]) for stack in stacks)
 
-    def _walk_step(self, k: int, p: tuple[int, ...], state: dict, l: int) -> tuple:
+    def _walk_step(self, k: int, p: tuple[int, ...], state: list, l: int) -> tuple:
         """The level-k step of letter ``l`` from action ``p``; kept in
         ``state``, p's steps, while the table holds at most
         ``MAX_LEVEL_POINTS`` images."""
@@ -582,9 +628,9 @@ class GeneratorSystem:
         origin = invert_images(p)
         q = compose_images(action, p)
         if q not in states and (len(states) + 1) * len(q) <= MAX_LEVEL_POINTS:
-            states[q] = {}
+            states[q] = [None] * len(state)
         pushes = tuple((origin[c], -s, s) for c, rev in sections for s in rev)
-        after = (q, states.get(q, {}))
+        after = (q, states.get(q) or [None] * len(state))
         step = pushes[0] + after if single else (pushes,) + after
         if q in states:
             state[l] = step
@@ -592,8 +638,9 @@ class GeneratorSystem:
 
     def _walk_tables(self, k: int) -> tuple:
         """Per letter, its level-k action and nonempty sections, reversed;
-        the steps of each level-k action; the identity action; and whether
-        every letter pushes exactly one letter."""
+        the steps of each level-k action, an empty list of one slot per
+        signed letter to start; the identity action; and whether every
+        letter pushes exactly one letter."""
         letters = {}
         for l, secs in self._letter_sections.items():
             if k > 1:
@@ -602,8 +649,46 @@ class GeneratorSystem:
             letters[l] = (self._fold((l,), k), nonempty)
         single = all(sum(len(s) for _, s in secs) == 1 for _, secs in letters.values())
         start = tuple(range(self.alphabet_size**k))
-        walk = self._walks[k] = (letters, {start: {}}, start, single)
+        walk = self._walks[k] = (letters, {start: [None] * (len(letters) + 1)}, start, single)
         return walk
+
+    def _point_tables(self, k: int) -> tuple[list, bool]:
+        """The steps of ``word_at`` on level k: per signed letter, at its
+        index in a list of 2n + 1, the list over the d^k level-k points x
+        of ``(the letter's image of x, its section at x reversed)``; and
+        whether no letter's section at a letter holds more than one letter,
+        in which case no section on any level does, and a step holds that
+        letter, or 0 for none, in place of the tuple.
+
+        A letter l sends x y, x a letter, to root(x) w(y) with w = l_x, so
+        each block of its level-k list is the level-(k-1) list of w with
+        shifted points: one list operation when w has at most one letter,
+        and a walk of w from each point when it has more."""
+        slots = 2 * len(self.names) + 1
+        single = all(len(w) <= 1 for secs in self._letter_sections.values() for w in secs)
+        none = 0 if single else ()
+        if k > 1:
+            below = (self._points.get(k - 1) or self._point_tables(k - 1))[0]
+        else:  # level 0: each letter fixes the root, and is its section there
+            below = [None] * slots
+            for l in self._letter_root:
+                below[l] = [(0, l if single else (l,))]
+        size = self.alphabet_size ** (k - 1)
+        rows: list = [None] * slots
+        for l, secs in self._letter_sections.items():
+            row = rows[l] = []
+            for root, w in zip(self._letter_root[l], secs):
+                shift = root * size
+                if not w:
+                    row += [(shift + y, none) for y in range(size)]
+                elif len(w) == 1:
+                    row += [(shift + y, pushes) for y, pushes in below[w[0]]]
+                else:
+                    for y in range(size):
+                        image, stack = _follow_point(below, single, w, y)
+                        row.append((shift + image, tuple(stack[1:])))
+        table = self._points[k] = (rows, single)
+        return table
 
     def word_root(self, word: Word) -> tuple[int, ...]:
         """Root permutation images of a word."""
@@ -615,27 +700,24 @@ class GeneratorSystem:
 
     def word_at(self, word: Word, path: Sequence[int]) -> tuple[tuple[int, ...], Word]:
         """The image of a vertex path under a word and the word's section
-        there, from one walk down the path.  A word longer than
-        ``MEMO_LETTERS`` goes down ``_jump`` levels per walk where the path
-        allows."""
+        there.  The word is walked once per ``_chunk`` levels of the path,
+        right to left, following one point: the image of the chunk's vertex
+        under the letters read so far.  Each letter's step gives its image
+        of that point and pushes its section there onto one reduction
+        stack; the section at the chunk's vertex is the word of the next
+        chunk."""
         d = self.alphabet_size
-        jump = self._jump
-        image = []
-        i = 0
-        while i < len(path):
-            if len(word) > MEMO_LETTERS and len(path) - i >= jump:
-                action, sections = self._walk_level(word, jump)
-                v = 0
-                for x in path[i : i + jump]:
-                    v = v * d + x
-                y, word = action[v], sections[v]
-                image.extend(y // d**j % d for j in reversed(range(jump)))
-                i += jump
-            else:
-                root, sections = self._walk_level(word, 1)
-                image.append(root[path[i]])
-                word = sections[path[i]]
-                i += 1
+        image: list[int] = []
+        for i in range(0, len(path), self._chunk):
+            chunk = path[i : i + self._chunk]
+            k = len(chunk)
+            rows, single = self._points.get(k) or self._point_tables(k)
+            x = 0
+            for digit in chunk:
+                x = x * d + digit
+            x, stack = _follow_point(rows, single, word, x)
+            word = tuple(stack[:0:-1])
+            image.extend(x // d**j % d for j in reversed(range(k)))
         return tuple(image), word
 
     def _fold(self, word: Word, n: int) -> tuple[int, ...]:
@@ -893,7 +975,11 @@ class Element:
         return Element._reduced(self.system, self.system.word_at(self.word, path)[1])
 
     def projection(self, path: Sequence[int]) -> "Element | None":
-        """The section g_v at a vertex path v that g fixes; None if g moves v."""
+        """The section g_v at a vertex path v that g fixes; None if g moves v.
+        Raises ``InputError`` for a digit of v outside the alphabet."""
+        for x in path:
+            if not (isinstance(x, int) and 0 <= x < self.system.alphabet_size):
+                raise InputError(f"vertex letter {x!r} outside the alphabet")
         image, section = self.system.word_at(self.word, path)
         return Element._reduced(self.system, section) if image == tuple(path) else None
 

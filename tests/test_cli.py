@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 from pathlib import Path
 
@@ -114,6 +115,39 @@ def test_root_vertex_e_prints_as_empty_vertex(capsys, argv):
     # every command prints the root as e, and reads e back as the root
     assert run(capsys, *argv, "e") == run(capsys, *argv, "")
     assert run(capsys, "orbit", "--gens", "a", "--vertex", "e") == (0, "e\te\n", "")
+
+
+# orbit tables of vertices past the key level (8 when d = 2, 5 when d = 3),
+# whose every line reads the generators' images of a vertex through word_at
+_D3_SYSTEM = "alphabet 3; gen a perm=1,2,0 sections=e,b,a; gen b perm=0,2,1 sections=aB,e,b"
+_DEEP_ORBITS = {
+    "binary": (
+        None,
+        "0000000000",
+        1024,
+        "c28b5084f04f22c71824ca8e25046653744df839800d5d69c2f2d4de1990e3b9",
+    ),
+    "d3": (
+        _D3_SYSTEM,
+        "000000",
+        729,
+        "1fbbe954faa7a1e284c39b3606d007c1150459663a59282d8be8c70a080c107e",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DEEP_ORBITS))
+def test_deep_orbit_tables_keep_their_digests(capsys, tmp_path, kind):
+    text, vertex, lines, digest = _DEEP_ORBITS[kind]
+    argv = ["orbit", "--gens", "a,b", "--vertex", vertex]
+    if text is not None:
+        path = tmp_path / "system.txt"
+        path.write_text(text)
+        argv += ["--system", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_orbit_non_ascii_vertex_is_parse_error(capsys):

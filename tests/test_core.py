@@ -1,6 +1,7 @@
 import copy
 import functools
 import pickle
+import random
 import sys
 import tracemalloc
 
@@ -27,6 +28,7 @@ from basilica.core import (
     invert_images,
     invert_word,
 )
+from basilica.descent import persist_ab
 from basilica.norms import ball
 from basilica.structure import LIFT_SUBSTITUTION, lift_section, tau
 
@@ -461,25 +463,52 @@ def _level_point(path, d):
     return functools.reduce(lambda point, x: point * d + x, path, 0)
 
 
+def _reference_at(system, word, path):
+    """Image and section of a vertex path by the definition, one level at a
+    time: g sends x v to sigma_g(x) g_x(v)."""
+    image = []
+    for x in path:
+        root, sections = _reference_root_and_sections(system, word)
+        image.append(root[x])
+        word = sections[x]
+    return tuple(image), word
+
+
+def _check_word_at(system, word, path):
+    d = system.alphabet_size
+    image, section = system.word_at(word, path)
+    assert (image, section) == _reference_at(system, word, path)
+    # and the image agrees with the level action, on levels small to fold
+    m = len(path)
+    while d**m > 4096:
+        m -= 1
+    level = system.word_level_perm(word, m)
+    assert _level_point(image[:m], d) == level[_level_point(path[:m], d)]
+
+
+# a = (a^2, 1) doubles a word's a's at every 0, so its paths stay short
+_EXPANDING = "alphabet 2; gen a perm=0,1 sections=aa,e; gen b perm=1,0 sections=e,e"
+_AT_SYSTEMS = {**_WALK_SYSTEMS, "expanding": _EXPANDING}
+# paths of 17 levels are past the key level (8 when d = 2, 5 when d = 3), so
+# word_at walks them in more than one chunk
+_AT_DEPTH = 17
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
-    st.sampled_from(["basilica", "d3"]),
-    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=24),
-    st.lists(st.integers(0, 2), max_size=7),
+    st.sampled_from(["basilica", "d3", "grigorchuk", "expanding"]),
+    st.lists(st.sampled_from(_ALL_LETTERS), max_size=24),
+    st.lists(st.integers(0, 2), max_size=_AT_DEPTH),
 )
+@example("basilica", [1, 2] * 12, [0] * _AT_DEPTH)
+@example("d3", [1, -2] * 12, [2, 1] * 8 + [0])
 def test_word_at_is_level_action_and_iterated_section(kind, letters, digits):
-    system = parse_system(_SYSTEMS[kind])
-    d = system.alphabet_size
-    word = free_reduce(letters)
-    path = tuple(x % d for x in digits)
-    image, section = system.word_at(word, path)
-    assert len(image) == len(path)
-    level = system.word_level_perm(word, len(path))
-    assert _level_point(image, d) == level[_level_point(path, d)]
-    expected = word
-    for x in path:
-        expected = system.word_sections(expected)[x]
-    assert section == expected
+    system = parse_system(_AT_SYSTEMS[kind])
+    word = free_reduce(_in_range(system, letters))
+    path = tuple(x % system.alphabet_size for x in digits)
+    if kind == "expanding":
+        path = path[:10]  # one level past the chunk; a^24 grows to a^(24 2^10)
+    _check_word_at(system, word, path)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -490,23 +519,30 @@ def test_word_at_is_level_action_and_iterated_section(kind, letters, digits):
         min_size=core.MEMO_LETTERS + 1,
         max_size=4 * core.MEMO_LETTERS,
     ),
-    st.lists(st.integers(0, 2), max_size=7),
+    st.lists(st.integers(0, 2), max_size=_AT_DEPTH),
 )
 def test_word_at_walks_long_words_along_the_path(kind, letters, digits):
-    # words past MEMO_LETTERS, which word_at walks _jump levels at a time
-    # while the path has that many left
+    # words past MEMO_LETTERS, on paths past the key level
     system = parse_system(_WALK_SYSTEMS[kind])
-    d = system.alphabet_size
     word = _uncancelled(_in_range(system, letters))
-    path = tuple(x % d for x in digits)
-    image, section = system.word_at(word, path)
+    path = tuple(x % system.alphabet_size for x in digits)
     assert len(word) > core.MEMO_LETTERS
-    level = system.word_level_perm(word, len(path))
-    assert _level_point(image, d) == level[_level_point(path, d)]
-    expected = word
-    for x in path:
-        expected = system.word_sections(expected)[x]
-    assert section == expected
+    _check_word_at(system, word, path)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(["ab", "ba"]), st.lists(st.integers(0, 1), max_size=12))
+def test_squares_of_ab_persist_down_any_vertex(start, digits):
+    # (ab)^(2^k) (or (ba)^(2^k)) fixes every vertex v of length k, and its
+    # section there is the state persist_ab reaches along v
+    B = basilica()
+    vertex = "".join(map(str, digits))
+    g = B.element(start) ** (2 ** len(digits))
+    k, final = persist_ab(B.element(start), vertex)
+    assert k == len(digits)
+    assert g.act(vertex) == vertex
+    assert g.section_at_vertex(vertex).word == final.word
+    assert g.projection(tuple(digits)).word == final.word
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -577,7 +613,7 @@ _JUMPS = {
     "grigorchuk": (_GRIGORCHUK, 1),
     "lamplighter": ("alphabet 2; gen a perm=1,0 sections=a,b; gen b perm=0,1 sections=a,b", 1),
     # a = (a^2, 1) doubles its words
-    "expanding": ("alphabet 2; gen a perm=0,1 sections=aa,e; gen b perm=1,0 sections=e,e", 1),
+    "expanding": (_EXPANDING, 1),
     "gupta-sidki": (_GUPTA_SIDKI, 1),
     "hanoi": (_HANOI, 1),
 }
@@ -587,6 +623,30 @@ _JUMPS = {
 def test_jump_needs_one_letter_sections_on_the_binary_tree(kind):
     text, jump = _JUMPS[kind]
     assert parse_system(text)._jump == jump
+
+
+# levels word_at walks at once: the key level, cut while a letter's
+# sections of s letters could hold s^k > d^(key level) letters on level k
+_CHUNKS = {
+    **{
+        kind: (_JUMPS[kind][0], 8)
+        for kind in ("basilica", "adding-machine", "grigorchuk", "lamplighter", "expanding")
+    },
+    **{kind: (_JUMPS[kind][0], 5) for kind in ("gupta-sidki", "hanoi")},
+    "d3": (_D3_SYSTEM, 5),
+    "wide": (_WIDE_SYSTEM, 1),
+    # 16 letters in a's sections: 16^2 = 256 on level 2
+    "sixteen": ("alphabet 2; gen a perm=1,0 sections=aaaaaaaa,aaaaaaaa", 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CHUNKS))
+def test_word_at_chunks_stop_where_sections_could_outgrow_the_key_level(kind):
+    text, chunk = _CHUNKS[kind]
+    system = parse_system(text)
+    assert system._chunk == chunk
+    system.word_at((1,), (1, 0, 1))
+    assert max(system._points) == min(chunk, 3)
 
 
 def test_walk_tables_stay_within_the_level_quotient(monkeypatch):
@@ -621,9 +681,43 @@ def test_walk_table_keeps_at_most_max_level_points_images(monkeypatch, rng):
     assert len(system._walks[1][1]) == 10
 
 
-# 25 generators, every lowercase name but e: a = sigma and each further
-# generator is (its predecessor, 1)
+# 25 generators, every lowercase name but e
 _NAMES_25 = "abcdfghijklmnopqrstuvwxyz"
+
+
+@pytest.mark.parametrize("pushes", ["one", "every"])
+@pytest.mark.parametrize("states_cap", [None, 1])
+def test_walk_steps_read_both_ends_of_the_letter_list(pushes, states_cap):
+    # 25 generators with random roots and one-letter sections (at one letter
+    # of the alphabet, or at both): the letters +-1..+-25 index both ends of
+    # a state's 51-slot step list.  With states_cap 1 only the identity's
+    # steps are kept
+    rng = random.Random(25)
+    lines = ["alphabet 2"]
+    for name in _NAMES_25:
+        sections = [rng.choice(_NAMES_25 + _NAMES_25.upper()) for _ in range(2)]
+        if pushes == "one":
+            sections[rng.randrange(2)] = "e"
+        lines.append(f"gen {name} perm={rng.choice(['0,1', '1,0'])} sections={','.join(sections)}")
+    system = parse_system("; ".join(lines))
+    letters = list(range(1, 26)) + list(range(-25, 0))
+    for k in (1, 2, 3):
+        for _ in range(20):
+            word = free_reduce(rng.choice(letters) for _ in range(rng.randrange(60)))
+            expected = [word]
+            for _ in range(k):
+                expected = [s for w in expected for s in _reference_root_and_sections(system, w)[1]]
+            action = system.word_level_perm(word, k)
+            with pytest.MonkeyPatch.context() as patch:
+                if states_cap is not None:
+                    patch.setattr(core, "MAX_LEVEL_POINTS", states_cap * len(action))
+                for _ in range(2):  # a cold walk, then one along the kept steps
+                    assert system._walk_level(word, k) == (action, tuple(expected))
+        assert states_cap is None or len(system._walks[k][1]) <= states_cap
+        assert system._walks[k][3] == (pushes == "one")
+
+
+# a = sigma and each further generator is (its predecessor, 1)
 _SYSTEM_25 = "alphabet 2; gen a perm=1,0 sections=e,e; " + "; ".join(
     f"gen {n} perm=0,1 sections={m},e" for m, n in zip(_NAMES_25, _NAMES_25[1:])
 )
@@ -762,6 +856,13 @@ def test_projection_needs_the_vertex_fixed(B):
     assert equals((b * b).projection((0,)), B.generator("a"))
 
 
+@pytest.mark.parametrize("path", [(2,), (-1,), (0, 2), (1, 0, 5)])
+def test_projection_refuses_digits_outside_the_alphabet(B, path):
+    # read as a point of its level, (0, 2) would be the vertex 10
+    with pytest.raises(InputError, match="outside the alphabet"):
+        B.element("a").projection(path)
+
+
 def test_memo_keeps_only_short_words():
     # lifts of two words to a depth-7 vertex: equal elements give a long
     # trivial word, different ones a long nontrivial word, and both closures
@@ -780,9 +881,10 @@ def test_memo_keeps_only_short_words():
 
 
 def test_section_reads_keep_no_per_word_state(rng):
-    # roots, sections and depth-2 sections of 5000 distinct words keep
-    # nothing past the walk's step tables, warmed first; what tracemalloc
-    # still counts, about 130 KB, is freed tuples CPython holds for reuse
+    # roots, sections and depth-2 and depth-12 sections of 5000 distinct
+    # words keep nothing past the walks' step tables, warmed first; what
+    # tracemalloc still counts, about 130 KB, is freed tuples CPython holds
+    # for reuse
     system = parse_system(BASILICA_TEXT)
     words = set()
     while len(words) < 5000:
@@ -792,7 +894,12 @@ def test_section_reads_keep_no_per_word_state(rng):
         words.add(tuple(word))
 
     def read(word):
-        return system.word_sections(word), system.word_root(word), system.word_at(word, (1, 0))
+        return (
+            system.word_sections(word),
+            system.word_root(word),
+            system.word_at(word, (1, 0)),
+            system.word_at(word, (1, 0) * 6),
+        )
 
     for word in reduced_words(system, 4):
         read(word)
