@@ -705,7 +705,7 @@ class GeneratorSystem:
         under the letters read so far.  Each letter's step gives its image
         of that point and pushes its section there onto one reduction
         stack; the section at the chunk's vertex is the word of the next
-        chunk."""
+        chunk.  Raises ``InputError`` for a digit outside the alphabet."""
         d = self.alphabet_size
         image: list[int] = []
         for i in range(0, len(path), self._chunk):
@@ -714,6 +714,8 @@ class GeneratorSystem:
             rows, single = self._points.get(k) or self._point_tables(k)
             x = 0
             for digit in chunk:
+                if not (isinstance(digit, int) and 0 <= digit < d):
+                    raise InputError(f"vertex letter {digit!r} outside the alphabet")
                 x = x * d + digit
             x, stack = _follow_point(rows, single, word, x)
             word = tuple(stack[:0:-1])
@@ -977,9 +979,6 @@ class Element:
     def projection(self, path: Sequence[int]) -> "Element | None":
         """The section g_v at a vertex path v that g fixes; None if g moves v.
         Raises ``InputError`` for a digit of v outside the alphabet."""
-        for x in path:
-            if not (isinstance(x, int) and 0 <= x < self.system.alphabet_size):
-                raise InputError(f"vertex letter {x!r} outside the alphabet")
         image, section = self.system.word_at(self.word, path)
         return Element._reduced(self.system, section) if image == tuple(path) else None
 

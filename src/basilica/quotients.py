@@ -8,10 +8,12 @@ group, never loads it.
 ``_chain`` picks its method from the input alone.  Permutations of 2^n
 points that keep the dyadic blocks together are automorphisms of the binary
 tree of depth n; they generate a 2-group, counted by sifting through an
-induced polycyclic sequence along the level stabilizers, with elements as
-``bytes`` multiplied by ``bytes.translate`` up to 256 points (level 8) and as
-tuples above.  That covers every level action of a binary system, so the
-``order`` command takes this path.  Any other input (other degrees, d >= 3
+induced polycyclic sequence along the level stabilizers, closed by squaring
+each new element and commuting it with the generators and with the earlier
+elements of its own level (a normal closure, not all pairs), with elements
+as ``bytes`` multiplied by ``bytes.translate`` up to 256 points (level 8)
+and as tuples above.  That covers every level action of a binary system, so
+the ``order`` command takes this path.  Any other input (other degrees, d >= 3
 systems, permutations that break the blocks) goes through a deterministic
 Schreier-Sims stabilizer chain, which raises ``BudgetExceededError`` (its
 ``partial``: the base length so far) past ``MAX_SCHREIER_SIFTS`` sifts; the
@@ -38,8 +40,8 @@ MAX_SCHREIER_SIFTS = 10_000
 
 MAX_TREE_WORK = 300_000_000
 # leaves a polycyclic sequence of binary-tree automorphisms may pass over,
-# one pass per square and commutator test of each element that joins it; the
-# full Basilica group at level 10 takes 235988 products of degree 1024
+# one pass per square and commutation test of each element that joins it;
+# the full Basilica group at level 10 takes 21119 products of degree 1024
 
 
 def _chain(perms: Sequence) -> tuple[int, Callable[[tuple[int, ...]], bool]]:
@@ -73,8 +75,8 @@ def _keeps_dyadic_blocks(g: tuple[int, ...]) -> bool:
 
 
 def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
-    """Order of a group of binary-tree automorphisms of the 2^n leaves, and
-    a membership test for permutations of the same leaves.
+    """Order of a group H of binary-tree automorphisms of the 2^n leaves,
+    and a membership test for permutations of the same leaves.
 
     Builds an induced polycyclic sequence with C2 factors along the series of
     level stabilizers St(0) > St(1) > ... > St(n) = 1 (Holt, Eick and
@@ -85,16 +87,36 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
     echelon basis, keyed by leading digit, multiplying the element on the left
     by the basis element used, then goes on one level down.  The factor is
     abelian of exponent 2: flip(w o g) = flip(w) XOR flip(g) = flip(g o w), so
-    left products take the decisions right ones would, no inverses are needed,
-    and at closure the same elements sift to the identity.  A nonzero residue
-    joins the sequence, and its square and its commutators with every earlier
-    element are sifted in turn.  Once all of these sift to the identity, the
-    elements that sift to the identity form the group, so its order is
-    2^(sequence length), and a permutation of the leaves is a member exactly
-    when it sifts to the identity.  Up to 256 leaves an element is ``bytes``
-    and each product or flip vector one ``bytes.translate``; above, a tuple.
-    A residue joins only while the products formed so far, times the
-    degree, stay within ``MAX_TREE_WORK``.
+    left products take the decisions right ones would and no inverses are
+    needed.  A nonzero residue r at level k joins the sequence as a layer-k
+    element, and three kinds of element are sifted in turn: r^2, from level
+    k + 1; [r, x] for each generator x of H that r does not commute with,
+    from level k, since St(k-1) is normal; and [r, b] for each earlier
+    layer-k element b that r does not commute with, from level k + 1, since
+    two elements of St(k-1) commute on level k (at k = n they commute, so
+    neither squares nor same-layer commutators are formed there).
+
+    Why that closes: let P_k be the set of elements that sift to the
+    identity from level k.  Sifting is monotone: echelon entries are only
+    added, and a sift that succeeded read only entries that stay, so it
+    still succeeds.  Once every queued element sifts to the identity, go
+    down from P_(n+1) = 1 and suppose P_(k+1) is a subgroup normalised by
+    every generator, hence by H.  The layer-k elements lie in H, their
+    squares and pairwise commutators lie in P_(k+1), so with P_(k+1) they
+    generate a group Q in which they span an elementary abelian section
+    Q/P_(k+1); their flip vectors are independent, so that section has
+    order 2^(layer size) and Q meets St(k) in P_(k+1) alone.  An element of
+    St(k-1) therefore sifts to the identity from level k exactly when it
+    lies in Q: P_k = Q.  Each [r, x] lies in P_k, so r^x does, and P_k is
+    normalised by every generator.  Every generator sifted to the identity
+    from level 1, so P_1 is a group that contains H, hence equals it:
+    |H| = 2^(sequence length), and a permutation of the leaves is a member
+    exactly when it sifts to the identity.
+
+    Up to 256 leaves an element is ``bytes`` and each product or flip
+    vector one ``bytes.translate``; above, a tuple.  A residue joins only
+    while the products formed so far (one per square and per commutation
+    test), times the degree, stay within ``MAX_TREE_WORK``.
     """
     degree = len(gens[0])
     n = degree.bit_length() - 1
@@ -110,7 +132,9 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
         gather = lambda h, t: bytes(map(t.__getitem__, h))
     # echelons[k]: leading digit -> (flip vector, table of the sequence element)
     echelons: list[dict] = [{} for _ in range(n + 1)]
-    sequence: list[tuple] = []
+    # layers[k]: the layer-k elements as (element, table, inverse) entries
+    layers: list[list[tuple]] = [[] for _ in range(n + 1)]
+    generators = [(x, table(x), inverse(x)) for x in map(convert, gens)]
 
     def sift(g, start):
         # g lies in St(start-1); returns (level, flip vector, residue) or None
@@ -131,43 +155,49 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
         # a permutation that is not the identity here is no member
         return None if g == identity else (n + 1, 0, g)
 
-    # a queued sift is (element, first level); above 256 leaves, where a
-    # queue of elements passed 1 GB at level 16, a commutator is queued as
-    # ((entry, entry), 0), its two sequence entries, and built when popped
+    # a queued sift is (element, first level, None); above 256 leaves, where
+    # a queue of elements passed 1 GB at level 16, a commutator [r, b] is
+    # queued as (entry of r, first level, entry of b) and built when popped
     deferred = degree > 256
-    queue: list[tuple] = [(convert(g), 1) for g in gens]
+    queue: list[tuple] = [(x, 1, None) for x, _, _ in generators]
     work = len(queue)  # products formed, each at least a pass over the leaves
+    length = 0
     while queue:
-        g, start = queue.pop()
-        if not start:
-            (k, r, r_table, r_inv), (l, b, b_table, b_inv) = g
-            g, start = apply(apply(apply(b, r_table), b_inv), r_inv), max(k, l)
+        g, start, e = queue.pop()
+        if e is not None:
+            (r, r_table, r_inv), (b, _, b_inv) = g, e
+            g = apply(apply(apply(b, r_table), b_inv), r_inv)
         found = sift(g, start)
         if found is None:
             continue
         if work * degree > MAX_TREE_WORK:
             raise BudgetExceededError(
                 f"polycyclic sequence exceeded {MAX_TREE_WORK} points of work "
-                f"with {len(sequence)} elements",
-                partial=len(sequence),
+                f"with {length} elements",
+                partial=length,
             )
         k, v, r = found
         r_table, r_inv = table(r), inverse(r)
         echelons[k][v.bit_length()] = (v, r_table)
-        entry = (k, r, r_table, r_inv)
-        if k < n:
-            queue.append((apply(r, r_table), k + 1))
-        # [r, b] lies in St(max(k, l) - 1), so its sift starts there
-        if deferred:
-            queue += [((entry, e), 0) for e in sequence if apply(e[1], r_table) != apply(r, e[2])]
-        else:
-            for l, b, b_table, b_inv in sequence:
-                rb = apply(b, r_table)
-                if rb != apply(r, b_table):
-                    queue.append((apply(apply(rb, b_inv), r_inv), max(k, l)))
-        work += (k < n) + len(sequence)
-        sequence.append(entry)
-    return 2 ** len(sequence), lambda g: sift(convert(g), 1) is None
+        entry = (r, r_table, r_inv)
+        # (b, first level of [r, b]) for each b that r is tested against
+        tests = [(e, k) for e in generators]
+        if k < n:  # on level n, r^2 = 1 and two elements of St(n-1) commute
+            queue.append((apply(r, r_table), k + 1, None))
+            tests += [(e, k + 1) for e in layers[k]]
+        work += (k < n) + len(tests)
+        for e, level in tests:
+            b, b_table, b_inv = e
+            rb = apply(b, r_table)
+            if rb == apply(r, b_table):
+                continue
+            if deferred:
+                queue.append((entry, level, e))
+            else:
+                queue.append((apply(apply(rb, b_inv), r_inv), level, None))
+        layers[k].append(entry)
+        length += 1
+    return 2**length, lambda g: sift(convert(g), 1) is None
 
 
 def _schreier_sims_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:

@@ -433,13 +433,13 @@ def test_order_sift_budget_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_order_tree_work_budget_exit_code(capsys, monkeypatch):
     # a binary system takes the polycyclic path; the level-5 quotient of
-    # the Basilica group makes its last join after 244 products of degree 32
+    # the Basilica group makes its last join after 71 products of degree 32
     argv = ("order", "--gens", "a,b", "--level", "5")
-    monkeypatch.setattr(quotients, "MAX_TREE_WORK", 244 * 32)
+    monkeypatch.setattr(quotients, "MAX_TREE_WORK", 71 * 32)
     assert run(capsys, *argv)[:2] == (0, f"{2**23}\n")
     monkeypatch.setattr(quotients, "MAX_TREE_WORK", 1000)
     assert run(capsys, *argv) == (
-        4, "", "budget exhausted: polycyclic sequence exceeded 1000 points of work with 8 elements\n"
+        4, "", "budget exhausted: polycyclic sequence exceeded 1000 points of work with 12 elements\n"
     )
 
 

@@ -2,6 +2,7 @@ import copy
 import functools
 import pickle
 import random
+import re
 import sys
 import tracemalloc
 
@@ -861,6 +862,20 @@ def test_projection_refuses_digits_outside_the_alphabet(B, path):
     # read as a point of its level, (0, 2) would be the vertex 10
     with pytest.raises(InputError, match="outside the alphabet"):
         B.element("a").projection(path)
+
+
+@pytest.mark.parametrize(
+    "path, digit",
+    [((2,), "2"), ((0, -1), "-1"), ((0, 2), "2"), ((0, 1.0), "1.0"), ((0, "1"), "'1'"),
+     ((0,) * 9 + (2,), "2")],
+)
+def test_word_at_refuses_digits_outside_the_alphabet(path, digit):
+    # (0, 2) read as a point of level 2 would be the vertex 10, and
+    # (0, -1) the vertex 01; the last path's bad digit lies in its second
+    # chunk, past the key level
+    message = f"vertex letter {digit} outside the alphabet"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        basilica().word_at((2,), path)
 
 
 def test_memo_keeps_only_short_words():

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from basilica import (
     permgrp,
     quotients,
 )
+from basilica.core import compose_images
 from basilica.permgrp import (
     SubgroupHandle,
     group_order,
@@ -24,7 +27,7 @@ from basilica.permgrp import (
     projection_pairs,
     stabilizer_generator_pairs,
 )
-from basilica.quotients import _keeps_dyadic_blocks, _schreier_sims_order
+from basilica.quotients import _chain, _keeps_dyadic_blocks, _schreier_sims_order
 
 from conftest import fresh_interpreter_output
 
@@ -285,6 +288,76 @@ def test_tree_order_on_tuples_agrees_with_bytes(words, n):
     assert group_order(lifted) == group_order(images)
 
 
+_GRIGORCHUK = parse_system(
+    "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,c; "
+    "gen c perm=0,1 sections=a,d; gen d perm=0,1 sections=e,b"
+)
+
+
+def _agree_with_schreier_sims(gens, elements):
+    """Asserts that ``_chain`` and the oracle agree on the order and on each
+    element's membership; returns the memberships."""
+    order, contains = _chain(gens)
+    oracle, oracle_contains = _schreier_sims_order(gens)
+    assert order == oracle
+    found = [contains(g) for g in elements]
+    assert found == [oracle_contains(g) for g in elements]
+    return found
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.lists(st.text(alphabet="abcd", min_size=1, max_size=4), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=6),
+    st.lists(st.text(alphabet="abcd", max_size=8), min_size=1, max_size=6),
+)
+def test_chain_agrees_with_schreier_sims_on_grigorchuk_subgroups(words, n, others):
+    # membership of elements of the level quotient G_n, most outside H_n
+    act = lambda w: _GRIGORCHUK.word_level_perm(_GRIGORCHUK.element(w).word, n)
+    _agree_with_schreier_sims([act(w) for w in words], [act(w) for w in words + others])
+
+
+def _portrait_images(n, swaps):
+    """The automorphism of the binary tree of depth n that swaps the two
+    children of each vertex (level, index) in ``swaps``, on its 2^n leaves."""
+    images = []
+    for x in range(1 << n):
+        y = 0
+        for j in range(n):
+            y = y << 1 | (x >> n - 1 - j & 1) ^ ((j, x >> n - j) in swaps)
+        images.append(y)
+    return tuple(images)
+
+
+@st.composite
+def _portraits(draw, n):
+    """A random portrait on the top (at most 3) levels and one more swap
+    anywhere, so that the generated groups stay within reach of the
+    Schreier-Sims oracle at 512 leaves."""
+    top = draw(st.integers(min_value=0, max_value=min(n, 3)))
+    swaps = {(j, i) for j in range(top) for i in range(1 << j) if draw(st.booleans())}
+    j = draw(st.integers(min_value=0, max_value=n - 1))
+    swaps ^= {(j, draw(st.integers(min_value=0, max_value=(1 << j) - 1)))}
+    return _portrait_images(n, swaps)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.data())
+def test_chain_agrees_with_schreier_sims_on_portraits(n, data):
+    # from 2 to 512 leaves, so level 9 takes the tuple path; the elements
+    # tested are products of the generators, which are members, random
+    # automorphisms, and their products
+    gens = data.draw(st.lists(_portraits(n), min_size=1, max_size=3))
+    members = [
+        reduce(compose_images, data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=4)))
+        for _ in range(2)
+    ]
+    others = data.draw(st.lists(_portraits(n), min_size=1, max_size=2))
+    elements = members + others + [compose_images(g, h) for g in members for h in others]
+    assert all(_agree_with_schreier_sims(gens, elements)[: len(members)])
+
+
 def test_full_group_level_orders():
     B = basilica()
     log2_orders = [
@@ -342,12 +415,12 @@ def test_schreier_sims_sift_budget(monkeypatch):
 
 def test_tree_order_work_budget(monkeypatch):
     # the level-5 quotient of the Basilica group has order 2^23; its last
-    # element joins the sequence after 244 products of degree 32
+    # element joins the sequence after 71 products of degree 32
     B = basilica()
     gens = level_perms(B, B.generators(), 5)
-    monkeypatch.setattr(quotients, "MAX_TREE_WORK", 244 * 32)
+    monkeypatch.setattr(quotients, "MAX_TREE_WORK", 71 * 32)
     assert group_order(gens) == 2**23
-    for budget, elements in ((244 * 32 - 1, 22), (100, 2), (0, 0)):
+    for budget, elements in ((71 * 32 - 1, 22), (100, 1), (0, 0)):
         monkeypatch.setattr(quotients, "MAX_TREE_WORK", budget)
         with pytest.raises(BudgetExceededError) as exc:
             group_order(gens)
@@ -448,10 +521,7 @@ _QUOTIENT_SYSTEMS = {
         "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,a"
     ), 6),
     "basilica": (basilica(), 6),
-    "grigorchuk": (parse_system(
-        "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,c; "
-        "gen c perm=0,1 sections=a,d; gen d perm=0,1 sections=e,b"
-    ), 6),
+    "grigorchuk": (_GRIGORCHUK, 6),
     "gupta-sidki": (parse_system(
         "alphabet 3; gen a perm=1,2,0 sections=e,e,e; gen b perm=0,1,2 sections=a,A,b"
     ), 2),
