@@ -41,8 +41,10 @@ triviality closure walks a word one level, or ``_jump`` levels at once
 when it is longer than ``MEMO_LETTERS``.  ``word_at``, the walk down a
 vertex path behind ``Element.projection``, which every witness replay
 checks, follows one vertex instead: per chunk of up to key-level levels of
-the path, one pass whose state is a single point, with one step per letter
-from per-level point tables built once per system, and one reduction stack.
+the path, one pass whose state is a single point, and one reduction stack.
+Both walks build their steps from per-level point tables, built once per
+system, each level's from the level below: the one place a letter's
+level-k action and sections are derived.
 
 No walk is kept per word: a section read walks the word again.  The one
 per-word memo is of words proven trivial (no nontrivial verdict) of at most
@@ -435,7 +437,6 @@ class GeneratorSystem:
         # per signed letter: root permutation images and section words
         self._letter_root: dict[int, tuple[int, ...]] = {}
         self._letter_sections: dict[int, tuple[Word, ...]] = {}
-        ident = tuple(range(alphabet_size))
         for i, (root, secs) in enumerate(zip(roots, sections_parsed)):
             inv_root = invert_images(root)
             self._letter_root[i + 1] = root
@@ -444,7 +445,6 @@ class GeneratorSystem:
             self._letter_sections[-(i + 1)] = tuple(
                 invert_word(secs[inv_root[x]]) for x in range(alphabet_size)
             )
-        self._identity_root = ident
         # the defining data, fixed once built: == and hash read it
         self._spec = (
             alphabet_size,
@@ -460,6 +460,9 @@ class GeneratorSystem:
         # no section outgrows its word, the deepest level of at most 8
         # vertices (2^7 actions when d = 2)
         grow = max(sum(map(len, secs)) for secs in self._letter_sections.values())
+        # whether no section of a letter holds more than one letter; then no
+        # section on any level does, and _point_tables keeps the letter or 0
+        self._single = all(len(w) <= 1 for secs in self._letter_sections.values() for w in secs)
         self._jump = 1
         if grow <= 1:
             while alphabet_size ** (self._jump + 1) <= 8:
@@ -588,7 +591,8 @@ class GeneratorSystem:
         The walk's state is the action p of the letters read so far, and
         each state keeps one step per letter read from it, in a list of 2n
         + 1 slots indexed by the signed letter, so an inverse letter reads
-        its slot from the end.  When every letter pushes exactly one
+        its slot from the end; a step is built from the letter's row of the
+        level's point tables.  When every letter pushes exactly one
         section letter on level k, as on every level of the Basilica group
         and the adding machine, a step is ``(vertex, cancel, letter,
         action, next state)``, one stack operation; otherwise it is
@@ -597,7 +601,7 @@ class GeneratorSystem:
         # (l w)_v = l_{w(v)} w_v: reading l after w, of action p, pushes
         # l's section at c onto the stack of v = p^-1(c), reversed; the
         # state becomes l o p.  No letter cancels a stack's bottom 0
-        _, states, p, single = self._walks.get(k) or self._walk_tables(k)
+        states, p, single = self._walks.get(k) or self._walk_tables(k)
         state = states[p]
         stacks = [[0] for _ in p]
         if single:
@@ -620,16 +624,17 @@ class GeneratorSystem:
         return p, tuple(tuple(stack[:0:-1]) for stack in stacks)
 
     def _walk_step(self, k: int, p: tuple[int, ...], state: list, l: int) -> tuple:
-        """The level-k step of letter ``l`` from action ``p``; kept in
-        ``state``, p's steps, while the table holds at most
-        ``MAX_LEVEL_POINTS`` images."""
-        letters, states, _, single = self._walks[k]
-        action, sections = letters[l]
+        """The level-k step of letter ``l`` from action ``p``, from l's row of
+        the level's point tables; kept in ``state``, p's steps, while the
+        table holds at most ``MAX_LEVEL_POINTS`` images."""
+        states, _, single = self._walks[k]
+        row = self._points[k][l]
         origin = invert_images(p)
-        q = compose_images(action, p)
+        q = tuple(row[x][0] for x in p)
         if q not in states and (len(states) + 1) * len(q) <= MAX_LEVEL_POINTS:
             states[q] = [None] * len(state)
-        pushes = tuple((origin[c], -s, s) for c, rev in sections for s in rev)
+        secs = (((s,) if s else ()) for _, s in row) if self._single else (s for _, s in row)
+        pushes = tuple((origin[c], -s, s) for c, rev in enumerate(secs) for s in rev)
         after = (q, states.get(q) or [None] * len(state))
         step = pushes[0] + after if single else (pushes,) + after
         if q in states:
@@ -637,42 +642,36 @@ class GeneratorSystem:
         return step
 
     def _walk_tables(self, k: int) -> tuple:
-        """Per letter, its level-k action and nonempty sections, reversed;
-        the steps of each level-k action, an empty list of one slot per
+        """The steps of each level-k action, an empty list of one slot per
         signed letter to start; the identity action; and whether every
-        letter pushes exactly one letter."""
-        letters = {}
-        for l, secs in self._letter_sections.items():
-            if k > 1:
-                secs = chain.from_iterable(self._walk_level(s, k - 1)[1] for s in secs)
-            nonempty = tuple((c, s[::-1]) for c, s in enumerate(secs) if s)
-            letters[l] = (self._fold((l,), k), nonempty)
-        single = all(sum(len(s) for _, s in secs) == 1 for _, secs in letters.values())
+        letter pushes exactly one letter, read from the level's point tables."""
+        rows = self._points.get(k) or self._point_tables(k)
+        pushed = bool if self._single else len
+        single = all(sum(pushed(s) for _, s in rows[l]) == 1 for l in self._letter_root)
         start = tuple(range(self.alphabet_size**k))
-        walk = self._walks[k] = (letters, {start: [None] * (len(letters) + 1)}, start, single)
+        walk = self._walks[k] = ({start: [None] * len(rows)}, start, single)
         return walk
 
-    def _point_tables(self, k: int) -> tuple[list, bool]:
-        """The steps of ``word_at`` on level k: per signed letter, at its
+    def _point_tables(self, k: int) -> list:
+        """The steps of ``word_at`` on level k, and the one source of each
+        letter's level-k action and sections: per signed letter, at its
         index in a list of 2n + 1, the list over the d^k level-k points x
-        of ``(the letter's image of x, its section at x reversed)``; and
-        whether no letter's section at a letter holds more than one letter,
-        in which case no section on any level does, and a step holds that
-        letter, or 0 for none, in place of the tuple.
+        of ``(the letter's image of x, its section at x reversed)``.  When
+        ``_single``, a step holds that section's letter, or 0 for none, in
+        place of the tuple.
 
         A letter l sends x y, x a letter, to root(x) w(y) with w = l_x, so
         each block of its level-k list is the level-(k-1) list of w with
         shifted points: one list operation when w has at most one letter,
         and a walk of w from each point when it has more."""
         slots = 2 * len(self.names) + 1
-        single = all(len(w) <= 1 for secs in self._letter_sections.values() for w in secs)
-        none = 0 if single else ()
+        none = 0 if self._single else ()
         if k > 1:
-            below = (self._points.get(k - 1) or self._point_tables(k - 1))[0]
+            below = self._points.get(k - 1) or self._point_tables(k - 1)
         else:  # level 0: each letter fixes the root, and is its section there
             below = [None] * slots
             for l in self._letter_root:
-                below[l] = [(0, l if single else (l,))]
+                below[l] = [(0, l if self._single else (l,))]
         size = self.alphabet_size ** (k - 1)
         rows: list = [None] * slots
         for l, secs in self._letter_sections.items():
@@ -685,10 +684,10 @@ class GeneratorSystem:
                     row += [(shift + y, pushes) for y, pushes in below[w[0]]]
                 else:
                     for y in range(size):
-                        image, stack = _follow_point(below, single, w, y)
+                        image, stack = _follow_point(below, self._single, w, y)
                         row.append((shift + image, tuple(stack[1:])))
-        table = self._points[k] = (rows, single)
-        return table
+        self._points[k] = rows
+        return rows
 
     def word_root(self, word: Word) -> tuple[int, ...]:
         """Root permutation images of a word."""
@@ -711,13 +710,13 @@ class GeneratorSystem:
         for i in range(0, len(path), self._chunk):
             chunk = path[i : i + self._chunk]
             k = len(chunk)
-            rows, single = self._points.get(k) or self._point_tables(k)
+            rows = self._points.get(k) or self._point_tables(k)
             x = 0
             for digit in chunk:
                 if not (isinstance(digit, int) and 0 <= digit < d):
                     raise InputError(f"vertex letter {digit!r} outside the alphabet")
                 x = x * d + digit
-            x, stack = _follow_point(rows, single, word, x)
+            x, stack = _follow_point(rows, self._single, word, x)
             word = tuple(stack[:0:-1])
             image.extend(x // d**j % d for j in reversed(range(k)))
         return tuple(image), word
@@ -785,7 +784,7 @@ class GeneratorSystem:
                 continue
             k = self._jump if len(u) > MEMO_LETTERS else 1
             root, sections = self._walk_level(u, k)
-            if root != self._walks[k][2]:
+            if root != self._walks[k][1]:
                 return False
             for s in sections:
                 if s and s not in seen:

@@ -124,7 +124,7 @@ def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> De
         if goal.find_word(word) == target_idx:
             return DescentCertificate(g, path, target)
         root, sections = system._walk_level(word, 1)
-        if root == system._identity_root:
+        if root == (0, 1):
             raise ConsistencyError(
                 "descent state has trivial root permutation; class invariant broken"
             )

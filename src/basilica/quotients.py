@@ -130,10 +130,9 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
         convert, identity, table, inverse = tuple, tuple(range(degree)), tuple, invert_images
         apply = lambda g, t: itemgetter(*g)(t)
         gather = lambda h, t: bytes(map(t.__getitem__, h))
-    # echelons[k]: leading digit -> (flip vector, table of the sequence element)
+    # echelons[k]: leading digit -> (flip vector, (element, table, inverse))
+    # for the layer-k elements, in the order they joined
     echelons: list[dict] = [{} for _ in range(n + 1)]
-    # layers[k]: the layer-k elements as (element, table, inverse) entries
-    layers: list[list[tuple]] = [[] for _ in range(n + 1)]
     generators = [(x, table(x), inverse(x)) for x in map(convert, gens)]
 
     def sift(g, start):
@@ -148,7 +147,7 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
                 entry = echelon.get(v.bit_length())
                 if entry is None:
                     return k, v, g
-                w, w_table = entry
+                w, (_, w_table, _) = entry
                 v ^= w
                 g = apply(g, w_table)
         # St(n) is trivial, so a tree automorphism is the identity by now;
@@ -178,13 +177,13 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
             )
         k, v, r = found
         r_table, r_inv = table(r), inverse(r)
-        echelons[k][v.bit_length()] = (v, r_table)
         entry = (r, r_table, r_inv)
         # (b, first level of [r, b]) for each b that r is tested against
         tests = [(e, k) for e in generators]
         if k < n:  # on level n, r^2 = 1 and two elements of St(n-1) commute
             queue.append((apply(r, r_table), k + 1, None))
-            tests += [(e, k + 1) for e in layers[k]]
+            tests += [(e, k + 1) for _, e in echelons[k].values()]
+        echelons[k][v.bit_length()] = (v, entry)
         work += (k < n) + len(tests)
         for e, level in tests:
             b, b_table, b_inv = e
@@ -195,7 +194,6 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
                 queue.append((entry, level, e))
             else:
                 queue.append((apply(apply(rb, b_inv), r_inv), level, None))
-        layers[k].append(entry)
         length += 1
     return 2**length, lambda g: sift(convert(g), 1) is None
 

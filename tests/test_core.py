@@ -548,16 +548,17 @@ def test_squares_of_ab_persist_down_any_vertex(start, digits):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
-    st.sampled_from(sorted(_WALK_SYSTEMS)),
+    st.sampled_from(sorted(_AT_SYSTEMS)),
     st.integers(1, 3),
     st.sampled_from([None, 1, 3]),
     st.lists(st.sampled_from(_ALL_LETTERS), max_size=2 * core.MEMO_LETTERS),
 )
 def test_walk_level_is_level_action_and_iterated_sections(kind, k, states_cap, letters):
     # letters push 0 (Grigorchuk's a), 1 (Basilica, Hanoi) or more (Grigorchuk's
-    # b, the d = 3 system) letters per level.  With states_cap, MAX_LEVEL_POINTS
-    # holds that many level-k actions: at 1 only the identity's steps are kept
-    system = parse_system(_WALK_SYSTEMS[kind])
+    # b, the d = 3 system, the expanding a) letters per level.  With states_cap,
+    # MAX_LEVEL_POINTS holds that many level-k actions: at 1 only the
+    # identity's steps are kept
+    system = parse_system(_AT_SYSTEMS[kind])
     word = free_reduce(_in_range(system, letters))
     action = system.word_level_perm(word, k)
     # level-1 sections taken k times, in lexicographic vertex order
@@ -570,9 +571,9 @@ def test_walk_level_is_level_action_and_iterated_sections(kind, k, states_cap, l
         for _ in range(2):  # a cold walk, then one along the kept steps
             assert system._walk_level(word, k) == (action, tuple(expected))
     if states_cap is not None:
-        assert len(system._walks[k][1]) <= states_cap
+        assert len(system._walks[k][0]) <= states_cap
     # one stack operation per letter exactly when every letter pushes one
-    assert system._walks[k][3] == (kind in ("basilica", "hanoi"))
+    assert system._walks[k][2] == (kind in ("basilica", "hanoi"))
 
 
 # the adding machine a = sigma(1, a) beside a trivial b = (1, b): a adds one
@@ -663,10 +664,10 @@ def test_walk_tables_stay_within_the_level_quotient(monkeypatch):
     for _ in range(2):
         assert system.word_is_trivial(trivial) and not system.word_is_trivial(nontrivial)
         assert len(system.word_at(nontrivial, (0, 1, 1, 0, 1, 0, 1))[0]) == 7
-    # each level's letter data is built once, and the level-3 walk has one
-    # state per element of B/St(3), of order 2^6
-    assert sorted(built) == [1, 2, 3]
-    assert 1 < len(system._walks[3][1]) <= 64
+    # each walked level's tables are built once, and the level-3 walk has
+    # one state per element of B/St(3), of order 2^6
+    assert sorted(built) == [1, 3]
+    assert 1 < len(system._walks[3][0]) <= 64
 
 
 def test_walk_table_keeps_at_most_max_level_points_images(monkeypatch, rng):
@@ -679,7 +680,7 @@ def test_walk_table_keeps_at_most_max_level_points_images(monkeypatch, rng):
     for _ in range(40):
         word = free_reduce(rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(200)))
         assert system._walk_level(word, 1) == _reference_root_and_sections(system, word)
-    assert len(system._walks[1][1]) == 10
+    assert len(system._walks[1][0]) == 10
 
 
 # 25 generators, every lowercase name but e
@@ -714,8 +715,8 @@ def test_walk_steps_read_both_ends_of_the_letter_list(pushes, states_cap):
                     patch.setattr(core, "MAX_LEVEL_POINTS", states_cap * len(action))
                 for _ in range(2):  # a cold walk, then one along the kept steps
                     assert system._walk_level(word, k) == (action, tuple(expected))
-        assert states_cap is None or len(system._walks[k][1]) <= states_cap
-        assert system._walks[k][3] == (pushes == "one")
+        assert states_cap is None or len(system._walks[k][0]) <= states_cap
+        assert system._walks[k][2] == (pushes == "one")
 
 
 # a = sigma and each further generator is (its predecessor, 1)

@@ -1,3 +1,4 @@
+import random
 from functools import reduce
 
 import pytest
@@ -356,6 +357,25 @@ def test_chain_agrees_with_schreier_sims_on_portraits(n, data):
     others = data.draw(st.lists(_portraits(n), min_size=1, max_size=2))
     elements = members + others + [compose_images(g, h) for g in members for h in others]
     assert all(_agree_with_schreier_sims(gens, elements)[: len(members)])
+
+
+# two automorphisms of the binary tree of depth 7, bit 2^j - 1 + i set when
+# the vertex of level j and index i swaps its children: their group needs
+# the commutators of elements of one layer, not only those with the
+# generators, to be closed (without them the sequence has 82 elements)
+_SAME_LAYER_GENS = (0x1017D67B6C220638BDBDB861DFAEFC80, 0x634339D02E3DBB776FF7B39ABD0053CD)
+
+
+def test_tree_order_needs_same_layer_commutators():
+    gens = [
+        _portrait_images(7, {(j, i) for j in range(7) for i in range(1 << j) if g >> (1 << j) - 1 + i & 1})
+        for g in _SAME_LAYER_GENS
+    ]
+    order, contains = _chain(gens)
+    assert order == 2**83  # as _schreier_sims_order gives, in about 3 s
+    rng = random.Random(83)
+    products = [reduce(compose_images, rng.choices(gens, k=rng.randrange(1, 40))) for _ in range(64)]
+    assert all(map(contains, products))
 
 
 def test_full_group_level_orders():
