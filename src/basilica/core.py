@@ -29,7 +29,9 @@ Words enter and leave the engine as bytes: ``parse_word`` translates the
 text's ASCII bytes to one signed byte per letter with one 256-byte table and
 unpacks them into the word's tuple, and ``word_str`` packs and translates
 back with the inverse table.  The packing is ``_word_bytes``, which also
-keys ``ElementIndex``'s word dict.
+keys ``ElementIndex``'s word dict.  Products and powers of reduced words are
+``product_word`` and ``power_word``, which cancel only where the words
+meet; ``free_reduce`` is for letters that arrive unreduced.
 
 The action and sections of a word on level k come from one pass over its
 letters, right to left (``_walk_level``), one table step per letter: the
@@ -42,9 +44,11 @@ when it is longer than ``MEMO_LETTERS``.  ``word_at``, the walk down a
 vertex path behind ``Element.projection``, which every witness replay
 checks, follows one vertex instead: per chunk of up to key-level levels of
 the path, one pass whose state is a single point, and one reduction stack.
-Both walks build their steps from per-level point tables, built once per
-system, each level's from the level below: the one place a letter's
-level-k action and sections are derived.
+Both walks build their steps from per-level point tables of each letter's
+action and sections, built once per system up to ``_chunk`` levels, each
+level's from the level below.  ``_fold``, the action alone behind
+``word_level_perm`` (up to level 16) and the index keys, keeps action-only
+tables: section tables grow as s^k when a letter's sections hold s letters.
 
 No walk is kept per word: a section read walks the word again.  The one
 per-word memo is of words proven trivial (no nontrivial verdict) of at most
@@ -53,17 +57,11 @@ shrink (two levels down to about half the word), so a long input word
 seldom comes back as the section of another, while short words recur
 across calls.
 
-The action of a word on level n is a fold over its letters of per-letter
-level-n tables, each built once from the level below; nothing is kept per
-word.  Element identity is decided in one place, ``ElementIndex``, which
-holds the identity as entry 0.  A word that is exactly a registered entry's
-word is found by the word, from a dict keyed by its letters as bytes.  Any
-other word is bucketed by such a fold on the deepest level of at most 256
-vertices, taken with ``bytes.translate``, and every bucket hit is confirmed
-with the word problem.  The index keeps each entry's key, so the fold starts
-from the key of the word's longest registered prefix (the empty word at
-worst), and an entry's word times one letter is keyed with one more
-``translate`` (``find_or_insert_child``).
+Element identity is decided in one place, ``ElementIndex``: a registered
+entry's word is found by its bytes, and any other word is bucketed by its
+action on the deepest level of at most 256 vertices, folded with
+``bytes.translate`` from the key of its longest registered prefix, and
+confirmed with the word problem.
 """
 
 from __future__ import annotations
@@ -230,13 +228,26 @@ def _word_bytes(word: Word) -> bytes:
     return _word_struct(len(word)).pack(*word)
 
 
-def _product(u: Word, v: Word) -> Word:
+def product_word(u: Word, v: Word) -> Word:
     """Reduced product of two reduced words; only the junction can cancel."""
     k = 0
     n = min(len(u), len(v))
     while k < n and u[-1 - k] == -v[k]:
         k += 1
     return u[: len(u) - k] + v[k:]
+
+
+def power_word(word: Word, n: int) -> Word:
+    """Reduced n-th power of a reduced word w = u c u^-1, c cyclically
+    reduced: u c^n u^-1 cancels nowhere.  A negative n inverts w first."""
+    if n < 0:
+        word, n = invert_word(word), -n
+    if not n:
+        return ()
+    k, end = 0, len(word)
+    while k < end - 1 - k and word[k] == -word[end - 1 - k]:
+        k += 1
+    return word[:k] + word[k : end - k] * n + word[end - k :]
 
 
 def invert_word(word: Sequence[int]) -> Word:
@@ -653,12 +664,11 @@ class GeneratorSystem:
         return walk
 
     def _point_tables(self, k: int) -> list:
-        """The steps of ``word_at`` on level k, and the one source of each
-        letter's level-k action and sections: per signed letter, at its
-        index in a list of 2n + 1, the list over the d^k level-k points x
-        of ``(the letter's image of x, its section at x reversed)``.  When
-        ``_single``, a step holds that section's letter, or 0 for none, in
-        place of the tuple.
+        """The steps of ``word_at`` on level k, and of ``_walk_level`` on
+        levels 1 and ``_jump``: per signed letter, at its index in a list of
+        2n + 1, the list over the d^k level-k points x of ``(the letter's
+        image of x, its section at x reversed)``.  When ``_single``, a step
+        holds that section's letter, or 0 for none, in place of the tuple.
 
         A letter l sends x y, x a letter, to root(x) w(y) with w = l_x, so
         each block of its level-k list is the level-(k-1) list of w with
@@ -934,7 +944,7 @@ class Element:
 
     def __mul__(self, other: "Element") -> "Element":
         _same_system(self, other)
-        return Element._reduced(self.system, _product(self.word, other.word))
+        return Element._reduced(self.system, product_word(self.word, other.word))
 
     def inverse(self) -> "Element":
         return Element._reduced(self.system, invert_word(self.word))
@@ -942,16 +952,7 @@ class Element:
     __invert__ = inverse
 
     def __pow__(self, n: int) -> "Element":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = Element(self.system, ())
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return Element._reduced(self.system, power_word(self.word, n))
 
     # -- recursion -----------------------------------------------------------
 
@@ -1063,7 +1064,7 @@ def equals(g: Element, h: Element) -> bool:
     system = _same_system(g, h)
     if g.word == h.word:
         return True
-    return system.word_is_trivial(_product(g.word, invert_word(h.word)))
+    return system.word_is_trivial(product_word(g.word, invert_word(h.word)))
 
 
 class Portrait(Record):
@@ -1134,7 +1135,7 @@ class ElementIndex:
         bucket = self._buckets.get(self._key(word, packed), ())
         words, is_trivial = self._words, self.system.word_is_trivial
         for i in bucket[:-1] if complete else bucket:
-            if is_trivial(_product(word, invert_word(words[i]))):
+            if is_trivial(product_word(word, invert_word(words[i]))):
                 return i
         return bucket[-1] if complete and bucket else None
 
@@ -1161,7 +1162,7 @@ class ElementIndex:
         word = words[idx] + (letter,)
         key = self._key_after(idx, (letter,))
         for i in self._buckets.get(key, ()):
-            if system.word_is_trivial(_product(word, invert_word(words[i]))):
+            if system.word_is_trivial(product_word(word, invert_word(words[i]))):
                 return i, False
         word_key = self._word_keys[idx] + self._letter_bytes[letter]
         return self._register(word, key, word_key), True

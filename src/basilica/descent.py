@@ -39,6 +39,8 @@ from .core import (
     exponent_sums,
     free_reduce,
     invert_word,
+    power_word,
+    product_word,
     require_basilica,
     substitute_word,
     vertex_str,
@@ -130,7 +132,7 @@ def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> De
             )
         # (g^2)_x = g_{g(x)} g_x
         for x, sec in enumerate(sections):
-            sec = free_reduce(sections[root[x]] + sec)
+            sec = product_word(sections[root[x]], sec)
             if sec not in visited:
                 visited.add(sec)
                 queue.append((sec, path + (x,)))
@@ -243,18 +245,14 @@ def solve_coset(H: SubgroupHandle, target: tuple[int, int]):
         if r:
             return failure
         rest = [x - q * y for x, y in zip(rest, work[piv])]
-    letters: list[int] = []
+    # one run of one sign per generator, so the word is reduced
+    hword: HWord = ()
     for i, c in enumerate(rest[2:]):
-        letters.extend([-(i + 1) if c > 0 else i + 1] * abs(c))
-    hword = free_reduce(letters)
+        hword += (-(i + 1) if c > 0 else i + 1,) * abs(c)
     realized = exponent_sums(H.evaluate(hword).word, 2)
     if realized != target:
         raise ConsistencyError(f"coset solve produced image {realized} != {target}")
     return hword
-
-
-def _hword_pow(hword: HWord, n: int) -> HWord:
-    return free_reduce(hword * n)
 
 
 _BUDGET_KEYS = ("states", "schreier", "depth")
@@ -369,13 +367,16 @@ def prodense_projection_search(
     (4) solve the (1,-1) coset over the projection, (5) descend to b^-1 a at
     v', (6) persist ab down v' and finish through a^2 or b^2.  Every witness
     is rewritten over H's original generators, so the certificate can be
-    replayed without trusting any of this code.  A negative budget raises
-    ``InputError``, since a certificate records its budgets as decimals.
+    replayed without trusting any of this code.  A budget that is not a
+    non-negative int raises ``InputError``, since a certificate records its
+    budgets as decimals; ``max_depth`` admits a vertex exactly that deep.
     """
     require_basilica(H.system)
     system = H.system
     budgets = dict(zip(_BUDGET_KEYS, (max_states, schreier_cap, max_depth)))
     for key, value in budgets.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise InputError(f"budget-{key} must be an integer, not {value!r}")
         if value < 0:
             raise InputError(f"budget-{key} must be non-negative, got {value}")
     stages: list[str] = []
@@ -400,7 +401,7 @@ def prodense_projection_search(
     k = cert_ab.exponent_log
     if len(v) > max_depth:
         return fail(2, f"descent vertex deeper than {max_depth}")
-    expr_ab_at_v = _hword_pow(expr_h, 2**k)
+    expr_ab_at_v = power_word(expr_h, 2**k)
     stages.append(f"descend-ab vertex {vertex_str(v)} k {k}")
 
     # stage 3: generators of the projection H_v, paired with expressions
@@ -423,28 +424,23 @@ def prodense_projection_search(
         return fail(5, f"descent budget exhausted ({exc})")
     vprime = cert_ba.vertex
     kprime = cert_ba.exponent_log
-    if len(v) + len(vprime) + 2 > max_depth:
+    # ab persists down v' as ab or ba, and the endgame descends "11" or "1"
+    _, final = persist_ab(system.element("ab"), vprime)
+    ab_final = final == system.element("ab")
+    vertex = v + vprime + ("11" if ab_final else "1")
+    if len(vertex) > max_depth:
         return fail(5, f"combined vertex deeper than {max_depth}")
-    expr_binva = _hword_pow(expr_hprime, 2**kprime)
+    expr_binva = power_word(expr_hprime, 2**kprime)
     stages.append(f"descend-binva vertex {vertex_str(vprime)} k {kprime}")
 
-    # stage 6: persist ab down v' and assemble the endgame
-    _, final = persist_ab(system.element("ab"), vprime)
-    expr_persist = _hword_pow(expr_ab_at_v, 2 ** len(vprime))
-    if final == system.element("ab"):
-        # ab and b^-1 a give a^2 = (1, b^2), b^2 = (a, a): descend "11"
-        vertex = v + vprime + "11"
-        expr_a = free_reduce(expr_persist + expr_binva)
-        expr_ab_deep = _hword_pow(expr_persist, 4)
-        final_tag = "ab"
-    else:
-        # ba and b^-1 a give b^2 = (a, a): descend "1"
-        vertex = v + vprime + "1"
-        expr_a = free_reduce(expr_persist + invert_word(expr_binva))
-        expr_ab_deep = _hword_pow(expr_persist, 2)
-        final_tag = "ba"
-    expr_b = free_reduce(invert_word(expr_a) + expr_ab_deep)
-    stages.append(f"persist vertex {vertex_str(vprime)} final {final_tag}")
+    # stage 6: persisted ab times b^-1 a is a^2 = (1, b^2), a at "11", and
+    # persisted ba times a^-1 b is b^2 = (a, a), a at "1"; ab persisted down
+    # v' and that suffix is ab again, so a^-1 (ab) is b there
+    expr_persist = power_word(expr_ab_at_v, 2 ** len(vprime))
+    expr_a = product_word(expr_persist, power_word(expr_binva, 1 if ab_final else -1))
+    expr_ab_deep = power_word(expr_ab_at_v, 2 ** (len(vertex) - len(v)))
+    expr_b = product_word(invert_word(expr_a), expr_ab_deep)
+    stages.append(f"persist vertex {vertex_str(vprime)} final {'ab' if ab_final else 'ba'}")
 
     certificate = ProdenseCertificate(
         subgroup=H.words(),

@@ -30,6 +30,7 @@ from .core import (
     ascii_int,
     free_reduce,
     invert_word,
+    product_word,
     substitute_word,
     vertex_str,
     vertex_word,
@@ -162,7 +163,7 @@ def stabilizer_generator_pairs(
     # paths of one length sort as their vertex strings do
     for u in sorted(transversal):
         for i, w in enumerate(forward[u]):
-            hw = free_reduce(invert_word(transversal[w]) + (i + 1,) + transversal[u])
+            hw = product_word(product_word(invert_word(transversal[w]), (i + 1,)), transversal[u])
             candidates.append((H.evaluate(hw), hw))
     candidates.sort(key=lambda pair: (len(pair[0].word), pair[0].word, len(pair[1])))
     index = ElementIndex(H.system)

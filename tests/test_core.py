@@ -23,11 +23,12 @@ from basilica import core
 from basilica.core import (
     Element,
     ElementIndex,
-    _product,
     compose_images,
     exponent_sums,
     invert_images,
     invert_word,
+    power_word,
+    product_word,
 )
 from basilica.descent import persist_ab
 from basilica.norms import ball
@@ -658,8 +659,8 @@ def test_walk_tables_stay_within_the_level_quotient(monkeypatch):
     monkeypatch.setattr(system, "_walk_tables", lambda k: built.append(k) or walk_tables(k))
     g = system.element("ABab")
     lifted = lift_section(g, "0110101").word
-    trivial = _product(lifted, invert_word(lift_section(g * tau(3), "0110101").word))
-    nontrivial = _product(lifted, invert_word(lift_section(system.element("AbaB"), "0110101").word))
+    trivial = product_word(lifted, invert_word(lift_section(g * tau(3), "0110101").word))
+    nontrivial = product_word(lifted, invert_word(lift_section(system.element("AbaB"), "0110101").word))
     assert min(len(trivial), len(nontrivial)) > core.MEMO_LETTERS
     for _ in range(2):
         assert system.word_is_trivial(trivial) and not system.word_is_trivial(nontrivial)
@@ -1007,11 +1008,41 @@ def test_multiply_inverse(B):
     assert invert_word((1, 2)) == (-2, -1)
 
 
+_SIGNED = st.sampled_from([1, -1, 2, -2])
+
+
+def _is_reduced(word):
+    return all(x != -y for x, y in zip(word, word[1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(_SIGNED, max_size=12).map(free_reduce), st.integers(-6, 6))
+# aBA and AbaB are not cyclically reduced: their copies cancel where they meet
+@example((1, -2, -1), 3)
+@example((-1, 2, 1, -2), -2)
+@example((1, -2, -1), 0)
+@example((), 5)
+def test_power_word_is_the_reduced_repetition(word, n):
+    power = power_word(word, n)
+    assert power == free_reduce((word if n >= 0 else invert_word(word)) * abs(n))
+    assert _is_reduced(power)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(*[st.lists(_SIGNED, max_size=12).map(free_reduce)] * 2)
+@example((1, 2, -1), (1, -2, -1))
+def test_product_word_is_the_reduced_concatenation(u, v):
+    product = product_word(u, v)
+    assert product == free_reduce(u + v) and _is_reduced(product)
+
+
 def test_pow(B):
     a = B.generator("a")
     assert str(a**3) == "aaa"
     assert str(a**-2) == "AA"
     assert (a**0).is_trivial()
+    assert str(B.element("aBA") ** 3) == "aBBBA"
+    assert str(B.element("aBA") ** -2) == "abbA"
 
 
 def test_portrait(B):

@@ -407,3 +407,40 @@ def test_search_rejects_negative_budget(B, budget, key):
     H = SubgroupHandle.from_words(B, ["ab", "Ba"])
     with pytest.raises(InputError, match=f"budget-{key} must be non-negative"):
         prodense_projection_search(H, **{budget: -1})
+
+
+@pytest.mark.parametrize(
+    "words, vertex",
+    # the endgame descends "1" after a persisted ba and "11" after ab
+    [(["a", "b"], "001"), (["ba", "bb"], "1001"), (["a", "aB"], "0111")],
+)
+def test_search_depth_budget_admits_a_vertex_that_deep(B, words, vertex):
+    H = SubgroupHandle.from_words(B, words)
+    cert = prodense_projection_search(H, max_depth=len(vertex))
+    assert isinstance(cert, ProdenseCertificate) and cert.vertex == vertex
+    assert verify_certificate(H, parse_certificate(cert.serialize()))
+    res = prodense_projection_search(H, max_depth=len(vertex) - 1)
+    assert isinstance(res, FailureReport)
+    assert res.describe() == f"stage=5 combined vertex deeper than {len(vertex) - 1}"
+
+
+def test_search_depth_budget_at_the_descent_vertex(B):
+    # <ba, bb> descends to ab at the vertex 1
+    H = SubgroupHandle.from_words(B, ["ba", "bb"])
+    res = prodense_projection_search(H, max_depth=0)
+    assert res.describe() == "stage=2 descent vertex deeper than 0"
+    assert res.trace == ("coset target (1,1) expr g0",)
+    assert prodense_projection_search(H, max_depth=1).stage == 5
+
+
+@pytest.mark.parametrize("value", [16.0, 1000.5, True, False, "16", None])
+@pytest.mark.parametrize(
+    "budget, key",
+    [("max_states", "states"), ("schreier_cap", "schreier"), ("max_depth", "depth")],
+)
+def test_search_rejects_non_integer_budget(B, budget, key, value):
+    # a certificate records its budgets as ASCII decimals, which 16.0 or
+    # True would not read back as
+    H = SubgroupHandle.from_words(B, ["ab", "Ba"])
+    with pytest.raises(InputError, match=f"budget-{key} must be an integer, not {value!r}"):
+        prodense_projection_search(H, **{budget: value})
