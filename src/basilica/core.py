@@ -181,8 +181,8 @@ MEMO_LETTERS = 64
 
 MAX_LEVEL_POINTS = 1 << 16
 # vertices one level may have: of a level permutation, a portrait or an orbit
-# (level 16 of the binary tree); the level-quotient orders are already minutes
-# of work at level 10
+# (level 16 of the binary tree); it bounds memory, not time: Basilica's
+# abAAb on level 16 allocates about 23 MB at its peak, doubling per level
 
 _BYTE_IDENTITY = bytes(range(256))
 
@@ -403,7 +403,7 @@ class GeneratorSystem:
         alphabet_size: int,
         generators: Sequence[tuple[str, Sequence[int], Sequence[str]]],
     ):
-        if alphabet_size < 2:
+        if require_count(alphabet_size, "alphabet size") < 2:
             raise InputError("alphabet size must be at least 2")
         self.alphabet_size = alphabet_size
 
@@ -763,8 +763,7 @@ class GeneratorSystem:
 
     def word_level_perm(self, word: Word, n: int) -> tuple[int, ...]:
         """Images of the d^n level-n vertices in lexicographic order."""
-        if n < 0:
-            raise InputError("level must be non-negative")
+        require_count(n, "level")
         d = self.alphabet_size
         # d >= 2, so d^n passes the budget for every n past its bit length
         if n >= MAX_LEVEL_POINTS.bit_length() or d**n > MAX_LEVEL_POINTS:
@@ -898,6 +897,17 @@ def require_basilica(g) -> GeneratorSystem:
     return system
 
 
+def require_count(value, what: str) -> int:
+    """Return ``value`` if it is an int, not a bool, and non-negative: the
+    rule for every level, depth, radius, budget and cap.  Raises
+    ``InputError`` naming ``what`` otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, not {value!r}")
+    if value < 0:
+        raise InputError(f"{what} must be non-negative, got {value}")
+    return value
+
+
 def _same_system(g: "Element", h: "Element") -> GeneratorSystem:
     if g.system is h.system or g.system == h.system:
         return g.system
@@ -962,7 +972,7 @@ class Element:
 
     def section(self, x: int) -> "Element":
         """The automorphism induced on the subtree below letter x."""
-        if not 0 <= x < self.system.alphabet_size:
+        if not (isinstance(x, int) and 0 <= x < self.system.alphabet_size):
             raise InputError(f"letter {x} outside the alphabet")
         return Element._reduced(self.system, self.system.word_sections(self.word)[x])
 
@@ -1016,9 +1026,7 @@ class Element:
         the number of complete levels) before labelling a level of more than
         ``MAX_LEVEL_POINTS`` vertices.
         """
-        if depth < 0:
-            raise InputError("portrait depth must be non-negative")
-        if depth >= 2:
+        if require_count(depth, "portrait depth") >= 2:
             _require_digit_vertices(self.system.alphabet_size)
         labels: dict[str, Perm] = {}
         frontier = [("", self.word)]

@@ -42,6 +42,7 @@ from .core import (
     power_word,
     product_word,
     require_basilica,
+    require_count,
     substitute_word,
     vertex_str,
     vertex_word,
@@ -107,8 +108,7 @@ class DescentCertificate(Record):
 
 
 def _descend(g: Element, target: Element, allowed: tuple, max_states: int) -> DescentCertificate:
-    if max_states < 0:
-        raise InputError(f"descent budget must be non-negative, got {max_states}")
+    require_count(max_states, "descent budget")
     # find_ab and find_b_inv_a have checked the system
     image = exponent_sums(g.word, 2)
     if image not in allowed:
@@ -375,10 +375,7 @@ def prodense_projection_search(
     system = H.system
     budgets = dict(zip(_BUDGET_KEYS, (max_states, schreier_cap, max_depth)))
     for key, value in budgets.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise InputError(f"budget-{key} must be an integer, not {value!r}")
-        if value < 0:
-            raise InputError(f"budget-{key} must be non-negative, got {value}")
+        require_count(value, f"budget-{key}")
     stages: list[str] = []
 
     def fail(stage, reason, lattice=None):

@@ -34,9 +34,9 @@ from .core import (
     Element,
     ElementIndex,
     GeneratorSystem,
-    InputError,
     Record,
     Word,
+    require_count,
 )
 
 MAX_CLASSES = 120_000
@@ -123,10 +123,7 @@ def _registry(system: GeneratorSystem) -> _BallRegistry:
 def ball(system: GeneratorSystem, radius: int) -> Ball:
     """The ball of the given radius; deterministic class ordering.  Each
     class object is built once per registry and shared by every later ball."""
-    if not isinstance(radius, int) or isinstance(radius, bool):
-        raise InputError(f"radius must be an integer, not {radius!r}")
-    if radius < 0:
-        raise InputError("radius must be non-negative")
+    require_count(radius, "radius")
     reg = _registry(system)
     reg.extend(radius)
     count = bisect_right(reg.norms, radius)

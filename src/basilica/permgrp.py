@@ -31,6 +31,7 @@ from .core import (
     free_reduce,
     invert_word,
     product_word,
+    require_count,
     substitute_word,
     vertex_str,
     vertex_word,
@@ -153,10 +154,9 @@ def stabilizer_generator_pairs(
 
     One exact lookup in an index, which holds the identity, drops trivial
     and repeated elements; at most ``cap`` survive, shorter ones first.
-    Raises ``InputError`` when ``cap`` is negative.
+    Raises ``InputError`` when ``cap`` is not a non-negative int.
     """
-    if cap < 0:
-        raise InputError(f"stabilizer cap must be non-negative, got {cap}")
+    require_count(cap, "stabilizer cap")
     forward: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     transversal = _schreier_search(H, vertex, forward)
     candidates: list[tuple[Element, HWord]] = []

@@ -154,10 +154,9 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
         # a permutation that is not the identity here is no member
         return None if g == identity else (n + 1, 0, g)
 
-    # a queued sift is (element, first level, None); above 256 leaves, where
-    # a queue of elements passed 1 GB at level 16, a commutator [r, b] is
-    # queued as (entry of r, first level, entry of b) and built when popped
-    deferred = degree > 256
+    # a queued sift is (element, first level, None), or for a commutator
+    # [r, b] (entry of r, first level, entry of b), built when popped: a
+    # queue of built elements passed 1 GB at level 16
     queue: list[tuple] = [(x, 1, None) for x, _, _ in generators]
     work = len(queue)  # products formed, each at least a pass over the leaves
     length = 0
@@ -186,14 +185,9 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
         echelons[k][v.bit_length()] = (v, entry)
         work += (k < n) + len(tests)
         for e, level in tests:
-            b, b_table, b_inv = e
-            rb = apply(b, r_table)
-            if rb == apply(r, b_table):
-                continue
-            if deferred:
+            b, b_table, _ = e
+            if apply(b, r_table) != apply(r, b_table):
                 queue.append((entry, level, e))
-            else:
-                queue.append((apply(apply(rb, b_inv), r_inv), level, None))
         length += 1
     return 2**length, lambda g: sift(convert(g), 1) is None
 

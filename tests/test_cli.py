@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from basilica import ConsistencyError, basilica, cli, core, norms, permgrp, quotients, structure
 from basilica.cli import main
 
-from conftest import BASILICA_TEXT
+from conftest import BASILICA_TEXT, D3_TEXT, EXPANDING_TEXT
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -35,7 +35,7 @@ def test_eval_with_portrait(capsys):
 
 def test_eval_error_leaves_stdout_empty(tmp_path, capsys):
     assert run(capsys, "eval", "ab", "--depth", "-1") == (
-        2, "", "parse error: portrait depth must be non-negative\n"
+        2, "", "parse error: portrait depth must be non-negative, got -1\n"
     )
     path = tmp_path / "eleven.txt"
     path.write_text("alphabet 11\ngen a perm=1,2,3,4,5,6,7,8,9,10,0 sections=a,e,e,e,e,e,e,e,e,e,e\n")
@@ -119,7 +119,6 @@ def test_root_vertex_e_prints_as_empty_vertex(capsys, argv):
 
 # orbit tables of vertices past the key level (8 when d = 2, 5 when d = 3),
 # whose every line reads the generators' images of a vertex through word_at
-_D3_SYSTEM = "alphabet 3; gen a perm=1,2,0 sections=e,b,a; gen b perm=0,2,1 sections=aB,e,b"
 _DEEP_ORBITS = {
     "binary": (
         None,
@@ -128,7 +127,7 @@ _DEEP_ORBITS = {
         "c28b5084f04f22c71824ca8e25046653744df839800d5d69c2f2d4de1990e3b9",
     ),
     "d3": (
-        _D3_SYSTEM,
+        D3_TEXT,
         "000000",
         729,
         "1fbbe954faa7a1e284c39b3606d007c1150459663a59282d8be8c70a080c107e",
@@ -176,9 +175,7 @@ def test_orbit_and_stab_goldens_below_the_root(tmp_path, capsys):
     # pins BFS order, inverse letters and cap tie-breaks; each block of the
     # file is "== argv" and then the output, and d3.txt names the d = 3 test
     # system
-    (tmp_path / "d3.txt").write_text(
-        "alphabet 3\ngen a perm=1,2,0 sections=e,b,a\ngen b perm=0,2,1 sections=aB,e,b\n"
-    )
+    (tmp_path / "d3.txt").write_text(D3_TEXT)
     blocks = (GOLDEN / "orbit_stab.txt").read_text().split("== ")[1:]
     assert len(blocks) == 6
     for block in blocks:
@@ -392,7 +389,7 @@ def test_norm_budget_exit_code(tmp_path, capsys, monkeypatch):
 def test_norm_closure_budget_exit_code(tmp_path, capsys, monkeypatch):
     # a = (a^2, 1) is trivial, but the closure a, a^2, a^4, ... never ends
     path = tmp_path / "expanding.txt"
-    path.write_text("alphabet 2\ngen a perm=0,1 sections=aa,e\ngen b perm=1,0 sections=e,e\n")
+    path.write_text(EXPANDING_TEXT)
     monkeypatch.setattr(core, "MAX_CLOSURE_LETTERS", 1000)
     code, out, err = run(capsys, "norm", "a", "--system", str(path))
     assert code == 4
@@ -420,7 +417,7 @@ def test_norm_missed_word_exit_code(tmp_path, capsys, monkeypatch):
 def test_order_sift_budget_exit_code(tmp_path, capsys, monkeypatch):
     # a d = 3 system takes the Schreier-Sims path; its level-2 chain makes 38 sifts
     path = tmp_path / "d3.txt"
-    path.write_text("alphabet 3\ngen a perm=1,2,0 sections=e,b,a\ngen b perm=0,2,1 sections=aB,e,b\n")
+    path.write_text(D3_TEXT)
     argv = ("order", "--system", str(path), "--gens", "a,b", "--level", "2")
     monkeypatch.setattr(quotients, "MAX_SCHREIER_SIFTS", 38)
     assert run(capsys, *argv)[:2] == (0, "1296\n")

@@ -23,6 +23,7 @@ from basilica import core
 from basilica.core import (
     Element,
     ElementIndex,
+    GeneratorSystem,
     compose_images,
     exponent_sums,
     invert_images,
@@ -30,11 +31,23 @@ from basilica.core import (
     power_word,
     product_word,
 )
-from basilica.descent import persist_ab
+from basilica.descent import find_ab, find_b_inv_a, persist_ab, prodense_projection_search
 from basilica.norms import ball
+from basilica.permgrp import SubgroupHandle, stabilizer_generator_pairs
 from basilica.structure import LIFT_SUBSTITUTION, lift_section, tau
 
-from conftest import BASILICA_TEXT, random_element, reduced_words
+from conftest import (
+    ADDING_MACHINE_TEXT,
+    BASILICA_TEXT,
+    D3_TEXT,
+    EXPANDING_TEXT,
+    GRIGORCHUK_TEXT,
+    GUPTA_SIDKI_TEXT,
+    HANOI_TEXT,
+    LAMPLIGHTER_TEXT,
+    random_element,
+    reduced_words,
+)
 
 
 def test_free_reduce_cancellation(B):
@@ -215,7 +228,6 @@ def test_decision_agrees_with_deep_level_action():
             assert equals(classes[i], classes[j]) == (perms[i] == perms[j])
 
 
-_D3_SYSTEM = "alphabet 3; gen a perm=1,2,0 sections=e,b,a; gen b perm=0,2,1 sections=aB,e,b"
 # a Basilica-like system on 300 letters: past 256 the index keys on level 0,
 # so every word shares one bucket
 _WIDE_SYSTEM = (
@@ -224,7 +236,7 @@ _WIDE_SYSTEM = (
     + "; gen b perm=" + ",".join(map(str, [*range(1, 300), 0]))
     + " sections=a" + ",e" * 299
 )
-_SYSTEMS = {"basilica": BASILICA_TEXT, "d3": _D3_SYSTEM, "wide": _WIDE_SYSTEM}
+_SYSTEMS = {"basilica": BASILICA_TEXT, "d3": D3_TEXT, "wide": _WIDE_SYSTEM}
 # the deepest level of at most 256 vertices
 _KEY_LEVEL = {"basilica": 8, "grigorchuk": 8, "d3": 5, "wide": 0}
 
@@ -274,11 +286,7 @@ def test_index_key_is_level_action(kind, letters):
     assert index._keys[idx] == bytes(system.word_level_perm(word, level))
 
 
-_GRIGORCHUK = (
-    "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,c; "
-    "gen c perm=0,1 sections=a,d; gen d perm=0,1 sections=e,b"
-)
-_CHILD_SYSTEMS = {"basilica": BASILICA_TEXT, "grigorchuk": _GRIGORCHUK, "d3": _D3_SYSTEM}
+_CHILD_SYSTEMS = {"basilica": BASILICA_TEXT, "grigorchuk": GRIGORCHUK_TEXT, "d3": D3_TEXT}
 
 
 @settings(derandomize=True, deadline=None)
@@ -391,20 +399,14 @@ def _reference_root_and_sections(system, word):
     return root, secs
 
 
-_GUPTA_SIDKI = "alphabet 3; gen a perm=1,2,0 sections=e,e,e; gen b perm=0,1,2 sections=a,A,b"
-# the Hanoi towers group H(3): its roots generate S3
-_HANOI = (
-    "alphabet 3; gen a perm=1,0,2 sections=e,e,a; gen b perm=2,1,0 sections=e,b,e; "
-    "gen c perm=0,2,1 sections=c,e,e"
-)
 # systems with trivial roots (Grigorchuk's b, c, d, Gupta-Sidki's b) and a
 # nonabelian root group
 _WALK_SYSTEMS = {
     "basilica": BASILICA_TEXT,
-    "d3": _D3_SYSTEM,
-    "grigorchuk": _GRIGORCHUK,
-    "gupta-sidki": _GUPTA_SIDKI,
-    "hanoi": _HANOI,
+    "d3": D3_TEXT,
+    "grigorchuk": GRIGORCHUK_TEXT,
+    "gupta-sidki": GUPTA_SIDKI_TEXT,
+    "hanoi": HANOI_TEXT,
 }
 # every letter of the largest of these systems, Grigorchuk's four generators
 _ALL_LETTERS = [1, -1, 2, -2, 3, -3, 4, -4]
@@ -489,8 +491,7 @@ def _check_word_at(system, word, path):
 
 
 # a = (a^2, 1) doubles a word's a's at every 0, so its paths stay short
-_EXPANDING = "alphabet 2; gen a perm=0,1 sections=aa,e; gen b perm=1,0 sections=e,e"
-_AT_SYSTEMS = {**_WALK_SYSTEMS, "expanding": _EXPANDING}
+_AT_SYSTEMS = {**_WALK_SYSTEMS, "expanding": EXPANDING_TEXT}
 # paths of 17 levels are past the key level (8 when d = 2, 5 when d = 3), so
 # word_at walks them in more than one chunk
 _AT_DEPTH = 17
@@ -577,13 +578,6 @@ def test_walk_level_is_level_action_and_iterated_sections(kind, k, states_cap, l
     assert system._walks[k][2] == (kind in ("basilica", "hanoi"))
 
 
-# the adding machine a = sigma(1, a) beside a trivial b = (1, b): a adds one
-# to a vertex read as a binary number, least significant digit first, so a
-# word acts as adding its a-exponent sum n, and its section at a vertex v of
-# level L is a^c with c the carry (v + n) >> L
-_ADDING_MACHINE = "alphabet 2; gen a perm=1,0 sections=e,a; gen b perm=0,1 sections=e,b"
-
-
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(
     st.lists(st.sampled_from([1, -1, 2, -2]), min_size=65, max_size=600),
@@ -591,7 +585,7 @@ _ADDING_MACHINE = "alphabet 2; gen a perm=1,0 sections=e,a; gen b perm=0,1 secti
     st.lists(st.integers(0, 1), max_size=8),
 )
 def test_jump_walk_matches_the_adding_machine(letters, balance, path):
-    system = parse_system(_ADDING_MACHINE)
+    system = parse_system(ADDING_MACHINE_TEXT)
     assert system._jump == 3
     word = _uncancelled(letters)
     if balance:
@@ -611,14 +605,14 @@ def test_jump_walk_matches_the_adding_machine(letters, balance, path):
 # levels a long word is walked at once
 _JUMPS = {
     "basilica": (BASILICA_TEXT, 3),
-    "adding-machine": (_ADDING_MACHINE, 3),
+    "adding-machine": (ADDING_MACHINE_TEXT, 3),
     # b = (a, c) holds two letters
-    "grigorchuk": (_GRIGORCHUK, 1),
-    "lamplighter": ("alphabet 2; gen a perm=1,0 sections=a,b; gen b perm=0,1 sections=a,b", 1),
+    "grigorchuk": (GRIGORCHUK_TEXT, 1),
+    "lamplighter": (LAMPLIGHTER_TEXT, 1),
     # a = (a^2, 1) doubles its words
-    "expanding": (_EXPANDING, 1),
-    "gupta-sidki": (_GUPTA_SIDKI, 1),
-    "hanoi": (_HANOI, 1),
+    "expanding": (EXPANDING_TEXT, 1),
+    "gupta-sidki": (GUPTA_SIDKI_TEXT, 1),
+    "hanoi": (HANOI_TEXT, 1),
 }
 
 
@@ -636,7 +630,7 @@ _CHUNKS = {
         for kind in ("basilica", "adding-machine", "grigorchuk", "lamplighter", "expanding")
     },
     **{kind: (_JUMPS[kind][0], 5) for kind in ("gupta-sidki", "hanoi")},
-    "d3": (_D3_SYSTEM, 5),
+    "d3": (D3_TEXT, 5),
     "wide": (_WIDE_SYSTEM, 1),
     # 16 letters in a's sections: 16^2 = 256 on level 2
     "sixteen": ("alphabet 2; gen a perm=1,0 sections=aaaaaaaa,aaaaaaaa", 2),
@@ -728,8 +722,8 @@ _PARSE_SYSTEMS = {
     kind: parse_system(text)
     for kind, text in {
         "basilica": BASILICA_TEXT,
-        "grigorchuk": _GRIGORCHUK,
-        "d3": _D3_SYSTEM,
+        "grigorchuk": GRIGORCHUK_TEXT,
+        "d3": D3_TEXT,
         "25-generators": _SYSTEM_25,
     }.items()
 }
@@ -821,9 +815,9 @@ _PROJECTION_SYSTEMS = {
     kind: parse_system(text)
     for kind, text in {
         "basilica": BASILICA_TEXT,
-        "grigorchuk": _GRIGORCHUK,
-        "gupta-sidki": _GUPTA_SIDKI,
-        "d3": _D3_SYSTEM,
+        "grigorchuk": GRIGORCHUK_TEXT,
+        "gupta-sidki": GUPTA_SIDKI_TEXT,
+        "d3": D3_TEXT,
     }.items()
 }
 
@@ -859,6 +853,12 @@ def test_projection_needs_the_vertex_fixed(B):
     assert equals((b * b).projection((0,)), B.generator("a"))
 
 
+@pytest.mark.parametrize("x", [2, -1, 1.0, "1"])
+def test_section_refuses_letters_outside_the_alphabet(B, x):
+    with pytest.raises(InputError, match=f"^letter {re.escape(str(x))} outside the alphabet$"):
+        B.element("b").section(x)
+
+
 @pytest.mark.parametrize("path", [(2,), (-1,), (0, 2), (1, 0, 5)])
 def test_projection_refuses_digits_outside_the_alphabet(B, path):
     # read as a point of its level, (0, 2) would be the vertex 10
@@ -878,6 +878,36 @@ def test_word_at_refuses_digits_outside_the_alphabet(path, digit):
     message = f"vertex letter {digit} outside the alphabet"
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         basilica().word_at((2,), path)
+
+
+@pytest.mark.parametrize(
+    "value, rule",
+    [(1.5, "an integer, not 1.5"), (True, "an integer, not True"), ("3", "an integer, not '3'"),
+     (-1, "non-negative, got -1")],
+    ids=["float", "bool", "str", "negative"],
+)
+@pytest.mark.parametrize(
+    "what, call",
+    [
+        ("alphabet size", lambda n: GeneratorSystem(n, [("a", (0, 1), ("e", "e"))])),
+        ("level", lambda n: basilica().word_level_perm((1, 2), n)),
+        ("portrait depth", lambda n: basilica().element("ab").portrait(n)),
+        ("radius", lambda n: ball(basilica(), n)),
+        ("stabilizer cap", lambda n: stabilizer_generator_pairs(
+            SubgroupHandle.from_words(basilica(), ["a", "b"]), "0", n)),
+        ("descent budget", lambda n: find_ab(basilica().element("ab"), n)),
+        ("descent budget", lambda n: find_b_inv_a(basilica().element("aB"), n)),
+        ("budget-states", lambda n: prodense_projection_search(
+            SubgroupHandle.from_words(basilica(), ["ab", "Ba"]), max_states=n)),
+    ],
+    ids=["alphabet", "level", "portrait", "ball", "stab", "find-ab", "find-binva", "prodense"],
+)
+def test_counts_must_be_non_negative_ints(what, call, value, rule):
+    # every level, depth, radius, budget and cap passes core.require_count,
+    # which refuses a bool, a float, a str and a negative int alike; the
+    # other two prodense budgets are test_descent's
+    with pytest.raises(InputError, match=f"^{re.escape(f'{what} must be {rule}')}$"):
+        call(value)
 
 
 def test_memo_keeps_only_short_words():
@@ -956,7 +986,7 @@ def test_level_perm_budget(monkeypatch):
     assert len(system.element("ab").level_perm(4).images) == 16
     with pytest.raises(BudgetExceededError):
         system.element("ab").level_perm(5)
-    d3 = parse_system(_D3_SYSTEM)
+    d3 = parse_system(D3_TEXT)
     assert len(d3.element("ab").level_perm(2).images) == 9
     with pytest.raises(BudgetExceededError):
         d3.element("ab").level_perm(3)
@@ -989,7 +1019,7 @@ def test_substitute(B):
 def test_closure_budget_counts_letters(monkeypatch):
     # a = (a^2, 1) is trivial, but its closure a, a^2, a^4, ... never ends:
     # it passes 1000 letters while it holds only 10 words
-    system = parse_system("alphabet 2; gen a perm=0,1 sections=aa,e; gen b perm=1,0 sections=e,e")
+    system = parse_system(EXPANDING_TEXT)
     monkeypatch.setattr(core, "MAX_CLOSURE_LETTERS", 1000)
     with pytest.raises(BudgetExceededError) as info:
         system.word_is_trivial(system.parse_word("a"))

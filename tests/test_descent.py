@@ -26,7 +26,7 @@ from basilica.norms import geodesic_rep
 from basilica.permgrp import SubgroupHandle
 from basilica.structure import ab_image, alpha, tau
 
-from conftest import BASILICA_TEXT
+from conftest import BASILICA_TEXT, GRIGORCHUK_TEXT, GUPTA_SIDKI_TEXT, LAMPLIGHTER_TEXT
 
 
 def test_congruence_transition_table():
@@ -92,12 +92,9 @@ def test_find_ab_precondition(B):
 # two-letter systems that are not Basilica; the lamplighter automaton has
 # Basilica's alphabet and generator names, so only the check refuses it
 _OTHER_SYSTEMS = {
-    "lamplighter": "alphabet 2; gen a perm=1,0 sections=a,b; gen b perm=0,1 sections=a,b",
-    "grigorchuk": (
-        "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,c; "
-        "gen c perm=0,1 sections=a,d; gen d perm=0,1 sections=e,b"
-    ),
-    "gupta-sidki": "alphabet 3; gen a perm=1,2,0 sections=e,e,e; gen b perm=0,1,2 sections=a,A,b",
+    "lamplighter": LAMPLIGHTER_TEXT,
+    "grigorchuk": GRIGORCHUK_TEXT,
+    "gupta-sidki": GUPTA_SIDKI_TEXT,
 }
 
 

@@ -8,7 +8,7 @@ from basilica import BudgetExceededError, InputError, core, equals, norms, parse
 from basilica.norms import ball, geodesic_rep, norm
 from basilica.structure import alpha, tau
 
-from conftest import BASILICA_TEXT, reduced_words
+from conftest import BASILICA_TEXT, D3_TEXT, GRIGORCHUK_TEXT, reduced_words
 
 
 def brute_force_classes(system, max_len):
@@ -172,14 +172,11 @@ def test_ball_budget(B, monkeypatch):
     assert ball(fresh, 5).table() == ball(B, 5).table()
 
 
-_D3_SYSTEM = "alphabet 3; gen a perm=1,2,0 sections=e,b,a; gen b perm=0,2,1 sections=aB,e,b"
-
-
 def test_ball_order_is_first_occurrence_in_shortlex(B):
     # the registry extends only the class representatives of the last
     # radius; the classes and their order must be those of all reduced words.
     # The d = 3 system keys on level 5 (243 of the 256 table bytes)
-    for text in (BASILICA_TEXT, _D3_SYSTEM):
+    for text in (BASILICA_TEXT, D3_TEXT):
         fresh = parse_system(text)
         oracle = brute_force_classes(fresh, 5)
         assert [c.word for c in ball(fresh, 5).classes] == [g.word for g in oracle]
@@ -251,11 +248,7 @@ def test_smaller_balls_share_the_class_objects():
     assert [len(ball(fresh, r)) for r in range(6)] == [1, 5, 17, 53, 153, 421]
 
 
-_GRIGORCHUK = (
-    "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,c; "
-    "gen c perm=0,1 sections=a,d; gen d perm=0,1 sections=e,b"
-)
-_READ_SYSTEMS = {"basilica": BASILICA_TEXT, "grigorchuk": _GRIGORCHUK, "d3": _D3_SYSTEM}
+_READ_SYSTEMS = {"basilica": BASILICA_TEXT, "grigorchuk": GRIGORCHUK_TEXT, "d3": D3_TEXT}
 
 
 @functools.cache
@@ -292,7 +285,7 @@ def test_all_but_the_last_candidate_is_confirmed(monkeypatch):
     # most 8 letters in them is read with one confirm, of the first entry.
     # (The 14 two-entry buckets of the Basilica ball(9) hold powers like a^7
     # and a^-9, which no other word of at most 11 letters equals.)
-    fresh = parse_system(_D3_SYSTEM)
+    fresh = parse_system(D3_TEXT)
     ball(fresh, 8)
     index = norms._registry(fresh).index
     shared = {key: b for key, b in index._buckets.items() if len(b) > 1}

@@ -30,7 +30,7 @@ from basilica.permgrp import (
 )
 from basilica.quotients import _chain, _keeps_dyadic_blocks, _schreier_sims_order
 
-from conftest import fresh_interpreter_output
+from conftest import D3_TEXT, GRIGORCHUK_TEXT, GUPTA_SIDKI_TEXT, fresh_interpreter_output
 
 
 def mulclose(perms, maxsize=100_000):
@@ -289,10 +289,7 @@ def test_tree_order_on_tuples_agrees_with_bytes(words, n):
     assert group_order(lifted) == group_order(images)
 
 
-_GRIGORCHUK = parse_system(
-    "alphabet 2; gen a perm=1,0 sections=e,e; gen b perm=0,1 sections=a,c; "
-    "gen c perm=0,1 sections=a,d; gen d perm=0,1 sections=e,b"
-)
+_GRIGORCHUK = parse_system(GRIGORCHUK_TEXT)
 
 
 def _agree_with_schreier_sims(gens, elements):
@@ -415,9 +412,6 @@ def test_schreier_sims_agrees_with_closure(gens):
     assert _schreier_sims_order(images)[0] == mulclose([Perm(p) for p in images])
 
 
-_D3_SYSTEM = "alphabet 3; gen a perm=1,2,0 sections=e,b,a; gen b perm=0,2,1 sections=aB,e,b"
-
-
 def test_schreier_sims_sift_budget(monkeypatch):
     # the S8 chain from a transposition and an 8-cycle makes exactly 35 sifts
     gens = [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)]
@@ -451,7 +445,7 @@ def test_tree_order_work_budget(monkeypatch):
 
 
 def test_schreier_sims_default_budget_covers_d3_level_4():
-    d3 = parse_system(_D3_SYSTEM)
+    d3 = parse_system(D3_TEXT)
     order = group_order(level_perms(d3, d3.generators(), 4))
     assert order == 3263548471397396012655968256
 
@@ -542,10 +536,8 @@ _QUOTIENT_SYSTEMS = {
     ), 6),
     "basilica": (basilica(), 6),
     "grigorchuk": (_GRIGORCHUK, 6),
-    "gupta-sidki": (parse_system(
-        "alphabet 3; gen a perm=1,2,0 sections=e,e,e; gen b perm=0,1,2 sections=a,A,b"
-    ), 2),
-    "d3": (parse_system(_D3_SYSTEM), 2),
+    "gupta-sidki": (parse_system(GUPTA_SIDKI_TEXT), 2),
+    "d3": (parse_system(D3_TEXT), 2),
 }
 
 
