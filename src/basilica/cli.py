@@ -19,6 +19,7 @@ from .core import (
     GeneratorSystem,
     InputError,
     PreconditionError,
+    ascii_int,
     basilica,
     load_system,
     vertex_str,
@@ -53,6 +54,15 @@ EXIT_PRECONDITION = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
 EXIT_INTERNAL = 6
+
+
+def _integer(text: str) -> int:
+    """A command-line number: ASCII digits after an optional ``-``, so a
+    negative count still reaches ``require_count`` and its message."""
+    value = ascii_int(text.removeprefix("-"))
+    if value is None:
+        raise argparse.ArgumentTypeError(f"not an ASCII decimal: {text!r}")
+    return -value if text.startswith("-") else value
 
 
 def _system(args) -> GeneratorSystem:
@@ -224,18 +234,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("eval", cmd_eval, "root permutation and sections of a word", system=True)
     p.add_argument("word")
-    p.add_argument("--depth", type=int, default=0, help="also print the portrait")
+    p.add_argument("--depth", type=_integer, default=0, help="also print the portrait")
 
     p = add("portrait", cmd_portrait, "portrait of a word to a given depth", system=True)
     p.add_argument("word")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_integer, required=True)
     p.add_argument("--dot", action="store_true", help="emit a DOT graph")
 
     p = add("norm", cmd_norm, "word norm and canonical geodesic", system=True)
     p.add_argument("word")
 
     p = add("ball", cmd_ball, "enumerate ball classes as norm/word lines", system=True)
-    p.add_argument("radius", type=int)
+    p.add_argument("radius", type=_integer)
 
     p = add("orbit", cmd_orbit, "orbit of a vertex with transversal words", system=True)
     p.add_argument("--gens", required=True, help="comma-separated generator words")
@@ -244,11 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("stab", cmd_stab, "stabilizer generators of a vertex", system=True)
     p.add_argument("--gens", required=True)
     p.add_argument("--vertex", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_SCHREIER_CAP)
+    p.add_argument("--cap", type=_integer, default=DEFAULT_SCHREIER_CAP)
 
     p = add("order", cmd_order, "order of the level-n quotient of a subgroup", system=True)
     p.add_argument("--gens", required=True)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_integer, required=True)
 
     for name, search, help_text in (
         ("find-ab", find_ab, "descend a (1,1)-word to the projection ab"),
@@ -256,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = add(name, cmd_descend, help_text, search=search)
         p.add_argument("word")
-        p.add_argument("--budget", type=int, default=DEFAULT_STATES)
+        p.add_argument("--budget", type=_integer, default=DEFAULT_STATES)
 
     p = add("lift", cmd_lift, "rigid-stabilizer lift of a derived-subgroup word")
     p.add_argument("word")
@@ -272,9 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("prodense", cmd_prodense, "search for a full-projection certificate")
     p.add_argument("--gens", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_STATES)
-    p.add_argument("--schreier-cap", type=int, default=DEFAULT_SCHREIER_CAP)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--budget", type=_integer, default=DEFAULT_STATES)
+    p.add_argument("--schreier-cap", type=_integer, default=DEFAULT_SCHREIER_CAP)
+    p.add_argument("--max-depth", type=_integer, default=DEFAULT_DEPTH)
     p.add_argument("--out", help="write the certificate to a file")
 
     p = add("verify", cmd_verify, "replay a projection certificate file")
@@ -285,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--only",
         help=f"comma-separated suite subset from: {', '.join(sorted(SUITES))}",
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
 
     return parser
 

@@ -55,7 +55,9 @@ per-word memo is of words proven trivial (no nontrivial verdict) of at most
 ``MEMO_LETTERS`` letters: in a contracting group such as Basilica sections
 shrink (two levels down to about half the word), so a long input word
 seldom comes back as the section of another, while short words recur
-across calls.
+across calls.  A closure word that short is looked up, memoised on a
+trivial verdict and walked one level; a longer one walks ``_jump`` levels
+and is never looked up.
 
 Element identity is decided in one place, ``ElementIndex``: a registered
 entry's word is found by its bytes, and any other word is bucketed by its
@@ -173,8 +175,9 @@ MAX_CLOSURE_LETTERS = 2_000_000
 # at every step, and a lift doubles every two levels
 
 MEMO_LETTERS = 64
-# longest word the memo of words proven trivial keeps, and the length past
-# which a triviality closure walks ``_jump`` levels at once.
+# longest word the memo of words proven trivial keeps: a closure word of at
+# most this many letters is looked up, memoised on a trivial verdict and
+# walked one level; a longer one walks ``_jump`` levels, never looked up.
 # On a battery of 3200 decisions on 50..2000-letter words an unbounded memo
 # answers 2534 closure lookups and holds 1994 words in 3.5 MB; with this
 # bound it answers 2528 and holds 605 words in 0.2 MB
@@ -775,23 +778,17 @@ class GeneratorSystem:
 
     def word_is_trivial(self, word: Word) -> bool:
         """Decide triviality by section closure; exact.  Each closure word is
-        walked one level, or ``_jump`` levels when it is longer than
-        ``MEMO_LETTERS``.  A trivial word's closure words of at most
-        ``MEMO_LETTERS`` letters join the memo of words proven trivial, the
-        system's only per-word state; a nontrivial verdict is not kept."""
+        looked up and walked as ``MEMO_LETTERS`` says; a trivial verdict adds
+        the closure's short words to the memo, a nontrivial one adds none."""
         proven = self._trivial_cache
-        if word in proven:
-            return True
         queue: list[Word] = [word]
         seen = {word}
         letters = len(word)
-        i = 0
-        while i < len(queue):
-            u = queue[i]
-            i += 1
-            if u in proven:
+        for u in queue:
+            short = len(u) <= MEMO_LETTERS
+            if short and u in proven:
                 continue
-            k = self._jump if len(u) > MEMO_LETTERS else 1
+            k = 1 if short else self._jump
             root, sections = self._walk_level(u, k)
             if root != self._walks[k][1]:
                 return False

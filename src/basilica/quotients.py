@@ -227,9 +227,7 @@ def _schreier_sims_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
     sifts = 0
 
     def extend_orbit(lv):
-        i = 0
-        while i < len(lv.points):
-            x = lv.points[i]
+        for x in lv.points:
             ux = lv.trans[x]
             for g in lv.gens:
                 y = g[x]
@@ -237,7 +235,6 @@ def _schreier_sims_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
                     lv.trans[y] = compose_images(g, ux)
                     lv.points.append(y)
                     lv.pending.extend((y, h) for h in lv.gens)
-            i += 1
 
     def strip(p, start):
         nonlocal sifts

@@ -237,6 +237,28 @@ def test_portrait_dot(capsys):
     assert out == 'digraph portrait {\n  root [label="(0 1)"];\n}\n'
 
 
+def test_portrait_dot_edges(capsys):
+    code, out, _ = run(capsys, "portrait", "ab", "--depth", "3", "--dot")
+    assert code == 0
+    assert out == (
+        "digraph portrait {\n"
+        '  root [label="(0 1)"];\n'
+        '  v0 [label="(0 1)"];\n'
+        '  v1 [label="e"];\n'
+        '  v00 [label="e"];\n'
+        '  v01 [label="(0 1)"];\n'
+        '  v10 [label="e"];\n'
+        '  v11 [label="e"];\n'
+        '  root -> v0 [label="0"];\n'
+        '  root -> v1 [label="1"];\n'
+        '  v0 -> v00 [label="0"];\n'
+        '  v0 -> v01 [label="1"];\n'
+        '  v1 -> v10 [label="0"];\n'
+        '  v1 -> v11 [label="1"];\n'
+        "}\n"
+    )
+
+
 def test_portrait_table(capsys):
     code, out, _ = run(capsys, "portrait", "aa", "--depth", "2")
     assert code == 0
@@ -352,6 +374,35 @@ def test_descent_negative_budget_is_parse_error(capsys, command, word):
     assert code == 2
     assert out == ""
     assert err == "parse error: descent budget must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("text", ["\u0662", "1_0", "+5", " 5", "5.0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ball", "N"),
+        ("order", "--gens", "a,b", "--level", "N"),
+        ("find-ab", "ba", "--budget", "N"),
+        ("stab", "--gens", "a,b", "--vertex", "0", "--cap", "N"),
+        ("prodense", "--gens", "ba,bb", "--max-depth", "N"),
+        ("check-paper", "--only", "psi1", "--seed", "N"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_numbers_are_ascii_decimals(capsys, argv, text):
+    # int() would read an Arabic-Indic two, 1_0, +5, " 5" as numbers
+    with pytest.raises(SystemExit) as info:
+        main([text if arg == "N" else arg for arg in argv])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"not an ASCII decimal: {text!r}" in err
+
+
+def test_prodense_state_budget_failures(capsys):
+    for budget, stage in (("1", 2), ("2", 5)):
+        assert run(capsys, "prodense", "--gens", "ba,bb", "--budget", budget) == (
+            4, f"stage={stage} descent budget exhausted (descent exceeded {budget} states)\n", ""
+        )
 
 
 def test_descent_zero_budget(capsys):
@@ -511,6 +562,17 @@ def test_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, str(path))
     assert (code, out) == (2, "")
     assert err.startswith("parse error: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
+def test_system_file_equals_the_builtin(tmp_path):
+    # a --system file of the Basilica definition is the same system as
+    # basilica(), as a dict key or set member too
+    path = tmp_path / "basilica.txt"
+    path.write_text(BASILICA_TEXT)
+    loaded = core.load_system(str(path))
+    assert loaded is not basilica()
+    assert loaded == basilica() and hash(loaded) == hash(basilica())
+    assert len({loaded, basilica()}) == 1
 
 
 def test_custom_system_file(tmp_path, capsys):

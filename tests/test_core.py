@@ -980,6 +980,32 @@ def test_trivial_memo_holds_only_proofs(rng):
     assert all(len(w) <= core.MEMO_LETTERS and fresh.word_is_trivial(w) for w in proven)
 
 
+def test_memo_is_looked_up_only_for_words_it_can_hold():
+    # the memo holds no word longer than MEMO_LETTERS, so a longer closure
+    # word, the input included, walks on without a lookup
+    class Lookups(set):
+        def __init__(self, words):
+            super().__init__(words)
+            self.asked = []
+
+        def __contains__(self, word):
+            self.asked.append(word)
+            return super().__contains__(word)
+
+    system = parse_system(BASILICA_TEXT)
+    proven = system._trivial_cache = Lookups(system._trivial_cache)
+    relator = tau(31).substitute(LIFT_SUBSTITUTION).substitute(LIFT_SUBSTITUTION).word
+    assert len(relator) == 256 and system.word_is_trivial(relator)
+    g = basilica().element("ABab")
+    words = [lift_section(g, "0110101"), lift_section(g * tau(3), "0110101")]
+    words.append(lift_section(basilica().element("AbaB"), "0110101"))
+    first, same, other = (system.element(str(w)) for w in words)
+    for h in (same, other):  # equals decides first h^-1, a long word
+        assert len(product_word(first.word, invert_word(h.word))) > core.MEMO_LETTERS
+    assert equals(first, same) and not equals(first, other)
+    assert proven.asked and max(map(len, proven.asked)) <= core.MEMO_LETTERS
+
+
 def test_level_perm_budget(monkeypatch):
     monkeypatch.setattr(core, "MAX_LEVEL_POINTS", 16)
     system = parse_system(BASILICA_TEXT)

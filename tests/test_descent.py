@@ -421,6 +421,19 @@ def test_search_depth_budget_admits_a_vertex_that_deep(B, words, vertex):
     assert res.describe() == f"stage=5 combined vertex deeper than {len(vertex) - 1}"
 
 
+def test_search_state_budget_at_each_descent(B):
+    # <ba, bb> needs 2 states to descend to ab (stage 2) and more than 2 to
+    # descend its stabilizer's (1,-1) element to b^-1 a (stage 5)
+    H = SubgroupHandle.from_words(B, ["ba", "bb"])
+    for states, stage, lines in ((1, 2, 1), (2, 5, 4)):
+        res = prodense_projection_search(H, max_states=states)
+        assert res.describe() == (
+            f"stage={stage} descent budget exhausted (descent exceeded {states} states)"
+        )
+        assert len(res.trace) == lines
+    assert prodense_projection_search(H, max_states=5).vertex == "1001"
+
+
 def test_search_depth_budget_at_the_descent_vertex(B):
     # <ba, bb> descends to ab at the vertex 1
     H = SubgroupHandle.from_words(B, ["ba", "bb"])
