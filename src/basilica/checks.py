@@ -39,6 +39,7 @@ from .structure import (
 from .descent import (
     CLASS_AB,
     CLASS_AB_INV,
+    DescentCertificate,
     congruence_transition,
     find_ab,
     find_b_inv_a,
@@ -410,9 +411,7 @@ def check_persist(out: _Collector) -> None:
         vertices = [v + x for v in vertices for x in "01"]
         for v in vertices:
             k, final = persist_ab(ab, v)
-            path = sys.parse_vertex(v)
-            section = (ab ** (2**k)).projection(path)
-            if k != len(v) or section is None or not equals(section, final):
+            if k != len(v) or not DescentCertificate(ab, sys.parse_vertex(v), final).replay():
                 ok = False
     out.add(
         "persist-replay",

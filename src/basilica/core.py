@@ -184,8 +184,9 @@ MEMO_LETTERS = 64
 
 MAX_LEVEL_POINTS = 1 << 16
 # vertices one level may have: of a level permutation, a portrait or an orbit
-# (level 16 of the binary tree); it bounds memory, not time: Basilica's
-# abAAb on level 16 allocates about 23 MB at its peak, doubling per level
+# search, which stops at a deeper vertex before it searches (level 16 of the
+# binary tree); it bounds memory, not time: Basilica's abAAb on level 16
+# allocates about 23 MB at its peak, doubling per level
 
 _BYTE_IDENTITY = bytes(range(256))
 
@@ -731,8 +732,13 @@ class GeneratorSystem:
                 x = x * d + digit
             x, stack = _follow_point(rows, self._single, word, x)
             word = tuple(stack[:0:-1])
-            image.extend(x // d**j % d for j in reversed(range(k)))
+            image.extend(self._point_path(x, k))
         return tuple(image), word
+
+    def _point_path(self, x: int, k: int) -> tuple[int, ...]:
+        """The k base-d digits of x: the path of level k's x-th vertex."""
+        d = self.alphabet_size
+        return tuple(x // d**j % d for j in reversed(range(k)))
 
     def _fold(self, word: Word, n: int) -> tuple[int, ...]:
         """Images of the d^n level-n vertices under ``word``; no budget."""

@@ -19,8 +19,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .core import (
-    MAX_LEVEL_POINTS,
-    BudgetExceededError,
     Element,
     ElementIndex,
     GeneratorSystem,
@@ -29,6 +27,7 @@ from .core import (
     Record,
     ascii_int,
     free_reduce,
+    invert_images,
     invert_word,
     product_word,
     require_count,
@@ -107,43 +106,38 @@ class SchreierTable(Record):
         return "\n".join(lines) + "\n"
 
 
-def _schreier_search(H: SubgroupHandle, vertex: str, forward=None) -> dict[tuple[int, ...], HWord]:
-    """Orbit paths in BFS order under g1, g1^-1, g2, g2^-1, ..., each with
-    the hword of an element taking the vertex there.  A ``forward`` dict
-    gets each path's images under g1, g2, ...."""
-    start = H.system.parse_vertex(vertex)
-    word_at = H.system.word_at
+def _schreier_search(H: SubgroupHandle, vertex: str) -> tuple[int, list, dict[int, HWord]]:
+    """The vertex's level n, the generators' level-n images, and the orbit
+    of the vertex's index in BFS order under g1, g1^-1, g2, g2^-1, ..., each
+    point with the hword of an element taking the vertex there."""
+    path = H.system.parse_vertex(vertex)
+    perms = [H.system.word_level_perm(g.word, len(path)) for g in H.generators]
     moves = []
-    for i, g in enumerate(H.generators):
-        moves += [(i + 1, g.word), (-(i + 1), invert_word(g.word))]
-    transversal: dict[tuple[int, ...], HWord] = {start: ()}
+    for i, p in enumerate(perms):
+        moves += [(i + 1, p), (-(i + 1), invert_images(p))]
+    start = int(vertex_word(path) or "0", H.system.alphabet_size)
+    transversal: dict[int, HWord] = {start: ()}
     queue = [start]
     for u in queue:  # the loop reaches the points appended below
-        images = [word_at(word, u)[0] for _, word in moves]
-        if forward is not None:
-            forward[u] = images[::2]
-        for (letter, _), w in zip(moves, images):
+        for letter, p in moves:
+            w = p[u]
             if w not in transversal:
                 # already reduced: the inverse of u's first letter leads back
                 # to u's parent, which is visited, so it never reaches w
                 transversal[w] = (letter,) + transversal[u]
                 queue.append(w)
-        if len(transversal) > MAX_LEVEL_POINTS:
-            raise BudgetExceededError(
-                f"orbit of {vertex_word(start)!r} exceeded {MAX_LEVEL_POINTS} vertices",
-                partial=tuple(map(vertex_word, transversal)),
-            )
-    return transversal
+    return len(path), perms, transversal
 
 
 def orbit(H: SubgroupHandle, vertex: str) -> SchreierTable:
     """BFS orbit of a vertex under the subgroup's generator actions.
 
-    Raises ``BudgetExceededError`` (its ``partial``: the points found so far)
-    once the orbit holds more than ``MAX_LEVEL_POINTS`` vertices, which no
-    vertex of binary depth at most 16 reaches.
+    A subgroup with generators raises ``BudgetExceededError`` before any
+    search when the vertex's level has more than ``core.MAX_LEVEL_POINTS``
+    vertices (binary depth past 16).
     """
-    transversal = {vertex_word(u): hw for u, hw in _schreier_search(H, vertex).items()}
+    n, _, found = _schreier_search(H, vertex)
+    transversal = {vertex_word(H.system._point_path(u, n)): hw for u, hw in found.items()}
     return SchreierTable(tuple(sorted(transversal)), transversal)
 
 
@@ -157,13 +151,12 @@ def stabilizer_generator_pairs(
     Raises ``InputError`` when ``cap`` is not a non-negative int.
     """
     require_count(cap, "stabilizer cap")
-    forward: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    transversal = _schreier_search(H, vertex, forward)
+    _, perms, transversal = _schreier_search(H, vertex)
     candidates: list[tuple[Element, HWord]] = []
-    # paths of one length sort as their vertex strings do
+    # point indices of one level sort as their vertex strings do
     for u in sorted(transversal):
-        for i, w in enumerate(forward[u]):
-            hw = product_word(product_word(invert_word(transversal[w]), (i + 1,)), transversal[u])
+        for i, p in enumerate(perms):
+            hw = product_word(product_word(invert_word(transversal[p[u]]), (i + 1,)), transversal[u])
             candidates.append((H.evaluate(hw), hw))
     candidates.sort(key=lambda pair: (len(pair[0].word), pair[0].word, len(pair[1])))
     index = ElementIndex(H.system)

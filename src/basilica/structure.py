@@ -11,8 +11,8 @@ substitution step per tree level.
 
 from __future__ import annotations
 
+from . import core
 from .core import (
-    MAX_CLOSURE_LETTERS,
     BudgetExceededError,
     ConsistencyError,
     Element,
@@ -129,10 +129,10 @@ def bprime_coords(g: Element) -> tuple[int, int, int]:
 
 
 def _check_lift_budget(letters: int) -> None:
-    if letters > MAX_CLOSURE_LETTERS:
+    if letters > core.MAX_CLOSURE_LETTERS:
         raise BudgetExceededError(
             f"lift would build a word of {letters} letters, more than "
-            f"{MAX_CLOSURE_LETTERS}",
+            f"{core.MAX_CLOSURE_LETTERS}",
             partial=letters,
         )
 
@@ -148,7 +148,7 @@ def lift_section(w: Element, vertex: str) -> Element:
     vertex.  The steps compose into one conjugate of the n-th power of the
     substitution, so w is substituted once.  The lifted word doubles in
     length every two levels; a lift that would build more than
-    ``MAX_CLOSURE_LETTERS`` letters raises ``BudgetExceededError``.
+    ``core.MAX_CLOSURE_LETTERS`` letters raises ``BudgetExceededError``.
     """
     sys = require_basilica(w)
     if not in_derived_subgroup(w):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from basilica import ConsistencyError, basilica, cli, core, norms, permgrp, quotients, structure
+from basilica import ConsistencyError, basilica, cli, core, norms, quotients
 from basilica.cli import main
 
 from conftest import BASILICA_TEXT, D3_TEXT, EXPANDING_TEXT
@@ -44,6 +44,16 @@ def test_eval_error_leaves_stdout_empty(tmp_path, capsys):
     assert run(capsys, "portrait", "a", "--system", str(path), "--depth", "3") == (2, "", too_wide)
     assert run(capsys, "portrait", "a", "--system", str(path), "--depth", "1") == (
         0, "e\t(0 1 2 3 4 5 6 7 8 9 10)\n", ""
+    )
+    for text, message in (
+        ("alphabet 2\n", "a generator system needs at least one generator"),
+        ("alphabet 2\ngen a perm=0,1 sections=e,e\ngen a perm=1,0 sections=e,e\n",
+         "generator names must be distinct"),
+    ):
+        path.write_text(text)
+        assert run(capsys, "eval", "a", "--system", str(path)) == (2, "", f"parse error: {message}\n")
+    assert run(capsys, "stab", "--gens", ",", "--vertex", "0") == (
+        2, "", "parse error: no subgroup generators given\n"
     )
 
 
@@ -118,7 +128,7 @@ def test_root_vertex_e_prints_as_empty_vertex(capsys, argv):
 
 
 # orbit tables of vertices past the key level (8 when d = 2, 5 when d = 3),
-# whose every line reads the generators' images of a vertex through word_at
+# read through the generators' level permutations of that level
 _DEEP_ORBITS = {
     "binary": (
         None,
@@ -158,11 +168,13 @@ def test_orbit_non_ascii_vertex_is_parse_error(capsys):
 
 
 def test_orbit_budget_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(permgrp, "MAX_LEVEL_POINTS", 100)
-    code, out, err = run(capsys, "orbit", "--gens", "a,b", "--vertex", "0" * 7)
-    assert code == 4
-    assert out == ""
-    assert err == "budget exhausted: orbit of '0000000' exceeded 100 vertices\n"
+    # a vertex whose level has more than core.MAX_LEVEL_POINTS vertices
+    # stops before any walk, however small its orbit
+    monkeypatch.setattr(core, "MAX_LEVEL_POINTS", 100)
+    for command, gens in (("orbit", "a,b"), ("orbit", "a"), ("stab", "a,b")):
+        assert run(capsys, command, "--gens", gens, "--vertex", "0" * 7) == (
+            4, "", "budget exhausted: level 7 of a 2-letter alphabet has more than 100 vertices\n"
+        )
 
 
 def test_stab_golden(capsys):
@@ -209,10 +221,10 @@ def test_lift_budget_exit_code(capsys, monkeypatch):
     # the lift of ABab to the vertex of ten zeros builds 252 letters, which
     # reduce to 220
     argv = ("lift", "ABab", "0" * 10)
-    monkeypatch.setattr(structure, "MAX_CLOSURE_LETTERS", 252)
+    monkeypatch.setattr(core, "MAX_CLOSURE_LETTERS", 252)
     code, out, _ = run(capsys, *argv)
     assert code == 0 and len(out) == 221
-    monkeypatch.setattr(structure, "MAX_CLOSURE_LETTERS", 251)
+    monkeypatch.setattr(core, "MAX_CLOSURE_LETTERS", 251)
     assert run(capsys, *argv) == (
         4, "", "budget exhausted: lift would build a word of 252 letters, more than 251\n"
     )

@@ -204,12 +204,16 @@ def test_equals_examples(B):
     assert not equals(a * b, b * a)
     assert (a * b == b * a) is False
     assert a * a.inverse() == B.identity()
+    # an element never equals a word text
+    assert (B.element("a") == "a") is False and (B.element("a") != "a") is True
 
 
 def test_equals_mixed_systems_rejected(B):
     other = parse_system("alphabet 2; gen c perm=0,1 sections=e,c")
     with pytest.raises(InputError):
         equals(B.element("a"), other.element("c"))
+    with pytest.raises(InputError):
+        SubgroupHandle(B, [B.element("a"), other.element("c")])
 
 
 def test_elements_unhashable(B):

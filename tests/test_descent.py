@@ -356,6 +356,9 @@ def test_certificate_parse_errors(B):
         parse_certificate("not a certificate")
     with pytest.raises(InputError):
         parse_certificate("basilica-certificate: 1\n")
+    text = prodense_projection_search(SubgroupHandle.from_words(B, ["ba", "bb"])).serialize()
+    with pytest.raises(InputError, match="^unsupported certificate version$"):
+        parse_certificate(text.replace("basilica-certificate: 1\n", "basilica-certificate: 2\n"))
 
 
 def test_replay_and_verify_read_the_vertex_once(B, monkeypatch):

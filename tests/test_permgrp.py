@@ -10,12 +10,20 @@ from basilica import (
     InputError,
     Perm,
     basilica,
+    core,
     equals,
     parse_system,
     permgrp,
     quotients,
 )
-from basilica.core import compose_images
+from basilica.core import (
+    ElementIndex,
+    compose_images,
+    invert_word,
+    product_word,
+    vertex_str,
+    vertex_word,
+)
 from basilica.permgrp import (
     SubgroupHandle,
     group_order,
@@ -30,7 +38,7 @@ from basilica.permgrp import (
 )
 from basilica.quotients import _chain, _keeps_dyadic_blocks, _schreier_sims_order
 
-from conftest import D3_TEXT, GRIGORCHUK_TEXT, GUPTA_SIDKI_TEXT, fresh_interpreter_output
+from conftest import BASILICA_TEXT, D3_TEXT, GRIGORCHUK_TEXT, GUPTA_SIDKI_TEXT, fresh_interpreter_output
 
 
 def mulclose(perms, maxsize=100_000):
@@ -98,7 +106,7 @@ def test_orbit_rejects_bad_vertex(handles):
 
 
 def test_orbit_and_stabilizer_parse_their_vertex_once(handles, monkeypatch):
-    # the search moves parsed paths; the vertex text is read once per call
+    # the search moves point indices; the vertex text is read once per call
     B, Ha, Hb, Hab = handles
     calls = []
     parse = GeneratorSystem.parse_vertex
@@ -115,14 +123,66 @@ def test_orbit_and_stabilizer_parse_their_vertex_once(handles, monkeypatch):
 
 
 def test_orbit_budget(handles, monkeypatch):
+    # the search reads the generators' level permutations, so a vertex whose
+    # level has more than core.MAX_LEVEL_POINTS vertices stops before any
+    # walk, however small its orbit
     B, Ha, Hb, Hab = handles
-    monkeypatch.setattr(permgrp, "MAX_LEVEL_POINTS", 8)
+    monkeypatch.setattr(core, "MAX_LEVEL_POINTS", 8)
     assert len(orbit(Hab, "000").orbit) == 8
-    with pytest.raises(BudgetExceededError) as info:
-        orbit(Hab, "0000")
-    found = info.value.partial
-    assert 8 < len(found) <= 16 and found[0] == "0000"
-    assert len(set(found)) == len(found) and all(len(v) == 4 for v in found)
+    for H in (Ha, Hab):
+        for search in (orbit, stabilizer_generator_pairs):
+            with pytest.raises(BudgetExceededError) as info:
+                search(H, "0000")
+            assert str(info.value) == "level 4 of a 2-letter alphabet has more than 8 vertices"
+
+
+def _reference_search(H, vertex):
+    """The orbit search walking each generator word down each orbit path:
+    the transversal over paths, in BFS order under g1, g1^-1, g2, ..., and
+    each path's images under g1, g2, ...."""
+    start = H.system.parse_vertex(vertex)
+    moves = []
+    for i, g in enumerate(H.generators):
+        moves += [(i + 1, g.word), (-(i + 1), invert_word(g.word))]
+    transversal, forward = {start: ()}, {}
+    queue = [start]
+    for u in queue:
+        images = [H.system.word_at(word, u)[0] for _, word in moves]
+        forward[u] = images[::2]
+        for (letter, _), w in zip(moves, images):
+            if w not in transversal:
+                transversal[w] = (letter,) + transversal[u]
+                queue.append(w)
+    return transversal, forward
+
+
+_SEARCH_SYSTEMS = {"basilica": BASILICA_TEXT, "grigorchuk": GRIGORCHUK_TEXT, "d3": D3_TEXT}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(_SEARCH_SYSTEMS)), st.data())
+def test_orbit_and_stabilizer_match_the_word_walk_search(kind, data):
+    system = parse_system(_SEARCH_SYSTEMS[kind])
+    letters = [l for i in range(1, len(system.names) + 1) for l in (i, -i)]
+    words = st.lists(st.sampled_from(letters), max_size=6)
+    H = SubgroupHandle(system, [system.element(w) for w in data.draw(st.lists(words, min_size=1, max_size=3))])
+    digits = data.draw(st.lists(st.integers(0, system.alphabet_size - 1), max_size=6))
+    vertex = "".join(map(str, digits))
+    transversal, forward = _reference_search(H, vertex)
+    table = "".join(
+        f"{vertex_str(vertex_word(u))}\t{hword_str(transversal[u])}\n" for u in sorted(transversal)
+    )
+    assert orbit(H, vertex).table() == table
+    candidates = []
+    for u in sorted(transversal):
+        for i, w in enumerate(forward[u]):
+            hw = product_word(product_word(invert_word(transversal[w]), (i + 1,)), transversal[u])
+            candidates.append((H.evaluate(hw), hw))
+    candidates.sort(key=lambda pair: (len(pair[0].word), pair[0].word, len(pair[1])))
+    index = ElementIndex(system)
+    survivors = [(e.word, hw) for e, hw in candidates if index.find_or_insert(e.word)[1]]
+    pairs = stabilizer_generator_pairs(H, vertex)
+    assert [(e.word, hw) for e, hw in pairs] == survivors[: permgrp.DEFAULT_SCHREIER_CAP]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
