@@ -2,9 +2,11 @@
 
 Exit codes: 0 success; 1 a check or verification suite reported failures; 2
 parse error, or a file that cannot be read or written (missing, a directory,
-no permission, not UTF-8); 3 precondition violation; 4 budget exhausted or
-projection search failed; 5 certificate verification failed; 6 internal
-consistency error (an engine invariant broke: a bug, reported in one line).
+no permission, not UTF-8); 3 precondition violation; 4 budget or memory
+exhausted, or projection search failed; 5 certificate verification failed; 6
+internal consistency error (an engine invariant broke: a bug, reported in
+one line).  Each handler imports the layers its command runs, so building
+the parser loads only ``core`` and ``certificate``, and ``verify`` no more.
 """
 
 from __future__ import annotations
@@ -24,28 +26,9 @@ from .core import (
     load_system,
     vertex_str,
 )
-from .checks import SUITES, run_checks
-from .descent import (
-    DEFAULT_DEPTH,
-    DEFAULT_STATES,
-    FailureReport,
-    find_ab,
-    find_b_inv_a,
-    parse_certificate,
-    prodense_projection_search,
-    verify_certificate,
+from .certificate import (
+    DEFAULT_DEPTH, DEFAULT_SCHREIER_CAP, DEFAULT_STATES, hword_str, parse_certificate, replay,
 )
-from .norms import ball, geodesic_rep
-from .permgrp import (
-    DEFAULT_SCHREIER_CAP,
-    SubgroupHandle,
-    group_order,
-    level_perms,
-    orbit,
-    stabilizer_generator_pairs,
-    hword_str,
-)
-from .structure import ab_image, bprime_coords, heis_image, lift_section
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -71,7 +54,8 @@ def _system(args) -> GeneratorSystem:
     return basilica()
 
 
-def _subgroup(system: GeneratorSystem, gens: str) -> SubgroupHandle:
+def _subgroup(system: GeneratorSystem, gens: str):
+    from .permgrp import SubgroupHandle
     words = [w.strip() for w in gens.split(",") if w.strip()]
     if not words:
         raise InputError("no subgroup generators given")
@@ -108,6 +92,7 @@ def cmd_portrait(args) -> int:
 
 
 def cmd_norm(args) -> int:
+    from .norms import geodesic_rep
     system = _system(args)
     g = system.element(args.word)
     # the norm is the length of the geodesic, so the word is looked up once
@@ -118,6 +103,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    from .norms import ball
     system = _system(args)
     sphere = ball(system, args.radius)
     sys.stdout.write(sphere.table())
@@ -126,6 +112,7 @@ def cmd_ball(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from .permgrp import orbit
     system = _system(args)
     H = _subgroup(system, args.gens)
     table = orbit(H, args.vertex)
@@ -134,6 +121,7 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_stab(args) -> int:
+    from .permgrp import stabilizer_generator_pairs
     system = _system(args)
     H = _subgroup(system, args.gens)
     for elem, hw in stabilizer_generator_pairs(H, args.vertex, cap=args.cap):
@@ -142,6 +130,7 @@ def cmd_stab(args) -> int:
 
 
 def cmd_order(args) -> int:
+    from .permgrp import group_order, level_perms
     system = _system(args)
     H = _subgroup(system, args.gens)
     print(group_order(level_perms(system, H.generators, args.level)))
@@ -149,24 +138,28 @@ def cmd_order(args) -> int:
 
 
 def cmd_descend(args) -> int:
-    cert = args.search(basilica().element(args.word), max_states=args.budget)
+    from . import descent
+    cert = getattr(descent, args.search)(basilica().element(args.word), max_states=args.budget)
     print(f"vertex={vertex_str(cert.vertex)} k={cert.exponent_log}")
     return EXIT_OK
 
 
 def cmd_lift(args) -> int:
+    from .structure import lift_section
     g = basilica().element(args.word)
     print(lift_section(g, args.vertex))
     return EXIT_OK
 
 
 def cmd_coords(args) -> int:
-    coords = args.image(basilica().element(args.word))
+    from . import structure
+    coords = getattr(structure, args.image)(basilica().element(args.word))
     print(f"({','.join(map(str, coords))})")
     return EXIT_OK
 
 
 def cmd_prodense(args) -> int:
+    from .descent import FailureReport, prodense_projection_search
     H = _subgroup(basilica(), args.gens)
     result = prodense_projection_search(
         H,
@@ -191,8 +184,8 @@ def cmd_prodense(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.cert, "r", encoding="utf-8") as fh:
         cert = parse_certificate(fh.read())
-    H = SubgroupHandle.from_words(basilica(), cert.subgroup)
-    if verify_certificate(H, cert):
+    system = basilica()
+    if replay(system, [system.parse_word(w) for w in cert.subgroup], cert):
         print(f"certificate valid: projection at {vertex_str(cert.vertex)} is the full group")
         return EXIT_OK
     print("certificate INVALID")
@@ -200,6 +193,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_check_paper(args) -> int:
+    from .checks import run_checks
     only = None
     if args.only is not None:
         only = [name.strip() for name in args.only.split(",") if name.strip()]
@@ -219,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "exit codes: 0 ok, 1 failed checks, 2 parse or file error, "
-            "3 precondition, 4 budget/search failure, 5 verification failure, "
+            "3 precondition, 4 budget/memory/search failure, 5 verification failure, "
             "6 internal consistency error"
         ),
     )
@@ -261,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=_integer, required=True)
 
     for name, search, help_text in (
-        ("find-ab", find_ab, "descend a (1,1)-word to the projection ab"),
-        ("find-binva", find_b_inv_a, "descend a (1,-1)-word to b^-1 a"),
+        ("find-ab", "find_ab", "descend a (1,1)-word to the projection ab"),
+        ("find-binva", "find_b_inv_a", "descend a (1,-1)-word to b^-1 a"),
     ):
         p = add(name, cmd_descend, help_text, search=search)
         p.add_argument("word")
@@ -273,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("vertex")
 
     for name, image, help_text in (
-        ("abelianize", ab_image, "exponent sums (s,t)"),
-        ("heis", heis_image, "Heisenberg normal form (p,q,r)"),
-        ("bprime", bprime_coords, "derived-subgroup coordinates (l,m,n)"),
+        ("abelianize", "ab_image", "exponent sums (s,t)"),
+        ("heis", "heis_image", "Heisenberg normal form (p,q,r)"),
+        ("bprime", "bprime_coords", "derived-subgroup coordinates (l,m,n)"),
     ):
         p = add(name, cmd_coords, help_text, image=image)
         p.add_argument("word")
@@ -291,10 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert", required=True)
 
     p = add("check-paper", cmd_check_paper, "run the identity/lemma suites")
-    p.add_argument(
-        "--only",
-        help=f"comma-separated suite subset from: {', '.join(sorted(SUITES))}",
-    )
+    p.add_argument("--only", help="comma-separated suite subset (an unknown name lists them)")
     p.add_argument("--seed", type=_integer, default=0)
 
     return parser
@@ -317,6 +308,10 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        pass  # reported once the traceback, and the frames that hold the memory, are gone
+    print("out of memory: the command needs more than the process may allocate", file=sys.stderr)
+    return EXIT_BUDGET
 
 
 if __name__ == "__main__":

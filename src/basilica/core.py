@@ -48,7 +48,8 @@ Both walks build their steps from per-level point tables of each letter's
 action and sections, built once per system up to ``_chunk`` levels, each
 level's from the level below.  ``_fold``, the action alone behind
 ``word_level_perm`` (up to level 16) and the index keys, keeps action-only
-tables: section tables grow as s^k when a letter's sections hold s letters.
+tables up to the key level and builds deeper ones per call: section tables
+grow as s^k when a letter's sections hold s letters.
 
 No walk is kept per word: a section read walks the word again.  The one
 per-word memo is of words proven trivial (no nontrivial verdict) of at most
@@ -489,7 +490,7 @@ class GeneratorSystem:
         self._trivial_cache: set[Word] = {()}
         # per level n >= 1, at index n - 1: per signed letter, the itemgetter
         # that takes a level-n action p to p o (the letter's action); built
-        # on first use from the level below
+        # on first use from the level below, and kept up to the key level
         self._levels: list[dict[int, operator.itemgetter]] = []
         # index keys fold one 256-byte translation table per letter: the
         # letter's action on the deepest level of at most 256 vertices
@@ -741,28 +742,31 @@ class GeneratorSystem:
         return tuple(x // d**j % d for j in reversed(range(k)))
 
     def _fold(self, word: Word, n: int) -> tuple[int, ...]:
-        """Images of the d^n level-n vertices under ``word``; no budget."""
+        """Images of the d^n level-n vertices under ``word``; no budget.
+        The tables of levels up to the key level are kept; those of a deeper
+        level are built for the call from the key level's and then dropped."""
         if n == 0:
             return (0,)
-        levels = self._levels
-        d = self.alphabet_size
-        while len(levels) < n:
+        levels, d = self._levels, self.alphabet_size
+        getters = levels[min(n, len(levels)) - 1] if levels else None
+        for k in range(len(levels) + 1, n + 1):
             # a letter l with root sigma and sections s_x sends the vertex
             # x v to sigma(x) (s_x . v): its level-k table is its root
             # blown up over blocks of size d^(k-1), shifted by the level
             # k-1 action of each section word
-            k = len(levels) + 1
             size = d ** (k - 1)
             tables = {}
             for l, secs in self._letter_sections.items():
-                root = self._letter_root[l]
                 images: list[int] = []
-                for x in range(d):
-                    shift = (root[x] * size).__add__
-                    images.extend(map(shift, self._fold(secs[x], k - 1)))
+                for root, sec in zip(self._letter_root[l], secs):
+                    p = tuple(range(size))
+                    for s in sec if k > 1 else ():  # level 0 has one vertex
+                        p = getters[s](p)
+                    images.extend(map((root * size).__add__, p))
                 tables[l] = operator.itemgetter(*images)
-            levels.append(tables)
-        getters = levels[n - 1]
+            getters = tables
+            if size * d <= self._key_size:
+                levels.append(tables)
         # the word acts as l1 o l2 o ... o lm, so the fold composes each
         # letter on the right: p o l is p's images read at l's images
         p = tuple(range(d**n))

@@ -19,13 +19,17 @@ gives at that vertex, coset solve for (1,-1), descend to b^-1 a, persistence
 of ab, endgame through a^2 = (1, b^2) and b^2 = (a, a)) and rewrites every
 witness back into a word over the subgroup's original generators with
 ``substitute_word``, the substitution ``SubgroupHandle.evaluate`` replays.
-Success exhibits a vertex where the subgroup projection is the full group;
-it never claims prodensity of the input.
+Success exhibits a vertex where the subgroup projection is the full group,
+as a ``certificate.ProdenseCertificate``; it never claims prodensity of the
+input.
 """
 
 from __future__ import annotations
 
-from . import ENGINE
+from .certificate import (  # the certificate's names, importable here as before
+    _BUDGET_KEYS, _FIELDS, DEFAULT_DEPTH, DEFAULT_SCHREIER_CAP, DEFAULT_STATES, HWord,
+    ProdenseCertificate, hword_parse, hword_str, parse_certificate, replay,
+)
 from .core import (
     BudgetExceededError,
     ConsistencyError,
@@ -35,7 +39,6 @@ from .core import (
     PreconditionError,
     Record,
     Word,
-    ascii_int,
     exponent_sums,
     free_reduce,
     invert_word,
@@ -48,20 +51,7 @@ from .core import (
     vertex_word,
 )
 from .norms import geodesic_rep
-from .permgrp import (
-    DEFAULT_SCHREIER_CAP,
-    HWord,
-    SubgroupHandle,
-    hword_parse,
-    hword_str,
-    projection_pairs,
-)
-
-DEFAULT_STATES = 100_000
-# distinct section words one descent may visit
-DEFAULT_DEPTH = 16
-# deepest vertex a projection search may use; a certificate records both
-# budgets it ran with (``budget-states``, ``budget-depth``)
+from .permgrp import SubgroupHandle, projection_pairs
 
 CLASS_AB = (1, 1)
 CLASS_AB_INV = (1, -1)
@@ -255,88 +245,6 @@ def solve_coset(H: SubgroupHandle, target: tuple[int, int]):
     return hword
 
 
-_BUDGET_KEYS = ("states", "schreier", "depth")
-# the certificate lines before the stage lines, in order
-_FIELDS = (
-    "basilica-certificate",
-    "engine",
-    "subgroup",
-    "vertex",
-    "expr-a",
-    "expr-b",
-    *(f"budget-{key}" for key in _BUDGET_KEYS),
-)
-
-
-class ProdenseCertificate(Record):
-    """Checkable witness that the subgroup's projection at ``vertex`` is the
-    whole group: two expressions over the original subgroup generators whose
-    sections at the vertex are a and b."""
-
-    subgroup: tuple[str, ...]
-    stages: tuple[str, ...]
-    vertex: str
-    expr_a: HWord
-    expr_b: HWord
-    budgets: dict
-    engine: str = ENGINE
-
-    def serialize(self) -> str:
-        values = (
-            1,
-            self.engine,
-            ", ".join(self.subgroup),
-            vertex_str(self.vertex),
-            hword_str(self.expr_a),
-            hword_str(self.expr_b),
-            *(self.budgets[key] for key in _BUDGET_KEYS),
-        )
-        lines = [f"{field}: {value}" for field, value in zip(_FIELDS, values)]
-        lines.extend(f"stage{i + 1}: {s}" for i, s in enumerate(self.stages))
-        return "\n".join(lines) + "\n"
-
-
-def parse_certificate(text: str) -> ProdenseCertificate:
-    """Unknown keys are ignored; a key or stage label stated twice, like a
-    missing field, raises ``InputError``."""
-    fields: dict[str, str] = {}
-    stages: dict[int, str] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise InputError(f"bad certificate line: {line!r}")
-        key, value = line.split(":", 1)
-        key = key.strip()
-        value = value.strip()
-        table, name = (stages, ascii_int(key[5:])) if key.startswith("stage") else (fields, key)
-        if name is None:
-            raise InputError(f"bad stage label {key!r}")
-        if name in table:
-            raise InputError(f"certificate states {key!r} twice")
-        table[name] = value
-    missing = set(_FIELDS) - set(fields)
-    if missing:
-        raise InputError(f"certificate misses fields: {sorted(missing)}")
-    if fields["basilica-certificate"] != "1":
-        raise InputError("unsupported certificate version")
-    subgroup = tuple(w.strip() for w in fields["subgroup"].split(",") if w.strip())
-    ngens = len(subgroup)
-    budgets = {key: ascii_int(fields[f"budget-{key}"]) for key in _BUDGET_KEYS}
-    if None in budgets.values():
-        raise InputError("bad budget value")
-    return ProdenseCertificate(
-        subgroup=subgroup,
-        stages=tuple(stages[label] for label in sorted(stages)),
-        vertex=fields["vertex"],
-        expr_a=hword_parse(fields["expr-a"], ngens),
-        expr_b=hword_parse(fields["expr-b"], ngens),
-        budgets=budgets,
-        engine=fields["engine"],
-    )
-
-
 class FailureReport(Record):
     """Negative or aborted outcome of the projection search."""
 
@@ -453,19 +361,5 @@ def prodense_projection_search(
 
 
 def verify_certificate(H: SubgroupHandle, cert: ProdenseCertificate) -> bool:
-    """Independent replay: nothing is re-derived, only checked.
-
-    Confirms the expressions use H's generators, stabilize the vertex
-    pointwise along the path, and section to a and b.  Malformed
-    certificates raise InputError; honest mismatches return False.
-    """
-    system = require_basilica(H.system)
-    elements = [H.evaluate(expr) for expr in (cert.expr_a, cert.expr_b)]
-    path = system.parse_vertex(cert.vertex)
-    if tuple(cert.subgroup) != H.words():
-        return False
-    for elem, name in zip(elements, "ab"):
-        section = elem.projection(path)
-        if section is None or section != system.generator(name):
-            return False
-    return True
+    """``certificate.replay`` against H's generators."""
+    return replay(H.system, [g.word for g in H.generators], cert)

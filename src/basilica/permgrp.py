@@ -8,8 +8,8 @@ Those two questions are decided in ``quotients``, which ``group_order`` and
 never needs an order does not load it.
 
 Subgroup elements are tracked together with their expressions over the
-subgroup's own generators (an "hword": signed 1-based indices into the
-generator list), so downstream certificate construction never has to trust
+subgroup's own generators (an "hword", in ``certificate``'s syntax: signed
+1-based indices into the generator list), so downstream certificate construction never has to trust
 intermediate rewriting; ``projection_pairs`` gives the projection H_v that
 way, for ``projected_subgroup`` and the projection search alike.
 """
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from .certificate import DEFAULT_SCHREIER_CAP, HWord, evaluate_hword, hword_parse, hword_str
 from .core import (
     Element,
     ElementIndex,
@@ -25,45 +26,13 @@ from .core import (
     InputError,
     Perm,
     Record,
-    ascii_int,
-    free_reduce,
     invert_images,
     invert_word,
     product_word,
     require_count,
-    substitute_word,
     vertex_str,
     vertex_word,
 )
-
-DEFAULT_SCHREIER_CAP = 64
-# Schreier generators a vertex stabilizer keeps; a certificate records the
-# cap it ran with (``budget-schreier``)
-
-HWord = tuple[int, ...]
-# a word over a subgroup's generator list; letter +(i+1) is generator i,
-# -(i+1) its inverse
-
-
-def hword_str(hword: Sequence[int]) -> str:
-    """Tokens like ``g0 g1 G0`` (uppercase marks the inverse)."""
-    if not hword:
-        return "e"
-    return " ".join(f"g{l - 1}" if l > 0 else f"G{-l - 1}" for l in hword)
-
-
-def hword_parse(text: str, num_generators: int) -> HWord:
-    if text.strip() == "e":
-        return ()
-    letters = []
-    for tok in text.split():
-        idx = ascii_int(tok[1:])
-        if tok[0] not in "gG" or idx is None:
-            raise InputError(f"bad generator token {tok!r}")
-        if idx >= num_generators:
-            raise InputError(f"token {tok!r} names a generator outside the subgroup")
-        letters.append(idx + 1 if tok[0] == "g" else -(idx + 1))
-    return tuple(letters)
 
 
 class SubgroupHandle:
@@ -82,11 +51,8 @@ class SubgroupHandle:
 
     def evaluate(self, hword: Sequence[int]) -> Element:
         """The element denoted by a word over this subgroup's generators."""
-        for l in hword:
-            if l == 0 or abs(l) > len(self.generators):
-                raise InputError(f"hword letter {l} outside the generator range")
-        images = [g.word for g in self.generators]  # each reduced and in range
-        return Element._reduced(self.system, free_reduce(substitute_word(hword, images)))
+        words = [g.word for g in self.generators]  # each reduced and in range
+        return Element._reduced(self.system, evaluate_hword(hword, words))
 
     def words(self) -> tuple[str, ...]:
         return tuple(self.system.word_str(g.word) for g in self.generators)

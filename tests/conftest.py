@@ -36,13 +36,18 @@ LAMPLIGHTER_TEXT = "alphabet 2\ngen a perm=1,0 sections=a,b\ngen b perm=0,1 sect
 EXPANDING_TEXT = "alphabet 2\ngen a perm=0,1 sections=aa,e\ngen b perm=1,0 sections=e,e\n"
 
 
-def fresh_interpreter_output(probe: str) -> str:
-    """Standard output of a new interpreter running ``probe`` on these sources."""
+def fresh_interpreter(probe: str) -> subprocess.CompletedProcess:
+    """A new interpreter's run of ``probe`` on these sources, its output captured."""
     src = str(Path(basilica_package.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+
+
+def fresh_interpreter_output(probe: str) -> str:
+    """Standard output of a new interpreter running ``probe`` on these sources."""
+    done = fresh_interpreter(probe)
+    done.check_returncode()
+    return done.stdout
 
 
 @pytest.fixture(scope="session")

@@ -11,9 +11,12 @@ benchmark's ``certify`` pool, which it only reads.
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
-from basilica import basilica
+import pytest
+
+from basilica import basilica, certificate, cli
 from basilica.descent import (
     FailureReport,
     parse_certificate,
@@ -76,6 +79,65 @@ def test_golden_covers_failing_stages_and_long_descents():
     text = GOLDEN.read_text()
     assert "\nstage=1 " in text and "\nstage=4 " in text
     assert "gens: aBB, AAB, a\n" in text and "gens: AAB, Ab, aa\n" in text
+
+
+def _edit_line(key, edit):
+    def tamper(text):
+        return re.sub(rf"(?m)^({key}: )(.*)$", lambda m: m[1] + edit(m[2]), text, count=1)
+
+    return tamper
+
+
+# one edit per certificate: the last vertex digit flipped, a digit outside
+# the alphabet appended to the vertex, the case of the first expr-a token
+# swapped, the case of the first subgroup word's first letter swapped; with
+# the exit codes `verify` gives each golden certificate so edited (0 valid,
+# 5 INVALID, 2 malformed)
+TAMPERS = {
+    "none": (lambda text: text, "0" * 32),
+    "vertex": (_edit_line("vertex", lambda v: v[:-1] + "10"[int(v[-1])]), "5" * 32),
+    "digit": (_edit_line("vertex", lambda v: v + "2"), "2" * 32),
+    "token": (
+        _edit_line("expr-a", lambda e: e[0].swapcase() + e[1:]),
+        "55555555555555055555550050550005",
+    ),
+    "subgroup": (
+        _edit_line("subgroup", lambda w: w[0].swapcase() + w[1:]),
+        "55505555555555555555555555555555",
+    ),
+}
+
+
+def _verdict(check, *args):
+    try:
+        return check(*args)
+    except Exception as exc:  # the exception's type is the verdict
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", TAMPERS)
+def test_golden_certificates_replay_alike(name, tmp_path, capsys):
+    # descent.verify_certificate and certificate.replay are one replay: they
+    # agree on every golden certificate and every edit of it, and `verify`
+    # exits as before
+    B = basilica()
+    tamper, expected = TAMPERS[name]
+    blocks = [b.partition("\n") for b in GOLDEN.read_text().split("\n\n")]
+    texts = [(gens, text) for gens, _, text in blocks if text.startswith("basilica-certificate: ")]
+    assert len(texts) == len(expected)
+    path = tmp_path / "cert.txt"
+    codes = []
+    for gens, text in texts:
+        edited = tamper(text)
+        assert name == "none" or edited != text
+        path.write_text(edited)
+        codes.append(str(cli.main(["verify", "--cert", str(path)])))
+        capsys.readouterr()
+        cert = parse_certificate(edited)
+        H = SubgroupHandle.from_words(B, gens.removeprefix("gens: ").split(", "))
+        words = [g.word for g in H.generators]
+        assert _verdict(verify_certificate, H, cert) == _verdict(certificate.replay, B, words, cert)
+    assert "".join(codes) == expected
 
 
 if __name__ == "__main__":

@@ -6,10 +6,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from basilica import ConsistencyError, basilica, cli, core, norms, quotients
+from basilica import ConsistencyError, basilica, core, norms, quotients, structure
 from basilica.cli import main
 
-from conftest import BASILICA_TEXT, D3_TEXT, EXPANDING_TEXT
+from conftest import BASILICA_TEXT, D3_TEXT, EXPANDING_TEXT, fresh_interpreter, fresh_interpreter_output
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -432,6 +432,54 @@ def test_verify_directory(tmp_path, capsys):
     assert "Is a directory" in err
 
 
+def test_verify_loads_only_core_and_certificate(tmp_path, capsys):
+    # verify's trusted base is the replay in `certificate` on `core`: a cold
+    # verify loads no search, norm, order, structure or check code
+    assert run(capsys, "prodense", "--gens", "ba,bb", "--out", str(tmp_path / "cert.txt"))[0] == 0
+    text = (tmp_path / "cert.txt").read_text()
+    edits = {
+        "tampered": ("vertex: 1001", "vertex: 1000"),
+        "token": ("expr-a: g", "expr-a: x"),
+        "digit": ("vertex: 1001", "vertex: 1002"),
+    }
+    for name, (old, new) in edits.items():
+        (tmp_path / f"{name}.txt").write_text(text.replace(old, new))
+    probe = f"""
+import contextlib, io, sys
+from basilica import cli
+for name in ("cert", "tampered", "token", "digit"):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "--cert", {str(tmp_path)!r} + "/" + name + ".txt"])
+    print(code, repr(out.getvalue()), repr(err.getvalue()))
+print(sorted(m for m in sys.modules if m.startswith("basilica")))
+"""
+    assert fresh_interpreter_output(probe) == (
+        "0 'certificate valid: projection at 1001 is the full group\\n' ''\n"
+        "5 'certificate INVALID\\n' ''\n"
+        "2 '' \"parse error: bad generator token 'x0'\\n\"\n"
+        "2 '' \"parse error: bad vertex letter '2' at position 4\\n\"\n"
+        "['basilica', 'basilica.certificate', 'basilica.cli', 'basilica.core']\n"
+    )
+
+
+def test_out_of_memory_exit_code():
+    # the child caps its address space 32 MB above where it starts, as the
+    # benchmark's workers do; stab <a, b> at 14 zeros needs about 184 MB,
+    # so it runs out of memory and says so in one line
+    probe = """
+import resource, sys
+from basilica import cli
+with open("/proc/self/statm") as statm:
+    cap = int(statm.read().split()[0]) * resource.getpagesize() + (32 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.exit(cli.main(["stab", "--gens", "a,b", "--vertex", "0" * 14]))
+"""
+    done = fresh_interpreter(probe)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr == "out of memory: the command needs more than the process may allocate\n"
+
+
 def test_prodense_out_directory(tmp_path, capsys):
     code, _, err = run(capsys, "prodense", "--gens", "ba,bb", "--out", str(tmp_path))
     assert code == 2
@@ -523,7 +571,8 @@ def test_consistency_error_exit_code(capsys, monkeypatch):
     def broken(g):
         raise ConsistencyError("section images violate the derived-subgroup shape")
 
-    monkeypatch.setattr(cli, "bprime_coords", broken)
+    # the handler looks the image up on ``structure`` when it runs
+    monkeypatch.setattr(structure, "bprime_coords", broken)
     code, out, err = run(capsys, "bprime", "ABab")
     assert code == 6
     assert out == ""

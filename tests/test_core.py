@@ -965,6 +965,21 @@ def test_section_reads_keep_no_per_word_state(rng):
     assert grown < 512 * 1024
 
 
+def test_deep_level_perm_keeps_no_tables():
+    # a system keeps its level tables up to the key level (8 when d = 2),
+    # which the index keys read; those of levels 9-16, about 20 MB, are
+    # built for one call and dropped with it
+    system = parse_system(BASILICA_TEXT)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(system.word_level_perm((1,), 16)) == 1 << 16
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert abs(kept) < 1 << 20
+
+
 def test_trivial_memo_holds_only_proofs(rng):
     # a ball decides many equalities both ways, then single decisions on
     # random words (mostly nontrivial) and on long trivial lifts
