@@ -46,10 +46,10 @@ checks, follows one vertex instead: per chunk of up to key-level levels of
 the path, one pass whose state is a single point, and one reduction stack.
 Both walks build their steps from per-level point tables of each letter's
 action and sections, built once per system up to ``_chunk`` levels, each
-level's from the level below.  ``_fold``, the action alone behind
-``word_level_perm`` (up to level 16) and the index keys, keeps action-only
-tables up to the key level and builds deeper ones per call: section tables
-grow as s^k when a letter's sections hold s letters.
+level's from the level below.  ``word_level_perm`` (up to level 16) and
+the index keys fold the action alone, since section tables grow as s^k when
+a letter's sections hold s letters: up to the key level, one kept 256-byte
+table per letter with ``bytes.translate``, and deeper, tables built per call.
 
 No walk is kept per word: a section read walks the word again.  The one
 per-word memo is of words proven trivial (no nontrivial verdict) of at most
@@ -488,21 +488,23 @@ class GeneratorSystem:
         # no result depends on it, and it holds only words of at most
         # MEMO_LETTERS letters
         self._trivial_cache: set[Word] = {()}
-        # per level n >= 1, at index n - 1: per signed letter, the itemgetter
-        # that takes a level-n action p to p o (the letter's action); built
-        # on first use from the level below, and kept up to the key level
-        self._levels: list[dict[int, operator.itemgetter]] = []
-        # index keys fold one 256-byte translation table per letter: the
-        # letter's action on the deepest level of at most 256 vertices
-        # (none when d > 256), with the points past that level fixed
+        # index keys and level permutations up to the key level fold one
+        # 256-byte table per letter: its action on the key level, the
+        # deepest of at most 256 vertices (the root when d > 256), with the
+        # points past that level fixed
         key_level = 0
         while alphabet_size ** (key_level + 1) <= 256:
             key_level += 1
         self._key_size = alphabet_size**key_level
+        getters, points = self._level_getters(key_level), range(self._key_size)
         fixed = bytes(range(self._key_size, 256))
-        self._key_tables = {
-            l: bytes(self._fold((l,), key_level)) + fixed for l in self._letter_root
-        }
+        self._key_tables = {l: bytes(getters[l](points)) + fixed for l in self._letter_root}
+        # at index n, y -> y // d^(key level - n): a key-level vertex to
+        # the level-n vertex above it
+        by_d, cuts = bytes(y // alphabet_size for y in range(256)), [_BYTE_IDENTITY]
+        for _ in range(key_level):
+            cuts.insert(0, cuts[0].translate(by_d))
+        self._cuts = cuts
         # levels ``word_at`` walks at once: the key level (at least 1), cut
         # while a letter's sections there could hold more letters in all
         # than the key level has points.  A letter whose sections hold s
@@ -741,15 +743,13 @@ class GeneratorSystem:
         d = self.alphabet_size
         return tuple(x // d**j % d for j in reversed(range(k)))
 
-    def _fold(self, word: Word, n: int) -> tuple[int, ...]:
-        """Images of the d^n level-n vertices under ``word``; no budget.
-        The tables of levels up to the key level are kept; those of a deeper
-        level are built for the call from the key level's and then dropped."""
-        if n == 0:
-            return (0,)
-        levels, d = self._levels, self.alphabet_size
-        getters = levels[min(n, len(levels)) - 1] if levels else None
-        for k in range(len(levels) + 1, n + 1):
+    def _level_getters(self, n: int) -> dict[int, operator.itemgetter]:
+        """Per signed letter, the itemgetter that takes a level-n action p to
+        p o (the letter's action), each level's built from the level below,
+        starting at the root, which every letter fixes."""
+        d = self.alphabet_size
+        getters = dict.fromkeys(self._letter_root, operator.itemgetter(slice(None)))
+        for k in range(1, n + 1):
             # a letter l with root sigma and sections s_x sends the vertex
             # x v to sigma(x) (s_x . v): its level-k table is its root
             # blown up over blocks of size d^(k-1), shifted by the level
@@ -760,31 +760,35 @@ class GeneratorSystem:
                 images: list[int] = []
                 for root, sec in zip(self._letter_root[l], secs):
                     p = tuple(range(size))
-                    for s in sec if k > 1 else ():  # level 0 has one vertex
+                    for s in sec:
                         p = getters[s](p)
                     images.extend(map((root * size).__add__, p))
                 tables[l] = operator.itemgetter(*images)
             getters = tables
-            if size * d <= self._key_size:
-                levels.append(tables)
-        # the word acts as l1 o l2 o ... o lm, so the fold composes each
-        # letter on the right: p o l is p's images read at l's images
-        p = tuple(range(d**n))
-        for l in word:
-            p = getters[l](p)
-        return p
+        return getters
 
     def word_level_perm(self, word: Word, n: int) -> tuple[int, ...]:
-        """Images of the d^n level-n vertices in lexicographic order."""
+        """Images of the d^n level-n vertices in lexicographic order.  The
+        word acts as l1 o ... o lm, so each letter folds in on the right; up
+        to the key level K, the fold starts from ``_cuts[n]``, so level-K
+        vertex x d^(K-n) reads the level-n image of x."""
         require_count(n, "level")
-        d = self.alphabet_size
+        d, size = self.alphabet_size, self._key_size
         # d >= 2, so d^n passes the budget for every n past its bit length
         if n >= MAX_LEVEL_POINTS.bit_length() or d**n > MAX_LEVEL_POINTS:
             raise BudgetExceededError(
                 f"level {n} of a {d}-letter alphabet has more than "
                 f"{MAX_LEVEL_POINTS} vertices"
             )
-        return self._fold(word, n)
+        if d**n <= size:
+            tables, p = self._key_tables, self._cuts[n]
+            for l in word:
+                p = tables[l].translate(p)
+            return tuple(p[: size : size // d**n])
+        getters, p = self._level_getters(n), tuple(range(d**n))
+        for l in word:
+            p = getters[l](p)
+        return p
 
     def word_is_trivial(self, word: Word) -> bool:
         """Decide triviality by section closure; exact.  Each closure word is
@@ -1111,27 +1115,24 @@ class ElementIndex:
     entry is the only one equal to it.  Any other word is compared only with
     the entries that act like it on the deepest level of at most 256 vertices
     (level 8 of the binary tree), since fingerprint inequality soundly
-    separates elements.  That action, the word's key, is its longest
-    registered prefix's key with the other letters folded in, and each
-    candidate is confirmed exactly by deciding the triviality of
-    ``word . cand^-1``.  ``find_word(word, complete=True)`` is for a caller
-    that knows an entry equals the word: every candidate but the last is
-    confirmed and the last is taken without a check.
+    separates elements.  That action, the word's key, a 256-byte table, is
+    its longest registered prefix's key with the other letters folded in,
+    one ``translate`` each, and each candidate is confirmed exactly by
+    deciding the triviality of ``word . cand^-1``.  ``find_word(word,
+    complete=True)`` is for a caller that knows an entry equals the word:
+    every candidate but the last is confirmed, the last taken unchecked.
     """
 
     def __init__(self, system: GeneratorSystem):
         self.system = system
-        key = _BYTE_IDENTITY[: system._key_size]
-        self._buckets: dict[bytes, tuple[int, ...]] = {key: (0,)}
+        self._buckets: dict[bytes, tuple[int, ...]] = {_BYTE_IDENTITY: (0,)}
         self._words: list[Word] = [()]
         # each entry's word, as ``_word_bytes``, to its index
         self._by_word: dict[bytes, int] = {b"": 0}
         self._word_keys: list[bytes] = [b""]  # per entry, its key in _by_word
         self._letter_bytes = {l: _word_bytes((l,)) for l in system._key_tables}
-        self._keys: list[bytes] = [key]  # per entry, the key it was bucketed by
+        self._keys: list[bytes] = [_BYTE_IDENTITY]  # per entry, its bucket's key
         self._longest = 0  # letters of the longest entry word
-        # the points past the key level, which every key table fixes
-        self._key_pad = _BYTE_IDENTITY[system._key_size :]
 
     def __len__(self) -> int:
         return len(self._words)
@@ -1208,11 +1209,9 @@ class ElementIndex:
     def _key_after(self, idx: int, letters: Word) -> bytes:
         """The key of entry ``idx``'s word followed by ``letters``: the key
         fold takes letters one ``translate`` each, so it goes on from the
-        entry's key.  That key is the translation table, which must have 256
-        bytes: a shorter key is padded with the points past the key level,
-        which every letter fixes, and the result cut back."""
-        p = self._keys[idx] + self._key_pad
+        entry's key, the 256-byte table it returned."""
+        p = self._keys[idx]
         tables = self.system._key_tables
         for l in letters:
             p = tables[l].translate(p)
-        return p[: self.system._key_size]
+        return p

@@ -275,7 +275,7 @@ def test_element_index_agrees_with_equals(kind, texts):
         assert index._by_word == {core._word_bytes(w): i for i, w in enumerate(index._words)}
         for i in range(len(index)):
             level_perm = system.word_level_perm(index.word_at(i), _KEY_LEVEL[kind])
-            assert index._keys[i] == bytes(level_perm)
+            assert index._keys[i] == bytes(level_perm) + bytes(range(len(level_perm), 256))
 
 
 @settings(derandomize=True, deadline=None)
@@ -287,7 +287,8 @@ def test_index_key_is_level_action(kind, letters):
     assert system.alphabet_size**level <= 256 < system.alphabet_size ** (level + 1)
     index = ElementIndex(system)
     idx, _ = index.find_or_insert(word)
-    assert index._keys[idx] == bytes(system.word_level_perm(word, level))
+    perm = system.word_level_perm(word, level)
+    assert index._keys[idx] == bytes(perm) + bytes(range(len(perm), 256))
 
 
 _CHILD_SYSTEMS = {"basilica": BASILICA_TEXT, "grigorchuk": GRIGORCHUK_TEXT, "d3": D3_TEXT}
@@ -310,7 +311,8 @@ def test_child_key_is_index_key_of_the_extension(kind, data):
     child, new = index.find_or_insert_child(idx, letter)
     assert (child, new) == (len(index) - 1, True)
     assert index.word_at(child) == extended
-    assert index._keys[child] == bytes(system.word_level_perm(extended, _KEY_LEVEL[kind]))
+    perm = system.word_level_perm(extended, _KEY_LEVEL[kind])
+    assert index._keys[child] == bytes(perm) + bytes(range(len(perm), 256))
     assert index._by_word[core._word_bytes(extended)] == child
     assert index.find_word(extended) == child
 
@@ -327,10 +329,26 @@ def _letter_data(system):
     return data
 
 
+# the level tests' systems besides _SYSTEMS: Grigorchuk's letters push 0 or
+# 1 section letters at a vertex, and a section of "long-sections" holds up
+# to 2, 3 per letter in all, so its word_at chunk is cut to 5 levels
+_LEVEL_SYSTEMS = {
+    **_SYSTEMS,
+    "grigorchuk": GRIGORCHUK_TEXT,
+    "long-sections": "alphabet 2; gen a perm=1,0 sections=ab,B; gen b perm=0,1 sections=a,ba",
+}
+# the deepest level the reference recursion checks
+_REFERENCE_TOP = {"basilica": 9, "d3": 9, "grigorchuk": 9, "long-sections": 9, "wide": 1}
+
+
+def _signed_letters(system):
+    return [l for i in range(len(system.names)) for l in (i + 1, -(i + 1))]
+
+
 @functools.lru_cache(maxsize=None)
 def _reference_letter_perm(kind, letter, n):
     """A letter's level-n Perm: x v goes to sigma(x) (s_x . v)."""
-    system = parse_system(_SYSTEMS[kind])
+    system = parse_system(_LEVEL_SYSTEMS[kind])
     root, secs = _letter_data(system)[letter]
     size = system.alphabet_size ** (n - 1)
     images = []
@@ -341,22 +359,44 @@ def _reference_letter_perm(kind, letter, n):
 
 def _reference_level_perm(kind, word, n):
     """Product of the letters' level-n Perms; level 0 has one vertex."""
-    p = Perm(range(parse_system(_SYSTEMS[kind]).alphabet_size ** n))
+    p = Perm(range(parse_system(_LEVEL_SYSTEMS[kind]).alphabet_size ** n))
     for l in word if n else ():
         p = Perm(compose_images(p.images, _reference_letter_perm(kind, l, n).images))
     return p
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(
-    st.sampled_from(["basilica", "d3"]),
+    st.sampled_from(sorted(_LEVEL_SYSTEMS)),
     st.integers(0, 9),
-    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=12),
+    st.lists(st.integers(-4, 4).filter(bool), max_size=12),
 )
+# each system at its deepest reference level
+@example("grigorchuk", 9, [2, 1, 3, 1, 4, -1, 2])
+@example("long-sections", 9, [1, 2, -1, 2, 2, -1])
+@example("d3", 9, [1, -2, 1, 1, 2, -1])
+@example("wide", 1, [1, 2, -1, -2, 2])
 def test_level_perm_is_product_of_letter_perms(kind, n, letters):
-    system = parse_system(_SYSTEMS[kind])
-    word = free_reduce(letters)
+    system = parse_system(_LEVEL_SYSTEMS[kind])
+    n = min(n, _REFERENCE_TOP[kind])
+    # letters past the system's generators are dropped
+    word = free_reduce(l for l in letters if abs(l) <= len(system.names))
     assert system.element(word).level_perm(n) == _reference_level_perm(kind, word, n)
+
+
+@pytest.mark.parametrize("kind", sorted(_LEVEL_SYSTEMS))
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.data())
+def test_level_perm_is_the_next_level_read_one_level_up(kind, data):
+    # level-n vertex x lies above level-(n + 1) vertex x d, so level n reads
+    # x -> p(x d) // d off level n + 1; n runs on both sides of the key
+    # level, whose tables are kept, while deeper ones are built per call
+    system = parse_system(_LEVEL_SYSTEMS[kind])
+    d = system.alphabet_size
+    n = data.draw(st.sampled_from([n for n in range(12) if d ** (n + 1) <= core.MAX_LEVEL_POINTS]))
+    word = free_reduce(data.draw(st.lists(st.sampled_from(_signed_letters(system)), max_size=12)))
+    above = system.word_level_perm(word, n + 1)
+    assert system.word_level_perm(word, n) == tuple(above[x * d] // d for x in range(d**n))
 
 
 def test_level_perm_examples(B):
@@ -638,6 +678,8 @@ _CHUNKS = {
     "wide": (_WIDE_SYSTEM, 1),
     # 16 letters in a's sections: 16^2 = 256 on level 2
     "sixteen": ("alphabet 2; gen a perm=1,0 sections=aaaaaaaa,aaaaaaaa", 2),
+    # 3 letters in a's sections: 3^5 = 243 on level 5
+    "long-sections": (_LEVEL_SYSTEMS["long-sections"], 5),
 }
 
 

@@ -23,7 +23,7 @@ from basilica.descent import (
     verify_certificate,
 )
 from basilica.norms import geodesic_rep
-from basilica.permgrp import SubgroupHandle
+from basilica.permgrp import SubgroupHandle, level_quotient_equals_full
 from basilica.structure import ab_image, alpha, tau
 
 from conftest import BASILICA_TEXT, GRIGORCHUK_TEXT, GUPTA_SIDKI_TEXT, LAMPLIGHTER_TEXT
@@ -283,6 +283,20 @@ def test_search_battery_certificates_sound(B):
         result = prodense_projection_search(H)
         assert isinstance(result, ProdenseCertificate), words
         assert verify_certificate(H, result), words
+
+
+def test_projection_certificate_proves_h_v_not_h(B):
+    # <aa, Ab> has a replayable certificate at the vertex 11, yet both its
+    # generators have even total exponent sum, so H lies in an index-2
+    # subgroup and no level quotient past the root is full: a certificate
+    # proves H_v = B at its vertex, not H = B
+    H = SubgroupHandle.from_words(B, ["aa", "Ab"])
+    cert = prodense_projection_search(H)
+    assert isinstance(cert, ProdenseCertificate) and cert.vertex == "11"
+    assert verify_certificate(H, parse_certificate(cert.serialize()))
+    assert [sum(exponent_sums(g.word, 2)) % 2 for g in H.generators] == [0, 0]
+    assert level_quotient_equals_full(H, 1)
+    assert not any(level_quotient_equals_full(H, n) for n in range(2, 9))
 
 
 def test_certificate_serialization_round_trip(B):
