@@ -304,6 +304,14 @@ class Perm:
             raise InputError(f"not a permutation: {images!r}")
         object.__setattr__(self, "images", images)
 
+    @classmethod
+    def _computed(cls, images: tuple[int, ...]) -> "Perm":
+        """Perm of an image tuple the engine computed (a level action), so it
+        is not sorted and checked again."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
 
@@ -780,6 +788,8 @@ class GeneratorSystem:
                 f"level {n} of a {d}-letter alphabet has more than "
                 f"{MAX_LEVEL_POINTS} vertices"
             )
+        if n == 0:  # the root, which every word fixes
+            return (0,)
         if d**n <= size:
             tables, p = self._key_tables, self._cuts[n]
             for l in word:
@@ -1010,7 +1020,7 @@ class Element:
 
     def level_perm(self, n: int) -> Perm:
         """The permutation of the d^n level-n vertices (lexicographic order)."""
-        return Perm(self.system.word_level_perm(self.word, n))
+        return Perm._computed(self.system.word_level_perm(self.word, n))
 
     def is_trivial(self) -> bool:
         return self.system.word_is_trivial(self.word)

@@ -9,12 +9,13 @@ group, never loads it.
 points that keep the dyadic blocks together are automorphisms of the binary
 tree of depth n; they generate a 2-group, counted by sifting through an
 induced polycyclic sequence along the level stabilizers, closed by squaring
-each new element and commuting it with the generators and with the earlier
-elements of its own level (a normal closure, not all pairs), with elements
-as ``bytes`` multiplied by ``bytes.translate`` up to 256 points (level 8)
-and as tuples above.  That covers every level action of a binary system, so
-the ``order`` command takes this path.  Any other input (other degrees, d >= 3
-systems, permutations that break the blocks) goes through a deterministic
+each new element and commuting it with the generators and with the elements
+of its own level that ``_tree_order``'s docstring calls seeds (a normal
+closure, not all pairs), with elements as ``bytes`` multiplied by
+``bytes.translate`` up to 256 points (level 8) and as tuples above.  That
+covers every level action of a binary system, so the ``order`` command
+takes this path.  Any other input (other degrees, d >= 3 systems,
+permutations that break the blocks) goes through a deterministic
 Schreier-Sims stabilizer chain, which raises ``BudgetExceededError`` (its
 ``partial``: the base length so far) past ``MAX_SCHREIER_SIFTS`` sifts; the
 polycyclic sift raises it (its ``partial``: the sequence length so far) past
@@ -41,7 +42,8 @@ MAX_SCHREIER_SIFTS = 10_000
 MAX_TREE_WORK = 300_000_000
 # leaves a polycyclic sequence of binary-tree automorphisms may pass over,
 # one pass per square and commutation test of each element that joins it;
-# the full Basilica group at level 10 takes 21119 products of degree 1024
+# the full Basilica group at level 10 takes 5250 products of degree 1024,
+# and at level 11 11641 of degree 2048
 
 
 def _chain(perms: Sequence) -> tuple[int, Callable[[tuple[int, ...]], bool]]:
@@ -66,12 +68,23 @@ def _chain(perms: Sequence) -> tuple[int, Callable[[tuple[int, ...]], bool]]:
 
 def _keeps_dyadic_blocks(g: tuple[int, ...]) -> bool:
     """Whether a permutation of 2^n leaves is an automorphism of the binary
-    tree above them: siblings go to siblings at every height."""
+    tree above them: siblings go to siblings at every height.  Up to 256
+    leaves the images are ``bytes``, and XOR 1 and shifting right by 1 are
+    each one ``bytes.translate`` by a table; above, tuples mapped point by
+    point."""
+    if len(g) <= 256:
+        g, xor1, shr1, translate = bytes(g), _XOR1, _SHR1, bytes.translate
+    else:  # (1).__rrshift__(x) is x >> 1
+        xor1, shr1, translate = (1).__xor__, (1).__rrshift__, lambda h, f: tuple(map(f, h))
     while len(g) > 1:
-        if set(map(xor, g[::2], g[1::2])) != {1}:
+        evens = g[::2]
+        if g[1::2] != translate(evens, xor1):
             return False
-        g = [x >> 1 for x in g[::2]]
+        g = translate(evens, shr1)
     return True
+
+
+_XOR1, _SHR1 = bytes(x ^ 1 for x in range(256)), bytes(x >> 1 for x in range(256))
 
 
 def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
@@ -91,27 +104,50 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
     needed.  A nonzero residue r at level k joins the sequence as a layer-k
     element, and three kinds of element are sifted in turn: r^2, from level
     k + 1; [r, x] for each generator x of H that r does not commute with,
-    from level k, since St(k-1) is normal; and [r, b] for each earlier
-    layer-k element b that r does not commute with, from level k + 1, since
-    two elements of St(k-1) commute on level k (at k = n they commute, so
-    neither squares nor same-layer commutators are formed there).
+    from level k, since St(k-1) is normal; and [r, b] for layer-k elements
+    b that r does not commute with, from level k + 1, since two elements of
+    St(k-1) commute on level k (at k = n they commute, so neither squares
+    nor same-layer commutators are formed there).  Which b: a layer-k
+    element is a non-seed when it is the residue of a commutator [r', x],
+    r' of layer k and x a generator, that joined at level k, r''s own; every
+    other one (the residue of a generator, a square, a same-layer
+    commutator, or a generator commutator that joined deeper) is a seed.  A
+    seed is tested against every earlier layer-k element, a non-seed only
+    against the earlier seeds, so each seed meets every element of its
+    layer, and two non-seeds are never tested.
 
     Why that closes: let P_k be the set of elements that sift to the
     identity from level k.  Sifting is monotone: echelon entries are only
     added, and a sift that succeeded read only entries that stay, so it
     still succeeds.  Once every queued element sifts to the identity, go
     down from P_(n+1) = 1 and suppose P_(k+1) is a subgroup normalised by
-    every generator, hence by H.  The layer-k elements lie in H, their
-    squares and pairwise commutators lie in P_(k+1), so with P_(k+1) they
-    generate a group Q in which they span an elementary abelian section
-    Q/P_(k+1); their flip vectors are independent, so that section has
-    order 2^(layer size) and Q meets St(k) in P_(k+1) alone.  An element of
-    St(k-1) therefore sifts to the identity from level k exactly when it
-    lies in Q: P_k = Q.  Each [r, x] lies in P_k, so r^x does, and P_k is
-    normalised by every generator.  Every generator sifted to the identity
-    from level 1, so P_1 is a group that contains H, hence equals it:
-    |H| = 2^(sequence length), and a permutation of the leaves is a member
-    exactly when it sifts to the identity.
+    every generator, hence by H.  Let L_k be the layer-k elements; they lie
+    in H, so with P_(k+1) they generate a group Q = <L_k> P_(k+1).
+
+    - H normalises Q: for r in L_k and a generator x, either r^x = r, or
+      [r, x] sifted to the identity from level k, that is, it is a product
+      of elements of L_k and of P_(k+1), so r^x = r [r, x] lies in Q.
+    - Q is generated by P_(k+1) and the H-conjugates of the seeds: a
+      non-seed is a product of earlier elements of L_k, used by its sift,
+      and [r, x] = r^-1 r^x for an earlier r, so by induction on the order
+      of joining every element of L_k is a product of conjugates of seeds,
+      which lie in Q by the first step.
+    - A seed s is central in Q/P_(k+1): the q in Q with [s, q] in P_(k+1)
+      form a subgroup that contains P_(k+1), and it contains L_k, since s
+      was tested against each element of L_k and either commuted with it
+      or their commutator sifted to the identity from level k + 1.
+    - So is every conjugate s^y, y in H: [s^y, q] = [s, q^(y^-1)]^y, and
+      q^(y^-1) lies in Q by the first step.  Central generators make
+      Q/P_(k+1) abelian.
+
+    The squares of L_k lie in P_(k+1), so L_k spans an elementary abelian
+    section Q/P_(k+1); their flip vectors are independent, so that section
+    has order 2^(layer size) and Q meets St(k) in P_(k+1) alone.  An
+    element of St(k-1) therefore sifts to the identity from level k exactly
+    when it lies in Q: P_k = Q, normalised by H.  Every generator sifted to
+    the identity from level 1, so P_1 is a group that contains H, hence
+    equals it: |H| = 2^(sequence length), and a permutation of the leaves
+    is a member exactly when it sifts to the identity.
 
     Up to 256 leaves an element is ``bytes`` and each product or flip
     vector one ``bytes.translate``; above, a tuple.  A residue joins only
@@ -120,19 +156,21 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
     """
     degree = len(gens[0])
     n = degree.bit_length() - 1
-    # flips[s][x]: which child of its height-(s+1) ancestor leaf x lies under
-    flips = [(bytes(1 << s) + b"\1" * (1 << s)) * (max(degree, 256) >> s + 1) for s in range(n)]
     if degree <= 256:  # apply(g, table(w)) is w o g; inverse(w) is table(w^-1)
         convert, identity, pad = bytes, bytes(range(degree)), bytes(range(degree, 256))
         table, inverse = lambda w: w + pad, lambda w: bytes.maketrans(w, identity)
         apply = gather = bytes.translate
+        flips = _FLIPS
     else:
         convert, identity, table, inverse = tuple, tuple(range(degree)), tuple, invert_images
         apply = lambda g, t: itemgetter(*g)(t)
         gather = lambda h, t: bytes(map(t.__getitem__, h))
+        flips = _flip_tables(degree)
     # echelons[k]: leading digit -> (flip vector, (element, table, inverse))
-    # for the layer-k elements, in the order they joined
+    # for the layer-k elements, in the order they joined; seeds[k]: the
+    # entries of the layer-k seeds, in the same order
     echelons: list[dict] = [{} for _ in range(n + 1)]
+    seeds: list[list] = [[] for _ in range(n + 1)]
     generators = [(x, table(x), inverse(x)) for x in map(convert, gens)]
 
     def sift(g, start):
@@ -154,14 +192,15 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
         # a permutation that is not the identity here is no member
         return None if g == identity else (n + 1, 0, g)
 
-    # a queued sift is (element, first level, None), or for a commutator
-    # [r, b] (entry of r, first level, entry of b), built when popped: a
-    # queue of built elements passed 1 GB at level 16
-    queue: list[tuple] = [(x, 1, None) for x, _, _ in generators]
+    # a queued sift is (element, first level, None, False), or for a
+    # commutator [r, b] (entry of r, first level, entry of b, whether b is a
+    # generator), built when popped: a queue of built elements passed 1 GB
+    # at level 16
+    queue: list[tuple] = [(x, 1, None, False) for x, _, _ in generators]
     work = len(queue)  # products formed, each at least a pass over the leaves
     length = 0
     while queue:
-        g, start, e = queue.pop()
+        g, start, e, by_generator = queue.pop()
         if e is not None:
             (r, r_table, r_inv), (b, _, b_inv) = g, e
             g = apply(apply(apply(b, r_table), b_inv), r_inv)
@@ -177,19 +216,34 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
         k, v, r = found
         r_table, r_inv = table(r), inverse(r)
         entry = (r, r_table, r_inv)
-        # (b, first level of [r, b]) for each b that r is tested against
+        # (b, first level of [r, b]) for each b that r is tested against;
+        # the first level is k exactly when b is a generator
         tests = [(e, k) for e in generators]
         if k < n:  # on level n, r^2 = 1 and two elements of St(n-1) commute
-            queue.append((apply(r, r_table), k + 1, None))
-            tests += [(e, k + 1) for _, e in echelons[k].values()]
+            queue.append((apply(r, r_table), k + 1, None, False))
+            if by_generator and k == start:  # a non-seed
+                tests += [(e, k + 1) for e in seeds[k]]
+            else:
+                tests += [(e, k + 1) for _, e in echelons[k].values()]
+                seeds[k].append(entry)
         echelons[k][v.bit_length()] = (v, entry)
         work += (k < n) + len(tests)
         for e, level in tests:
             b, b_table, _ = e
             if apply(b, r_table) != apply(r, b_table):
-                queue.append((entry, level, e))
+                queue.append((entry, level, e, level == k))
         length += 1
     return 2**length, lambda g: sift(convert(g), 1) is None
+
+
+def _flip_tables(points: int) -> list[bytes]:
+    """tables[s][x]: which child of its height-(s+1) ancestor leaf x lies
+    under, for the leaves x of a binary tree with ``points`` leaves."""
+    heights = range(points.bit_length() - 1)
+    return [(bytes(1 << s) + b"\1" * (1 << s)) * (points >> s + 1) for s in heights]
+
+
+_FLIPS = _flip_tables(256)  # read by bytes.translate for every tree of at most 256 leaves
 
 
 def _schreier_sims_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:

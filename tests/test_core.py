@@ -1008,9 +1008,10 @@ def test_section_reads_keep_no_per_word_state(rng):
 
 
 def test_deep_level_perm_keeps_no_tables():
-    # a system keeps its level tables up to the key level (8 when d = 2),
-    # which the index keys read; those of levels 9-16, about 20 MB, are
-    # built for one call and dropped with it
+    # a system keeps one key table per letter, its action on the key level
+    # (8 when d = 2), which the index keys read; a deeper level builds the
+    # tables of levels 1 to n for the call, about 18 MB at peak for level 16,
+    # and drops them with it
     system = parse_system(BASILICA_TEXT)
     tracemalloc.start()
     try:

@@ -338,15 +338,21 @@ def test_tree_order_agrees_with_schreier_sims(words, n):
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(*_LEVEL_SUBGROUPS)
 def test_tree_order_on_tuples_agrees_with_bytes(words, n):
-    # lifted to 512 leaves, past the 256 that bytes elements hold, by acting
-    # as p on the top n levels and trivially on the 9 - n below
+    # lifted to 512 leaves, past the 256 that bytes elements hold
     B = basilica()
     images = [p.images for p in level_perms(B, [B.element(w) for w in words], n)]
-    k = 9 - n
-    mask = (1 << k) - 1
-    lifted = [tuple(p[x >> k] << k | (x & mask) for x in range(512)) for p in images]
+    lifted = list(map(_lift, images))
     assert all(_keeps_dyadic_blocks(g) for g in lifted)
     assert group_order(lifted) == group_order(images)
+
+
+def _lift(p):
+    """A permutation p of 2^n leaves, n <= 9, as one of 512 leaves: p on the
+    top n levels and the identity on the 9 - n below.  It keeps the dyadic
+    blocks exactly when p does."""
+    k = 10 - len(p).bit_length()
+    mask = (1 << k) - 1
+    return tuple(p[x >> k] << k | (x & mask) for x in range(512))
 
 
 _GRIGORCHUK = parse_system(GRIGORCHUK_TEXT)
@@ -388,6 +394,14 @@ def _portrait_images(n, swaps):
 
 
 @st.composite
+def _dense_portraits(draw, n):
+    """A random portrait: each of the 2^n - 1 vertices above the leaves
+    swaps its children or not."""
+    bits = draw(st.integers(min_value=0, max_value=(1 << (1 << n) - 1) - 1))
+    return _portrait_images(n, {(j, i) for j in range(n) for i in range(1 << j) if bits >> (1 << j) - 1 + i & 1})
+
+
+@st.composite
 def _portraits(draw, n):
     """A random portrait on the top (at most 3) levels and one more swap
     anywhere, so that the generated groups stay within reach of the
@@ -403,17 +417,57 @@ def _portraits(draw, n):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.data())
 def test_chain_agrees_with_schreier_sims_on_portraits(n, data):
-    # from 2 to 512 leaves, so level 9 takes the tuple path; the elements
-    # tested are products of the generators, which are members, random
-    # automorphisms, and their products
+    # from 2 to 512 leaves, so level 9 takes the tuple path
     gens = data.draw(st.lists(_portraits(n), min_size=1, max_size=3))
+    _agree_on_members_and_others(gens, _portraits(n), data)
+
+
+@pytest.mark.parametrize("n", range(4, 7))
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(st.data())
+def test_chain_agrees_with_schreier_sims_on_dense_portraits(n, data):
+    # every vertex swaps at random, so the layers are large and many of
+    # their elements join as non-seeds, tested for commuting only with the
+    # seeds of their layer
+    gens = data.draw(st.lists(_dense_portraits(n), min_size=2, max_size=3))
+    _agree_on_members_and_others(gens, _dense_portraits(n), data)
+
+
+def _agree_on_members_and_others(gens, portraits, data):
+    """``_agree_with_schreier_sims`` on products of the generators, which are
+    members, on random automorphisms drawn from ``portraits``, and on their
+    products."""
     members = [
         reduce(compose_images, data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=4)))
         for _ in range(2)
     ]
-    others = data.draw(st.lists(_portraits(n), min_size=1, max_size=2))
+    others = data.draw(st.lists(portraits, min_size=1, max_size=2))
     elements = members + others + [compose_images(g, h) for g in members for h in others]
     assert all(_agree_with_schreier_sims(gens, elements)[: len(members)])
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.data())
+def test_dyadic_block_check_on_bytes_agrees_with_tuples(n, data):
+    # random permutations, tree automorphisms, and tree automorphisms with
+    # two leaves swapped, which break the blocks from some height on; up to
+    # 256 leaves the check reads bytes, and on the lift to 512 leaves tuples
+    automorphisms = _dense_portraits(n)
+    swapped = st.tuples(automorphisms, st.permutations(range(1 << n))).map(lambda pair: _swap(*pair))
+    p = data.draw(st.one_of(st.permutations(range(1 << n)).map(tuple), automorphisms, swapped))
+    by_definition = all(
+        len({(x >> s, y >> s) for x, y in enumerate(p)}) == 1 << n - s for s in range(1, n + 1)
+    )
+    assert _keeps_dyadic_blocks(p) == _keeps_dyadic_blocks(_lift(p)) == by_definition
+
+
+def _swap(p, points):
+    """p with the images of the first two of ``points`` exchanged."""
+    x, y, *_ = points
+    images = list(p)
+    images[x], images[y] = images[y], images[x]
+    return tuple(images)
 
 
 # two automorphisms of the binary tree of depth 7, bit 2^j - 1 + i set when
@@ -439,9 +493,9 @@ def test_full_group_level_orders():
     B = basilica()
     log2_orders = [
         group_order(level_perms(B, B.generators(), n)).bit_length() - 1
-        for n in range(1, 9)
+        for n in range(1, 10)
     ]
-    assert log2_orders == [1, 3, 6, 12, 23, 45, 88, 174]
+    assert log2_orders == [1, 3, 6, 12, 23, 45, 88, 174, 345]
 
 
 def test_group_order_off_the_tree():
