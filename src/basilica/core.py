@@ -989,7 +989,7 @@ class Element:
 
     def root_perm(self) -> Perm:
         """The permutation induced on the first letter of vertex words."""
-        return Perm(self.system.word_root(self.word))
+        return Perm._computed(self.system.word_root(self.word))
 
     def section(self, x: int) -> "Element":
         """The automorphism induced on the subtree below letter x."""
@@ -1061,7 +1061,7 @@ class Element:
             next_frontier = []
             for vertex, w in frontier:
                 root, secs = self.system._walk_level(w, 1)
-                labels[vertex] = Perm(root)
+                labels[vertex] = Perm._computed(root)
                 for x, s in enumerate(secs):
                     next_frontier.append((vertex + str(x), s))
             frontier = next_frontier
@@ -1131,24 +1131,19 @@ class ElementIndex:
     deciding the triviality of ``word . cand^-1``.  ``find_word(word,
     complete=True)`` is for a caller that knows an entry equals the word:
     every candidate but the last is confirmed, the last taken unchecked.
+    ``words[i]`` is entry i's word: the index's own list, for reading only.
     """
 
     def __init__(self, system: GeneratorSystem):
         self.system = system
         self._buckets: dict[bytes, tuple[int, ...]] = {_BYTE_IDENTITY: (0,)}
-        self._words: list[Word] = [()]
+        self.words: list[Word] = [()]
         # each entry's word, as ``_word_bytes``, to its index
         self._by_word: dict[bytes, int] = {b"": 0}
         self._word_keys: list[bytes] = [b""]  # per entry, its key in _by_word
         self._letter_bytes = {l: _word_bytes((l,)) for l in system._key_tables}
         self._keys: list[bytes] = [_BYTE_IDENTITY]  # per entry, its bucket's key
         self._longest = 0  # letters of the longest entry word
-
-    def __len__(self) -> int:
-        return len(self._words)
-
-    def word_at(self, index: int) -> Word:
-        return self._words[index]
 
     def find_word(self, word: Word, complete: bool = False) -> int | None:
         """Index of the registered element equal to ``word``, if any.  With
@@ -1159,7 +1154,7 @@ class ElementIndex:
         if idx is not None:
             return idx
         bucket = self._buckets.get(self._key(word, packed), ())
-        words, is_trivial = self._words, self.system.word_is_trivial
+        words, is_trivial = self.words, self.system.word_is_trivial
         for i in bucket[:-1] if complete else bucket:
             if is_trivial(product_word(word, invert_word(words[i]))):
                 return i
@@ -1184,7 +1179,7 @@ class ElementIndex:
         one parent, so in the ball registry an extension is never an entry's
         word yet, and an entry registered by that word elsewhere is still
         confirmed in its bucket."""
-        system, words = self.system, self._words
+        system, words = self.system, self.words
         word = words[idx] + (letter,)
         key = self._key_after(idx, (letter,))
         for i in self._buckets.get(key, ()):
@@ -1195,8 +1190,8 @@ class ElementIndex:
 
     def _register(self, word: Word, key: bytes, word_key: bytes) -> int:
         """Append an entry with its key and its word bytes; returns its index."""
-        idx = len(self._words)
-        self._words.append(word)
+        idx = len(self.words)
+        self.words.append(word)
         self._keys.append(key)
         self._word_keys.append(word_key)
         self._by_word[word_key] = idx

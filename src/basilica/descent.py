@@ -26,9 +26,9 @@ input.
 
 from __future__ import annotations
 
-from .certificate import (  # the certificate's names, importable here as before
-    _BUDGET_KEYS, _FIELDS, DEFAULT_DEPTH, DEFAULT_SCHREIER_CAP, DEFAULT_STATES, HWord,
-    ProdenseCertificate, hword_parse, hword_str, parse_certificate, replay,
+from .certificate import (  # perfbench/workloads.py reads parse_certificate here
+    _BUDGET_KEYS, DEFAULT_DEPTH, DEFAULT_SCHREIER_CAP, DEFAULT_STATES, HWord,
+    ProdenseCertificate, hword_str, parse_certificate, replay,
 )
 from .core import (
     BudgetExceededError,

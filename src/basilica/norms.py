@@ -4,23 +4,24 @@ Balls are built radius by radius in length-then-lexicographic order
 (a < a^-1 < b < b^-1).  Each word tried is assigned to its group-element
 class by an ``ElementIndex`` (level-action fingerprint buckets confirmed by
 the exact decision procedure), so the first word reaching a class is its
-shortlex-least geodesic, the class representative.  A prefix of such a
-geodesic is one itself, so radius r + 1 tries only the one-letter extensions
-of the norm-r representatives, each keyed from its parent's index entry with
-one ``bytes.translate``.  The registry is shared per system, so repeated
-norm queries reuse the ball built so far; ``norm`` and ``geodesic_rep`` read
-one class lookup, and each ``BallClass`` is built once and shared by every
-later ``ball``.  A read goes through ``ElementIndex.find_word``: a
-representative is found by the word, with no fingerprint and no decision,
-and any other word is keyed from its longest registered prefix, which prefix
-closure makes a geodesic itself.  The registry is complete up to
-``radius_done``: a word no longer than that has no larger norm, so its class
-is registered in the word's bucket, and the read passes ``complete`` to
-confirm every entry but the last and take the last unchecked.  A longer
-word has every entry confirmed, and grows the ball until it is found.  The
-registry holds at most ``MAX_CLASSES`` classes: ``ball``, ``norm`` and
-``geodesic_rep`` raise ``BudgetExceededError`` past that, with the last
-complete radius as its ``partial``.
+shortlex-least geodesic, the class representative, whose length is the
+class's norm.  A prefix of such a geodesic is one itself, so radius r + 1
+tries only the one-letter extensions of the norm-r representatives, found
+by length in the index's ``words`` with ``bisect``, each keyed from its
+parent's entry with one ``bytes.translate``.  The registry is shared per
+system, so repeated norm queries reuse the ball built so far, and each
+``BallClass`` is built once and shared by every later ``ball``.  A ``norm``
+or ``geodesic_rep`` read is one ``ElementIndex.find_word``: a representative
+is found by the word, with no fingerprint and no decision, and any other
+word is keyed from its longest registered prefix, which prefix closure makes
+a geodesic itself.  The registry is complete up to ``radius_done``: a word
+no longer than that has no larger norm, so its class is registered in the
+word's bucket, and the read passes ``complete`` to confirm every entry but
+the last and take the last unchecked.  A longer word has every entry
+confirmed, and grows the ball until it is found.  The registry holds at
+most ``MAX_CLASSES`` classes: ``ball``, ``norm`` and ``geodesic_rep`` raise
+``BudgetExceededError`` past that, with the last complete radius as its
+``partial``, having registered words of the next length only.
 """
 
 from __future__ import annotations
@@ -45,14 +46,18 @@ MAX_CLASSES = 120_000
 
 
 class BallClass(Record):
-    """One group element of the ball: canonical geodesic plus its norm."""
+    """One group element of the ball, by its canonical geodesic: its norm is
+    the geodesic's length."""
 
     element: Element
-    norm: int
 
     @property
     def word(self) -> Word:
         return self.element.word
+
+    @property
+    def norm(self) -> int:
+        return len(self.element.word)
 
 
 class Ball(Record):
@@ -66,9 +71,7 @@ class Ball(Record):
 
     def table(self) -> str:
         """Tabular export: one `norm<TAB>geodesic` line per class."""
-        lines = [
-            f"{c.norm}\t{c.element.system.word_str(c.word)}" for c in self.classes
-        ]
+        lines = [f"{c.norm}\t{c.element.system.word_str(c.word)}" for c in self.classes]
         return "\n".join(lines) + "\n"
 
 
@@ -77,13 +80,11 @@ class _BallRegistry:
 
     def __init__(self, system: GeneratorSystem):
         self.index = ElementIndex(system)
-        self.norms: list[int] = [0]
         self.radius_done = 0
         # the class objects ``ball`` has handed out, in index order
         self.classes: list[BallClass] = []
-        n = len(system.names)
         # a < a^-1 < b < b^-1 < ...
-        self._letters = [l for i in range(n) for l in (i + 1, -(i + 1))]
+        self._letters = [l for i in range(len(system.names)) for l in (i + 1, -(i + 1))]
 
     def extend(self, radius: int) -> None:
         """Enumerate the classes up to ``radius``.
@@ -92,19 +93,18 @@ class _BallRegistry:
         of norm r first appears among the one-letter extensions of the
         norm-(r - 1) classes, in the same order as among all reduced words
         of length r.  Each extension is keyed from its parent's entry.  The
-        norm-(r - 1) classes are read back from the registry, which may
-        already hold some classes of norm r from a pass a budget stopped.
+        norm-(r - 1) classes are read back from the registry by length; it
+        may already hold some classes of norm r from a pass a budget stopped.
         """
-        index, norms = self.index, self.norms
+        index, words = self.index, self.index.words
         while self.radius_done < radius:
             r = self.radius_done + 1
-            for parent in range(bisect_left(norms, r - 1), bisect_left(norms, r)):
-                w = index.word_at(parent)
+            for parent in range(bisect_left(words, r - 1, key=len), bisect_left(words, r, key=len)):
+                w = words[parent]
                 cancel = -w[-1] if w else 0
                 for l in self._letters:
                     if l != cancel and index.find_or_insert_child(parent, l)[1]:
-                        norms.append(r)
-                        if len(norms) > MAX_CLASSES:
+                        if len(words) > MAX_CLASSES:
                             # the classes found so far are exact; a later
                             # call at or below radius_done still reads them
                             raise BudgetExceededError(
@@ -126,11 +126,10 @@ def ball(system: GeneratorSystem, radius: int) -> Ball:
     require_count(radius, "radius")
     reg = _registry(system)
     reg.extend(radius)
-    count = bisect_right(reg.norms, radius)
+    count = bisect_right(reg.index.words, radius, key=len)
     classes, start = reg.classes, len(reg.classes)
-    words = map(reg.index.word_at, range(start, count))
-    elements = map(partial(Element._reduced, system), words)
-    classes += map(BallClass._make, zip(elements, reg.norms[start:count]))
+    elements = map(partial(Element._reduced, system), reg.index.words[start:count])
+    classes += map(BallClass._make, zip(elements))
     return Ball(radius, tuple(classes[:count]))
 
 
@@ -149,10 +148,10 @@ def _find(g: Element) -> tuple[_BallRegistry, int]:
 def norm(g: Element) -> int:
     """Minimal word length representing g; zero exactly for the identity."""
     reg, idx = _find(g)
-    return reg.norms[idx]
+    return len(reg.index.words[idx])
 
 
 def geodesic_rep(g: Element) -> Word:
     """Lexicographically least word of length norm(g) equal to g."""
     reg, idx = _find(g)
-    return reg.index.word_at(idx)
+    return reg.index.words[idx]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .certificate import DEFAULT_SCHREIER_CAP, HWord, evaluate_hword, hword_parse, hword_str
+from .certificate import DEFAULT_SCHREIER_CAP, HWord, evaluate_hword, hword_str
 from .core import (
     Element,
     ElementIndex,
@@ -62,13 +62,16 @@ class SubgroupHandle:
 
 
 class SchreierTable(Record):
-    """Orbit of a vertex with one transversal hword per orbit point."""
+    """Orbit of a vertex as its transversal: one hword per point, in vertex order."""
 
-    orbit: tuple[str, ...]
     transversal: dict[str, HWord]
 
+    @property
+    def orbit(self) -> tuple[str, ...]:
+        return tuple(self.transversal)
+
     def table(self) -> str:
-        lines = [f"{vertex_str(v)}\t{hword_str(self.transversal[v])}" for v in self.orbit]
+        lines = [f"{vertex_str(v)}\t{hword_str(hw)}" for v, hw in self.transversal.items()]
         return "\n".join(lines) + "\n"
 
 
@@ -96,15 +99,15 @@ def _schreier_search(H: SubgroupHandle, vertex: str) -> tuple[int, list, dict[in
 
 
 def orbit(H: SubgroupHandle, vertex: str) -> SchreierTable:
-    """BFS orbit of a vertex under the subgroup's generator actions.
+    """Orbit of a vertex under the subgroup's generators, with BFS transversal hwords.
 
     A subgroup with generators raises ``BudgetExceededError`` before any
     search when the vertex's level has more than ``core.MAX_LEVEL_POINTS``
     vertices (binary depth past 16).
     """
     n, _, found = _schreier_search(H, vertex)
-    transversal = {vertex_word(H.system._point_path(u, n)): hw for u, hw in found.items()}
-    return SchreierTable(tuple(sorted(transversal)), transversal)
+    # point indices of one level sort as their vertex strings do
+    return SchreierTable({vertex_word(H.system._point_path(u, n)): found[u] for u in sorted(found)})
 
 
 def stabilizer_generator_pairs(

@@ -393,5 +393,5 @@ def equals_full(system: GeneratorSystem, words: Sequence[Word], n: int) -> bool:
         if _f2_rank(psi) == len(psi):
             h_psi = [reduce(xor, (psi[abs(l) - 1] for l in w), 0) for w in words]
             return _f2_rank(h_psi) == len(psi)
-    _, contains = _chain([system.word_level_perm(w, n) for w in words])
+    _, contains = _chain([Perm._computed(system.word_level_perm(w, n)) for w in words])
     return all(map(contains, full))

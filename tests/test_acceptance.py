@@ -76,7 +76,7 @@ def test_c03_free_positive_semigroup(capsys):
     for w in words:
         idx, new = index.find_or_insert(w)
         if not new:
-            failures.append(f"{B.word_str(w)} equals {B.word_str(index.word_at(idx))}")
+            failures.append(f"{B.word_str(w)} equals {B.word_str(index.words[idx])}")
     report(capsys, "3 free positive semigroup", 120, t0, failures)
 
 

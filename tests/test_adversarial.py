@@ -7,13 +7,14 @@ import itertools
 from hypothesis import assume, example, given, settings, strategies as st
 
 from basilica import InputError, basilica, parse_system
+from basilica.certificate import hword_parse, hword_str
 from basilica.descent import (
     ProdenseCertificate,
     parse_certificate,
     prodense_projection_search,
     verify_certificate,
 )
-from basilica.permgrp import SubgroupHandle, hword_parse, hword_str
+from basilica.permgrp import SubgroupHandle
 
 from conftest import BASILICA_TEXT
 

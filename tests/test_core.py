@@ -272,9 +272,9 @@ def test_element_index_agrees_with_equals(kind, texts):
         else:
             assert matches == [idx]
         assert index.find_word(g.word) == idx
-        assert index._by_word == {core._word_bytes(w): i for i, w in enumerate(index._words)}
-        for i in range(len(index)):
-            level_perm = system.word_level_perm(index.word_at(i), _KEY_LEVEL[kind])
+        assert index._by_word == {core._word_bytes(w): i for i, w in enumerate(index.words)}
+        for i in range(len(index.words)):
+            level_perm = system.word_level_perm(index.words[i], _KEY_LEVEL[kind])
             assert index._keys[i] == bytes(level_perm) + bytes(range(len(level_perm), 256))
 
 
@@ -309,8 +309,8 @@ def test_child_key_is_index_key_of_the_extension(kind, data):
     index = ElementIndex(system)
     idx, _ = index.find_or_insert(word)
     child, new = index.find_or_insert_child(idx, letter)
-    assert (child, new) == (len(index) - 1, True)
-    assert index.word_at(child) == extended
+    assert (child, new) == (len(index.words) - 1, True)
+    assert index.words[child] == extended
     perm = system.word_level_perm(extended, _KEY_LEVEL[kind])
     assert index._keys[child] == bytes(perm) + bytes(range(len(perm), 256))
     assert index._by_word[core._word_bytes(extended)] == child

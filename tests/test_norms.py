@@ -2,7 +2,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basilica import BudgetExceededError, InputError, core, equals, norms, parse_system
 from basilica.norms import ball, geodesic_rep, norm
@@ -157,19 +157,36 @@ def test_square_section_bound_small(B):
             assert norm(sq.section(1)) <= cls.norm
 
 
-def test_ball_budget(B, monkeypatch):
-    fresh = parse_system(BASILICA_TEXT)
-    monkeypatch.setattr(norms, "MAX_CLASSES", 100)
-    # ball(3) has 53 classes, ball(4) has 153
-    with pytest.raises(BudgetExceededError) as exc:
-        ball(fresh, 5)
-    assert exc.value.partial == 3
-    with pytest.raises(BudgetExceededError):
-        norm(fresh.element("ABabABab"))
-    assert [len(ball(fresh, r)) for r in range(4)] == [1, 5, 17, 53]
-    monkeypatch.setattr(norms, "MAX_CLASSES", 1000)
-    assert [len(ball(fresh, r)) for r in range(6)] == [1, 5, 17, 53, 153, 421]
-    assert ball(fresh, 5).table() == ball(B, 5).table()
+@functools.cache
+def _shortlex_classes(kind):
+    return [g.word for g in brute_force_classes(_oracle_system(kind), 5)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(["basilica", "d3"]), st.integers(6, 1000))
+@example("basilica", 100)  # stops in radius 4, after the 53 classes of ball(3)
+def test_ball_budget(kind, stop):
+    # a pass the budget stops registers only words one letter longer than
+    # the last complete radius, so the registry stays in length order: the
+    # radii it completed still read back by word length, and, once the
+    # budget allows it, the build goes on as if it had never stopped
+    counts = [len(ball(_oracle_system(kind), r)) for r in range(8)]
+    assert counts[6] > 1000
+    partial = max(r for r, count in enumerate(counts) if count <= stop)
+    fresh = parse_system(_READ_SYSTEMS[kind])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norms, "MAX_CLASSES", stop)
+        with pytest.raises(BudgetExceededError) as exc:
+            ball(fresh, 7)
+        assert exc.value.partial == partial
+        for r in range(partial + 1):
+            classes = ball(fresh, r).classes
+            assert len(classes) == counts[r]
+            assert [norm(c.element) for c in classes] == [len(c.word) for c in classes]
+        beyond = ball(_oracle_system(kind), partial + 2).classes[-1].word
+        with pytest.raises(BudgetExceededError):
+            norm(fresh.element(beyond))
+    assert [c.word for c in ball(fresh, 5).classes] == _shortlex_classes(kind)
 
 
 def test_ball_order_is_first_occurrence_in_shortlex(B):
@@ -262,7 +279,7 @@ def _confirmed_class(system, word):
     ball(system, len(word))
     reg = norms._registry(system)
     idx = reg.index.find_word(word)
-    return reg.norms[idx], reg.index.word_at(idx)
+    return len(reg.index.words[idx]), reg.index.words[idx]
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -311,6 +328,6 @@ def test_all_but_the_last_candidate_is_confirmed(monkeypatch):
     reg = norms._registry(fresh)
     for w, i in zip(aliases, expected):
         g = fresh.element(w)
-        assert norm(g) == reg.norms[i]
-        assert geodesic_rep(g) == index.word_at(i)
+        assert norm(g) == len(index.words[i])
+        assert geodesic_rep(g) == index.words[i]
     assert len(confirms) == 2 * len(aliases)

@@ -79,10 +79,10 @@ def _records(B):
     budgets = {"states": 100000, "schreier": 64, "depth": 16}
     makers = [
         ("depth", lambda: Portrait(1, {"": Perm([0, 1])})),
-        ("norm", lambda: BallClass(a, 1)),
+        ("norm", lambda: BallClass(a)),
         ("radius", lambda: Ball(0, ())),
         ("p", lambda: HeisenbergElement(1, 2, 3)),
-        ("orbit", lambda: SchreierTable(("0", "1"), {"0": (), "1": (1,)})),
+        ("orbit", lambda: SchreierTable({"0": (), "1": (1,)})),
         ("steps", lambda: DescentCertificate(a, (0, 1), a)),
         ("basis", lambda: NotInLattice(((2, 0), (0, 2)))),
         ("vertex", lambda: ProdenseCertificate(("a", "b"), ("s",), "01", (1,), (2,), budgets)),
@@ -202,7 +202,7 @@ def test_elements_survive_pickle_and_copy():
     ball(system, 3)
     assert system.word_is_trivial(tau(31).substitute(LIFT_SUBSTITUTION).word)
     a, b = system.generators()
-    for value in (a * b, BallClass(a, 1), DescentCertificate(a, (0, 1), b * b)):
+    for value in (a * b, BallClass(a), DescentCertificate(a, (0, 1), b * b)):
         protocols = range(pickle.HIGHEST_PROTOCOL + 1)
         clones = [pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols]
         clones += [copy.copy(value), copy.deepcopy(value)]
