@@ -31,12 +31,11 @@ print(ball(B, 2).table())
 # section norms never exceed the parent norm (the key contraction lemma),
 # and geodesics containing b ... b^-1 drop strictly
 matched = drops = 0
-for cls in ball(B, 6).classes:
-    g = cls.element
+for g in ball(B, 6).classes:
     total = norm(g.section(0)) + norm(g.section(1))
-    assert total <= cls.norm
+    assert total <= len(g.word)
     seen_b = has_pattern = False
-    for letter in cls.word:
+    for letter in g.word:
         if letter == 2:
             seen_b = True
         elif letter == -2 and seen_b:
@@ -44,6 +43,6 @@ for cls in ball(B, 6).classes:
             break
     if has_pattern:
         matched += 1
-        if total < cls.norm:
+        if total < len(g.word):
             drops += 1
 print(f"geodesics in ball(6) with b...b^-1: {matched}, all with strict drop: {matched == drops}")

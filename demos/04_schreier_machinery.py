@@ -10,6 +10,7 @@ quotients (2-groups, since the tree is binary).
 """
 
 from basilica import basilica
+from basilica.certificate import hword_str
 from basilica.permgrp import (
     SubgroupHandle,
     group_order,
@@ -40,6 +41,12 @@ for elem, hword in stabilizer_generator_pairs(H, "0"):
 proj = projected_subgroup(H, "0")
 print("projection at 0 generated by:", ", ".join(str(g) for g in proj.generators))
 print("projection covers the full level-3 quotient:", level_quotient_equals_full(proj, 3))
+
+# each projected generator carries the expression over H of the stabilizer
+# element it is the section of
+g, hword = proj.generators[-1], proj.expressions[-1]
+print(f"{g} is the section at 0 of {hword_str(hword)} = {H.evaluate(hword)}")
+assert H.evaluate(hword).projection((0,)) == g
 
 # exact level-quotient orders by polycyclic sifting
 for n in range(1, 7):

@@ -284,22 +284,22 @@ def check_lengths(out: _Collector) -> None:
     matched = {key: 0 for key, _, _ in _FORBIDDEN}
     violated = dict(matched)
     identity_root = tuple(range(2))
-    for cls in sphere.classes:
-        g = cls.element
+    for g in sphere.classes:
+        size = len(g.word)
         n0 = norm(g.section(0))
         n1 = norm(g.section(1))
-        if n0 + n1 > cls.norm:
+        if n0 + n1 > size:
             viol_sub += 1
-        if sys.word_root(cls.word) != identity_root:
+        if sys.word_root(g.word) != identity_root:
             checked_sq += 1
             sq = g * g
-            if norm(sq.section(0)) > cls.norm or norm(sq.section(1)) > cls.norm:
+            if norm(sq.section(0)) > size or norm(sq.section(1)) > size:
                 viol_sq += 1
-        text = sys.word_str(cls.word)
+        text = sys.word_str(g.word)
         for key, pattern, _ in _FORBIDDEN:
             if pattern.search(text):
                 matched[key] += 1
-                if n0 + n1 >= cls.norm:
+                if n0 + n1 >= size:
                     violated[key] += 1
     n = len(sphere.classes)
     out.add(
@@ -335,7 +335,7 @@ def _descent_sweep(out: _Collector, tag: str, find, cls: tuple[int, int]) -> lis
     that each search ends with a replayable witness, and return the states
     g, (g^2)_x1, ... that each witness passes through."""
     sphere = ball(basilica(), DESCENT_RADIUS)
-    inputs = [c.element for c in sphere.classes if ab_image(c.element) == cls]
+    inputs = [g for g in sphere.classes if ab_image(g) == cls]
     failures = bad_replays = 0
     paths = []
     for g in inputs:
@@ -425,11 +425,7 @@ def check_lifts(out: _Collector, rng: random.Random) -> None:
     """Support contract of rigid-stabilizer lifts for sampled B' elements."""
     sys = basilica()
     sphere = ball(sys, 6)
-    pool = [
-        c.element
-        for c in sphere.classes
-        if in_derived_subgroup(c.element) and not c.element.is_trivial()
-    ]
+    pool = [g for g in sphere.classes if in_derived_subgroup(g) and not g.is_trivial()]
     chosen = rng.sample(pool, min(LIFT_SAMPLES, len(pool)))
     vertices = [""]
     frontier = [""]

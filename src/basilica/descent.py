@@ -14,11 +14,13 @@ A successful run of k moves yields the replayable witness: g^(2^k)
 stabilizes the traversed vertex and its section there is the target.
 
 The projection search chains these searches along the constructive pipeline
-(coset solve for (1,1), descend to ab, the projection ``projection_pairs``
+(coset solve for (1,1), descend to ab, the projection ``projected_subgroup``
 gives at that vertex, coset solve for (1,-1), descend to b^-1 a, persistence
 of ab, endgame through a^2 = (1, b^2) and b^2 = (a, a)) and rewrites every
-witness back into a word over the subgroup's original generators with
-``substitute_word``, the substitution ``SubgroupHandle.evaluate`` replays.
+witness back into a word over the subgroup's original generators, through
+the projection's ``express``.  When the (1,-1) coset misses the capped
+projection at a vertex of depth 2 or more, the search takes that projection
+again one level at a time, (H_u)_w = H_(uw), each level capped alike.
 Success exhibits a vertex where the subgroup projection is the full group,
 as a ``certificate.ProdenseCertificate``; it never claims prodensity of the
 input.
@@ -40,18 +42,16 @@ from .core import (
     Record,
     Word,
     exponent_sums,
-    free_reduce,
     invert_word,
     power_word,
     product_word,
     require_basilica,
     require_count,
-    substitute_word,
     vertex_str,
     vertex_word,
 )
 from .norms import geodesic_rep
-from .permgrp import SubgroupHandle, projection_pairs
+from .permgrp import SubgroupHandle, projected_subgroup
 
 CLASS_AB = (1, 1)
 CLASS_AB_INV = (1, -1)
@@ -271,11 +271,11 @@ def prodense_projection_search(
     """Run the projection pipeline; a certificate on success, else a report.
 
     Stages: (1) solve the (1,1) coset over H, (2) descend it to ab at a
-    vertex v, (3) compute stabilizer generators of v with their sections,
-    (4) solve the (1,-1) coset over the projection, (5) descend to b^-1 a at
-    v', (6) persist ab down v' and finish through a^2 or b^2.  Every witness
-    is rewritten over H's original generators, so the certificate can be
-    replayed without trusting any of this code.  A budget that is not a
+    vertex v, (3) project H to v, (4) solve the (1,-1) coset over the
+    projection, taken again level by level after a miss at depth 2 or more,
+    (5) descend to b^-1 a at v', (6) persist ab down v' and finish through
+    a^2 or b^2.  Every witness is rewritten over H's original generators, so
+    the certificate can be replayed without trusting any of this code.  A budget that is not a
     non-negative int raises ``InputError``, since a certificate records its
     budgets as decimals; ``max_depth`` admits a vertex exactly that deep.
     """
@@ -309,17 +309,25 @@ def prodense_projection_search(
     expr_ab_at_v = power_word(expr_h, 2**k)
     stages.append(f"descend-ab vertex {vertex_str(v)} k {k}")
 
-    # stage 3: generators of the projection H_v, paired with expressions
-    pairs = projection_pairs(H, v, cap=schreier_cap)
-    stages.append(f"stabilizer vertex {vertex_str(v)} generators {len(pairs)}")
-    projection = SubgroupHandle(system, [sec for sec, _ in pairs])
+    # stage 3: generators of the projection H_v, with expressions over H
+    projection = projected_subgroup(H, v, cap=schreier_cap)
+    stages.append(f"stabilizer vertex {vertex_str(v)} generators {len(projection.generators)}")
 
-    # stage 4: an element of H_v congruent to a b^-1
+    # stage 4: an element of H_v congruent to a b^-1; a miss in the capped
+    # full-level projection at depth 2 or more is tried again level by level
     solved = solve_coset(projection, CLASS_AB_INV)
+    if isinstance(solved, NotInLattice) and len(v) > 1:
+        step = H
+        for x in v:
+            step = projected_subgroup(step, x, cap=schreier_cap)
+        count = len(step.generators)
+        stages.append(f"stabilizer vertex {vertex_str(v)} level by level generators {count}")
+        if not isinstance(retried := solve_coset(step, CLASS_AB_INV), NotInLattice):
+            projection, solved = step, retried
     if isinstance(solved, NotInLattice):
         return fail(4, "target (1,-1) not in the exponent lattice", solved.basis)
     hprime = projection.evaluate(solved)
-    expr_hprime = free_reduce(substitute_word(solved, [hw for _, hw in pairs]))
+    expr_hprime = projection.express(solved)
     stages.append(f"coset target (1,-1) expr {hword_str(solved)} over stabilizer generators")
 
     # stage 5: descend to b^-1 a at v'

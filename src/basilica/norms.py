@@ -9,19 +9,21 @@ class's norm.  A prefix of such a geodesic is one itself, so radius r + 1
 tries only the one-letter extensions of the norm-r representatives, found
 by length in the index's ``words`` with ``bisect``, each keyed from its
 parent's entry with one ``bytes.translate``.  The registry is shared per
-system, so repeated norm queries reuse the ball built so far, and each
-``BallClass`` is built once and shared by every later ``ball``.  A ``norm``
-or ``geodesic_rep`` read is one ``ElementIndex.find_word``: a representative
-is found by the word, with no fingerprint and no decision, and any other
-word is keyed from its longest registered prefix, which prefix closure makes
-a geodesic itself.  The registry is complete up to ``radius_done``: a word
-no longer than that has no larger norm, so its class is registered in the
-word's bucket, and the read passes ``complete`` to confirm every entry but
-the last and take the last unchecked.  A longer word has every entry
-confirmed, and grows the ball until it is found.  The registry holds at
-most ``MAX_CLASSES`` classes: ``ball``, ``norm`` and ``geodesic_rep`` raise
-``BudgetExceededError`` past that, with the last complete radius as its
-``partial``, having registered words of the next length only.
+system, so repeated norm queries reuse the ball built so far.  A ball holds
+its classes as the ``Element``s of their representatives, each built once
+and shared by every later ``ball``; a class's norm is its word's length.  A
+``norm`` or ``geodesic_rep`` read is one ``ElementIndex.find_word``: a
+representative is found by the word, with no fingerprint and no decision,
+and any other word is keyed from its longest registered prefix, which prefix
+closure makes a geodesic itself.  The registry is complete up to
+``radius_done``: a word no longer than that has no larger norm, so its class
+is registered in the word's bucket, and the read passes ``complete`` to
+confirm every entry but the last and take the last unchecked.  A longer word
+has every entry confirmed, and grows the ball until it is found.  The
+registry holds at most ``MAX_CLASSES`` classes: ``ball``, ``norm`` and
+``geodesic_rep`` raise ``BudgetExceededError`` past that, with the last
+complete radius as its ``partial``, having registered words of the next
+length only.
 """
 
 from __future__ import annotations
@@ -45,33 +47,18 @@ MAX_CLASSES = 120_000
 # 114713, and each radius multiplies the count by about 2.45
 
 
-class BallClass(Record):
-    """One group element of the ball, by its canonical geodesic: its norm is
-    the geodesic's length."""
-
-    element: Element
-
-    @property
-    def word(self) -> Word:
-        return self.element.word
-
-    @property
-    def norm(self) -> int:
-        return len(self.element.word)
-
-
 class Ball(Record):
     """All group elements of norm at most ``radius``, in discovery order."""
 
     radius: int
-    classes: tuple[BallClass, ...]
+    classes: tuple[Element, ...]
 
     def __len__(self) -> int:
         return len(self.classes)
 
     def table(self) -> str:
         """Tabular export: one `norm<TAB>geodesic` line per class."""
-        lines = [f"{c.norm}\t{c.element.system.word_str(c.word)}" for c in self.classes]
+        lines = [f"{len(g.word)}\t{g.system.word_str(g.word)}" for g in self.classes]
         return "\n".join(lines) + "\n"
 
 
@@ -81,8 +68,8 @@ class _BallRegistry:
     def __init__(self, system: GeneratorSystem):
         self.index = ElementIndex(system)
         self.radius_done = 0
-        # the class objects ``ball`` has handed out, in index order
-        self.classes: list[BallClass] = []
+        # the class elements ``ball`` has handed out, in index order
+        self.classes: list[Element] = []
         # a < a^-1 < b < b^-1 < ...
         self._letters = [l for i in range(len(system.names)) for l in (i + 1, -(i + 1))]
 
@@ -122,14 +109,13 @@ def _registry(system: GeneratorSystem) -> _BallRegistry:
 
 def ball(system: GeneratorSystem, radius: int) -> Ball:
     """The ball of the given radius; deterministic class ordering.  Each
-    class object is built once per registry and shared by every later ball."""
+    class element is built once per registry and shared by every later ball."""
     require_count(radius, "radius")
     reg = _registry(system)
     reg.extend(radius)
     count = bisect_right(reg.index.words, radius, key=len)
-    classes, start = reg.classes, len(reg.classes)
-    elements = map(partial(Element._reduced, system), reg.index.words[start:count])
-    classes += map(BallClass._make, zip(elements))
+    classes = reg.classes
+    classes += map(partial(Element._reduced, system), reg.index.words[len(classes):count])
     return Ball(radius, tuple(classes[:count]))
 
 

@@ -9,9 +9,10 @@ never needs an order does not load it.
 
 Subgroup elements are tracked together with their expressions over the
 subgroup's own generators (an "hword", in ``certificate``'s syntax: signed
-1-based indices into the generator list), so downstream certificate construction never has to trust
-intermediate rewriting; ``projection_pairs`` gives the projection H_v that
-way, for ``projected_subgroup`` and the projection search alike.
+1-based indices into the generator list), so downstream certificate
+construction never has to trust intermediate rewriting.  ``projected_subgroup``
+gives H_v with each generator's expression over the subgroup a chain of
+projections started from, so (H_u)_w is H_(uw) expressed over H.
 """
 
 from __future__ import annotations
@@ -26,24 +27,30 @@ from .core import (
     InputError,
     Perm,
     Record,
+    free_reduce,
     invert_images,
     invert_word,
     product_word,
     require_count,
+    substitute_word,
     vertex_str,
     vertex_word,
 )
 
 
 class SubgroupHandle:
-    """A finitely generated subgroup, given by a list of generator elements."""
+    """A finitely generated subgroup, given by a list of generator elements.
+    A projection's ``expressions`` hold, per generator, the hword of its
+    stabilizer element over the subgroup its chain of projections started
+    from; they are None for a subgroup given by its own generators."""
 
-    def __init__(self, system: GeneratorSystem, generators: Sequence[Element]):
+    def __init__(self, system: GeneratorSystem, generators: Sequence[Element], expressions=None):
         for g in generators:
             if not (g.system is system or g.system == system):
                 raise InputError("subgroup generators must live in the given system")
         self.system = system
         self.generators = tuple(generators)
+        self.expressions = None if expressions is None else tuple(expressions)
 
     @classmethod
     def from_words(cls, system: GeneratorSystem, words: Sequence[str]) -> "SubgroupHandle":
@@ -53,6 +60,13 @@ class SubgroupHandle:
         """The element denoted by a word over this subgroup's generators."""
         words = [g.word for g in self.generators]  # each reduced and in range
         return Element._reduced(self.system, evaluate_hword(hword, words))
+
+    def express(self, hword: HWord) -> HWord:
+        """An hword over the generators as one over the starting subgroup's;
+        unchanged for a subgroup given by its own generators."""
+        if self.expressions is None:
+            return hword
+        return free_reduce(substitute_word(hword, self.expressions))
 
     def words(self) -> tuple[str, ...]:
         return tuple(self.system.word_str(g.word) for g in self.generators)
@@ -139,28 +153,20 @@ def stabilizer_generator_pairs(
     return survivors
 
 
-def projection_pairs(
-    H: SubgroupHandle, vertex: str, cap: int = DEFAULT_SCHREIER_CAP
-) -> list[tuple[Element, HWord]]:
-    """Generators of the projection H_v with their hwords over H.
-
-    Each is the section at ``vertex`` of a stabilizer generator, paired with
-    that stabilizer generator's hword; trivial sections are dropped.
-    """
-    path = H.system.parse_vertex(vertex)
-    pairs = []
-    for elem, hw in stabilizer_generator_pairs(H, vertex, cap):
-        sec = Element._reduced(H.system, H.system.word_at(elem.word, path)[1])
-        if not sec.is_trivial():
-            pairs.append((sec, hw))
-    return pairs
-
-
 def projected_subgroup(
     H: SubgroupHandle, vertex: str, cap: int = DEFAULT_SCHREIER_CAP
 ) -> SubgroupHandle:
-    """The projection H_v: sections at v of the vertex-stabilizer generators."""
-    return SubgroupHandle(H.system, [sec for sec, _ in projection_pairs(H, vertex, cap)])
+    """The projection H_v: the nontrivial sections at v of the
+    vertex-stabilizer generators, in their order, each expressed by
+    ``H.express`` of its stabilizer generator's hword."""
+    path = H.system.parse_vertex(vertex)
+    generators, expressions = [], []
+    for elem, hw in stabilizer_generator_pairs(H, vertex, cap):
+        sec = Element._reduced(H.system, H.system.word_at(elem.word, path)[1])
+        if not sec.is_trivial():
+            generators.append(sec)
+            expressions.append(H.express(hw))
+    return SubgroupHandle(H.system, generators, expressions)
 
 
 def group_order(perms: Sequence) -> int:

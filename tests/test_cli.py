@@ -284,6 +284,28 @@ def test_prodense_failure_exit_code(capsys):
     assert "lattice=(1,1)" in out
 
 
+@pytest.mark.parametrize(
+    "gens, vertex",
+    [
+        ("AaAbAa,babbAbAbA,AABAABb", "0000000111"),
+        ("aba,bbAbb,bbA", "0000001111"),
+        ("bAba,BBABB,abaBAb", "00011111"),
+    ],
+)
+def test_prodense_certifies_past_a_deep_stage_4_miss(tmp_path, capsys, gens, vertex):
+    # stage 4 misses in the capped full-level projection and hits in the
+    # one taken level by level
+    cert_file = tmp_path / "cert.txt"
+    code, out, _ = run(capsys, "prodense", "--gens", gens, "--out", str(cert_file))
+    assert code == 0
+    text = cert_file.read_text()
+    assert f"vertex: {vertex}\n" in text
+    assert " level by level generators " in text
+    code, out, _ = run(capsys, "verify", "--cert", str(cert_file))
+    assert code == 0
+    assert "certificate valid" in out
+
+
 def test_prodense_certificate_golden(capsys):
     code, out, _ = run(capsys, "prodense", "--gens", "ba,bb")
     assert code == 0

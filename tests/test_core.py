@@ -179,8 +179,7 @@ def test_action_coherence_on_ball():
     for _ in range(5):
         suffixes = [v + x for v in suffixes for x in "01"]
         all_suffixes.extend(suffixes)
-    for cls in ball(B, 6).classes:
-        g = cls.element
+    for g in ball(B, 6).classes:
         root = g.root_perm()
         for x in (0, 1):
             sec = g.section(x)
@@ -225,7 +224,7 @@ def test_decision_agrees_with_deep_level_action():
     # the level-12 action separates every pair of ball(4) classes that the
     # word-problem decision separates, and conversely
     B = basilica()
-    classes = [cls.element for cls in ball(B, 4).classes]
+    classes = list(ball(B, 4).classes)
     perms = [g.level_perm(12) for g in classes]
     for i in range(len(classes)):
         for j in range(i + 1, len(classes)):

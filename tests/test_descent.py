@@ -254,6 +254,19 @@ def test_search_failures(B):
     assert res.lattice == ((1, 0),)
 
 
+def test_search_reports_a_stage_4_miss_of_both_projections_as_before(B):
+    # with no stabilizer generator kept, the projection misses either way; the
+    # report is the full level's and only its trace names the retry
+    H = SubgroupHandle.from_words(B, ["AaAbAa", "babbAbAbA", "AABAABb"])
+    res = prodense_projection_search(H, schreier_cap=0)
+    assert res.describe() == "stage=4 target (1,-1) not in the exponent lattice lattice=(empty)"
+    assert res.trace[-1] == "stabilizer vertex 00000001 level by level generators 0"
+    # at depth 1 or less the retry would be the same call as stage 3
+    res = prodense_projection_search(SubgroupHandle(B, [B.element("ab")]))
+    assert res.stage == 4
+    assert not any("level by level" in line for line in res.trace)
+
+
 def test_find_ab_never_builds_the_ball(B):
     # descent states are plain section words; only the norm-2 target is
     # canonicalised through the ball registry

@@ -32,7 +32,6 @@ from basilica.permgrp import (
     level_quotient_equals_full,
     orbit,
     projected_subgroup,
-    projection_pairs,
     stabilizer_generator_pairs,
 )
 from basilica.quotients import _chain, _keeps_dyadic_blocks, _schreier_sims_order
@@ -89,10 +88,12 @@ def test_root_vertex_e_is_the_empty_vertex(handles):
     assert orbit(Ha, "e") == orbit(Ha, "") == ({"": ()},)
     for H in (Ha, Hab):
         assert orbit(H, "e") == orbit(H, "")
-        for pairs in (stabilizer_generator_pairs, projection_pairs):
-            assert [(g.word, hw) for g, hw in pairs(H, "e")] == [
-                (g.word, hw) for g, hw in pairs(H, "")
-            ]
+        assert [(g.word, hw) for g, hw in stabilizer_generator_pairs(H, "e")] == [
+            (g.word, hw) for g, hw in stabilizer_generator_pairs(H, "")
+        ]
+        at_e, at_empty = projected_subgroup(H, "e"), projected_subgroup(H, "")
+        assert at_e.words() == at_empty.words()
+        assert at_e.expressions == at_empty.expressions
 
 
 def test_orbit_rejects_bad_vertex(handles):
@@ -280,10 +281,35 @@ def test_projected_subgroup_examples(handles):
     assert any(equals(g, B.generator("a")) for g in proj.generators)
     assert level_quotient_equals_full(proj, 3)
     assert projected_subgroup(Ha, "0").generators == ()
+    # a subgroup given by its own generators expresses an hword as itself
+    assert Hab.expressions is None and Hab.express((1, -2)) == (1, -2)
     Hab_only = SubgroupHandle(B, [B.element("ab")])
     proj = projected_subgroup(Hab_only, "")
     assert len(proj.generators) == 1
     assert equals(proj.generators[0], B.element("ab"))
+
+
+_PROJECTION_SYSTEMS = {"basilica": BASILICA_TEXT, "d3": D3_TEXT}
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(sorted(_PROJECTION_SYSTEMS)), st.data())
+def test_projections_carry_expressions_over_the_starting_subgroup(kind, data):
+    # (H_u)_w = H_(uw): a generator of either projection is the section at
+    # uw of its expression evaluated in H
+    system = parse_system(_PROJECTION_SYSTEMS[kind])
+    letters = [l for i in range(1, len(system.names) + 1) for l in (i, -i)]
+    words = st.lists(st.sampled_from(letters), max_size=6)
+    H = SubgroupHandle(system, [system.element(w) for w in data.draw(st.lists(words, min_size=1, max_size=3))])
+    digits = st.integers(0, system.alphabet_size - 1)
+    u = data.draw(st.lists(digits, max_size=4))
+    w = data.draw(st.lists(digits, max_size=4 - len(u)))
+    u_text, w_text = "".join(map(str, u)), "".join(map(str, w))
+    stepwise = projected_subgroup(projected_subgroup(H, u_text), w_text)
+    for proj in (stepwise, projected_subgroup(H, u_text + w_text)):
+        assert len(proj.expressions) == len(proj.generators)
+        for s, e in zip(proj.generators, proj.expressions):
+            assert H.evaluate(e).projection(u + w) == s
 
 
 def test_self_replication(handles):

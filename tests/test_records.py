@@ -15,7 +15,7 @@ from basilica.descent import (
     NotInLattice,
     ProdenseCertificate,
 )
-from basilica.norms import Ball, BallClass, ball
+from basilica.norms import Ball, ball
 from basilica.permgrp import SchreierTable
 from basilica.structure import LIFT_SUBSTITUTION, HeisenbergElement, tau
 
@@ -23,7 +23,6 @@ from conftest import BASILICA_TEXT, fresh_interpreter_output
 
 RECORD_TYPES = (
     Portrait,
-    BallClass,
     Ball,
     HeisenbergElement,
     SchreierTable,
@@ -74,15 +73,15 @@ print([name for name in names if not name.startswith(package)])
 
 
 def _records(B):
-    """Each record type as (a field name, an instance, an equal instance)."""
+    """Each record type as (a field or property name, an instance, an equal
+    instance)."""
     a = B.generator("a")
     budgets = {"states": 100000, "schreier": 64, "depth": 16}
     makers = [
         ("depth", lambda: Portrait(1, {"": Perm([0, 1])})),
-        ("norm", lambda: BallClass(a)),
         ("radius", lambda: Ball(0, ())),
         ("p", lambda: HeisenbergElement(1, 2, 3)),
-        ("orbit", lambda: SchreierTable({"0": (), "1": (1,)})),
+        ("transversal", lambda: SchreierTable({"0": (), "1": (1,)})),
         ("steps", lambda: DescentCertificate(a, (0, 1), a)),
         ("basis", lambda: NotInLattice(((2, 0), (0, 2)))),
         ("vertex", lambda: ProdenseCertificate(("a", "b"), ("s",), "01", (1,), (2,), budgets)),
@@ -202,7 +201,7 @@ def test_elements_survive_pickle_and_copy():
     ball(system, 3)
     assert system.word_is_trivial(tau(31).substitute(LIFT_SUBSTITUTION).word)
     a, b = system.generators()
-    for value in (a * b, BallClass(a), DescentCertificate(a, (0, 1), b * b)):
+    for value in (a * b, DescentCertificate(a, (0, 1), b * b)):
         protocols = range(pickle.HIGHEST_PROTOCOL + 1)
         clones = [pickle.loads(pickle.dumps(value, protocol)) for protocol in protocols]
         clones += [copy.copy(value), copy.deepcopy(value)]
