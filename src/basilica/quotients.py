@@ -11,10 +11,11 @@ tree of depth n; they generate a 2-group, counted by sifting through an
 induced polycyclic sequence along the level stabilizers, closed by squaring
 each new element and commuting it with the generators and with the elements
 of its own level that ``_tree_order``'s docstring calls seeds (a normal
-closure, not all pairs), with elements as ``bytes`` multiplied by
-``bytes.translate`` up to 256 points (level 8) and as tuples above.  That
-covers every level action of a binary system, so the ``order`` command
-takes this path.  Any other input (other degrees, d >= 3 systems,
+closure, not all pairs), the elements that start one level deeper sifted
+first and the last level reduced by its flip vector alone, with elements as
+``bytes`` multiplied by ``bytes.translate`` up to 256 points (level 8) and
+as tuples above.  That covers every level action of a binary system, so the
+``order`` command takes this path.  Any other input (other degrees, d >= 3 systems,
 permutations that break the blocks) goes through a deterministic
 Schreier-Sims stabilizer chain, which raises ``BudgetExceededError`` (its
 ``partial``: the base length so far) past ``MAX_SCHREIER_SIFTS`` sifts; the
@@ -42,8 +43,8 @@ MAX_SCHREIER_SIFTS = 10_000
 MAX_TREE_WORK = 300_000_000
 # leaves a polycyclic sequence of binary-tree automorphisms may pass over,
 # one pass per square and commutation test of each element that joins it;
-# the full Basilica group at level 10 takes 5250 products of degree 1024,
-# and at level 11 11641 of degree 2048
+# the full Basilica group at level 10 takes 2451 products of degree 1024,
+# and at level 11 6190 of degree 2048
 
 
 def _chain(perms: Sequence) -> tuple[int, Callable[[tuple[int, ...]], bool]]:
@@ -101,28 +102,41 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
     by the basis element used, then goes on one level down.  The factor is
     abelian of exponent 2: flip(w o g) = flip(w) XOR flip(g) = flip(g o w), so
     left products take the decisions right ones would and no inverses are
-    needed.  A nonzero residue r at level k joins the sequence as a layer-k
-    element, and three kinds of element are sifted in turn: r^2, from level
-    k + 1; [r, x] for each generator x of H that r does not commute with,
-    from level k, since St(k-1) is normal; and [r, b] for layer-k elements
-    b that r does not commute with, from level k + 1, since two elements of
-    St(k-1) commute on level k (at k = n they commute, so neither squares
-    nor same-layer commutators are formed there).  Which b: a layer-k
-    element is a non-seed when it is the residue of a commutator [r', x],
-    r' of layer k and x a generator, that joined at level k, r''s own; every
-    other one (the residue of a generator, a square, a same-layer
-    commutator, or a generator commutator that joined deeper) is a seed.  A
-    seed is tested against every earlier layer-k element, a non-seed only
-    against the earlier seeds, so each seed meets every element of its
-    layer, and two non-seeds are never tested.
+    needed.  On level n, St(n-1) is elementary abelian and St(n) = 1, so an
+    element there is its flip vector: the sift reduces the vector alone and
+    forms the products, one per basis element used, only when a residue is
+    left.  A nonzero residue r at level k joins the sequence as a layer-k
+    element, and three kinds of element are sifted: [r, x] for each
+    generator x of H that r does not commute with, from level k, since
+    St(k-1) is normal; r^2, from level k + 1; and [r, b] for layer-k
+    elements b that r does not commute with, from level k + 1, since two
+    elements of St(k-1) commute on level k (at k = n they commute, so
+    neither squares nor same-layer commutators are formed there).  They wait
+    in one queue, popped from its end, and r's generator commutators are
+    pushed first, so the elements that start one level deeper are sifted
+    first.  The generator commutators then meet fuller deeper echelons, and
+    fewer of them join below level k as seeds, which are tested against
+    more elements (see below): the full Basilica group at level 8 ends with
+    13 seeds and 583 products, where pushing r^2 first and the generator
+    commutators next gave 29 and 881.
 
-    Why that closes: let P_k be the set of elements that sift to the
-    identity from level k.  Sifting is monotone: echelon entries are only
-    added, and a sift that succeeded read only entries that stay, so it
+    Which b: a layer-k element is a non-seed when it is the residue of a
+    commutator [r', x], r' of layer k and x a generator, that joined at
+    level k, r''s own; every other one (the residue of a generator, a
+    square, a same-layer commutator, or a generator commutator that joined
+    deeper) is a seed.  A seed is tested against every earlier layer-k
+    element, a non-seed only against the earlier seeds, so each seed meets
+    every element of its layer, and two non-seeds are never tested.
+
+    Why that closes: let P_k be the set of elements of St(k-1) that sift to
+    the identity from level k.  Sifting is monotone: echelon entries are
+    only added, and a sift that succeeded read only entries that stay, so it
     still succeeds.  Once every queued element sifts to the identity, go
     down from P_(n+1) = 1 and suppose P_(k+1) is a subgroup normalised by
     every generator, hence by H.  Let L_k be the layer-k elements; they lie
-    in H, so with P_(k+1) they generate a group Q = <L_k> P_(k+1).
+    in H, so with P_(k+1) they generate a group Q = <L_k> P_(k+1).  What
+    follows reads only the state once the queue is empty, so it holds for
+    any order of draining the queue.
 
     - H normalises Q: for r in L_k and a generator x, either r^x = r, or
       [r, x] sifted to the identity from level k, that is, it is a product
@@ -146,8 +160,12 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
     element of St(k-1) therefore sifts to the identity from level k exactly
     when it lies in Q: P_k = Q, normalised by H.  Every generator sifted to
     the identity from level 1, so P_1 is a group that contains H, hence
-    equals it: |H| = 2^(sequence length), and a permutation of the leaves
-    is a member exactly when it sifts to the identity.
+    equals it: |H| = 2^(sequence length), and a tree automorphism is a
+    member exactly when it sifts to the identity.  The sift reads only the
+    first leaf below each vertex whose children it compares, which settles
+    a flip for a tree automorphism and not for other permutations, so the
+    membership test checks the dyadic blocks first: (0, 3, 2, 1) fixes
+    leaves 0 and 2, so it sifts to the identity, but it is no member.
 
     Up to 256 leaves an element is ``bytes`` and each product or flip
     vector one ``bytes.translate``; above, a tuple.  A residue joins only
@@ -172,15 +190,17 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
     echelons: list[dict] = [{} for _ in range(n + 1)]
     seeds: list[list] = [[] for _ in range(n + 1)]
     generators = [(x, table(x), inverse(x)) for x in map(convert, gens)]
+    # (echelon, slice step, flip table) of levels 1..n-1; level k reads the
+    # first leaf below each level-(k-1) vertex
+    levels = [(echelons[k], 2 << n - k, flips[n - k]) for k in range(1, n)]
+    bottom = echelons[n]
 
     def sift(g, start):
         # g lies in St(start-1); returns (level, flip vector, residue) or None
-        for k in range(start, n + 1):
+        for k, (echelon, step, flip) in enumerate(levels[start - 1 :], start):
             if g == identity:
                 return None
-            s = n - k
-            v = int.from_bytes(gather(g[:: 2 << s], flips[s]), "big")
-            echelon = echelons[k]
+            v = int.from_bytes(gather(g[::step], flip), "big")
             while v:
                 entry = echelon.get(v.bit_length())
                 if entry is None:
@@ -188,9 +208,19 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
                 w, (_, w_table, _) = entry
                 v ^= w
                 g = apply(g, w_table)
-        # St(n) is trivial, so a tree automorphism is the identity by now;
-        # a permutation that is not the identity here is no member
-        return None if g == identity else (n + 1, 0, g)
+        # g lies in St(n-1), which its flip vector alone describes: the
+        # products are formed only for a residue
+        v = int.from_bytes(gather(g[::2], flips[0]), "big")
+        used = []
+        while v:
+            entry = bottom.get(v.bit_length())
+            if entry is None:
+                for _, (_, w_table, _) in used:
+                    g = apply(g, w_table)
+                return n, v, g
+            v ^= entry[0]
+            used.append(entry)
+        return None
 
     # a queued sift is (element, first level, None, False), or for a
     # commutator [r, b] (entry of r, first level, entry of b, whether b is a
@@ -217,10 +247,11 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
         r_table, r_inv = table(r), inverse(r)
         entry = (r, r_table, r_inv)
         # (b, first level of [r, b]) for each b that r is tested against;
-        # the first level is k exactly when b is a generator
+        # the first level is k exactly when b is a generator.  Generator
+        # commutators are pushed first and r^2 last, so that the queue,
+        # popped from its end, sifts the elements from level k + 1 first
         tests = [(e, k) for e in generators]
         if k < n:  # on level n, r^2 = 1 and two elements of St(n-1) commute
-            queue.append((apply(r, r_table), k + 1, None, False))
             if by_generator and k == start:  # a non-seed
                 tests += [(e, k + 1) for e in seeds[k]]
             else:
@@ -232,8 +263,10 @@ def _tree_order(gens: list[tuple[int, ...]]) -> tuple[int, Callable]:
             b, b_table, _ = e
             if apply(b, r_table) != apply(r, b_table):
                 queue.append((entry, level, e, level == k))
+        if k < n:
+            queue.append((apply(r, r_table), k + 1, None, False))
         length += 1
-    return 2**length, lambda g: sift(convert(g), 1) is None
+    return 2**length, lambda g: _keeps_dyadic_blocks(g) and sift(convert(g), 1) is None
 
 
 def _flip_tables(points: int) -> list[bytes]:

@@ -514,13 +514,21 @@ def test_tree_order_needs_same_layer_commutators():
     assert all(map(contains, products))
 
 
+def test_tree_membership_checks_the_dyadic_blocks():
+    # (0, 3, 2, 1) fixes the first leaf of each pair, so a sift that reads
+    # only those leaves takes it for the identity, but it splits {0, 1}
+    _, contains = _chain([(1, 0, 2, 3)])
+    assert not contains((0, 3, 2, 1))
+    assert contains((1, 0, 2, 3)) and contains((0, 1, 2, 3))
+
+
 def test_full_group_level_orders():
     B = basilica()
     log2_orders = [
         group_order(level_perms(B, B.generators(), n)).bit_length() - 1
-        for n in range(1, 10)
+        for n in range(1, 11)
     ]
-    assert log2_orders == [1, 3, 6, 12, 23, 45, 88, 174, 345]
+    assert log2_orders == [1, 3, 6, 12, 23, 45, 88, 174, 345, 687]
 
 
 def test_group_order_off_the_tree():
@@ -568,12 +576,12 @@ def test_schreier_sims_sift_budget(monkeypatch):
 
 def test_tree_order_work_budget(monkeypatch):
     # the level-5 quotient of the Basilica group has order 2^23; its last
-    # element joins the sequence after 71 products of degree 32
+    # element joins the sequence after 67 products of degree 32
     B = basilica()
     gens = level_perms(B, B.generators(), 5)
-    monkeypatch.setattr(quotients, "MAX_TREE_WORK", 71 * 32)
+    monkeypatch.setattr(quotients, "MAX_TREE_WORK", 67 * 32)
     assert group_order(gens) == 2**23
-    for budget, elements in ((71 * 32 - 1, 22), (100, 1), (0, 0)):
+    for budget, elements in ((67 * 32 - 1, 22), (100, 1), (0, 0)):
         monkeypatch.setattr(quotients, "MAX_TREE_WORK", budget)
         with pytest.raises(BudgetExceededError) as exc:
             group_order(gens)
