@@ -60,11 +60,8 @@ across calls.  A closure word that short is looked up, memoised on a
 trivial verdict and walked one level; a longer one walks ``_jump`` levels
 and is never looked up.
 
-Element identity is decided in one place, ``ElementIndex``: a registered
-entry's word is found by its bytes, and any other word is bucketed by its
-action on the deepest level of at most 256 vertices, folded with
-``bytes.translate`` from the key of its longest registered prefix, and
-confirmed with the word problem.
+Element identity is decided in one place, ``ElementIndex``: by a registered
+word's bytes, or by level-action buckets confirmed with the word problem.
 """
 
 from __future__ import annotations
@@ -1120,14 +1117,13 @@ class ElementIndex:
     """Exact-equality registry of pairwise distinct elements.
 
     Entry 0 is the identity, the empty word, so every word has a registered
-    prefix.  A word that is exactly an entry's word is found by the word,
-    from a dict, with no key fold: the entries are distinct elements, so that
-    entry is the only one equal to it.  Any other word is compared only with
-    the entries that act like it on the deepest level of at most 256 vertices
-    (level 8 of the binary tree), since fingerprint inequality soundly
-    separates elements.  That action, the word's key, a 256-byte table, is
-    its longest registered prefix's key with the other letters folded in,
-    one ``translate`` each, and each candidate is confirmed exactly by
+    prefix.  An entry's own word is found in a dict, with no key fold: the
+    entries are distinct, so that entry is the only one equal to it.  Any
+    other word is compared only with the entries that act like it on the
+    deepest level of at most 256 vertices (level 8 of the binary tree), since
+    fingerprint inequality soundly separates elements.  That action, the
+    word's key, a 256-byte table, is its longest registered prefix's key
+    with the other letters folded in, and each candidate is confirmed by
     deciding the triviality of ``word . cand^-1``.  ``find_word(word,
     complete=True)`` is for a caller that knows an entry equals the word:
     every candidate but the last is confirmed, the last taken unchecked.
@@ -1171,22 +1167,33 @@ class ElementIndex:
             return self.insert_word(word), True
         return idx, False
 
-    def find_or_insert_child(self, idx: int, letter: int) -> tuple[int, bool]:
-        """``find_or_insert`` of entry ``idx``'s word times ``letter``, which
-        must not cancel the word's last letter.  The child's key is the
-        entry's with one more letter folded in, and its word bytes are the
-        entry's with one more byte.  The word dict is not read: a word has
-        one parent, so in the ball registry an extension is never an entry's
-        word yet, and an entry registered by that word elsewhere is still
-        confirmed in its bucket."""
-        system, words = self.system, self.words
-        word = words[idx] + (letter,)
-        key = self._key_after(idx, (letter,))
-        for i in self._buckets.get(key, ()):
-            if system.word_is_trivial(product_word(word, invert_word(words[i]))):
-                return i, False
-        word_key = self._word_keys[idx] + self._letter_bytes[letter]
-        return self._register(word, key, word_key), True
+    def grow_sphere(self, first: int, stop: int, letters: Sequence[int], limit: int) -> bool:
+        """Register the new classes among the extensions w.l of entries
+        ``first`` to ``stop - 1``, parents in order, then ``letters``, but
+        for the l cancelling w; ``False`` once an insert leaves more than
+        ``limit`` entries.  The entries must be the shortlex-least words of
+        their classes, all of them up to w's length, so a child is tried only
+        if its suffix w[1:].l is an entry's word (the suffix rule, ``norms``):
+        keyed from its parent's key with one ``translate``, confirmed against
+        its bucket or registered."""
+        words, packs, by_word = self.words, self._word_keys, self._by_word
+        letter_bytes, tables = self._letter_bytes, self.system._key_tables
+        is_trivial = self.system.word_is_trivial
+        for parent in range(first, stop):
+            w, key, packed = words[parent], self._keys[parent], packs[parent]
+            cancel, suffix = (-w[-1], packed[1:]) if w else (0, None)
+            for l in letters:
+                if l == cancel or suffix is not None and suffix + letter_bytes[l] not in by_word:
+                    continue
+                child, child_key = w + (l,), tables[l].translate(key)
+                for i in self._buckets.get(child_key, ()):
+                    if is_trivial(product_word(child, invert_word(words[i]))):
+                        break
+                else:
+                    self._register(child, child_key, packed + letter_bytes[l])
+                    if len(words) > limit:
+                        return False
+        return True
 
     def _register(self, word: Word, key: bytes, word_key: bytes) -> int:
         """Append an entry with its key and its word bytes; returns its index."""
@@ -1201,22 +1208,14 @@ class ElementIndex:
         return idx
 
     def _key(self, word: Word, packed: bytes) -> bytes:
-        """The key of ``word``, packed as ``packed``: the key of its longest
-        registered prefix, found by slicing ``packed`` from the longest
-        entry's length down, with the remaining letters folded in.  The
-        search starts one letter short of the whole word, which
-        ``find_word`` has looked up; that letter's fold gives the same key."""
+        """The key of ``word``, packed as ``packed``: its longest registered
+        prefix's key, with the other letters folded in, one ``translate``
+        each.  The prefix search starts one letter short of the word, which
+        ``find_word`` has looked up."""
         by_word, k = self._by_word, min(len(word) - 1, self._longest)
         while (idx := by_word.get(packed[:k])) is None:
             k -= 1  # the empty word is entry 0
-        return self._key_after(idx, word[k:])
-
-    def _key_after(self, idx: int, letters: Word) -> bytes:
-        """The key of entry ``idx``'s word followed by ``letters``: the key
-        fold takes letters one ``translate`` each, so it goes on from the
-        entry's key, the 256-byte table it returned."""
-        p = self._keys[idx]
-        tables = self.system._key_tables
-        for l in letters:
+        p, tables = self._keys[idx], self.system._key_tables
+        for l in word[k:]:
             p = tables[l].translate(p)
         return p

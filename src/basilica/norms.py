@@ -7,8 +7,10 @@ the exact decision procedure), so the first word reaching a class is its
 shortlex-least geodesic, the class representative, whose length is the
 class's norm.  A prefix of such a geodesic is one itself, so radius r + 1
 tries only the one-letter extensions of the norm-r representatives, found
-by length in the index's ``words`` with ``bisect``, each keyed from its
-parent's entry with one ``bytes.translate``.  The registry is shared per
+by length in the index's ``words`` with ``bisect``; a suffix is one too, so
+it keys only those whose last r letters are a representative's word (one
+dict read each), each from its parent's entry with one ``bytes.translate``,
+all in one ``ElementIndex.grow_sphere`` pass.  The registry is shared per
 system, so repeated norm queries reuse the ball built so far.  A ball holds
 its classes as the ``Element``s of their representatives, each built once
 and shared by every later ``ball``; a class's norm is its word's length.  A
@@ -79,25 +81,29 @@ class _BallRegistry:
         A prefix of a shortlex-least geodesic is one itself, so every class
         of norm r first appears among the one-letter extensions of the
         norm-(r - 1) classes, in the same order as among all reduced words
-        of length r.  Each extension is keyed from its parent's entry.  The
-        norm-(r - 1) classes are read back from the registry by length; it
-        may already hold some classes of norm r from a pass a budget stopped.
+        of length r.  The suffix rule prunes those: if x.v is the
+        shortlex-least word of its class, so is v of its own, since a
+        shorter word for v would shorten x.v and a lex-smaller one would
+        make x.v lex-smaller.  So an extension w.l whose suffix w[1:].l is
+        no class's representative is no new class: the class's
+        shortlex-least word came earlier, in an earlier radius or under an
+        earlier parent or letter, and is registered.  Only the extensions
+        that pass are keyed from their parent's entry and confirmed against
+        their bucket.  The norm-(r - 1) classes are read back from the
+        registry by length; it may already hold some classes of norm r from
+        a pass a budget stopped.
         """
         index, words = self.index, self.index.words
         while self.radius_done < radius:
             r = self.radius_done + 1
-            for parent in range(bisect_left(words, r - 1, key=len), bisect_left(words, r, key=len)):
-                w = words[parent]
-                cancel = -w[-1] if w else 0
-                for l in self._letters:
-                    if l != cancel and index.find_or_insert_child(parent, l)[1]:
-                        if len(words) > MAX_CLASSES:
-                            # the classes found so far are exact; a later
-                            # call at or below radius_done still reads them
-                            raise BudgetExceededError(
-                                f"ball radius {r} needs more than {MAX_CLASSES} classes",
-                                partial=self.radius_done,
-                            )
+            first, stop = bisect_left(words, r - 1, key=len), bisect_left(words, r, key=len)
+            if not index.grow_sphere(first, stop, self._letters, MAX_CLASSES):
+                # the classes found so far are exact; a later call at or
+                # below radius_done still reads them
+                raise BudgetExceededError(
+                    f"ball radius {r} needs more than {MAX_CLASSES} classes",
+                    partial=self.radius_done,
+                )
             self.radius_done = r
 
 

@@ -7,7 +7,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basilica import (
     BudgetExceededError,
@@ -293,27 +293,21 @@ def test_index_key_is_level_action(kind, letters):
 _CHILD_SYSTEMS = {"basilica": BASILICA_TEXT, "grigorchuk": GRIGORCHUK_TEXT, "d3": D3_TEXT}
 
 
-@settings(derandomize=True, deadline=None)
-@given(st.sampled_from(sorted(_CHILD_SYSTEMS)), st.data())
-def test_child_key_is_index_key_of_the_extension(kind, data):
-    # the d = 3 system keys on 243 bytes, but a translation table has 256
-    system = parse_system(_CHILD_SYSTEMS[kind])
-    letters = [l for i in range(len(system.names)) for l in (i + 1, -(i + 1))]
-    word = free_reduce(data.draw(st.lists(st.sampled_from(letters), max_size=30)))
-    letter = data.draw(st.sampled_from([l for l in letters if not word or l != -word[-1]]))
-    extended = word + (letter,)
-    # a trivial word is the index's entry 0, the empty word (Grigorchuk's aa)
-    assume(not (word and system.word_is_trivial(word)))
-    assume(not system.word_is_trivial(extended))
-    index = ElementIndex(system)
-    idx, _ = index.find_or_insert(word)
-    child, new = index.find_or_insert_child(idx, letter)
-    assert (child, new) == (len(index.words) - 1, True)
-    assert index.words[child] == extended
-    perm = system.word_level_perm(extended, _KEY_LEVEL[kind])
-    assert index._keys[child] == bytes(perm) + bytes(range(len(perm), 256))
-    assert index._by_word[core._word_bytes(extended)] == child
-    assert index.find_word(extended) == child
+def test_child_key_is_index_key_of_the_extension():
+    # every ball entry past the root is keyed from its parent's entry, one
+    # letter folded in, and must carry its own level action (the root's is
+    # the identity); the d = 3 system keys on 243 bytes, but a translation
+    # table has 256
+    for kind, radius in (("basilica", 6), ("grigorchuk", 8), ("d3", 5)):
+        system = parse_system(_CHILD_SYSTEMS[kind])
+        ball(system, radius)
+        index = system._ball_registry.index
+        assert len(index.words) > 250
+        for i, word in enumerate(index.words):
+            perm = system.word_level_perm(word, _KEY_LEVEL[kind])
+            assert index._keys[i] == bytes(perm) + bytes(range(len(perm), 256))
+            assert index._by_word[core._word_bytes(word)] == i
+            assert index.find_word(word) == i
 
 
 def _letter_data(system):

@@ -8,7 +8,7 @@ from basilica import BudgetExceededError, InputError, core, equals, norms, parse
 from basilica.norms import ball, geodesic_rep, norm
 from basilica.structure import alpha, tau
 
-from conftest import BASILICA_TEXT, D3_TEXT, GRIGORCHUK_TEXT, reduced_words
+from conftest import BASILICA_TEXT, D3_TEXT, GRIGORCHUK_TEXT, HANOI_TEXT, reduced_words
 
 
 def brute_force_classes(system, max_len):
@@ -156,8 +156,8 @@ def test_square_section_bound_small(B):
 
 
 @functools.cache
-def _shortlex_classes(kind):
-    return [g.word for g in brute_force_classes(_oracle_system(kind), 5)]
+def _shortlex_classes(kind, radius=5):
+    return [g.word for g in brute_force_classes(_oracle_system(kind), radius)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -189,45 +189,35 @@ def test_ball_budget(kind, stop):
 
 def test_ball_order_is_first_occurrence_in_shortlex(B):
     # the registry extends only the class representatives of the last
-    # radius; the classes and their order must be those of all reduced words.
-    # The d = 3 system keys on level 5 (243 of the 256 table bytes)
-    for kind in ("basilica", "d3"):
-        fresh = parse_system(_READ_SYSTEMS[kind])
-        assert [c.word for c in ball(fresh, 5).classes] == _shortlex_classes(kind)
+    # radius, and of those only the ones whose suffix is a representative;
+    # the classes and their order must be those of all reduced words.  The
+    # d = 3 system keys on level 5 (243 of the 256 table bytes).  Grigorchuk
+    # and Hanoi generators are involutions, so the suffix rule skips every
+    # extension by an inverse letter past the root (Grigorchuk's r = 5
+    # partition takes about 2.5 s, so it stops at 4)
+    for kind, radius in (("basilica", 5), ("d3", 5), ("grigorchuk", 4), ("hanoi", 5)):
+        fresh = parse_system(_SYSTEMS[kind])
+        assert [c.word for c in ball(fresh, radius).classes] == _shortlex_classes(kind, radius)
 
 
-def _count_key_folds(monkeypatch):
-    """The letters of each ``ElementIndex._key_after`` call, as a list that
-    grows with every later call."""
+def _count_key_folds(monkeypatch, system):
+    """The key each fold into an index key of ``system`` starts from, one
+    per letter folded, as a list that grows with every later fold."""
     folded = []
-    key_after = core.ElementIndex._key_after
 
-    def counting(index, idx, letters):
-        folded.append(letters)
-        return key_after(index, idx, letters)
+    class CountingTable(bytes):
+        def translate(self, key):
+            folded.append(key)
+            return bytes.translate(self, key)
 
-    monkeypatch.setattr(core.ElementIndex, "_key_after", counting)
+    tables = {l: CountingTable(t) for l, t in system._key_tables.items()}
+    monkeypatch.setattr(system, "_key_tables", tables)
     return folded
 
 
-def test_ball_keys_each_candidate_from_its_parent(monkeypatch):
-    # every one-letter extension takes its key from the parent class's, one
-    # letter folded in: 4 extensions of the root and 3 of each of the 420
-    # classes of norm 1 to 5
-    folded = _count_key_folds(monkeypatch)
-    fresh = parse_system(BASILICA_TEXT)
-    assert len(ball(fresh, 6)) == 1125
-    assert len(folded) == 4 + 3 * 420
-    assert {len(letters) for letters in folded} == {1}
-
-
-def test_registered_words_are_read_without_key_or_confirm(monkeypatch):
-    # a class's own word is found by the word; any other word is keyed from
-    # its longest registered prefix, and within the completed radius its
-    # bucket's last entry is taken without a confirm
-    fresh = parse_system(BASILICA_TEXT)
-    classes = ball(fresh, 6).classes
-    folded = _count_key_folds(monkeypatch)
+def _count_confirms(monkeypatch):
+    """The words of each word-problem call, as a list that grows with every
+    later call."""
     confirms = []
     is_trivial = core.GeneratorSystem.word_is_trivial
 
@@ -236,6 +226,42 @@ def test_registered_words_are_read_without_key_or_confirm(monkeypatch):
         return is_trivial(system, word)
 
     monkeypatch.setattr(core.GeneratorSystem, "word_is_trivial", counting)
+    return confirms
+
+
+def test_ball_keys_each_candidate_from_its_parent(monkeypatch):
+    # a one-letter extension is keyed only if it passes the suffix rule: the
+    # 4 extensions of the root, and those of the 420 classes of norm 1 to 5
+    # whose last letters, after the first, are a class's word.  Each takes
+    # its key from the parent class's, one letter folded in.  Only the
+    # extensions that pass are confirmed against their bucket: 36
+    # word-problem calls, where confirming every extension would take 140
+    fresh = parse_system(BASILICA_TEXT)
+    folded = _count_key_folds(monkeypatch, fresh)
+    confirms = _count_confirms(monkeypatch)
+    assert len(ball(fresh, 6)) == 1125
+    assert len(confirms) == 36
+    index = norms._registry(fresh).index
+    classes = {w: i for i, w in enumerate(index.words)}
+    passing = [
+        (i, l)
+        for w, i in classes.items()
+        if len(w) < 6
+        for l in (1, -1, 2, -2)
+        if not w or l != -w[-1] and w[1:] + (l,) in classes
+    ]
+    assert 4 + 3 * 420 > len(passing) > 1124
+    assert folded == [index._keys[i] for i, _ in passing]
+
+
+def test_registered_words_are_read_without_key_or_confirm(monkeypatch):
+    # a class's own word is found by the word; any other word is keyed from
+    # its longest registered prefix, and within the completed radius its
+    # bucket's last entry is taken without a confirm
+    fresh = parse_system(BASILICA_TEXT)
+    classes = ball(fresh, 6).classes
+    folded = _count_key_folds(monkeypatch, fresh)
+    confirms = _count_confirms(monkeypatch)
     for c in classes:
         g = fresh.element(c.word)
         assert norm(g) == len(c.word)
@@ -263,11 +289,12 @@ def test_smaller_balls_share_the_class_objects():
 
 
 _READ_SYSTEMS = {"basilica": BASILICA_TEXT, "grigorchuk": GRIGORCHUK_TEXT, "d3": D3_TEXT}
+_SYSTEMS = {**_READ_SYSTEMS, "hanoi": HANOI_TEXT}
 
 
 @functools.cache
 def _oracle_system(kind):
-    return parse_system(_READ_SYSTEMS[kind])
+    return parse_system(_SYSTEMS[kind])
 
 
 def _confirmed_class(system, word):
@@ -314,14 +341,7 @@ def test_all_but_the_last_candidate_is_confirmed(monkeypatch):
     expected = [index.find_word(w) for w in aliases]
     positions = {shared[index._keys[i]].index(i) for i in expected}
     assert positions == {0, 1}  # both the confirmed and the unchecked entry
-    confirms = []
-    is_trivial = core.GeneratorSystem.word_is_trivial
-
-    def counting(system, word):
-        confirms.append(word)
-        return is_trivial(system, word)
-
-    monkeypatch.setattr(core.GeneratorSystem, "word_is_trivial", counting)
+    confirms = _count_confirms(monkeypatch)
     reg = norms._registry(fresh)
     for w, i in zip(aliases, expected):
         g = fresh.element(w)

@@ -460,13 +460,16 @@ def test_chain_agrees_with_schreier_sims_on_dense_portraits(n, data):
 
 def _agree_on_members_and_others(gens, portraits, data):
     """``_agree_with_schreier_sims`` on products of the generators, which are
-    members, on random automorphisms drawn from ``portraits``, and on their
-    products."""
+    members, on random automorphisms drawn from ``portraits``, some with the
+    images of two leaves exchanged, which is mostly no tree automorphism,
+    and on their products."""
     members = [
         reduce(compose_images, data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=4)))
         for _ in range(2)
     ]
-    others = data.draw(st.lists(portraits, min_size=1, max_size=2))
+    leaves = st.lists(st.integers(0, len(gens[0]) - 1), min_size=2, max_size=2, unique=True)
+    swapped = st.tuples(portraits, leaves).map(lambda pair: _swap(*pair))
+    others = data.draw(st.lists(st.one_of(portraits, swapped), min_size=1, max_size=2))
     elements = members + others + [compose_images(g, h) for g in members for h in others]
     assert all(_agree_with_schreier_sims(gens, elements)[: len(members)])
 
