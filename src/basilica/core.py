@@ -40,7 +40,10 @@ the signed letter, pushes the letter's section letters onto per-vertex
 stacks and leads to the next action's steps; when every letter pushes one
 letter, as on the Basilica group, a step is one stack operation.  The
 triviality closure walks a word one level, or ``_jump`` levels at once
-when it is longer than ``MEMO_LETTERS``.  ``word_at``, the walk down a
+when it is longer than ``MEMO_LETTERS``; such an input is first folded
+through the graph of the level-``_jump`` actions, kept under the walk
+tables' bound, and one that acts nontrivially there is rejected before any
+walk.  ``word_at``, the walk down a
 vertex path behind ``Element.projection``, which every witness replay
 checks, follows one vertex instead: per chunk of up to key-level levels of
 the path, one pass whose state is a single point, and one reduction stack.
@@ -67,7 +70,7 @@ word's bytes, or by level-action buckets confirmed with the word problem.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from struct import Struct, error as StructError
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -476,6 +479,9 @@ class GeneratorSystem:
         )
         # per level k, the tables of _walk_level; built on first use
         self._walks: dict[int, tuple] = {}
+        # the identity's node of _jump_graph, [] past its bound; built on
+        # the first long word word_is_trivial decides
+        self._jump_nodes: list | None = None
         # levels the triviality closure walks a long word at once: when no
         # letter's sections hold more than one letter in all (grow <= 1), so
         # no section outgrows its word, the deepest level of at most 8
@@ -711,6 +717,30 @@ class GeneratorSystem:
         self._points[k] = rows
         return rows
 
+    def _jump_graph(self) -> list:
+        """The closed graph of the level-``_jump`` actions, by breadth-first
+        search from the identity over the images of the level's point
+        tables: per action a list of 2n + 1 slots, as the walk's steps, whose
+        slot l holds the list of l o p.  Kept and returned: the identity's
+        list, or ``[]`` when the graph breaks the walk tables' bound,
+        (actions + 1) d^k <= ``MAX_LEVEL_POINTS``."""
+        rows = self._points.get(self._jump) or self._point_tables(self._jump)
+        start = tuple(range(self.alphabet_size**self._jump))
+        nodes, queue = {start: [None] * len(rows)}, [start]
+        self._jump_nodes = []
+        for p in queue:
+            node = nodes[p]
+            for l in self._letter_root:
+                q = tuple(rows[l][x][0] for x in p)
+                if q not in nodes:
+                    if (len(nodes) + 1) * len(q) > MAX_LEVEL_POINTS:
+                        return []
+                    nodes[q] = [None] * len(rows)
+                    queue.append(q)
+                node[l] = nodes[q]
+        self._jump_nodes = nodes[start]
+        return self._jump_nodes
+
     def word_root(self, word: Word) -> tuple[int, ...]:
         """Root permutation images of a word."""
         return self._walk_level(word, 1)[0]
@@ -800,7 +830,17 @@ class GeneratorSystem:
     def word_is_trivial(self, word: Word) -> bool:
         """Decide triviality by section closure; exact.  Each closure word is
         looked up and walked as ``MEMO_LETTERS`` says; a trivial verdict adds
-        the closure's short words to the memo, a nontrivial one adds none."""
+        the closure's short words to the memo, a nontrivial one adds none.
+        An input longer than ``MEMO_LETTERS`` is first folded through
+        ``_jump_graph``, kept while the walk tables' bound holds: a
+        nontrivial level-``_jump`` action returns ``False`` there, as the
+        first walk would, before any budget check."""
+        if len(word) > MEMO_LETTERS:
+            start = self._jump_nodes
+            if start is None:
+                start = self._jump_graph()
+            if start and reduce(operator.getitem, reversed(word), start) is not start:
+                return False
         proven = self._trivial_cache
         queue: list[Word] = [word]
         seen = {word}

@@ -7,7 +7,7 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from basilica import (
     BudgetExceededError,
@@ -632,7 +632,9 @@ def test_jump_walk_matches_the_adding_machine(letters, balance, path):
     n = exponent_sums(word, 2)[0]
     assert len(word) > core.MEMO_LETTERS
     assert system.word_is_trivial(word) == (n == 0)
-    assert 3 in system._walks
+    # the word acts on level 3 as +n mod 8: a nontrivial action there is
+    # rejected by the level-3 action graph, before any walk
+    assert (3 in system._walks) == (n % 8 == 0)
     image, section = system.word_at(word, tuple(path))
     v = sum(x << i for i, x in enumerate(path))
     assert image == tuple((v + n) >> i & 1 for i in range(len(path)))
@@ -715,6 +717,164 @@ def test_walk_table_keeps_at_most_max_level_points_images(monkeypatch, rng):
         word = free_reduce(rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(200)))
         assert system._walk_level(word, 1) == _reference_root_and_sections(system, word)
     assert len(system._walks[1][0]) == 10
+
+
+def _reference_is_trivial(system, word):
+    """Triviality by the section closure of ``_reference_root_and_sections``."""
+    queue, seen = [word], {word}
+    for w in queue:
+        root, sections = _reference_root_and_sections(system, w)
+        if root != tuple(range(system.alphabet_size)):
+            return False
+        for s in sections:
+            if s not in seen:
+                seen.add(s)
+                queue.append(s)
+    return True
+
+
+def _relator_product(system, relators, conjugates):
+    """The product of the conjugates u r u^-1, one per (letters of u, index
+    of r) pair."""
+    word = ()
+    for letters, i in conjugates:
+        u = _uncancelled(_in_range(system, letters))
+        r = system.parse_word(relators[i % len(relators)])
+        word = product_word(word, product_word(product_word(u, r), invert_word(u)))
+    return word
+
+
+# |G_J|, the order of each system's action on level _jump: B/St(3) has
+# order 2^6, and the others act on level 1 as Z/2, Z/3 or S3
+_JUMP_GRAPH_SIZES = {
+    "basilica": (BASILICA_TEXT, 64),
+    "d3": (D3_TEXT, 6),
+    "grigorchuk": (GRIGORCHUK_TEXT, 2),
+    "gupta-sidki": (GUPTA_SIDKI_TEXT, 3),
+    "hanoi": (HANOI_TEXT, 6),
+    "lamplighter": (LAMPLIGHTER_TEXT, 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_JUMP_GRAPH_SIZES))
+def test_jump_graph_holds_each_level_action_once(kind):
+    # each node is reached by a word, read right to left from the identity;
+    # the edge of letter l leads to the node of l w, and distinct nodes
+    # have distinct level-_jump actions
+    text, size = _JUMP_GRAPH_SIZES[kind]
+    system = parse_system(text)
+    k, start = system._jump, system._jump_graph()
+    assert system._jump_nodes is start
+    words, queue = {id(start): ()}, [start]
+    for node in queue:
+        for l in _signed_letters(system):
+            word = (l,) + words[id(node)]
+            if id(node[l]) not in words:
+                words[id(node[l])] = word
+                queue.append(node[l])
+            assert system.word_level_perm(words[id(node[l])], k) == system.word_level_perm(word, k)
+    assert len(queue) == size
+    assert len({system.word_level_perm(w, k) for w in words.values()}) == size
+
+
+# relators: Basilica's [a, a^b], Grigorchuk's involutions, bcd and (ad)^4,
+# and the shortest relator of the d = 3 system (10 letters).  The roots of
+# "s3-roots", a 3-cycle and two transpositions, admit no automorphism that
+# inverts each generator, so a word read in the wrong order can act
+# nontrivially where the word does not: (acb)^2 is a relator, but bcabca
+# moves the root
+_GRAPH_RELATORS = {
+    "basilica": (BASILICA_TEXT, ["abaBAbAB"]),
+    "d3": (D3_TEXT, ["abbAbABBaB"]),
+    "grigorchuk": (GRIGORCHUK_TEXT, ["aa", "bb", "cc", "dd", "bcd", "adadadad"]),
+    "s3-roots": (
+        "alphabet 3\ngen a perm=1,2,0 sections=e,e,e\ngen b perm=1,0,2 sections=e,e,b\n"
+        "gen c perm=0,2,1 sections=c,e,e\n",
+        ["acbacb", "aaa", "bb", "cc"],
+    ),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(
+    st.sampled_from(sorted(_GRAPH_RELATORS)),
+    st.lists(
+        st.tuples(st.lists(st.sampled_from(_ALL_LETTERS), min_size=12, max_size=32), st.integers(0, 5)),
+        min_size=2,
+        max_size=4,
+    ),
+    st.lists(st.sampled_from(_ALL_LETTERS), max_size=2 * core.MEMO_LETTERS),
+)
+def test_jump_graph_keeps_every_verdict_and_memo(kind, conjugates, tail):
+    # a relator product, times a random word: the verdicts and memos of a
+    # system that folds long words through its graph and of one whose graph
+    # is switched off agree
+    text, relators = _GRAPH_RELATORS[kind]
+    system = parse_system(text)
+    relator = _relator_product(system, relators, conjugates)
+    word = product_word(relator, _uncancelled(_in_range(system, tail)))
+    assume(len(word) > core.MEMO_LETTERS)
+    verdict = system.word_is_trivial(word)
+    assert system._jump_nodes
+    if not tail:
+        assert verdict
+    reference = parse_system(text)
+    with pytest.MonkeyPatch.context() as patch:
+        # the identity's action alone fits
+        patch.setattr(core, "MAX_LEVEL_POINTS", system.alphabet_size**system._jump)
+        assert reference.word_is_trivial(word) == verdict
+    assert reference._jump_nodes is not None and not reference._jump_nodes
+    assert system._trivial_cache == reference._trivial_cache
+
+
+def test_long_word_trivial_on_the_jump_level_is_decided_by_the_walk():
+    # (ab)^64 acts trivially on level 3, but B is torsion-free
+    system = parse_system(BASILICA_TEXT)
+    word = power_word((1, 2), 64)
+    assert len(word) == 128 and system.word_level_perm(word, 3) == tuple(range(8))
+    assert not system.word_is_trivial(word)
+    assert 3 in system._walks
+
+
+def test_jump_graph_rejection_walks_nothing(rng):
+    # long words of nontrivial level-3 action are rejected by the graph
+    # alone: no walk tables, and the memo holds only the empty word
+    system = parse_system(BASILICA_TEXT)
+    for _ in range(20):
+        word = _uncancelled(rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(65, 400)))
+        if system.word_level_perm(word, 3) != tuple(range(8)):
+            assert not system.word_is_trivial(word)
+    # (the walk and graph tables are compared by their keys or length, so a
+    # failure does not print their nested lists in full)
+    assert sorted(system._walks) == [] and system._trivial_cache == {()}
+
+
+def test_jump_graph_keeps_the_walk_tables_bound(monkeypatch, rng):
+    # roots generating S6: a graph of every level-1 action would hold 720
+    # actions, past 60 points; the system keeps no graph, tries to build it
+    # once, and decides every word as the reference closure does
+    system = parse_system(
+        "alphabet 6; gen a perm=1,2,3,4,5,0 sections=e,b,e,e,e,e; "
+        "gen b perm=1,0,2,3,4,5 sections=a,e,e,e,e,e"
+    )
+    monkeypatch.setattr(core, "MAX_LEVEL_POINTS", 60)
+    builds = []
+    build = system._jump_graph
+    monkeypatch.setattr(system, "_jump_graph", lambda: builds.append(1) or build())
+    verdicts = set()
+    for i in range(40):
+        if i % 2:
+            letters = [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(65, 200))]
+            word = _uncancelled(letters)
+        else:
+            conjugates = [([rng.choice([1, -1, 2, -2]) for _ in range(8)], j) for j in range(4)]
+            word = _relator_product(system, ["aabAAbaaBAAB", "abABabABabAB"], conjugates)
+        assert len(word) > core.MEMO_LETTERS
+        verdict = system.word_is_trivial(word)
+        assert verdict == _reference_is_trivial(system, word)
+        verdicts.add(verdict)
+    assert verdicts == {False, True}
+    assert builds == [1] and system._jump_nodes is not None and not system._jump_nodes
 
 
 # 25 generators, every lowercase name but e
