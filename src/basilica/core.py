@@ -41,9 +41,11 @@ stacks and leads to the next action's steps; when every letter pushes one
 letter, as on the Basilica group, a step is one stack operation.  The
 triviality closure walks a word one level, or ``_jump`` levels at once
 when it is longer than ``MEMO_LETTERS``; such an input is first folded
-through the graph of the level-``_jump`` actions, kept under the walk
-tables' bound, and one that acts nontrivially there is rejected before any
-walk.  ``word_at``, the walk down a
+through the graph of the level-``_jump`` actions, and one that acts
+nontrivially there is rejected before any walk.  The breadth-first search
+that builds the graph also closes that level's walk tables, under their
+bound, so a long word walks on the steps the fold's graph was built
+with.  ``word_at``, the walk down a
 vertex path behind ``Element.projection``, which every witness replay
 checks, follows one vertex instead: per chunk of up to key-level levels of
 the path, one pass whose state is a single point, and one reduction stack.
@@ -261,8 +263,10 @@ def invert_word(word: Sequence[int]) -> Word:
 
 
 def exponent_sums(word: Sequence[int], generators: int) -> tuple[int, ...]:
-    """Exponent sum of each of the generators 1..``generators`` in ``word``."""
-    return tuple(word.count(i) - word.count(-i) for i in range(1, generators + 1))
+    """Exponent sum of each of the generators 1..``generators`` in ``word``,
+    counted in its ``_word_bytes``, where -i is the byte 256 - i."""
+    packed = _word_bytes(word)
+    return tuple(packed.count(i) - packed.count(256 - i) for i in range(1, generators + 1))
 
 
 def compose_images(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
@@ -479,8 +483,9 @@ class GeneratorSystem:
         )
         # per level k, the tables of _walk_level; built on first use
         self._walks: dict[int, tuple] = {}
-        # the identity's node of _jump_graph, [] past its bound; built on
-        # the first long word word_is_trivial decides
+        # the identity's node of _jump_graph, [] past its bound; built, with
+        # level _jump's walk tables closed, on the first long word
+        # word_is_trivial decides
         self._jump_nodes: list | None = None
         # levels the triviality closure walks a long word at once: when no
         # letter's sections hold more than one letter in all (grow <= 1), so
@@ -620,13 +625,13 @@ class GeneratorSystem:
         The walk's state is the action p of the letters read so far, and
         each state keeps one step per letter read from it, in a list of 2n
         + 1 slots indexed by the signed letter, so an inverse letter reads
-        its slot from the end; a step is built from the letter's row of the
-        level's point tables.  When every letter pushes exactly one
-        section letter on level k, as on every level of the Basilica group
-        and the adding machine, a step is ``(vertex, cancel, letter,
-        action, next state)``, one stack operation; otherwise it is
-        ``(pushes, action, next state)`` with a tuple of such ``(vertex,
-        cancel, letter)`` pushes."""
+        its slot from the end, and slot 0 holds p; a step is built from the
+        letter's row of the level's point tables.  When every letter pushes
+        exactly one section letter on level k, as on every level of the
+        Basilica group and the adding machine, a step is ``(vertex, cancel,
+        letter, next state)``, one stack operation; otherwise it is
+        ``(pushes, next state)`` with a tuple of such ``(vertex, cancel,
+        letter)`` pushes."""
         # (l w)_v = l_{w(v)} w_v: reading l after w, of action p, pushes
         # l's section at c onto the stack of v = p^-1(c), reversed; the
         # state becomes l o p.  No letter cancels a stack's bottom 0
@@ -635,7 +640,7 @@ class GeneratorSystem:
         stacks = [[0] for _ in p]
         if single:
             for l in reversed(word):
-                v, t, s, p, state = state[l] or self._walk_step(k, p, state, l)
+                v, t, s, state = state[l] or self._walk_step(k, state, l)
                 stack = stacks[v]
                 if stack[-1] == t:
                     stack.pop()
@@ -643,29 +648,30 @@ class GeneratorSystem:
                     stack.append(s)
         else:
             for l in reversed(word):
-                pushes, p, state = state[l] or self._walk_step(k, p, state, l)
+                pushes, state = state[l] or self._walk_step(k, state, l)
                 for v, t, s in pushes:
                     stack = stacks[v]
                     if stack[-1] == t:
                         stack.pop()
                     else:
                         stack.append(s)
-        return p, tuple(tuple(stack[:0:-1]) for stack in stacks)
+        return state[0], tuple(tuple(stack[:0:-1]) for stack in stacks)
 
-    def _walk_step(self, k: int, p: tuple[int, ...], state: list, l: int) -> tuple:
-        """The level-k step of letter ``l`` from action ``p``, from l's row of
-        the level's point tables; kept in ``state``, p's steps, while the
-        table holds at most ``MAX_LEVEL_POINTS`` images."""
+    def _walk_step(self, k: int, state: list, l: int) -> tuple:
+        """The level-k step of letter ``l`` from the action p at slot 0 of
+        ``state``, from l's row of the level's point tables; kept in
+        ``state`` while the table holds at most ``MAX_LEVEL_POINTS`` images:
+        the walk tables' bound, checked here alone."""
         states, _, single = self._walks[k]
-        row = self._points[k][l]
+        p, row = state[0], self._points[k][l]
         origin = invert_images(p)
         q = tuple(row[x][0] for x in p)
         if q not in states and (len(states) + 1) * len(q) <= MAX_LEVEL_POINTS:
-            states[q] = [None] * len(state)
+            states[q] = [q] + [None] * (len(state) - 1)
         secs = (((s,) if s else ()) for _, s in row) if self._single else (s for _, s in row)
         pushes = tuple((origin[c], -s, s) for c, rev in enumerate(secs) for s in rev)
-        after = (q, states.get(q) or [None] * len(state))
-        step = pushes[0] + after if single else (pushes,) + after
+        after = states.get(q) or [q] + [None] * (len(state) - 1)
+        step = pushes[0] + (after,) if single else (pushes, after)
         if q in states:
             state[l] = step
         return step
@@ -678,7 +684,7 @@ class GeneratorSystem:
         pushed = bool if self._single else len
         single = all(sum(pushed(s) for _, s in rows[l]) == 1 for l in self._letter_root)
         start = tuple(range(self.alphabet_size**k))
-        walk = self._walks[k] = ({start: [None] * len(rows)}, start, single)
+        walk = self._walks[k] = ({start: [start] + [None] * (len(rows) - 1)}, start, single)
         return walk
 
     def _point_tables(self, k: int) -> list:
@@ -718,24 +724,25 @@ class GeneratorSystem:
         return rows
 
     def _jump_graph(self) -> list:
-        """The closed graph of the level-``_jump`` actions, by breadth-first
-        search from the identity over the images of the level's point
-        tables: per action a list of 2n + 1 slots, as the walk's steps, whose
-        slot l holds the list of l o p.  Kept and returned: the identity's
-        list, or ``[]`` when the graph breaks the walk tables' bound,
-        (actions + 1) d^k <= ``MAX_LEVEL_POINTS``."""
-        rows = self._points.get(self._jump) or self._point_tables(self._jump)
-        start = tuple(range(self.alphabet_size**self._jump))
-        nodes, queue = {start: [None] * len(rows)}, [start]
+        """The closed graph of the level-``_jump`` actions.  A breadth-first
+        search from the identity fills that level's walk tables, one
+        ``_walk_step`` per (action, letter), so ``_walk_level`` never fills
+        them lazily; beside them it builds, per action, a list of 2n + 1
+        slots whose slot l holds the list of l o p, for a C-level fold.
+        Kept and returned: the identity's list, or ``[]`` once a step is not
+        kept, past the walk tables' bound."""
+        k = self._jump
+        states, start, _ = self._walks.get(k) or self._walk_tables(k)
+        nodes, queue = {start: [None] * len(states[start])}, [start]
         self._jump_nodes = []
         for p in queue:
-            node = nodes[p]
+            node, state = nodes[p], states[p]
             for l in self._letter_root:
-                q = tuple(rows[l][x][0] for x in p)
+                q = (state[l] or self._walk_step(k, state, l))[-1][0]
+                if not state[l]:
+                    return []
                 if q not in nodes:
-                    if (len(nodes) + 1) * len(q) > MAX_LEVEL_POINTS:
-                        return []
-                    nodes[q] = [None] * len(rows)
+                    nodes[q] = [None] * len(state)
                     queue.append(q)
                 node[l] = nodes[q]
         self._jump_nodes = nodes[start]
@@ -834,7 +841,8 @@ class GeneratorSystem:
         An input longer than ``MEMO_LETTERS`` is first folded through
         ``_jump_graph``, kept while the walk tables' bound holds: a
         nontrivial level-``_jump`` action returns ``False`` there, as the
-        first walk would, before any budget check."""
+        first walk would, before any budget check; a trivial one is walked
+        on the tables the graph's search closed."""
         if len(word) > MEMO_LETTERS:
             start = self._jump_nodes
             if start is None:

@@ -11,6 +11,8 @@ substitution step per tree level.
 
 from __future__ import annotations
 
+from struct import Struct
+
 from . import core
 from .core import (
     BudgetExceededError,
@@ -18,11 +20,9 @@ from .core import (
     Element,
     PreconditionError,
     Record,
-    Word,
     basilica,
     exponent_sums,
     require_basilica,
-    substitute_word,
 )
 
 #: Substitution whose image stabilizes the first level and restores the
@@ -149,6 +149,11 @@ def lift_section(w: Element, vertex: str) -> Element:
     substitution, so w is substituted once.  The lifted word doubles in
     length every two levels; a lift that would build more than
     ``core.MAX_CLOSURE_LETTERS`` letters raises ``BudgetExceededError``.
+
+    The word is assembled as packed bytes, one signed byte per letter: the
+    image of w is one ``bytes.join`` of a run per letter, the conjugator's
+    letters cancel only where it meets that image, and the result is
+    unpacked once, by a ``Struct`` of its own length.
     """
     sys = require_basilica(w)
     if not in_derived_subgroup(w):
@@ -159,9 +164,7 @@ def lift_section(w: Element, vertex: str) -> Element:
     # with C = c_x1 s(c_x2) ... s^(n-1)(c_xn).  Level k reads s^(k-1)(b),
     # then s^k(a) = s^(k-1)(b)^2 and s^k(b) = s^(k-1)(a): powers of one
     # generator each, and C is a positive word.
-    a_image: Word = (1,)
-    b_image: Word = (2,)
-    conjugator: Word = ()
+    a_image, b_image, conjugator = b"\x01", b"\x02", b""
     for x in path:
         if x == 0:
             _check_lift_budget(len(conjugator) + len(b_image))
@@ -169,12 +172,25 @@ def lift_section(w: Element, vertex: str) -> Element:
         _check_lift_budget(2 * len(b_image))
         a_image, b_image = b_image + b_image, a_image
     word = w.word
-    a_letters = word.count(1) + word.count(-1)
+    packed = core._word_bytes(word)
+    a_letters = packed.count(1) + packed.count(255)
     _check_lift_budget(
         a_letters * len(a_image) + (len(word) - a_letters) * len(b_image) + 2 * len(conjugator)
     )
     # s^n maps the letters of a and of b to powers of different generators,
-    # so it keeps w reduced
-    lifted = Element._reduced(sys, tuple(substitute_word(word, (a_image, b_image))))
-    c = Element._reduced(sys, conjugator)
-    return c * lifted * c.inverse()
+    # so it keeps w reduced; a run of one letter is its own reverse
+    invert = bytes.maketrans(b"\x01\x02", b"\xff\xfe")  # a, b -> A, B
+    runs = [b"", a_image, b_image, b_image.translate(invert), a_image.translate(invert)]
+    image = b"".join(map(runs.__getitem__, word))
+    # C s^n(w) C^-1, reduced where the words meet as product_word reduces:
+    # a letter and its inverse are bytes that sum to 256, and a letter
+    # cancels into C^-1 where it equals C's letter, both read from the end
+    k = 0
+    while k < min(len(conjugator), len(image)) and conjugator[-1 - k] + image[k] == 256:
+        k += 1
+    left = conjugator[: len(conjugator) - k] + image[k:]
+    k = 0
+    while k < min(len(left), len(conjugator)) and left[-1 - k] == conjugator[-1 - k]:
+        k += 1
+    lifted = left[: len(left) - k] + conjugator[::-1][k:].translate(invert)
+    return Element._reduced(sys, Struct(f"{len(lifted)}b").unpack(lifted))

@@ -217,6 +217,15 @@ def test_lift_golden(capsys):
     assert out == "BBAbba\n"
 
 
+def test_lift_deep_golden(capsys):
+    # a 40-letter word of B' at a vertex of 12 levels: 2494 letters, its
+    # image cancelling 40 letters into the conjugator at each end; CI runs
+    # the same command through the console script
+    code, out, _ = run(capsys, "lift", "BBBBBBAbABAbaaabaBaBBAbbbABAbAbbAbaaBabb", "011010011101")
+    assert code == 0
+    assert out == (GOLDEN / "lift_deep.txt").read_text()
+
+
 def test_lift_budget_exit_code(capsys, monkeypatch):
     # the lift of ABab to the vertex of ten zeros builds 252 letters, which
     # reduce to 220

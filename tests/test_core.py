@@ -624,6 +624,7 @@ def test_walk_level_is_level_action_and_iterated_sections(kind, k, states_cap, l
 def test_jump_walk_matches_the_adding_machine(letters, balance, path):
     system = parse_system(ADDING_MACHINE_TEXT)
     assert system._jump == 3
+    walked = _record_walks(system)
     word = _uncancelled(letters)
     if balance:
         # a b between, then a run of a^(-n): the a-exponent sum becomes 0
@@ -633,8 +634,10 @@ def test_jump_walk_matches_the_adding_machine(letters, balance, path):
     assert len(word) > core.MEMO_LETTERS
     assert system.word_is_trivial(word) == (n == 0)
     # the word acts on level 3 as +n mod 8: a nontrivial action there is
-    # rejected by the level-3 action graph, before any walk
-    assert (3 in system._walks) == (n % 8 == 0)
+    # rejected by the level-3 action graph, before any walk; a trivial one
+    # is walked on the level-3 tables the graph's search closed
+    assert (3 in walked) == (n % 8 == 0)
+    assert _filled_steps(system, 3) == 8 * 4
     image, section = system.word_at(word, tuple(path))
     v = sum(x << i for i, x in enumerate(path))
     assert image == tuple((v + n) >> i & 1 for i in range(len(path)))
@@ -687,6 +690,19 @@ def test_word_at_chunks_stop_where_sections_could_outgrow_the_key_level(kind):
     assert max(system._points) == min(chunk, 3)
 
 
+def _record_walks(system):
+    """The levels ``system`` walks a word on, recorded as it walks them."""
+    walked = []
+    walk_level = system._walk_level
+    system._walk_level = lambda word, k: walked.append(k) or walk_level(word, k)
+    return walked
+
+
+def _filled_steps(system, k):
+    """The number of (action, letter) steps the level-k walk tables hold."""
+    return sum(step is not None for state in system._walks[k][0].values() for step in state[1:])
+
+
 def test_walk_tables_stay_within_the_level_quotient(monkeypatch):
     system = parse_system(BASILICA_TEXT)
     built = []
@@ -700,10 +716,12 @@ def test_walk_tables_stay_within_the_level_quotient(monkeypatch):
     for _ in range(2):
         assert system.word_is_trivial(trivial) and not system.word_is_trivial(nontrivial)
         assert len(system.word_at(nontrivial, (0, 1, 1, 0, 1, 0, 1))[0]) == 7
-    # each walked level's tables are built once, and the level-3 walk has
-    # one state per element of B/St(3), of order 2^6
+    # each walked level's tables are built once, and the level-3 walk,
+    # closed by the action graph's search, has one state per element of
+    # B/St(3), of order 2^6, and every step from each
     assert sorted(built) == [1, 3]
-    assert 1 < len(system._walks[3][0]) <= 64
+    assert len(system._walks[1][0]) <= 2
+    assert len(system._walks[3][0]) == 64 and _filled_steps(system, 3) == 64 * 4
 
 
 def test_walk_table_keeps_at_most_max_level_points_images(monkeypatch, rng):
@@ -777,6 +795,37 @@ def test_jump_graph_holds_each_level_action_once(kind):
     assert len({system.word_level_perm(w, k) for w in words.values()}) == size
 
 
+@pytest.mark.parametrize("kind", sorted(_JUMP_GRAPH_SIZES))
+def test_jump_graph_closes_the_walk_tables(kind, monkeypatch):
+    # after one long decision the level-_jump walk tables hold a step for
+    # every (action, letter) pair, their actions are the graph's nodes, and
+    # a walk on them, which fills nothing, gives the action and the
+    # sections of _reference_root_and_sections
+    text, size = _JUMP_GRAPH_SIZES[kind]
+    system = parse_system(text)
+    rng = random.Random(size)
+    letters = _signed_letters(system)
+    system.word_is_trivial(_uncancelled(rng.choice(letters) for _ in range(core.MEMO_LETTERS + 1)))
+    k, states = system._jump, system._walks[system._jump][0]
+    assert _filled_steps(system, k) == size * len(letters)
+    assert all(state[0] is p for p, state in states.items())
+    # each node's action, from a word that reaches it
+    actions, queue = {id(system._jump_nodes): ()}, [system._jump_nodes]
+    for node in queue:
+        for l in letters:
+            if id(node[l]) not in actions:
+                actions[id(node[l])] = (l,) + actions[id(node)]
+                queue.append(node[l])
+    assert {system.word_level_perm(w, k) for w in actions.values()} == set(states)
+    monkeypatch.setattr(system, "_walk_step", None)  # a lazy fill would fail
+    for _ in range(40):
+        word = _uncancelled(rng.choice(letters) for _ in range(rng.randrange(65, 300)))
+        expected = [word]
+        for _ in range(k):
+            expected = [s for w in expected for s in _reference_root_and_sections(system, w)[1]]
+        assert system._walk_level(word, k) == (system.word_level_perm(word, k), tuple(expected))
+
+
 # relators: Basilica's [a, a^b], Grigorchuk's involutions, bcd and (ad)^4,
 # and the shortest relator of the d = 3 system (10 letters).  The roots of
 # "s3-roots", a 3-cycle and two transpositions, admit no automorphism that
@@ -831,22 +880,26 @@ def test_long_word_trivial_on_the_jump_level_is_decided_by_the_walk():
     # (ab)^64 acts trivially on level 3, but B is torsion-free
     system = parse_system(BASILICA_TEXT)
     word = power_word((1, 2), 64)
+    walked = _record_walks(system)
     assert len(word) == 128 and system.word_level_perm(word, 3) == tuple(range(8))
     assert not system.word_is_trivial(word)
-    assert 3 in system._walks
+    assert walked[0] == 3
 
 
 def test_jump_graph_rejection_walks_nothing(rng):
     # long words of nontrivial level-3 action are rejected by the graph
-    # alone: no walk tables, and the memo holds only the empty word
+    # alone: no walk, and the memo holds only the empty word
     system = parse_system(BASILICA_TEXT)
+    walked = _record_walks(system)
     for _ in range(20):
         word = _uncancelled(rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(65, 400)))
         if system.word_level_perm(word, 3) != tuple(range(8)):
             assert not system.word_is_trivial(word)
+    # the graph's search closes the level-3 tables, and nothing is walked;
     # (the walk and graph tables are compared by their keys or length, so a
     # failure does not print their nested lists in full)
-    assert sorted(system._walks) == [] and system._trivial_cache == {()}
+    assert walked == [] and sorted(system._walks) == [3]
+    assert system._trivial_cache == {()}
 
 
 def test_jump_graph_keeps_the_walk_tables_bound(monkeypatch, rng):
@@ -911,6 +964,23 @@ def test_walk_steps_read_both_ends_of_the_letter_list(pushes, states_cap):
                     assert system._walk_level(word, k) == (action, tuple(expected))
         assert states_cap is None or len(system._walks[k][0]) <= states_cap
         assert system._walks[k][2] == (pushes == "one")
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(
+    st.sampled_from([1, 2, 25]),
+    st.lists(st.tuples(st.integers(1, 25), st.booleans()), max_size=80),
+)
+@example(1, [])
+@example(25, [])
+@example(25, [(25, True), (25, False), (25, False), (1, True)])
+def test_exponent_sums_over_1_2_and_25_generators(generators, letters):
+    # letters up to +-generators, not necessarily reduced
+    word = tuple((1 if positive else -1) * ((i - 1) % generators + 1) for i, positive in letters)
+    expected = [0] * generators
+    for l in word:
+        expected[abs(l) - 1] += 1 if l > 0 else -1
+    assert exponent_sums(word, generators) == tuple(expected)
 
 
 # a = sigma and each further generator is (its predecessor, 1)

@@ -1,8 +1,16 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from basilica import PreconditionError, basilica, equals, free_reduce, parse_system
-from basilica.core import exponent_sums
+from basilica import (
+    BudgetExceededError,
+    PreconditionError,
+    basilica,
+    equals,
+    free_reduce,
+    parse_system,
+)
+from basilica import core
+from basilica.core import exponent_sums, invert_word, product_word, substitute_word
 from basilica.structure import (
     LIFT_SUBSTITUTION,
     HeisenbergElement,
@@ -211,6 +219,67 @@ def test_lift_section_is_the_level_by_level_lift(B, rng):
             w = g * b ** (-t) * a ** (-s)  # exponent sums zero: in B'
             vertex = "".join(rng.choice("01") for _ in range(depth))
             assert lift_section(w, vertex).word == _lift_level_by_level(w, vertex).word
+
+
+def _reference_lift(word, vertex):
+    """The lift C s^n(w) C^-1 built from tuples, as ``lift_section``'s
+    comment defines it, and the letter counts its three budget checks read,
+    in order, each with the check's kind."""
+    a_img, b_img, c, checks = (1,), (2,), (), []
+    for x in vertex:
+        if x == "0":
+            checks.append(("conjugator", len(c) + len(b_img)))
+            c += b_img
+        checks.append(("image", 2 * len(b_img)))
+        a_img, b_img = b_img + b_img, a_img
+    a_letters = sum(abs(l) == 1 for l in word)
+    checks.append(("word", a_letters * len(a_img) + (len(word) - a_letters) * len(b_img) + 2 * len(c)))
+    lifted = product_word(product_word(c, tuple(substitute_word(word, (a_img, b_img)))), invert_word(c))
+    return lifted, checks
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    st.lists(st.sampled_from([1, -1, 2, -2]), max_size=20),
+    st.lists(st.sampled_from("01"), max_size=12),
+)
+# the empty word; words whose image cancels into the conjugator at both ends
+@example([], [])
+@example([], list("0101"))
+@example([-1, -2, -1, 2, 1, 1], ["0"])
+@example(list(basilica().parse_word("BBBBBBAbABAbaaabaBaBBAbbbABAbAbbAbaaBabb")), list("011010011101"))
+def test_lift_section_is_the_reference_construction(letters, digits):
+    # letters, then the powers of a and b that zero its exponent sums: a
+    # word of B' of at most 40 letters
+    s, t = exponent_sums(letters, 2)
+    word = free_reduce(letters + [-1 if s > 0 else 1] * abs(s) + [-2 if t > 0 else 2] * abs(t))
+    assert len(word) <= 40
+    vertex = "".join(digits)
+    lifted = lift_section(basilica().element(word), vertex)
+    assert lifted.word == _reference_lift(word, vertex)[0]
+    assert type(lifted.word) is tuple and all(type(l) is int for l in lifted.word)
+
+
+def test_lift_budget_checks_stop_at_their_letter_counts(monkeypatch):
+    # under each lowered budget, the first check past it raises, with its
+    # letter count and text; every one of the three checks is reached
+    B = basilica()
+    kinds = set()
+    cases = [("ABab", "0" * 10), ("ABab", "1" * 11), ("BAbbbaBBBAbbaB", "0110100110"), ("AABBaabb", "00"), ("abAB", "10" * 6)]
+    for text, vertex in cases:
+        word = B.parse_word(text)
+        lifted, checks = _reference_lift(word, vertex)
+        for limit in sorted({letters - 1 for _, letters in checks}):
+            kind, letters = next((k, n) for k, n in checks if n > limit)
+            monkeypatch.setattr(core, "MAX_CLOSURE_LETTERS", limit)
+            with pytest.raises(BudgetExceededError) as stop:
+                lift_section(B.element(text), vertex)
+            assert str(stop.value) == f"lift would build a word of {letters} letters, more than {limit}"
+            assert stop.value.partial == letters
+            kinds.add(kind)
+        monkeypatch.setattr(core, "MAX_CLOSURE_LETTERS", max(n for _, n in checks))
+        assert lift_section(B.element(text), vertex).word == lifted
+    assert kinds == {"conjugator", "image", "word"}
 
 
 def test_lift_section_requires_derived(B):
