@@ -133,8 +133,7 @@ class Record(tuple, metaclass=_RecordType):
     Records are tuples, so they compare, hash, index and iterate as the tuple
     of their fields; they print as ``Point(x=1, y=0)`` and pickle by value,
     as ``typing.NamedTuple`` records do, but building a record class compiles
-    no source.  ``_make`` builds a record from an iterable of exactly its
-    field values and checks nothing.
+    no source.
     """
 
     def __new__(cls, *args, **kwargs):
@@ -155,8 +154,6 @@ class Record(tuple, metaclass=_RecordType):
         if missing:
             raise TypeError(f"{cls.__name__} misses fields {missing}")
         return tuple.__new__(cls, [values[f] if f in values else defaults[f] for f in fields])
-
-    _make = classmethod(tuple.__new__)
 
     def __getnewargs__(self):
         return tuple(self)
@@ -1162,7 +1159,10 @@ class Portrait(Record):
 
 
 class ElementIndex:
-    """Exact-equality registry of pairwise distinct elements.
+    """Exact-equality registry of pairwise distinct elements, read with
+    ``find_word`` and written with ``insert_word`` or ``grow_sphere``.
+    Stabilizer de-duplication, the descent goal and the ``norms`` ball
+    registry, a subclass, are each one.
 
     Entry 0 is the identity, the empty word, so every word has a registered
     prefix.  An entry's own word is found in a dict, with no key fold: the
@@ -1208,12 +1208,6 @@ class ElementIndex:
         """Register a word known to be a new class; returns its index."""
         word_key = _word_bytes(word)
         return self._register(word, self._key(word, word_key), word_key)
-
-    def find_or_insert(self, word: Word) -> tuple[int, bool]:
-        idx = self.find_word(word)
-        if idx is None:
-            return self.insert_word(word), True
-        return idx, False
 
     def grow_sphere(self, first: int, stop: int, letters: Sequence[int], limit: int) -> bool:
         """Register the new classes among the extensions w.l of entries

@@ -1,31 +1,32 @@
 """Word norms, geodesic representatives and ball enumeration.
 
 Balls are built radius by radius in length-then-lexicographic order
-(a < a^-1 < b < b^-1).  Each word tried is assigned to its group-element
-class by an ``ElementIndex`` (level-action fingerprint buckets confirmed by
-the exact decision procedure), so the first word reaching a class is its
-shortlex-least geodesic, the class representative, whose length is the
-class's norm.  A prefix of such a geodesic is one itself, so radius r + 1
-tries only the one-letter extensions of the norm-r representatives, found
-by length in the index's ``words`` with ``bisect``; a suffix is one too, so
-it keys only those whose last r letters are a representative's word (one
-dict read each), each from its parent's entry with one ``bytes.translate``,
-all in one ``ElementIndex.grow_sphere`` pass.  The registry is shared per
-system, so repeated norm queries reuse the ball built so far.  A ball holds
-its classes as the ``Element``s of their representatives, each built once
-and shared by every later ``ball``; a class's norm is its word's length.  A
-``norm`` or ``geodesic_rep`` read is one ``ElementIndex.find_word``: a
-representative is found by the word, with no fingerprint and no decision,
-and any other word is keyed from its longest registered prefix, which prefix
-closure makes a geodesic itself.  The registry is complete up to
-``radius_done``: a word no longer than that has no larger norm, so its class
-is registered in the word's bucket, and the read passes ``complete`` to
-confirm every entry but the last and take the last unchecked.  A longer word
-has every entry confirmed, and grows the ball until it is found.  The
-registry holds at most ``MAX_CLASSES`` classes: ``ball``, ``norm`` and
-``geodesic_rep`` raise ``BudgetExceededError`` past that, with the last
-complete radius as its ``partial``, having registered words of the next
-length only.
+(a < a^-1 < b < b^-1).  The registry is an ``ElementIndex`` (level-action
+fingerprint buckets confirmed by the exact decision procedure) that adds
+only the completed radius, the class ``Element``s and the letter order.
+Each word tried is assigned to its group-element class, so the first word
+reaching a class is its shortlex-least geodesic, the class representative,
+whose length is the class's norm.  A prefix of such a geodesic is one
+itself, so radius r + 1 tries only the one-letter extensions of the norm-r
+representatives, found by length in the registry's ``words`` with
+``bisect``; a suffix is one too, so it keys only those whose last r letters
+are a representative's word (one dict read each), each from its parent's
+entry with one ``bytes.translate``, all in one ``grow_sphere`` pass.  The
+registry is shared per system, so repeated norm queries reuse the ball
+built so far.  A ball holds its classes as the ``Element``s of their
+representatives, each built once and shared by every later ``ball``; a
+class's norm is its word's length.  A ``norm`` or ``geodesic_rep`` read is
+one ``find_word`` on the registry: a representative is found by the word,
+with no fingerprint and no decision, and any other word is keyed from its
+longest registered prefix, which prefix closure makes a geodesic itself.
+The registry is complete up to ``radius_done``: a word no longer than that
+has no larger norm, so its class is registered in the word's bucket, and
+the read passes ``complete`` to confirm every entry but the last and take
+the last unchecked.  A longer word has every entry confirmed, and grows the
+ball until it is found.  The registry holds at most ``MAX_CLASSES``
+classes: ``ball``, ``norm`` and ``geodesic_rep`` raise
+``BudgetExceededError`` past that, with the last complete radius as its
+``partial``, having registered words of the next length only.
 """
 
 from __future__ import annotations
@@ -64,11 +65,12 @@ class Ball(Record):
         return "\n".join(lines) + "\n"
 
 
-class _BallRegistry:
-    """Incremental ball of one system; deterministic expansion order."""
+class _BallRegistry(ElementIndex):
+    """Incremental ball of one system, an ``ElementIndex`` whose entries are
+    its classes' representatives; deterministic expansion order."""
 
     def __init__(self, system: GeneratorSystem):
-        self.index = ElementIndex(system)
+        super().__init__(system)
         self.radius_done = 0
         # the class elements ``ball`` has handed out, in index order
         self.classes: list[Element] = []
@@ -93,11 +95,11 @@ class _BallRegistry:
         registry by length; it may already hold some classes of norm r from
         a pass a budget stopped.
         """
-        index, words = self.index, self.index.words
+        words = self.words
         while self.radius_done < radius:
             r = self.radius_done + 1
             first, stop = bisect_left(words, r - 1, key=len), bisect_left(words, r, key=len)
-            if not index.grow_sphere(first, stop, self._letters, MAX_CLASSES):
+            if not self.grow_sphere(first, stop, self._letters, MAX_CLASSES):
                 # the classes found so far are exact; a later call at or
                 # below radius_done still reads them
                 raise BudgetExceededError(
@@ -119,9 +121,9 @@ def ball(system: GeneratorSystem, radius: int) -> Ball:
     require_count(radius, "radius")
     reg = _registry(system)
     reg.extend(radius)
-    count = bisect_right(reg.index.words, radius, key=len)
+    count = bisect_right(reg.words, radius, key=len)
     classes = reg.classes
-    classes += map(partial(Element._reduced, system), reg.index.words[len(classes):count])
+    classes += map(partial(Element._reduced, system), reg.words[len(classes):count])
     return Ball(radius, tuple(classes[:count]))
 
 
@@ -129,8 +131,8 @@ def _find(g: Element) -> tuple[_BallRegistry, int]:
     """The registry of g's system and the index of g's class in it, growing
     the ball one radius at a time until it holds g."""
     reg = g.system._ball_registry or _registry(g.system)
-    word, index = g.word, reg.index
-    while (idx := index.find_word(word, done := len(word) <= reg.radius_done)) is None:
+    word = g.word
+    while (idx := reg.find_word(word, done := len(word) <= reg.radius_done)) is None:
         if done:
             raise ConsistencyError("ball enumeration missed a word of its own radius")
         reg.extend(reg.radius_done + 1)
@@ -140,10 +142,10 @@ def _find(g: Element) -> tuple[_BallRegistry, int]:
 def norm(g: Element) -> int:
     """Minimal word length representing g; zero exactly for the identity."""
     reg, idx = _find(g)
-    return len(reg.index.words[idx])
+    return len(reg.words[idx])
 
 
 def geodesic_rep(g: Element) -> Word:
     """Lexicographically least word of length norm(g) equal to g."""
     reg, idx = _find(g)
-    return reg.index.words[idx]
+    return reg.words[idx]

@@ -147,8 +147,8 @@ def stabilizer_generator_pairs(
     for elem, hw in candidates:
         if len(survivors) >= cap:
             break
-        _, new = index.find_or_insert(elem.word)
-        if new:
+        if index.find_word(elem.word) is None:
+            index.insert_word(elem.word)
             survivors.append((elem, hw))
     return survivors
 

@@ -74,8 +74,10 @@ def test_c03_free_positive_semigroup(capsys):
     index = ElementIndex(B)
     failures = []
     for w in words:
-        idx, new = index.find_or_insert(w)
-        if not new:
+        idx = index.find_word(w)
+        if idx is None:
+            index.insert_word(w)
+        else:
             failures.append(f"{B.word_str(w)} equals {B.word_str(index.words[idx])}")
     report(capsys, "3 free positive semigroup", 120, t0, failures)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from basilica import ConsistencyError, basilica, core, norms, quotients, structure
+from basilica import ConsistencyError, basilica, core, descent, norms, quotients, structure
 from basilica.cli import main
 
 from conftest import BASILICA_TEXT, D3_TEXT, EXPANDING_TEXT, fresh_interpreter, fresh_interpreter_output
@@ -608,6 +608,64 @@ def test_consistency_error_exit_code(capsys, monkeypatch):
     assert code == 6
     assert out == ""
     assert err == "internal consistency error: section images violate the derived-subgroup shape\n"
+
+
+def _trivial_root_at(word):
+    # the level-1 walk of ``word`` reports the identity root permutation
+    walk = core.GeneratorSystem._walk_level
+
+    def broken(self, w, k):
+        root, sections = walk(self, w, k)
+        return ((0, 1) if w == word else root), sections
+
+    return core.GeneratorSystem, "_walk_level", broken
+
+
+def _exponent_sums_of_letters_only():
+    # every word longer than one letter reads as image (0, 0)
+    sums = core.exponent_sums
+    return descent, "exponent_sums", lambda word, d: sums(word, d) if len(word) <= 1 else (0, 0)
+
+
+@pytest.mark.parametrize(
+    "patch, argv, message",
+    [
+        (
+            lambda: _trivial_root_at(basilica().parse_word("bAbbbaBBaB")),
+            ("find-ab", "bAbbbaBBaB"),
+            "descent state has trivial root permutation; class invariant broken",
+        ),
+        (
+            lambda: (descent, "geodesic_rep", lambda target: (1,) * 20),
+            ("find-ab", "bAbbbaBBaB"),
+            "descent exhausted its reachable states without finding the target",
+        ),
+        (
+            _exponent_sums_of_letters_only,
+            ("prodense", "--gens", "a,b"),
+            "coset solve produced image (0, 0) != (1, 1)",
+        ),
+        (
+            lambda: (descent, "verify_certificate", lambda H, cert: False),
+            ("prodense", "--gens", "ba,bb"),
+            "search assembled a certificate that fails replay",
+        ),
+        (
+            lambda: (structure, "heis_image", lambda g: structure.HeisenbergElement(1, 0, 0)),
+            ("bprime", "ABab"),
+            "section images a^1 b^0 c^0 / a^1 b^0 c^0 violate the derived-subgroup shape",
+        ),
+    ],
+    ids=["trivial-root", "unreachable-target", "coset-image", "replay", "heis-shape"],
+)
+def test_broken_invariant_is_one_line_and_exit_6(capsys, monkeypatch, patch, argv, message):
+    # one collaborator breaks an invariant the command checks; the command
+    # reports it in one stderr line with exit 6
+    monkeypatch.setattr(*patch())
+    code, out, err = run(capsys, *argv)
+    assert code == 6
+    assert out == ""
+    assert err == f"internal consistency error: {message}\n"
 
 
 def test_check_paper_subset(capsys):

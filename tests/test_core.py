@@ -263,9 +263,10 @@ def test_element_index_agrees_with_equals(kind, texts):
     registered = [system.identity()]
     for text in texts:
         g = system.element(text)
-        idx, new = index.find_or_insert(g.word)
+        idx = index.find_word(g.word)
         matches = [i for i, h in enumerate(registered) if equals(g, h)]
-        if new:
+        if idx is None:
+            idx = index.insert_word(g.word)
             assert matches == [] and idx == len(registered)
             registered.append(g)
         else:
@@ -285,7 +286,9 @@ def test_index_key_is_level_action(kind, letters):
     level = _KEY_LEVEL[kind]
     assert system.alphabet_size**level <= 256 < system.alphabet_size ** (level + 1)
     index = ElementIndex(system)
-    idx, _ = index.find_or_insert(word)
+    idx = index.find_word(word)
+    if idx is None:
+        idx = index.insert_word(word)
     perm = system.word_level_perm(word, level)
     assert index._keys[idx] == bytes(perm) + bytes(range(len(perm), 256))
 
@@ -301,7 +304,7 @@ def test_child_key_is_index_key_of_the_extension():
     for kind, radius in (("basilica", 6), ("grigorchuk", 8), ("d3", 5)):
         system = parse_system(_CHILD_SYSTEMS[kind])
         ball(system, radius)
-        index = system._ball_registry.index
+        index = system._ball_registry
         assert len(index.words) > 250
         for i, word in enumerate(index.words):
             perm = system.word_level_perm(word, _KEY_LEVEL[kind])

@@ -241,7 +241,7 @@ def test_ball_keys_each_candidate_from_its_parent(monkeypatch):
     confirms = _count_confirms(monkeypatch)
     assert len(ball(fresh, 6)) == 1125
     assert len(confirms) == 36
-    index = norms._registry(fresh).index
+    index = norms._registry(fresh)
     classes = {w: i for i, w in enumerate(index.words)}
     passing = [
         (i, l)
@@ -302,8 +302,8 @@ def _confirmed_class(system, word):
     ``complete``, which confirms every bucket entry it compares."""
     ball(system, len(word))
     reg = norms._registry(system)
-    idx = reg.index.find_word(word)
-    return len(reg.index.words[idx]), reg.index.words[idx]
+    idx = reg.find_word(word)
+    return len(reg.words[idx]), reg.words[idx]
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -328,7 +328,7 @@ def test_all_but_the_last_candidate_is_confirmed(monkeypatch):
     # and a^-9, which no other word of at most 11 letters equals.)
     fresh = parse_system(D3_TEXT)
     ball(fresh, 8)
-    index = norms._registry(fresh).index
+    index = norms._registry(fresh)
     shared = {key: b for key, b in index._buckets.items() if len(b) > 1}
     assert len(shared) == 56 and {len(b) for b in shared.values()} == {2}
     aliases = [

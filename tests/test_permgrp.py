@@ -66,6 +66,15 @@ def handles():
     return B, SubgroupHandle(B, [a]), SubgroupHandle(B, [b]), SubgroupHandle(B, [a, b])
 
 
+def test_reprs_name_their_values():
+    B = basilica()
+    assert repr(Perm([1, 2, 0])) == "Perm([1, 2, 0])"
+    assert repr(B) == "GeneratorSystem(d=2, names=ab)"
+    assert repr(B.element("abA")) == "Element('abA')"
+    assert repr(B.identity()) == "Element('e')"
+    assert repr(SubgroupHandle.from_words(B, ["ab", "Ba"])) == "SubgroupHandle(<ab, Ba>)"
+
+
 def test_orbit_examples(handles):
     B, Ha, Hb, Hab = handles
     assert orbit(Hb, "0").orbit == ("0", "1")
@@ -180,7 +189,11 @@ def test_orbit_and_stabilizer_match_the_word_walk_search(kind, data):
             candidates.append((H.evaluate(hw), hw))
     candidates.sort(key=lambda pair: (len(pair[0].word), pair[0].word, len(pair[1])))
     index = ElementIndex(system)
-    survivors = [(e.word, hw) for e, hw in candidates if index.find_or_insert(e.word)[1]]
+    survivors = []
+    for e, hw in candidates:
+        if index.find_word(e.word) is None:
+            index.insert_word(e.word)
+            survivors.append((e.word, hw))
     pairs = stabilizer_generator_pairs(H, vertex)
     assert [(e.word, hw) for e, hw in pairs] == survivors[: permgrp.DEFAULT_SCHREIER_CAP]
 

@@ -168,11 +168,10 @@ def test_record_refuses_a_wrong_field_set(make):
         make()
 
 
-def test_record_make_and_tuple_behaviour():
+def test_record_tuple_behaviour():
     values = (1, -2, 3)
-    g = HeisenbergElement._make(values)
-    assert type(g) is HeisenbergElement and g == HeisenbergElement(*values)
-    assert HeisenbergElement._make(iter(values)) == g
+    g = HeisenbergElement(*values)
+    assert type(g) is HeisenbergElement
     assert g == values and hash(g) == hash(values)
     assert g[0] == g.p == 1 and g[-1] == g.r == 3 and g[1:] == (-2, 3)
     assert list(g) == [1, -2, 3] and tuple(g) == values
