@@ -147,7 +147,7 @@ def parse_certificate(text: str) -> ProdenseCertificate:
 def evaluate_hword(hword: Sequence[int], generators: Sequence[Word]) -> Word:
     """The reduced word an hword denotes over reduced generator words."""
     for l in hword:
-        if l == 0 or abs(l) > len(generators):
+        if l == 0 or l is True or abs(l) > len(generators):
             raise InputError(f"hword letter {l} outside the generator range")
     return free_reduce(substitute_word(hword, generators))
 

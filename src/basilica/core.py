@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, islice
 from struct import Struct, error as StructError
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -769,7 +769,7 @@ class GeneratorSystem:
             rows = self._points.get(k) or self._point_tables(k)
             x = 0
             for digit in chunk:
-                if not (isinstance(digit, int) and 0 <= digit < d):
+                if isinstance(digit, bool) or not (isinstance(digit, int) and 0 <= digit < d):
                     raise InputError(f"vertex letter {digit!r} outside the alphabet")
                 x = x * d + digit
             x, stack = _follow_point(rows, self._single, word, x)
@@ -991,6 +991,8 @@ class Element:
     def __init__(self, system: GeneratorSystem, word: Iterable[int]):
         word = tuple(word)
         system._word_text(word)  # checks every letter, before reducing
+        if bool in map(type, word):  # False is no letter, but True packs as 1
+            raise InputError("letter True outside the generator range")
         _set_system(self, system)
         _set_word(self, free_reduce(word))
 
@@ -1035,7 +1037,8 @@ class Element:
 
     def section(self, x: int) -> "Element":
         """The automorphism induced on the subtree below letter x."""
-        if not (isinstance(x, int) and 0 <= x < self.system.alphabet_size):
+        d = self.system.alphabet_size
+        if isinstance(x, bool) or not (isinstance(x, int) and 0 <= x < d):
             raise InputError(f"letter {x} outside the alphabet")
         return Element._reduced(self.system, self.system.word_sections(self.word)[x])
 
@@ -1176,18 +1179,16 @@ class ElementIndex:
     complete=True)`` is for a caller that knows an entry equals the word:
     every candidate but the last is confirmed, the last taken unchecked.
     ``words[i]`` is entry i's word: the index's own list, for reading only.
+    No word is registered twice, so ``_by_word``'s keys are the entries'
+    packed words in entry order.
     """
 
     def __init__(self, system: GeneratorSystem):
         self.system = system
-        self._buckets: dict[bytes, tuple[int, ...]] = {_BYTE_IDENTITY: (0,)}
         self.words: list[Word] = [()]
-        # each entry's word, as ``_word_bytes``, to its index
-        self._by_word: dict[bytes, int] = {b"": 0}
-        self._word_keys: list[bytes] = [b""]  # per entry, its key in _by_word
-        self._letter_bytes = {l: _word_bytes((l,)) for l in system._key_tables}
+        self._by_word: dict[bytes, int] = {b"": 0}  # each entry's packed word to its index
         self._keys: list[bytes] = [_BYTE_IDENTITY]  # per entry, its bucket's key
-        self._longest = 0  # letters of the longest entry word
+        self._buckets: dict[bytes, tuple[int, ...]] = {_BYTE_IDENTITY: (0,)}
 
     def find_word(self, word: Word, complete: bool = False) -> int | None:
         """Index of the registered element equal to ``word``, if any.  With
@@ -1206,8 +1207,8 @@ class ElementIndex:
 
     def insert_word(self, word: Word) -> int:
         """Register a word known to be a new class; returns its index."""
-        word_key = _word_bytes(word)
-        return self._register(word, self._key(word, word_key), word_key)
+        packed = _word_bytes(word)
+        return self._register(word, self._key(word, packed), packed)
 
     def grow_sphere(self, first: int, stop: int, letters: Sequence[int], limit: int) -> bool:
         """Register the new classes among the extensions w.l of entries
@@ -1217,12 +1218,12 @@ class ElementIndex:
         their classes, all of them up to w's length, so a child is tried only
         if its suffix w[1:].l is an entry's word (the suffix rule, ``norms``):
         keyed from its parent's key with one ``translate``, confirmed against
-        its bucket or registered."""
-        words, packs, by_word = self.words, self._word_keys, self._by_word
-        letter_bytes, tables = self._letter_bytes, self.system._key_tables
-        is_trivial = self.system.word_is_trivial
-        for parent in range(first, stop):
-            w, key, packed = words[parent], self._keys[parent], packs[parent]
+        its bucket or registered.  The parents' packed words are ``_by_word``'s
+        keys ``first`` to ``stop - 1``, read before the pass."""
+        words, by_word, is_trivial = self.words, self._by_word, self.system.word_is_trivial
+        tables, letter_bytes = self.system._key_tables, {l: _word_bytes((l,)) for l in letters}
+        for parent, packed in enumerate(list(islice(by_word, first, stop)), first):
+            w, key = words[parent], self._keys[parent]
             cancel, suffix = (-w[-1], packed[1:]) if w else (0, None)
             for l in letters:
                 if l == cancel or suffix is not None and suffix + letter_bytes[l] not in by_word:
@@ -1237,24 +1238,22 @@ class ElementIndex:
                         return False
         return True
 
-    def _register(self, word: Word, key: bytes, word_key: bytes) -> int:
-        """Append an entry with its key and its word bytes; returns its index."""
+    def _register(self, word: Word, key: bytes, packed: bytes) -> int:
+        """Append an entry with its key and its packed word; returns its index."""
         idx = len(self.words)
         self.words.append(word)
         self._keys.append(key)
-        self._word_keys.append(word_key)
-        self._by_word[word_key] = idx
+        self._by_word[packed] = idx
         self._buckets[key] = self._buckets.get(key, ()) + (idx,)
-        if len(word) > self._longest:
-            self._longest = len(word)
         return idx
 
     def _key(self, word: Word, packed: bytes) -> bytes:
         """The key of ``word``, packed as ``packed``: its longest registered
         prefix's key, with the other letters folded in, one ``translate``
-        each.  The prefix search starts one letter short of the word, which
-        ``find_word`` has looked up."""
-        by_word, k = self._by_word, min(len(word) - 1, self._longest)
+        each.  The search starts one letter short of the word, which ``find_word``
+        looked up, or at the last entry's length: entries come by nondecreasing
+        length, and a lower start would only fold more letters into the same key."""
+        by_word, k = self._by_word, min(len(word) - 1, len(self.words[-1]))
         while (idx := by_word.get(packed[:k])) is None:
             k -= 1  # the empty word is entry 0
         p, tables = self._keys[idx], self.system._key_tables

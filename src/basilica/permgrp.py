@@ -27,6 +27,7 @@ from .core import (
     InputError,
     Perm,
     Record,
+    Word,
     free_reduce,
     invert_images,
     invert_word,
@@ -131,25 +132,27 @@ def stabilizer_generator_pairs(
 
     One exact lookup in an index, which holds the identity, drops trivial
     and repeated elements; at most ``cap`` survive, shorter ones first.
+    The candidates are words; an ``Element`` is built for a survivor only.
     Raises ``InputError`` when ``cap`` is not a non-negative int.
     """
     require_count(cap, "stabilizer cap")
     _, perms, transversal = _schreier_search(H, vertex)
-    candidates: list[tuple[Element, HWord]] = []
+    gen_words = [g.word for g in H.generators]
+    candidates: list[tuple[Word, HWord]] = []
     # point indices of one level sort as their vertex strings do
     for u in sorted(transversal):
         for i, p in enumerate(perms):
             hw = product_word(product_word(invert_word(transversal[p[u]]), (i + 1,)), transversal[u])
-            candidates.append((H.evaluate(hw), hw))
-    candidates.sort(key=lambda pair: (len(pair[0].word), pair[0].word, len(pair[1])))
+            candidates.append((evaluate_hword(hw, gen_words), hw))
+    candidates.sort(key=lambda pair: (len(pair[0]), pair[0], len(pair[1])))
     index = ElementIndex(H.system)
     survivors: list[tuple[Element, HWord]] = []
-    for elem, hw in candidates:
+    for word, hw in candidates:
         if len(survivors) >= cap:
             break
-        if index.find_word(elem.word) is None:
-            index.insert_word(elem.word)
-            survivors.append((elem, hw))
+        if index.find_word(word) is None:
+            index.insert_word(word)
+            survivors.append((Element._reduced(H.system, word), hw))
     return survivors
 
 

@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 from basilica import ConsistencyError, basilica, core, descent, norms, quotients, structure
 from basilica.cli import main
 
-from conftest import BASILICA_TEXT, D3_TEXT, EXPANDING_TEXT, fresh_interpreter, fresh_interpreter_output
+from conftest import (
+    BASILICA_TEXT,
+    D3_TEXT,
+    EXPANDING_TEXT,
+    GRIGORCHUK_TEXT,
+    fresh_interpreter,
+    fresh_interpreter_output,
+)
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -155,6 +162,44 @@ def test_deep_orbit_tables_keep_their_digests(capsys, tmp_path, kind):
         argv += ["--system", str(path)]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ball tables past the radii the norms tests enumerate: a class found in
+# another order, or another word for one, changes the digest
+_DEEP_BALLS = {
+    "basilica": (
+        None,
+        9,
+        18973,
+        "4a475d2e9dd9b0448af51e4f9a2958af68a1d116caa5c7bf5e2742b4e8076213",
+    ),
+    "d3": (
+        D3_TEXT,
+        7,
+        4007,
+        "523e3e114e3603b209ddfb8475dbadc739b5c876b39937121f275de8591f5f7e",
+    ),
+    "grigorchuk": (
+        GRIGORCHUK_TEXT,
+        11,
+        999,
+        "82cbaafbe435ba56f4942722d36a56c8fd23f5f1b60ae02487f5e712e6b2df6c",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DEEP_BALLS))
+def test_deep_ball_tables_keep_their_digests(capsys, tmp_path, kind):
+    text, radius, lines, digest = _DEEP_BALLS[kind]
+    argv = ["ball", str(radius)]
+    if text is not None:
+        path = tmp_path / "system.txt"
+        path.write_text(text)
+        argv += ["--system", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, f"classes: {lines}\n")
     assert out.count("\n") == lines
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -20,6 +20,7 @@ from basilica import (
     parse_system,
 )
 from basilica import core
+from basilica.certificate import evaluate_hword
 from basilica.core import (
     Element,
     ElementIndex,
@@ -1131,6 +1132,18 @@ def test_section_refuses_letters_outside_the_alphabet(B, x):
         B.element("b").section(x)
 
 
+def test_bools_are_no_letters_digits_or_hword_letters(B):
+    # True == 1 and False == 0, but neither is an int the engine reads: not
+    # as a section letter, a vertex digit or a generator index
+    for flag in (True, False):
+        with pytest.raises(InputError, match=f"^letter {flag} outside the alphabet$"):
+            B.element("b").section(flag)
+        with pytest.raises(InputError, match=f"^vertex letter {flag} outside the alphabet$"):
+            B.element("a").projection((flag,))
+        with pytest.raises(InputError, match=f"^hword letter {flag} outside the generator range$"):
+            evaluate_hword((flag,), [(1,)])
+
+
 @pytest.mark.parametrize("path", [(2,), (-1,), (0, 2), (1, 0, 5)])
 def test_projection_refuses_digits_outside_the_alphabet(B, path):
     # read as a point of its level, (0, 2) would be the vertex 10
@@ -1563,7 +1576,7 @@ def test_perm_and_element_refuse_assignment_and_deletion(B):
     assert g.word == (1, 2) and g.system is B
 
 
-@pytest.mark.parametrize("bad", ["a", 1.0, None, 0, 3, -3, 10**30])
+@pytest.mark.parametrize("bad", ["a", 1.0, None, 0, 3, -3, 10**30, True])
 def test_element_rejects_letters_outside_the_system(B, bad):
     for letters in ([bad], [1, bad], (bad, -1)):
         with pytest.raises(InputError, match=f"^letter {bad!r} outside the generator range$"):

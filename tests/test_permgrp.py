@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import reduce
 
@@ -34,7 +35,7 @@ from basilica.permgrp import (
     projected_subgroup,
     stabilizer_generator_pairs,
 )
-from basilica.quotients import _chain, _keeps_dyadic_blocks, _schreier_sims_order
+from basilica.quotients import _chain, _keeps_dyadic_blocks, _schreier_sims_order, _tree_order
 
 from conftest import BASILICA_TEXT, D3_TEXT, GRIGORCHUK_TEXT, GUPTA_SIDKI_TEXT, fresh_interpreter_output
 
@@ -528,6 +529,24 @@ def test_tree_order_needs_same_layer_commutators():
     rng = random.Random(83)
     products = [reduce(compose_images, rng.choices(gens, k=rng.randrange(1, 40))) for _ in range(64)]
     assert all(map(contains, products))
+
+
+def test_tree_order_agrees_with_closure_on_every_depth_3_pair():
+    # the 128 automorphisms of the binary tree of depth 3, one per set of
+    # the 7 vertices that swap their children: the seed rule must close the
+    # group of each of their 8128 pairs, not only the hand-found pair above
+    vertices = [(j, i) for j in range(3) for i in range(1 << j)]
+    autos = [_portrait_images(3, {v for b, v in enumerate(vertices) if g >> b & 1}) for g in range(128)]
+    position = {p: i for i, p in enumerate(autos)}  # autos[0] is the identity
+    products = [[position[compose_images(p, q)] for q in autos] for p in autos]
+    for i, j in itertools.combinations(range(128), 2):
+        group, frontier = {0}, [0]
+        for x in frontier:
+            for y in (products[x][i], products[x][j]):
+                if y not in group:
+                    group.add(y)
+                    frontier.append(y)
+        assert _tree_order([autos[k] for k in (i, j) if k])[0] == len(group)
 
 
 def test_tree_membership_checks_the_dyadic_blocks():
