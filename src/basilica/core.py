@@ -301,7 +301,8 @@ class Perm:
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
-        if sorted(images) != list(range(len(images))):
+        # a point is an int: neither a bool nor a float equal to one is
+        if any(type(x) is not int for x in images) or sorted(images) != list(range(len(images))):
             raise InputError(f"not a permutation: {images!r}")
         object.__setattr__(self, "images", images)
 
@@ -377,31 +378,6 @@ def _require_digit_vertices(alphabet_size: int) -> None:
     """One digit per level names vertices unambiguously only up to 10 letters."""
     if alphabet_size > 10:
         raise InputError("string vertices only supported for alphabets up to 10")
-
-
-def _follow_point(rows: list, single: bool, word: Word, x: int) -> tuple[int, list[int]]:
-    """The image of point x under ``word`` and the stack of its section
-    there, reversed above a bottom 0, walking ``word`` right to left by the
-    steps of ``GeneratorSystem._point_tables``: reading l after w pushes
-    l's section at w(x).  No letter cancels the bottom 0."""
-    stack = [0]
-    if single:
-        for l in reversed(word):
-            x, s = rows[l][x]
-            if s:
-                if stack[-1] == -s:
-                    stack.pop()
-                else:
-                    stack.append(s)
-    else:
-        for l in reversed(word):
-            x, pushes = rows[l][x]
-            for s in pushes:
-                if stack[-1] == -s:
-                    stack.pop()
-                else:
-                    stack.append(s)
-    return x, stack
 
 
 class GeneratorSystem:
@@ -715,7 +691,7 @@ class GeneratorSystem:
                     row += [(shift + y, pushes) for y, pushes in below[w[0]]]
                 else:
                     for y in range(size):
-                        image, stack = _follow_point(below, self._single, w, y)
+                        image, stack = self._follow_point(below, w, y)
                         row.append((shift + image, tuple(stack[1:])))
         self._points[k] = rows
         return rows
@@ -772,10 +748,34 @@ class GeneratorSystem:
                 if isinstance(digit, bool) or not (isinstance(digit, int) and 0 <= digit < d):
                     raise InputError(f"vertex letter {digit!r} outside the alphabet")
                 x = x * d + digit
-            x, stack = _follow_point(rows, self._single, word, x)
+            x, stack = self._follow_point(rows, word, x)
             word = tuple(stack[:0:-1])
             image.extend(self._point_path(x, k))
         return tuple(image), word
+
+    def _follow_point(self, rows: list, word: Word, x: int) -> tuple[int, list[int]]:
+        """The image of point x under ``word`` and the stack of its section
+        there, reversed above a bottom 0, walking ``word`` right to left by the
+        steps ``rows`` of ``_point_tables``: reading l after w pushes l's
+        section at w(x).  No letter cancels the bottom 0."""
+        stack = [0]
+        if self._single:
+            for l in reversed(word):
+                x, s = rows[l][x]
+                if s:
+                    if stack[-1] == -s:
+                        stack.pop()
+                    else:
+                        stack.append(s)
+        else:
+            for l in reversed(word):
+                x, pushes = rows[l][x]
+                for s in pushes:
+                    if stack[-1] == -s:
+                        stack.pop()
+                    else:
+                        stack.append(s)
+        return x, stack
 
     def _point_path(self, x: int, k: int) -> tuple[int, ...]:
         """The k base-d digits of x: the path of level k's x-th vertex."""
@@ -1163,9 +1163,9 @@ class Portrait(Record):
 
 class ElementIndex:
     """Exact-equality registry of pairwise distinct elements, read with
-    ``find_word`` and written with ``insert_word`` or ``grow_sphere``.
-    Stabilizer de-duplication, the descent goal and the ``norms`` ball
-    registry, a subclass, are each one.
+    ``find_word`` and written with ``insert_word``, or, for the ball of
+    ``norms``, a subclass, with ``grow``, which enumerates it sphere by
+    sphere.  Stabilizer de-duplication and the descent goal are indexes too.
 
     Entry 0 is the identity, the empty word, so every word has a registered
     prefix.  An entry's own word is found in a dict, with no key fold: the
@@ -1180,7 +1180,8 @@ class ElementIndex:
     every candidate but the last is confirmed, the last taken unchecked.
     ``words[i]`` is entry i's word: the index's own list, for reading only.
     No word is registered twice, so ``_by_word``'s keys are the entries'
-    packed words in entry order.
+    packed words in entry order.  ``radius_done`` is the radius ``grow``
+    has completed, 0 to start with: entry 0 is the whole ball of radius 0.
     """
 
     def __init__(self, system: GeneratorSystem):
@@ -1189,6 +1190,7 @@ class ElementIndex:
         self._by_word: dict[bytes, int] = {b"": 0}  # each entry's packed word to its index
         self._keys: list[bytes] = [_BYTE_IDENTITY]  # per entry, its bucket's key
         self._buckets: dict[bytes, tuple[int, ...]] = {_BYTE_IDENTITY: (0,)}
+        self.radius_done = 0
 
     def find_word(self, word: Word, complete: bool = False) -> int | None:
         """Index of the registered element equal to ``word``, if any.  With
@@ -1210,33 +1212,44 @@ class ElementIndex:
         packed = _word_bytes(word)
         return self._register(word, self._key(word, packed), packed)
 
-    def grow_sphere(self, first: int, stop: int, letters: Sequence[int], limit: int) -> bool:
-        """Register the new classes among the extensions w.l of entries
-        ``first`` to ``stop - 1``, parents in order, then ``letters``, but
-        for the l cancelling w; ``False`` once an insert leaves more than
-        ``limit`` entries.  The entries must be the shortlex-least words of
-        their classes, all of them up to w's length, so a child is tried only
-        if its suffix w[1:].l is an entry's word (the suffix rule, ``norms``):
-        keyed from its parent's key with one ``translate``, confirmed against
-        its bucket or registered.  The parents' packed words are ``_by_word``'s
-        keys ``first`` to ``stop - 1``, read before the pass."""
+    def grow(self, radius: int, limit: int) -> None:
+        """Register every class of norm at most ``radius``, a sphere a pass,
+        trying words in shortlex order (a < a^-1 < b < b^-1 < ...), on an
+        index no other method writes: each entry is then the shortlex-least
+        word of its class, and all those up to length ``radius_done`` are
+        entries.  A prefix of such a word is one too, so radius r tries the
+        extensions w.l of the entries of length r - 1, parents in order,
+        then letters, but for the l cancelling w; so is a suffix, so w.l is
+        tried only if w[1:].l is an entry's word.  It is keyed from w's key
+        with one ``translate`` and confirmed against its bucket or
+        registered.  Past ``limit`` entries, raises ``BudgetExceededError``
+        with ``partial`` ``radius_done``; the entries, some maybe of length
+        r, stay exact."""
+        from bisect import bisect_left  # only a ball grows: ``import basilica`` skips it
         words, by_word, is_trivial = self.words, self._by_word, self.system.word_is_trivial
-        tables, letter_bytes = self.system._key_tables, {l: _word_bytes((l,)) for l in letters}
-        for parent, packed in enumerate(list(islice(by_word, first, stop)), first):
-            w, key = words[parent], self._keys[parent]
-            cancel, suffix = (-w[-1], packed[1:]) if w else (0, None)
-            for l in letters:
-                if l == cancel or suffix is not None and suffix + letter_bytes[l] not in by_word:
-                    continue
-                child, child_key = w + (l,), tables[l].translate(key)
-                for i in self._buckets.get(child_key, ()):
-                    if is_trivial(product_word(child, invert_word(words[i]))):
-                        break
-                else:
-                    self._register(child, child_key, packed + letter_bytes[l])
-                    if len(words) > limit:
-                        return False
-        return True
+        tables, n = self.system._key_tables, len(self.system.names)
+        letters = {l: _word_bytes((l,)) for i in range(1, n + 1) for l in (i, -i)}
+        while self.radius_done < radius:
+            r = self.radius_done + 1
+            first, stop = bisect_left(words, r - 1, key=len), bisect_left(words, r, key=len)
+            for parent, packed in enumerate(list(islice(by_word, first, stop)), first):
+                w, key = words[parent], self._keys[parent]
+                cancel, suffix = (-w[-1], packed[1:]) if w else (0, None)
+                for l, lb in letters.items():
+                    if l == cancel or suffix is not None and suffix + lb not in by_word:
+                        continue
+                    child, child_key = w + (l,), tables[l].translate(key)
+                    for i in self._buckets.get(child_key, ()):
+                        if is_trivial(product_word(child, invert_word(words[i]))):
+                            break
+                    else:
+                        self._register(child, child_key, packed + lb)
+                        if len(words) > limit:
+                            raise BudgetExceededError(
+                                f"ball radius {r} needs more than {limit} classes",
+                                partial=self.radius_done,
+                            )
+            self.radius_done = r
 
     def _register(self, word: Word, key: bytes, packed: bytes) -> int:
         """Append an entry with its key and its packed word; returns its index."""

@@ -1,28 +1,20 @@
 """Word norms, geodesic representatives and ball enumeration.
 
-Balls are built radius by radius in length-then-lexicographic order
-(a < a^-1 < b < b^-1).  The registry is an ``ElementIndex`` (level-action
-fingerprint buckets confirmed by the exact decision procedure) that adds
-only the completed radius, the class ``Element``s and the letter order.
-Each word tried is assigned to its group-element class, so the first word
-reaching a class is its shortlex-least geodesic, the class representative,
-whose length is the class's norm.  A prefix of such a geodesic is one
-itself, so radius r + 1 tries only the one-letter extensions of the norm-r
-representatives, found by length in the registry's ``words`` with
-``bisect``; a suffix is one too, so it keys only those whose last r letters
-are a representative's word (one dict read each), each from its parent's
-entry with one ``bytes.translate``, all in one ``grow_sphere`` pass.  The
-registry is shared per system, so repeated norm queries reuse the ball
-built so far.  A ball holds its classes as the ``Element``s of their
-representatives, each built once and shared by every later ``ball``; a
-class's norm is its word's length.  A ``norm`` or ``geodesic_rep`` read is
-one ``find_word`` on the registry: a representative is found by the word,
-with no fingerprint and no decision, and any other word is keyed from its
-longest registered prefix, which prefix closure makes a geodesic itself.
-The registry is complete up to ``radius_done``: a word no longer than that
-has no larger norm, so its class is registered in the word's bucket, and
-the read passes ``complete`` to confirm every entry but the last and take
-the last unchecked.  A longer word has every entry confirmed, and grows the
+A system's ball is one ``ElementIndex``, shared per system and grown with
+``ElementIndex.grow``, one pass per sphere, in length-then-lexicographic
+order (a < a^-1 < b < b^-1); its docstring gives the rule that prunes each
+pass.  The first word reaching a class is its shortlex-least geodesic, the
+class representative, whose length is the class's norm, so repeated norm
+queries reuse the ball built so far.  The registry adds only the class
+``Element``s a ``ball`` hands out, each built once and shared by every
+later ``ball``.  A ``norm`` or ``geodesic_rep`` read is one ``find_word``
+on the registry: a representative is found by the word, with no
+fingerprint and no decision, and any other word is keyed from its longest
+registered prefix, which prefix closure makes a geodesic itself.  The
+registry is complete up to ``radius_done``: a word no longer than that has
+no larger norm, so its class is registered in the word's bucket, and the
+read passes ``complete`` to confirm every entry but the last and take the
+last unchecked.  A longer word has every entry confirmed, and grows the
 ball until it is found.  The registry holds at most ``MAX_CLASSES``
 classes: ``ball``, ``norm`` and ``geodesic_rep`` raise
 ``BudgetExceededError`` past that, with the last complete radius as its
@@ -31,11 +23,10 @@ classes: ``ball``, ``norm`` and ``geodesic_rep`` raise
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from functools import partial
 
 from .core import (
-    BudgetExceededError,
     ConsistencyError,
     Element,
     ElementIndex,
@@ -67,46 +58,12 @@ class Ball(Record):
 
 class _BallRegistry(ElementIndex):
     """Incremental ball of one system, an ``ElementIndex`` whose entries are
-    its classes' representatives; deterministic expansion order."""
+    its classes' representatives, grown with ``grow``."""
 
     def __init__(self, system: GeneratorSystem):
         super().__init__(system)
-        self.radius_done = 0
         # the class elements ``ball`` has handed out, in index order
         self.classes: list[Element] = []
-        # a < a^-1 < b < b^-1 < ...
-        self._letters = [l for i in range(len(system.names)) for l in (i + 1, -(i + 1))]
-
-    def extend(self, radius: int) -> None:
-        """Enumerate the classes up to ``radius``.
-
-        A prefix of a shortlex-least geodesic is one itself, so every class
-        of norm r first appears among the one-letter extensions of the
-        norm-(r - 1) classes, in the same order as among all reduced words
-        of length r.  The suffix rule prunes those: if x.v is the
-        shortlex-least word of its class, so is v of its own, since a
-        shorter word for v would shorten x.v and a lex-smaller one would
-        make x.v lex-smaller.  So an extension w.l whose suffix w[1:].l is
-        no class's representative is no new class: the class's
-        shortlex-least word came earlier, in an earlier radius or under an
-        earlier parent or letter, and is registered.  Only the extensions
-        that pass are keyed from their parent's entry and confirmed against
-        their bucket.  The norm-(r - 1) classes are read back from the
-        registry by length; it may already hold some classes of norm r from
-        a pass a budget stopped.
-        """
-        words = self.words
-        while self.radius_done < radius:
-            r = self.radius_done + 1
-            first, stop = bisect_left(words, r - 1, key=len), bisect_left(words, r, key=len)
-            if not self.grow_sphere(first, stop, self._letters, MAX_CLASSES):
-                # the classes found so far are exact; a later call at or
-                # below radius_done still reads them
-                raise BudgetExceededError(
-                    f"ball radius {r} needs more than {MAX_CLASSES} classes",
-                    partial=self.radius_done,
-                )
-            self.radius_done = r
 
 
 def _registry(system: GeneratorSystem) -> _BallRegistry:
@@ -120,7 +77,7 @@ def ball(system: GeneratorSystem, radius: int) -> Ball:
     class element is built once per registry and shared by every later ball."""
     require_count(radius, "radius")
     reg = _registry(system)
-    reg.extend(radius)
+    reg.grow(radius, MAX_CLASSES)
     count = bisect_right(reg.words, radius, key=len)
     classes = reg.classes
     classes += map(partial(Element._reduced, system), reg.words[len(classes):count])
@@ -135,7 +92,7 @@ def _find(g: Element) -> tuple[_BallRegistry, int]:
     while (idx := reg.find_word(word, done := len(word) <= reg.radius_done)) is None:
         if done:
             raise ConsistencyError("ball enumeration missed a word of its own radius")
-        reg.extend(reg.radius_done + 1)
+        reg.grow(reg.radius_done + 1, MAX_CLASSES)
     return reg, idx
 
 

@@ -591,10 +591,10 @@ def test_norm_missed_word_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "basilica.txt"
     path.write_text(BASILICA_TEXT)
 
-    def skip(self, radius):
+    def skip(self, radius, limit):
         self.radius_done = max(self.radius_done, radius)
 
-    monkeypatch.setattr(norms._BallRegistry, "extend", skip)
+    monkeypatch.setattr(norms._BallRegistry, "grow", skip)
     code, out, err = run(capsys, "norm", "a", "--system", str(path))
     assert code == 6
     assert out == ""

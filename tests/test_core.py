@@ -1134,8 +1134,10 @@ def test_section_refuses_letters_outside_the_alphabet(B, x):
 
 def test_bools_are_no_letters_digits_or_hword_letters(B):
     # True == 1 and False == 0, but neither is an int the engine reads: not
-    # as a section letter, a vertex digit or a generator index
+    # as a section letter, a vertex digit, a generator index or a point
     for flag in (True, False):
+        with pytest.raises(InputError, match=f"^not a permutation: \\({flag}, {not flag}\\)$"):
+            Perm([flag, not flag])
         with pytest.raises(InputError, match=f"^letter {flag} outside the alphabet$"):
             B.element("b").section(flag)
         with pytest.raises(InputError, match=f"^vertex letter {flag} outside the alphabet$"):

@@ -215,8 +215,8 @@ def test_evaluate_is_letterwise_product(words, data):
 
 def test_evaluate_rejects_letters_outside_generators(handles):
     B, Ha, Hb, Hab = handles
-    for bad in (0, 3, -3):
-        with pytest.raises(InputError):
+    for bad in (0, 3, -3, 1.0, None):
+        with pytest.raises(InputError, match="outside the generator range"):
             Hab.evaluate((1, bad))
 
 
@@ -513,13 +513,14 @@ def _swap(p, points):
 
 
 # two automorphisms of the binary tree of depth 7, bit 2^j - 1 + i set when
-# the vertex of level j and index i swaps its children: their group needs
-# the commutators of elements of one layer, not only those with the
-# generators, to be closed (without them the sequence has 82 elements)
+# the vertex of level j and index i swaps its children.  The test pins
+# their group's order, 2^83, and the membership of random products; a
+# sequence that forms no same-layer commutators reaches all 83 elements here
+# too, so it does not pin the need for them
 _SAME_LAYER_GENS = (0x1017D67B6C220638BDBDB861DFAEFC80, 0x634339D02E3DBB776FF7B39ABD0053CD)
 
 
-def test_tree_order_needs_same_layer_commutators():
+def test_tree_order_of_a_depth_7_pair():
     gens = [
         _portrait_images(7, {(j, i) for j in range(7) for i in range(1 << j) if g >> (1 << j) - 1 + i & 1})
         for g in _SAME_LAYER_GENS
@@ -646,11 +647,16 @@ def test_group_order_mixed_degrees_rejected():
         group_order([Perm((1, 0)), Perm((0, 1, 2))])
 
 
-@pytest.mark.parametrize("images", [(-1, 0), (0, 5), (1, 1, 0), (0, 0, 1, 1)])
+@pytest.mark.parametrize(
+    "images", [(-1, 0), (0, 5), (1, 1, 0), (0, 0, 1, 1), (1.0, 0.0), (True, False)]
+)
 def test_group_order_rejects_tuples_that_are_not_permutations(images):
-    # a negative point, a point past the degree, and repeated points
+    # a negative point, a point past the degree, repeated points, and
+    # points that equal ints but are none: as a generator's root too
     with pytest.raises(InputError, match="not a permutation"):
         group_order([images])
+    with pytest.raises(InputError, match="not a permutation"):
+        GeneratorSystem(len(images), [("a", images, ["e"] * len(images))])
 
 
 def test_level_quotient_equals_full(handles):
