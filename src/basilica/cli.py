@@ -184,8 +184,7 @@ def cmd_prodense(args) -> int:
 def cmd_verify(args) -> int:
     with open(args.cert, "r", encoding="utf-8") as fh:
         cert = parse_certificate(fh.read())
-    system = basilica()
-    if replay(system, [system.parse_word(w) for w in cert.subgroup], cert):
+    if replay(cert.subgroup, cert):
         print(f"certificate valid: projection at {vertex_str(cert.vertex)} is the full group")
         return EXIT_OK
     print("certificate INVALID")

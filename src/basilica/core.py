@@ -45,10 +45,10 @@ through the graph of the level-``_jump`` actions, and one that acts
 nontrivially there is rejected before any walk.  The breadth-first search
 that builds the graph also closes that level's walk tables, under their
 bound, so a long word walks on the steps the fold's graph was built
-with.  ``word_at``, the walk down a
-vertex path behind ``Element.projection``, which every witness replay
-checks, follows one vertex instead: per chunk of up to key-level levels of
-the path, one pass whose state is a single point, and one reduction stack.
+with.  ``word_at``, the walk down a vertex path behind
+``Element.projection``, which the descent witnesses' replays check,
+follows one vertex instead: per chunk of up to key-level levels of the
+path, one pass whose state is a single point, and one reduction stack.
 Both walks build their steps from per-level point tables of each letter's
 action and sections, built once per system up to ``_chunk`` levels, each
 level's from the level below.  ``word_level_perm`` (up to level 16) and
@@ -819,8 +819,6 @@ class GeneratorSystem:
                 f"level {n} of a {d}-letter alphabet has more than "
                 f"{MAX_LEVEL_POINTS} vertices"
             )
-        if n == 0:  # the root, which every word fixes
-            return (0,)
         if d**n <= size:
             tables, p = self._key_tables, self._cuts[n]
             for l in word:
@@ -1018,6 +1016,8 @@ class Element:
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
         _same_system(self, other)
         return Element._reduced(self.system, product_word(self.word, other.word))
 
@@ -1027,6 +1027,8 @@ class Element:
     __invert__ = inverse
 
     def __pow__(self, n: int) -> "Element":
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InputError(f"exponent must be an integer, not {n!r}")
         return Element._reduced(self.system, power_word(self.word, n))
 
     # -- recursion -----------------------------------------------------------

@@ -369,5 +369,8 @@ def prodense_projection_search(
 
 
 def verify_certificate(H: SubgroupHandle, cert: ProdenseCertificate) -> bool:
-    """``certificate.replay`` against H's generators."""
-    return replay(H.system, [g.word for g in H.generators], cert)
+    """``certificate.replay`` against H's generator words, on a subgroup of
+    the Basilica group: the written-out recursion decides, not the engine
+    that found the certificate."""
+    require_basilica(H.system)
+    return replay(H.words(), cert)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from basilica import basilica, certificate, cli
+from basilica import Element, GeneratorSystem, basilica, certificate, cli, core
 from basilica.descent import (
     FailureReport,
     parse_certificate,
@@ -115,6 +115,12 @@ def _verdict(check, *args):
         return type(exc)
 
 
+def golden_certificates() -> list[tuple[str, str]]:
+    """The "gens:" line and the text of each golden certificate."""
+    blocks = [b.partition("\n") for b in GOLDEN.read_text().split("\n\n")]
+    return [(gens, text) for gens, _, text in blocks if text.startswith("basilica-certificate: ")]
+
+
 @pytest.mark.parametrize("name", TAMPERS)
 def test_golden_certificates_replay_alike(name, tmp_path, capsys):
     # descent.verify_certificate and certificate.replay are one replay: they
@@ -122,8 +128,7 @@ def test_golden_certificates_replay_alike(name, tmp_path, capsys):
     # exits as before
     B = basilica()
     tamper, expected = TAMPERS[name]
-    blocks = [b.partition("\n") for b in GOLDEN.read_text().split("\n\n")]
-    texts = [(gens, text) for gens, _, text in blocks if text.startswith("basilica-certificate: ")]
+    texts = golden_certificates()
     assert len(texts) == len(expected)
     path = tmp_path / "cert.txt"
     codes = []
@@ -135,9 +140,73 @@ def test_golden_certificates_replay_alike(name, tmp_path, capsys):
         capsys.readouterr()
         cert = parse_certificate(edited)
         H = SubgroupHandle.from_words(B, gens.removeprefix("gens: ").split(", "))
-        words = [g.word for g in H.generators]
-        assert _verdict(verify_certificate, H, cert) == _verdict(certificate.replay, B, words, cert)
+        assert _verdict(verify_certificate, H, cert) == _verdict(certificate.replay, H.words(), cert)
     assert "".join(codes) == expected
+
+
+def _engine_ran(*args, **kwargs):
+    raise AssertionError("verify ran engine code")
+
+
+def test_verify_runs_no_engine_code(tmp_path, capsys, monkeypatch):
+    # the replay decides through the recursion written out in `certificate`:
+    # with the engine's parses, walks and projection refused, `verify` exits
+    # as before on every golden certificate and every edit of it
+    for name in ("word_is_trivial", "word_at", "_walk_level", "parse_word", "parse_vertex"):
+        monkeypatch.setattr(GeneratorSystem, name, _engine_ran)
+    monkeypatch.setattr(Element, "projection", _engine_ran)
+    monkeypatch.setattr(certificate, "free_reduce", _engine_ran)
+    monkeypatch.setattr(certificate, "substitute_word", _engine_ran)
+    path = tmp_path / "cert.txt"
+    for name, (tamper, expected) in TAMPERS.items():
+        codes = []
+        for _, text in golden_certificates():
+            path.write_text(tamper(text))
+            codes.append(str(cli.main(["verify", "--cert", str(path)])))
+        capsys.readouterr()
+        assert "".join(codes) == expected, name
+
+
+# a times the relator tau(1) = [b^-1 a b, a] is a, though not as a word
+ROOT_RELATOR_CERTIFICATE = """\
+basilica-certificate: 1
+engine: basilica 0.1.0
+subgroup: a, b, BAbABaba
+vertex: e
+expr-a: g0 g2
+expr-b: g1
+budget-states: 0
+budget-schreier: 0
+budget-depth: 0
+"""
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [(TAMPERS["vertex"][0](golden_certificates()[0][1]), 5), (ROOT_RELATOR_CERTIFICATE, 0)],
+    ids=["golden-vertex-flipped", "root-relator"],
+)
+def test_verify_past_the_closure_budget_exits_4(text, code, tmp_path, capsys, monkeypatch):
+    # each certificate has a section at its vertex that is not literally a
+    # or b, so its verdict takes a section closure; one lowered below that
+    # closure stops verify with exit 4 in one line, never with a verdict
+    path = tmp_path / "cert.txt"
+    path.write_text(text)
+    assert cli.main(["verify", "--cert", str(path)]) == code
+    capsys.readouterr()
+    monkeypatch.setattr(core, "MAX_CLOSURE_LETTERS", 3)
+    assert cli.main(["verify", "--cert", str(path)]) == 4
+    assert capsys.readouterr() == ("", "budget exhausted: section closure exceeded 3 letters\n")
+
+
+def test_verify_refuses_a_subgroup_word_not_reduced(tmp_path, capsys):
+    # aAa is a as an element, but a certificate spells each subgroup word
+    # reduced, so the same claim over aAa is INVALID
+    path = tmp_path / "cert.txt"
+    for words, code in (("a, b", 0), ("aAa, b", 5), ("a, bBb", 5)):
+        path.write_text(ROOT_RELATOR_CERTIFICATE.replace("a, b, BAbABaba", words).replace(" g2", ""))
+        assert cli.main(["verify", "--cert", str(path)]) == code
+    assert capsys.readouterr().out.splitlines()[1:] == ["certificate INVALID"] * 2
 
 
 if __name__ == "__main__":

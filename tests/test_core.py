@@ -20,7 +20,7 @@ from basilica import (
     parse_system,
 )
 from basilica import core
-from basilica.certificate import evaluate_hword
+from basilica.certificate import digit_section, evaluate_hword, reduce_text, text_is_trivial
 from basilica.core import (
     Element,
     ElementIndex,
@@ -214,6 +214,17 @@ def test_equals_mixed_systems_rejected(B):
         equals(B.element("a"), other.element("c"))
     with pytest.raises(InputError):
         SubgroupHandle(B, [B.element("a"), other.element("c")])
+
+
+def test_product_with_a_non_element_is_pythons_type_error(B):
+    # __mul__ declines an operand that is no Element, as __eq__ does;
+    # elements of two systems still raise InputError
+    a = B.element("a")
+    for other in (3, 1.5, None):
+        with pytest.raises(TypeError, match="^unsupported operand"):
+            a * other
+    with pytest.raises(InputError, match="^elements belong to different generator systems$"):
+        a * parse_system("alphabet 2; gen c perm=0,1 sections=e,c").element("c")
 
 
 def test_elements_unhashable(B):
@@ -572,6 +583,51 @@ def test_word_at_walks_long_words_along_the_path(kind, letters, digits):
     path = tuple(x % system.alphabet_size for x in digits)
     assert len(word) > core.MEMO_LETTERS
     _check_word_at(system, word, path)
+
+
+def _relator_texts() -> list[str]:
+    # tau(m) for odd m < 32, and its images under a -> b^2, b -> a, once
+    # and twice: trivial words of up to 256 letters
+    out = []
+    for m in range(1, 32, 2):
+        r = tau(m)
+        for _ in range(3):
+            out.append(str(r))
+            r = r.substitute(LIFT_SUBSTITUTION)
+    return out
+
+
+_RELATOR_TEXTS = _relator_texts()
+
+
+def test_relators_are_trivial_in_the_written_out_recursion():
+    B = basilica()
+    for text in _RELATOR_TEXTS:
+        assert text_is_trivial(text) and B.word_is_trivial(B.parse_word(text)), text
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.lists(st.sampled_from("aAbB"), max_size=60),
+    st.lists(st.integers(0, 1), max_size=12),
+    st.one_of(st.none(), st.sampled_from(_RELATOR_TEXTS)),
+)
+def test_written_out_recursion_agrees_with_the_engine(letters, path, relator):
+    # the recursion `verify` replays through, over text, and the engine
+    # check each other: a word's image of a path and its section there, and
+    # its triviality; a relator conjugated by the word is trivial
+    B = basilica()
+    text = reduce_text("".join(letters))
+    if relator is not None:
+        text = reduce_text(text + relator + text[::-1].swapcase())
+    word = B.parse_word(text)
+    image, section = [], text
+    for x in path:
+        y, section = digit_section(section, x)
+        image.append(y)
+    assert B.word_at(word, tuple(path)) == (tuple(image), B.parse_word(section))
+    assert text_is_trivial(text) == B.word_is_trivial(word)
+    assert relator is None or text_is_trivial(text)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -1144,6 +1200,8 @@ def test_bools_are_no_letters_digits_or_hword_letters(B):
             B.element("a").projection((flag,))
         with pytest.raises(InputError, match=f"^hword letter {flag} outside the generator range$"):
             evaluate_hword((flag,), [(1,)])
+        with pytest.raises(InputError, match=f"^exponent must be an integer, not {flag}$"):
+            B.element("a") ** flag
 
 
 @pytest.mark.parametrize("path", [(2,), (-1,), (0, 2), (1, 0, 5)])
@@ -1402,6 +1460,9 @@ def test_pow(B):
     assert (a**0).is_trivial()
     assert str(B.element("aBA") ** 3) == "aBBBA"
     assert str(B.element("aBA") ** -2) == "abbA"
+    for n in (1.0, None):
+        with pytest.raises(InputError, match=f"^exponent must be an integer, not {n}$"):
+            a**n
 
 
 def test_portrait(B):

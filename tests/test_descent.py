@@ -389,8 +389,8 @@ def test_certificate_parse_errors(B):
 
 
 def test_replay_and_verify_read_the_vertex_once(B, monkeypatch):
-    # replay walks its own steps; verification parses the vertex once and
-    # walks it once per expression
+    # replay walks its own steps; verification reads the vertex through the
+    # recursion written out in `certificate`, never through the engine
     H = SubgroupHandle(B, list(B.generators()))
     cert = prodense_projection_search(H)
     descent_cert = find_ab(B.element("ab") * alpha(1, 1))
@@ -400,7 +400,7 @@ def test_replay_and_verify_read_the_vertex_once(B, monkeypatch):
         GeneratorSystem, "parse_vertex", lambda system, v: calls.append(v) or parse(system, v)
     )
     assert descent_cert.replay() and calls == []
-    assert verify_certificate(H, cert) and calls == [cert.vertex]
+    assert verify_certificate(H, cert) and calls == []
 
 
 def test_certificate_repeated_key_or_stage_label(B):
